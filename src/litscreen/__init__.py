@@ -46,7 +46,7 @@ from .refine import (
     RefinementResult,
     run_refinement,
 )
-from .screen import Objectives, dominates, format_summary, pareto_front, screen_report
+from .screen import Objectives, dominates, format_summary, pareto_front
 from .selection import (
     SelectionOrder,
     central_document,

@@ -24,11 +24,12 @@ from .materials import (
 )
 from .persistence import (
     PersistenceError,
-    _read_kv,
+    atomic_write,
     file_digest,
     load_doc_model,
     load_model,
     load_tokens,
+    read_kv,
     save_doc_model,
     save_iteration_log,
     save_iteration_table,
@@ -102,7 +103,7 @@ class _Settings:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         path = getattr(args, "config", None)
-        raw = _read_kv(path, "config") if path else {}
+        raw = read_kv(path, "config") if path else {}
         self.file = {k.replace("-", "_"): v for k, v in raw.items()}
 
     def get(self, name, cast, default):
@@ -110,10 +111,7 @@ class _Settings:
         if value is not None:
             return value
         if name in self.file:
-            raw = self.file[name]
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return cast(self.file[name])
         return default
 
     def embedding(self) -> EmbeddingConfig:
@@ -125,7 +123,6 @@ class _Settings:
             alpha_min=self.get("alpha_min", float, 0.0001),
             min_count=self.get("min_count", int, 1),
             seed=self.get("seed", int, 0),
-            deterministic=self.get("deterministic", bool, True),
         )
 
 
@@ -288,9 +285,7 @@ def _cmd_screen(args) -> int:
                 f"{comp.id},{pt.s_dielectric:.17g},{pt.s_conductivity:.17g},"
                 f"{1 if i in on_front else 0}\n"
             )
-        from .persistence import _atomic_write
-
-        _atomic_write(args.out, "".join(lines))
+        atomic_write(args.out, "".join(lines))
         print(f"similarity table: {args.out}")
     return 0
 
@@ -324,12 +319,6 @@ def _add_corpus_options(p: argparse.ArgumentParser):
 
 def _add_training_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="bit-reproducible single-threaded training (default on)",
-    )
 
 
 def _build_parser() -> _Parser:

@@ -1,8 +1,10 @@
 """Word and document embeddings: skip-gram and PV-DBOW over hierarchical softmax.
 
-Both trainers share one SGD core, :func:`hs_step`, which walks a token's
-root-to-leaf path through a Huffman tree built from vocabulary counts.
-Training is sequential and bit-reproducible for a fixed seed.
+Both trainers run one SGD driver over :func:`hs_step`, which walks a
+token's root-to-leaf path through a Huffman tree built from vocabulary
+counts: skip-gram feeds it (token, window context) items and PV-DBOW
+(document, token) items. Training is sequential and bit-reproducible for
+a fixed seed.
 """
 from __future__ import annotations
 
@@ -48,7 +50,6 @@ class EmbeddingConfig:
     alpha_min: float = 0.0001
     min_count: int = 1
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -198,33 +199,32 @@ def _init_matrix(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     return (rng.random((rows, dim)) - 0.5) / dim
 
 
-def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | None = None) -> WordModel:
-    """Train skip-gram token vectors with hierarchical softmax.
-
-    For each in-vocabulary position a window radius is drawn uniformly from
-    1..window and every context token inside it is predicted from the center
-    token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
-    (seeded); node vectors start at zero.
-    """
-    token_lists = [list(t) for t in token_lists]
-    if not token_lists:
-        raise ValueError("empty corpus")
-    if vocab is None:
-        vocab = build_vocabulary(token_lists, min_count=config.min_count)
-    coding = build_huffman(vocab)
-
-    rng = np.random.default_rng(config.seed)
-    vectors = _init_matrix(rng, len(vocab), config.dim)
-    nodes = np.zeros((coding.n_nodes, config.dim))
-
-    indexed_docs = [
-        [vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists
-    ]
-    tokens_per_epoch = sum(len(d) for d in indexed_docs)
+def _index_docs(token_lists, vocab: Vocabulary) -> tuple[list[list[int]], int]:
+    """Documents as vocabulary indices, out-of-vocabulary tokens dropped."""
+    docs = [[vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists]
+    tokens_per_epoch = sum(len(d) for d in docs)
     if tokens_per_epoch == 0:
         raise ValueError("no in-vocabulary tokens to train on")
-    total = config.epochs * tokens_per_epoch
+    return docs, tokens_per_epoch
 
+
+def _train_hs(
+    centers: np.ndarray,
+    coding: HuffmanCoding,
+    config: EmbeddingConfig,
+    tokens_per_epoch: int,
+    epoch_items,
+) -> tuple[np.ndarray, list[float], int]:
+    """SGD over hierarchical softmax, updating ``centers`` in place.
+
+    ``epoch_items()`` is called once per epoch and yields one
+    ``(center row, target ids)`` item per in-vocabulary token position; the
+    learning rate decays linearly per position across all epochs, and each
+    target is one :func:`hs_step` from that row. Node vectors start at zero.
+    Returns (node matrix, per-epoch mean loss, pairs trained).
+    """
+    nodes = np.zeros((coding.n_nodes, config.dim))
+    total = config.epochs * tokens_per_epoch
     alpha_span = config.alpha0 - config.alpha_min
     processed = 0
     pairs = 0
@@ -232,33 +232,46 @@ def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | Non
     for _ in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
-        for doc in indexed_docs:
-            n = len(doc)
-            for pos in range(n):
-                alpha = max(
-                    config.alpha_min,
-                    config.alpha0 - alpha_span * (processed / total),
+        for row, targets in epoch_items():
+            alpha = max(config.alpha_min, config.alpha0 - alpha_span * (processed / total))
+            processed += 1
+            for target in targets:
+                path = coding.paths[target]
+                loss, centers[row], nodes[path] = hs_step(
+                    centers[row], nodes[path], coding.signs[target], alpha
                 )
-                processed += 1
-                radius = int(rng.integers(1, config.window + 1))
-                center_idx = doc[pos]
-                lo = max(0, pos - radius)
-                hi = min(n, pos + radius + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    target = doc[ctx_pos]
-                    path = coding.paths[target]
-                    loss, new_center, new_rows = hs_step(
-                        vectors[center_idx], nodes[path], coding.signs[target], alpha
-                    )
-                    vectors[center_idx] = new_center
-                    nodes[path] = new_rows
-                    epoch_loss += loss
-                    epoch_pairs += 1
+                epoch_loss += loss
+                epoch_pairs += 1
         pairs += epoch_pairs
         epoch_losses.append(epoch_loss / max(1, epoch_pairs))
+    return nodes, epoch_losses, pairs
 
+
+def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | None = None) -> WordModel:
+    """Train skip-gram token vectors with hierarchical softmax.
+
+    For each in-vocabulary position a window radius is drawn uniformly from
+    1..window and every context token inside it is predicted from the center
+    token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
+    (seeded).
+    """
+    token_lists = [list(t) for t in token_lists]
+    if not token_lists:
+        raise ValueError("empty corpus")
+    if vocab is None:
+        vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    coding = build_huffman(vocab)
+    rng = np.random.default_rng(config.seed)
+    vectors = _init_matrix(rng, len(vocab), config.dim)
+    docs, tokens_per_epoch = _index_docs(token_lists, vocab)
+
+    def positions():
+        radii = iter(rng.integers(1, config.window + 1, size=tokens_per_epoch).tolist())
+        for doc in docs:
+            for pos, (center, r) in enumerate(zip(doc, radii)):
+                yield center, doc[max(0, pos - r):pos] + doc[pos + 1:pos + r + 1]
+
+    nodes, epoch_losses, pairs = _train_hs(vectors, coding, config, tokens_per_epoch, positions)
     return WordModel(
         vocab=vocab,
         vectors=vectors,
@@ -273,9 +286,10 @@ def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | Non
 def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     """Train PV-DBOW document vectors.
 
-    Each document's vector plays the center role and predicts every
-    in-vocabulary token of that document through the shared Huffman tree;
-    schedule and initialization match :func:`train_word2vec`.
+    Skip-gram whose center row is the document's vector and whose context
+    is every in-vocabulary token of that document, predicted through the
+    shared Huffman tree; schedule and initialization match
+    :func:`train_word2vec`.
     """
     token_lists = [list(t) for t in token_lists]
     if not token_lists:
@@ -288,42 +302,16 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
 
     vocab = build_vocabulary(token_lists, min_count=config.min_count)
     coding = build_huffman(vocab)
-
     rng = np.random.default_rng(config.seed)
     doc_vectors = _init_matrix(rng, len(token_lists), config.dim)
-    nodes = np.zeros((coding.n_nodes, config.dim))
+    docs, tokens_per_epoch = _index_docs(token_lists, vocab)
 
-    indexed_docs = [
-        [vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists
-    ]
-    tokens_per_epoch = sum(len(d) for d in indexed_docs)
-    if tokens_per_epoch == 0:
-        raise ValueError("no in-vocabulary tokens to train on")
-    total = config.epochs * tokens_per_epoch
-
-    alpha_span = config.alpha0 - config.alpha_min
-    processed = 0
-    epoch_losses = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        epoch_steps = 0
-        for doc_idx, doc in enumerate(indexed_docs):
+    def positions():
+        for doc_idx, doc in enumerate(docs):
             for target in doc:
-                alpha = max(
-                    config.alpha_min,
-                    config.alpha0 - alpha_span * (processed / total),
-                )
-                processed += 1
-                path = coding.paths[target]
-                loss, new_center, new_rows = hs_step(
-                    doc_vectors[doc_idx], nodes[path], coding.signs[target], alpha
-                )
-                doc_vectors[doc_idx] = new_center
-                nodes[path] = new_rows
-                epoch_loss += loss
-                epoch_steps += 1
-        epoch_losses.append(epoch_loss / max(1, epoch_steps))
+                yield doc_idx, (target,)
 
+    _, epoch_losses, _ = _train_hs(doc_vectors, coding, config, tokens_per_epoch, positions)
     return DocModel(
         ids=ids,
         vectors=doc_vectors,

@@ -34,6 +34,8 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "file_digest",
+    "atomic_write",
+    "read_kv",
 ]
 
 WORD_FORMAT = "litscreen-wordmodel/1"
@@ -50,7 +52,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write(path: str, text: str):
+def atomic_write(path: str, text: str):
+    """Write UTF-8 text via a temp file and rename; creates parent dirs."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -118,14 +121,15 @@ def _write_matrix_file(path: str, labels, matrix: np.ndarray):
         if "\t" in label or "\n" in label:
             raise PersistenceError(f"label {label!r} contains tab or newline")
         lines.append(label + "\t" + " ".join(_fmt(v) for v in row) + "\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def _write_kv(path: str, pairs: dict[str, str]):
-    _atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
 
-def _read_kv(path: str, what: str) -> dict[str, str]:
+def read_kv(path: str, what: str) -> dict[str, str]:
+    """Parse ``key = value`` lines, skipping blanks and ``#`` comments."""
     try:
         f = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -152,7 +156,6 @@ def _config_pairs(config: EmbeddingConfig) -> dict[str, str]:
         "alpha_min": _fmt(config.alpha_min),
         "min_count": str(config.min_count),
         "seed": str(config.seed),
-        "deterministic": "true" if config.deterministic else "false",
     }
 
 
@@ -166,7 +169,6 @@ def _config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
             alpha_min=float(pairs["alpha_min"]),
             min_count=int(pairs["min_count"]),
             seed=int(pairs["seed"]),
-            deterministic=pairs["deterministic"] == "true",
         )
     except KeyError as exc:
         raise PersistenceError(f"{path}: missing config key {exc}") from None
@@ -185,7 +187,7 @@ def save_model(model: WordModel, base: str):
 
 def load_model(base: str) -> WordModel:
     """Restore a word model; query-ready (counts are not persisted)."""
-    meta = _read_kv(base + ".meta", "model meta")
+    meta = read_kv(base + ".meta", "model meta")
     fmt = meta.get("format", "")
     if fmt != WORD_FORMAT:
         raise PersistenceError(
@@ -225,7 +227,7 @@ def save_doc_model(model: DocModel, base: str):
 
 
 def load_doc_model(base: str) -> DocModel:
-    meta = _read_kv(base + ".meta", "doc model meta")
+    meta = read_kv(base + ".meta", "doc model meta")
     fmt = meta.get("format", "")
     if fmt != DOC_FORMAT:
         raise PersistenceError(f"{base}.meta: format {fmt!r} does not match {DOC_FORMAT!r}")
@@ -243,7 +245,7 @@ def save_tokens(docs: DocumentSet, path: str):
         if "\t" in doc.id or "\n" in doc.id:
             raise PersistenceError(f"document id {doc.id!r} contains tab or newline")
         lines.append(doc.id + "\t" + " ".join(doc.tokens) + "\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def load_tokens(path: str) -> DocumentSet:
@@ -272,7 +274,7 @@ def save_selection(order: SelectionOrder, ids, path: str):
     for rank, (idx, dist) in enumerate(zip(order.indices, order.distances)):
         d = "" if np.isnan(dist) else _fmt(dist)
         rows.append(f"{rank},{ids[idx]},{d}\n")
-    _atomic_write(path, "".join(rows))
+    atomic_write(path, "".join(rows))
 
 
 def load_selection(path: str, ids) -> SelectionOrder:
@@ -319,7 +321,7 @@ def save_iteration_log(records: list[IterationRecord], path: str):
     lines = ["t,documents_used,vocab_complete,centroid_x,centroid_y,displacement\n"]
     for rec in records:
         lines.append(",".join(_record_fields(rec)) + "\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def save_iteration_table(records: list[IterationRecord], path: str):
@@ -330,7 +332,7 @@ def save_iteration_table(records: list[IterationRecord], path: str):
         fields[2] = "1" if rec.vocab_complete else "0"
         fields = [v if v else "NaN" for v in fields]
         lines.append(" ".join(fields) + "\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def file_digest(path: str) -> str:
@@ -348,7 +350,7 @@ def write_manifest(pairs: dict[str, str], path: str):
 
 
 def read_manifest(path: str) -> dict[str, str]:
-    pairs = _read_kv(path, "manifest")
+    pairs = read_kv(path, "manifest")
     if pairs.get("format") != MANIFEST_FORMAT:
         raise PersistenceError(f"{path}: not a {MANIFEST_FORMAT} file")
     return pairs

@@ -12,10 +12,8 @@ from .materials import Composition, SimilarityPoint
 
 __all__ = [
     "Objectives",
-    "ScreenReport",
     "dominates",
     "pareto_front",
-    "screen_report",
     "format_summary",
 ]
 
@@ -92,62 +90,6 @@ def pareto_front(points, obj: Objectives) -> list[int]:
             best_y = group_best
     front.sort()
     return front
-
-
-@dataclass
-class ScreenReport:
-    """Front membership plus optional measured-performance extremes."""
-
-    objectives: Objectives
-    n_candidates: int
-    front: list[int]
-    front_ids: list[str]
-    potential: float | None = None
-    measured_min: float | None = None
-    measured_max: float | None = None
-    n_measured: int = 0
-
-
-def screen_report(
-    front: list[int],
-    candidates: list[Composition],
-    objectives: Objectives,
-    measured: dict[str, float] | None = None,
-    potential: float | None = None,
-    complete: bool = True,
-) -> ScreenReport:
-    """Summarize a front; join measured current densities by composition id.
-
-    With ``complete`` set (the default when measured data is supplied), a
-    front member missing from the measured table is an error; otherwise it
-    is left out of the min/max.
-    """
-    front = sorted(front)
-    for i in front:
-        if not (0 <= i < len(candidates)):
-            raise ValueError(f"front index {i} outside candidate list")
-    front_ids = [candidates[i].id for i in front]
-    report = ScreenReport(
-        objectives=objectives,
-        n_candidates=len(candidates),
-        front=front,
-        front_ids=front_ids,
-        potential=potential,
-    )
-    if measured:
-        values = []
-        for cid in front_ids:
-            if cid in measured:
-                values.append(measured[cid])
-            elif complete:
-                raise ValueError(
-                    f"front member {cid!r} missing from measured data declared complete"
-                )
-        if values:
-            report.measured_min = min(values)
-            report.measured_max = max(values)
-            report.n_measured = len(values)
-    return report
 
 
 def format_summary(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import Composition, enumerate_simplex
-from .persistence import _atomic_write
+from .persistence import atomic_write
 
 __all__ = ["SynthSpec", "synthetic_corpus", "synthetic_candidates",
            "write_corpus_csv", "write_candidates_csv"]
@@ -118,7 +118,7 @@ def write_corpus_csv(rows: list[tuple[str, str]], path: str):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "abstract"])
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def write_candidates_csv(compositions: list[Composition], path: str):
@@ -129,4 +129,4 @@ def write_candidates_csv(compositions: list[Composition], path: str):
     for comp in compositions:
         fractions = comp.as_dict()
         writer.writerow([comp.id] + [f"{fractions.get(el, 0.0):.17g}" for el in elements])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())

@@ -57,6 +57,17 @@ class TestWordModelRoundTrip:
                 second = f.read()
             assert first == second, ext
 
+    def test_legacy_deterministic_meta_key_still_loads(self, tmp_path):
+        # .meta files written before the key was dropped end with this line
+        model = trained_model()
+        base = str(tmp_path / "m")
+        save_model(model, base)
+        with open(base + ".meta", "a") as f:
+            f.write("deterministic = true\n")
+        loaded = load_model(base)
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.vectors, model.vectors)
+
     def test_header_shape(self, tmp_path):
         model = trained_model()
         base = str(tmp_path / "m")

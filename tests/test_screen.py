@@ -7,7 +7,6 @@ from litscreen.screen import (
     dominates,
     format_summary,
     pareto_front,
-    screen_report,
 )
 
 COMP = Composition(elements=("Ni",), fractions=(1.0,))
@@ -129,54 +128,6 @@ class TestParetoFront:
         points = pts([(0.1, 0.2), (0.2, 0.4), (0.3, 0.6)])
         assert pareto_front(points, Objectives.preset("orr")) == [0, 1, 2]
         assert pareto_front(points, Objectives.preset("oer")) == [0, 1, 2]
-
-
-class TestScreenReport:
-    def comps(self, ids):
-        return [Composition(elements=("Ni",), fractions=(1.0,), id=i) for i in ids]
-
-    def test_joins_measured_by_id(self):
-        report = screen_report(
-            front=[2, 0],
-            candidates=self.comps(["a", "b", "c"]),
-            objectives=Objectives.preset("orr"),
-            measured={"a": 1.5, "b": 9.0, "c": 6.9},
-            potential=850.0,
-        )
-        assert report.front == [0, 2]
-        assert report.front_ids == ["a", "c"]
-        assert report.measured_min == 1.5
-        assert report.measured_max == 6.9
-        assert report.n_measured == 2
-        assert report.potential == 850.0
-
-    def test_missing_front_member_when_complete(self):
-        with pytest.raises(ValueError):
-            screen_report(
-                front=[0],
-                candidates=self.comps(["a"]),
-                objectives=Objectives.preset("orr"),
-                measured={"b": 1.0},
-            )
-
-    def test_incomplete_join_allowed(self):
-        report = screen_report(
-            front=[0, 1],
-            candidates=self.comps(["a", "b"]),
-            objectives=Objectives.preset("orr"),
-            measured={"b": 2.0},
-            complete=False,
-        )
-        assert report.measured_min == report.measured_max == 2.0
-        assert report.n_measured == 1
-
-    def test_front_index_validation(self):
-        with pytest.raises(ValueError):
-            screen_report(
-                front=[5],
-                candidates=self.comps(["a"]),
-                objectives=Objectives.preset("orr"),
-            )
 
 
 class TestFormatSummary:
