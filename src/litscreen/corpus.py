@@ -127,8 +127,9 @@ def load_corpus(
     """Read one Document per non-empty abstract row of a CSV file.
 
     Rows with an empty abstract are skipped and counted; rows too short to
-    contain the abstract column are recorded as malformed (or raised when
-    ``strict``). Default ids are 1-based data-row numbers.
+    contain the abstract column, or that the CSV reader rejects, are
+    recorded as malformed (or raised when ``strict``) and reading goes on.
+    Default ids are 1-based data-row numbers.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -160,10 +161,12 @@ def load_corpus(
             except StopIteration:
                 break
             except csv.Error as exc:
+                # the reader resumes at the next line, so later rows still load
+                row_num += 1
                 if strict:
-                    raise CorpusError(f"{path} row {row_num + 1}: {exc}") from exc
-                docset.skipped_malformed.append((row_num + 1, str(exc)))
-                break
+                    raise CorpusError(f"{path} row {row_num}: {exc}") from exc
+                docset.skipped_malformed.append((row_num, str(exc)))
+                continue
             if not row:
                 continue  # fully blank line, not a data row
             row_num += 1

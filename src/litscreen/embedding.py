@@ -1,15 +1,24 @@
 """Word and document embeddings: skip-gram and PV-DBOW over hierarchical softmax.
 
-Both trainers run one SGD driver over :func:`hs_step`, which walks a
-token's root-to-leaf path through a Huffman tree built from vocabulary
-counts: skip-gram feeds it (token, window context) items and PV-DBOW
-(document, token) items. Training is sequential and bit-reproducible for
-a fixed seed.
+Both trainers run one SGD driver that walks each target token's
+root-to-leaf path through a Huffman tree built from vocabulary counts:
+skip-gram feeds it (token, window context) items and PV-DBOW (document,
+token) items. The per-pair step runs in a small C kernel (``_hs.c``),
+compiled with ``cc`` the first time a trainer runs and cached under this
+package's ``__pycache__/``; :func:`hs_step` is the same step in numpy and
+serves as the reference the kernel is tested against. Training is
+sequential and bit-reproducible for a fixed seed and compiler.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import heapq
+import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,11 +112,17 @@ class DocModel:
     config: EmbeddingConfig
     seed: int
     epoch_losses: list[float] = field(default_factory=list)
+    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = {}
+        for row, doc_id in enumerate(self.ids):
+            self._rows.setdefault(doc_id, row)
 
     def vector_for(self, doc_id: str) -> np.ndarray:
         try:
-            return self.vectors[self.ids.index(doc_id)]
-        except ValueError:
+            return self.vectors[self._rows[doc_id]]
+        except KeyError:
             raise OutOfVocabularyError(f"no vector for document {doc_id!r}") from None
 
 
@@ -166,7 +181,7 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
 def hs_step(
@@ -184,14 +199,17 @@ def hs_step(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    # ndarray methods and bare ufuncs rather than np.all/np.sum/np.clip/
+    # np.outer: the same arithmetic with less per-call overhead, since the
+    # tests call this once per training pair as the kernel's reference
     z = node_rows @ center
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("non-finite input to hs_step")
     sz = signs * z
-    loss = float(np.sum(np.logaddexp(0.0, -sz)))
+    loss = float(np.logaddexp(0.0, -sz).sum())
     g = signs * (1.0 - _sigmoid(sz))  # (L,)
     new_center = center + alpha * (g @ node_rows)
-    new_rows = node_rows + alpha * np.outer(g, center)
+    new_rows = node_rows + alpha * (g[:, None] * center)
     return loss, new_center, new_rows
 
 
@@ -199,13 +217,82 @@ def _init_matrix(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     return (rng.random((rows, dim)) - 0.5) / dim
 
 
-def _index_docs(token_lists, vocab: Vocabulary) -> tuple[list[list[int]], int]:
-    """Documents as vocabulary indices, out-of-vocabulary tokens dropped."""
-    docs = [[vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists]
-    tokens_per_epoch = sum(len(d) for d in docs)
-    if tokens_per_epoch == 0:
+def _index_docs(token_lists, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """All documents' in-vocabulary token indices as one flat array, plus
+    each document's length; out-of-vocabulary tokens are dropped."""
+    index = vocab.index
+    docs = [[index[t] for t in tokens if t in index] for tokens in token_lists]
+    lengths = np.array([len(d) for d in docs], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64,
+                       count=int(lengths.sum()))
+    if flat.size == 0:
         raise ValueError("no in-vocabulary tokens to train on")
-    return docs, tokens_per_epoch
+    return flat, lengths
+
+
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _kernel_path(source: bytes, cache_dir: str) -> str:
+    """Where the library built from ``source`` with ``_KERNEL_FLAGS`` lives."""
+    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    return os.path.join(cache_dir, f"_hs-{key}.so")
+
+
+def _build_kernel(source: bytes, cache_dir: str) -> str:
+    """Compile ``source`` with ``cc`` unless ``cache_dir`` already holds it.
+
+    The library is written to a temporary file and renamed into place, so
+    concurrent builds never expose a partial file. Raises RuntimeError with
+    the compiler's stderr when the compile fails.
+    """
+    path = _kernel_path(source, cache_dir)
+    if os.path.exists(path):
+        return path
+    import subprocess  # only a build needs it; importing it costs every command
+
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run(
+                ["cc", *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                input=source, capture_output=True,
+            )
+        except OSError as exc:
+            raise RuntimeError(f"cannot run the C compiler cc to build the training kernel: {exc}") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"compiling the training kernel failed:\n{proc.stderr.decode(errors='replace')}"
+            )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def _kernel():
+    """``hs_train`` from ``_hs.c``, compiled into ``__pycache__`` on first use."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "_hs.c"), "rb") as f:
+        source = f.read()
+    lib = ctypes.CDLL(_build_kernel(source, os.path.join(here, "__pycache__")))
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    fn = lib.hs_train
+    fn.argtypes = [matrix, matrix, ctypes.c_int64,
+                   i64, i64, i64, ctypes.c_int64,
+                   i64, i64, f64,
+                   ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                   ctypes.c_int64, ctypes.c_int64,
+                   out, out]
+    fn.restype = ctypes.c_int64
+    return fn
 
 
 def _train_hs(
@@ -217,34 +304,59 @@ def _train_hs(
 ) -> tuple[np.ndarray, list[float], int]:
     """SGD over hierarchical softmax, updating ``centers`` in place.
 
-    ``epoch_items()`` is called once per epoch and yields one
-    ``(center row, target ids)`` item per in-vocabulary token position; the
-    learning rate decays linearly per position across all epochs, and each
-    target is one :func:`hs_step` from that row. Node vectors start at zero.
-    Returns (node matrix, per-epoch mean loss, pairs trained).
+    ``epoch_items()`` is called once per epoch and yields that epoch's
+    ``(center row, target ids)`` items, one per in-vocabulary token
+    position, in consecutive CSR blocks ``(rows, offsets, targets)``: item
+    i of a block is ``rows[i]`` with targets
+    ``targets[offsets[i]:offsets[i+1]]``. The compiled kernel trains each
+    block; per pair it computes what :func:`hs_step` does, and the learning
+    rate decays linearly per item across all epochs. Node vectors start at
+    zero. Returns (node matrix, per-epoch mean loss, pairs trained).
     """
+    hs_train = _kernel()
     nodes = np.zeros((coding.n_nodes, config.dim))
+    lengths = coding.code_lengths()
+    path_off = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=path_off[1:])
+    path_nodes = np.concatenate(coding.paths)
+    path_signs = np.concatenate(coding.signs)
+    work = np.empty(max(lengths) + config.dim)
+    epoch_loss = np.zeros(1)
     total = config.epochs * tokens_per_epoch
     alpha_span = config.alpha0 - config.alpha_min
     processed = 0
     pairs = 0
     epoch_losses = []
     for _ in range(config.epochs):
-        epoch_loss = 0.0
+        epoch_loss[0] = 0.0
         epoch_pairs = 0
-        for row, targets in epoch_items():
-            alpha = max(config.alpha_min, config.alpha0 - alpha_span * (processed / total))
-            processed += 1
-            for target in targets:
-                path = coding.paths[target]
-                loss, centers[row], nodes[path] = hs_step(
-                    centers[row], nodes[path], coding.signs[target], alpha
-                )
-                epoch_loss += loss
-                epoch_pairs += 1
+        for rows, offsets, targets in epoch_items():
+            n_items = len(rows)
+            # the kernel indexes raw memory with these, so check them first
+            if (centers.shape[1] != config.dim or offsets.shape != (n_items + 1,)
+                    or offsets[0] != 0 or offsets[-1] != len(targets)
+                    or np.any(np.diff(offsets) < 0)
+                    or np.any((rows < 0) | (rows >= len(centers)))
+                    or np.any((targets < 0) | (targets >= len(lengths)))):
+                raise ValueError("training items out of range")
+            block_pairs = hs_train(
+                centers, nodes, config.dim, rows, offsets, targets, n_items,
+                path_off, path_nodes, path_signs,
+                config.alpha0, config.alpha_min, alpha_span,
+                processed, total, work, epoch_loss,
+            )
+            if block_pairs < 0:
+                raise ValueError("non-finite input to hs_step")
+            processed += n_items
+            epoch_pairs += block_pairs
         pairs += epoch_pairs
-        epoch_losses.append(epoch_loss / max(1, epoch_pairs))
+        epoch_losses.append(float(epoch_loss[0]) / max(1, epoch_pairs))
     return nodes, epoch_losses, pairs
+
+
+# Skip-gram positions per kernel call: bounds the window arrays at a few
+# hundred kilobytes whatever the corpus size, at a negligible call overhead.
+_BLOCK_POSITIONS = 4096
 
 
 def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | None = None) -> WordModel:
@@ -263,15 +375,27 @@ def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | Non
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
     vectors = _init_matrix(rng, len(vocab), config.dim)
-    docs, tokens_per_epoch = _index_docs(token_lists, vocab)
+    flat, lengths = _index_docs(token_lists, vocab)
+    doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    doc_end = doc_start + np.repeat(lengths, lengths)
 
-    def positions():
-        radii = iter(rng.integers(1, config.window + 1, size=tokens_per_epoch).tolist())
-        for doc in docs:
-            for pos, (center, r) in enumerate(zip(doc, radii)):
-                yield center, doc[max(0, pos - r):pos] + doc[pos + 1:pos + r + 1]
+    def windows():
+        # the context of position p is flat[lo:p] + flat[p+1:hi], clipped to its document
+        radii = rng.integers(1, config.window + 1, size=flat.size)
+        for start in range(0, flat.size, _BLOCK_POSITIONS):
+            block = slice(start, start + _BLOCK_POSITIONS)
+            pos = np.arange(start, min(start + _BLOCK_POSITIONS, flat.size))
+            lo = np.maximum(doc_start[block], pos - radii[block])
+            hi = np.minimum(doc_end[block], pos + radii[block] + 1)
+            counts = hi - lo - 1
+            offsets = np.zeros(len(pos) + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            context = np.repeat(lo - offsets[:-1], counts)
+            context += np.arange(offsets[-1])
+            context += context >= np.repeat(pos, counts)
+            yield flat[block], offsets, flat[context]
 
-    nodes, epoch_losses, pairs = _train_hs(vectors, coding, config, tokens_per_epoch, positions)
+    nodes, epoch_losses, pairs = _train_hs(vectors, coding, config, flat.size, windows)
     return WordModel(
         vocab=vocab,
         vectors=vectors,
@@ -304,14 +428,12 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
     doc_vectors = _init_matrix(rng, len(token_lists), config.dim)
-    docs, tokens_per_epoch = _index_docs(token_lists, vocab)
+    flat, lengths = _index_docs(token_lists, vocab)
+    # one item per token: its document's row and the token itself
+    items = [(np.repeat(np.arange(len(token_lists), dtype=np.int64), lengths),
+              np.arange(flat.size + 1, dtype=np.int64), flat)]
 
-    def positions():
-        for doc_idx, doc in enumerate(docs):
-            for target in doc:
-                yield doc_idx, (target,)
-
-    _, epoch_losses, _ = _train_hs(doc_vectors, coding, config, tokens_per_epoch, positions)
+    _, epoch_losses, _ = _train_hs(doc_vectors, coding, config, flat.size, lambda: items)
     return DocModel(
         ids=ids,
         vectors=doc_vectors,

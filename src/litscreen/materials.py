@@ -55,6 +55,8 @@ class Composition:
         if len(set(self.elements)) != len(self.elements):
             raise CompositionError(f"duplicate element in {self.elements}")
         for el, f in zip(self.elements, self.fractions):
+            if not math.isfinite(f):
+                raise CompositionError(f"non-finite fraction {f} for {el}")
             if f < 0:
                 raise CompositionError(f"negative fraction {f} for {el}")
         total = math.fsum(self.fractions)
@@ -258,6 +260,9 @@ def load_compositions(
                 raw = [float(row[el] or 0.0) for el in elements]
             except (TypeError, ValueError) as exc:
                 raise CompositionError(f"{path} row {i}: bad fraction ({exc})") from None
+            for el, v in zip(elements, raw):
+                if not math.isfinite(v):
+                    raise CompositionError(f"{path} row {i}: non-finite fraction {v} for {el}")
             total = math.fsum(raw)
             if abs(total - 1.0) > PARSE_TOLERANCE:
                 raise CompositionError(

@@ -48,6 +48,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_nan_fraction_is_data_error(self, capsys, tmp_path):
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,nan,0.5\n")
+        code, _, err = run(capsys, "screen", "--model", str(tmp_path / "m"),
+                           "--candidates", cands)
+        assert code == 2
+        assert "k.csv row 1: non-finite fraction" in err
+
     def test_nonpositive_batch_size_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "select", "--corpus", "c.csv", "--batch-size", "0",

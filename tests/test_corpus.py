@@ -1,3 +1,4 @@
+import csv
 import os
 
 import pytest
@@ -59,6 +60,15 @@ class TestLoadCorpus:
         assert docs.skipped_malformed[0][0] == 2
         with pytest.raises(CorpusError):
             load_corpus(path, id_column="id", strict=True)
+
+    def test_oversized_field_skips_only_its_row(self, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write_csv(str(tmp_path), f"abstract\nfirst\n{big}\nthird\nfourth\n")
+        docs = load_corpus(path)
+        assert docs.ids() == ["1", "3", "4"]
+        assert [row for row, _ in docs.skipped_malformed] == [2]
+        with pytest.raises(CorpusError, match="row 2"):
+            load_corpus(path, strict=True)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_csv(str(tmp_path), "id,abstract\na,x\na,y\n")

@@ -1,10 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
-from litscreen.corpus import build_vocabulary
+from litscreen import embedding
+from litscreen.corpus import build_vocabulary, preprocess
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
@@ -15,6 +18,7 @@ from litscreen.embedding import (
     train_word2vec,
     vector_of,
 )
+from litscreen.synth import SynthSpec, synthetic_corpus
 
 
 def optimal_tree_cost(counts):
@@ -253,6 +257,137 @@ class TestTrainDoc2vec:
     def test_id_count_mismatch(self):
         with pytest.raises(ValueError):
             train_doc2vec([["a", "b"]], EmbeddingConfig(dim=4, epochs=1), ids=["p", "q"])
+
+
+def reference_train(token_lists, config, documents=False):
+    """Pure-Python oracle for both trainers: one :func:`hs_step` call per
+    (center, target) pair, on the same seeded draws as the package.
+
+    Returns (center vectors, node vectors, per-epoch mean losses, pairs).
+    """
+    vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    coding = build_huffman(vocab)
+    rng = np.random.default_rng(config.seed)
+    n_rows = len(token_lists) if documents else len(vocab)
+    centers = (rng.random((n_rows, config.dim)) - 0.5) / config.dim
+    docs = [[vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists]
+    tokens_per_epoch = sum(len(d) for d in docs)
+
+    def items():
+        if documents:
+            for d, doc in enumerate(docs):
+                for target in doc:
+                    yield d, (target,)
+            return
+        radii = iter(rng.integers(1, config.window + 1, size=tokens_per_epoch).tolist())
+        for doc in docs:
+            for pos, (center, r) in enumerate(zip(doc, radii)):
+                yield center, doc[max(0, pos - r):pos] + doc[pos + 1:pos + r + 1]
+
+    nodes = np.zeros((coding.n_nodes, config.dim))
+    total = config.epochs * tokens_per_epoch
+    alpha_span = config.alpha0 - config.alpha_min
+    processed = 0
+    pairs = 0
+    epoch_losses = []
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        epoch_pairs = 0
+        for row, targets in items():
+            alpha = max(config.alpha_min, config.alpha0 - alpha_span * (processed / total))
+            processed += 1
+            for target in targets:
+                path = coding.paths[target]
+                loss, centers[row], nodes[path] = hs_step(
+                    centers[row], nodes[path], coding.signs[target], alpha
+                )
+                epoch_loss += loss
+                epoch_pairs += 1
+        pairs += epoch_pairs
+        epoch_losses.append(epoch_loss / max(1, epoch_pairs))
+    return centers, nodes, epoch_losses, pairs
+
+
+def planted_tokens(n_docs):
+    """The criterion-7 planted corpus (seed 11), first ``n_docs`` documents."""
+    rows = synthetic_corpus(SynthSpec(n_docs=500, rare_docs=8, seed=11))
+    return [preprocess(text) for _, text in rows[:n_docs]]
+
+
+# The kernel sums dot products in another order than numpy's BLAS, so
+# results agree to rounding, not bit for bit.
+KERNEL_CASES = [
+    (500, EmbeddingConfig(dim=48, window=5, epochs=3)),
+    (60, EmbeddingConfig(dim=16, window=1, epochs=2, min_count=3, seed=4)),
+    (25, EmbeddingConfig(dim=200, window=5, epochs=1, seed=7)),
+]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("n_docs,cfg", KERNEL_CASES)
+    def test_word2vec(self, n_docs, cfg):
+        tokens = planted_tokens(n_docs)
+        vectors, nodes, losses, pairs = reference_train(tokens, cfg)
+        model = train_word2vec(tokens, cfg)
+        assert model.pairs_trained == pairs
+        assert model.epoch_losses == pytest.approx(losses, rel=1e-9, abs=0)
+        assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
+        assert np.max(np.abs(model.node_vectors - nodes)) <= 1e-12
+
+    @pytest.mark.parametrize("n_docs,cfg", KERNEL_CASES)
+    def test_doc2vec(self, n_docs, cfg):
+        tokens = planted_tokens(n_docs)
+        vectors, _, losses, _ = reference_train(tokens, cfg, documents=True)
+        model = train_doc2vec(tokens, cfg)
+        assert model.epoch_losses == pytest.approx(losses, rel=1e-9, abs=0)
+        assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
+
+    @staticmethod
+    def train_two_items(centers, rows, targets):
+        coding = build_huffman(build_vocabulary([["a", "a", "b", "c"]]))
+        items = [(np.array(rows, dtype=np.int64), np.array([0, 1, 2], dtype=np.int64),
+                  np.array(targets, dtype=np.int64))]
+        embedding._train_hs(centers, coding, EmbeddingConfig(dim=4, epochs=1), 2, lambda: items)
+
+    def test_non_finite_center_raises(self):
+        centers = np.zeros((2, 4))
+        centers[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            self.train_two_items(centers, [0, 1], [2, 0])
+
+    @pytest.mark.parametrize("rows,targets", [([0, 2], [2, 0]), ([0, 1], [3, 0]),
+                                              ([-1, 1], [2, 0])])
+    def test_out_of_range_items_rejected(self, rows, targets):
+        with pytest.raises(ValueError, match="out of range"):
+            self.train_two_items(np.zeros((2, 4)), rows, targets)
+
+    def test_kernel_built_once_per_source(self, tmp_path, monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        cfg = EmbeddingConfig(dim=4, epochs=1)
+        train_word2vec(tiny_corpus(), cfg)
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        train_word2vec(tiny_corpus(), cfg)
+        assert calls == []
+
+        with open(os.path.join(os.path.dirname(embedding.__file__), "_hs.c"), "rb") as f:
+            source = f.read()
+        cache = str(tmp_path / "cache")
+        first = embedding._build_kernel(source, cache)
+        second = embedding._build_kernel(source, cache)
+        assert first == second and len(calls) == 1
+        assert os.listdir(cache) == [os.path.basename(first)]
+        assert embedding._kernel_path(source + b"\n", cache) != first
+
+    def test_failed_compile_reports_compiler_output(self, tmp_path):
+        with pytest.raises(RuntimeError, match="error"):
+            embedding._build_kernel(b"int broken(void) { return }\n", str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
 
 class TestConfig:

@@ -91,6 +91,11 @@ class TestComposition:
         with pytest.raises(CompositionError):
             Composition(elements=("A", "B"), fractions=(0.6, 0.6))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fraction_rejected(self, bad):
+        with pytest.raises(CompositionError, match="non-finite"):
+            Composition(elements=("A", "B"), fractions=(bad, 0.5))
+
     def test_exact_grid_sums_pass(self):
         # thirds do not sum to exactly 1.0 in floats; fsum tolerance absorbs it
         third = 1.0 / 3.0
@@ -275,6 +280,12 @@ class TestLoadCompositions:
     def test_bad_sum(self, tmp_path):
         path = self.write(tmp_path, "id,Ni,Pt\na,0.5,0.6\n")
         with pytest.raises(CompositionError):
+            load_compositions(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_fraction_names_file_and_row(self, tmp_path, bad):
+        path = self.write(tmp_path, f"id,Ni,Pt\na,0.5,0.5\nb,{bad},0.5\n")
+        with pytest.raises(CompositionError, match=rf"cands\.csv row 2: non-finite fraction .* for Ni"):
             load_compositions(path)
 
     def test_duplicate_ids(self, tmp_path):
