@@ -25,6 +25,7 @@ from .materials import (
 from .persistence import (
     PersistenceError,
     atomic_write,
+    config_pairs,
     file_digest,
     load_doc_model,
     load_model,
@@ -191,8 +192,7 @@ def _cmd_select(args) -> int:
         return 1
     projection = pca_project(model.vectors)
     start = central_document(projection.points)
-    batch = settings.get("batch_size", int, 50)
-    order = greedy_fps(projection.points, start, n=len(model.ids), batch_size=batch)
+    order = greedy_fps(projection.points, start, n=len(model.ids))
     save_selection(order, model.ids, args.out)
     print(f"seed document: {model.ids[start]}")
     print(f"ordered {len(order.indices)} documents into {args.out}")
@@ -228,17 +228,10 @@ def _cmd_refine(args) -> int:
         "anchors": ",".join(anchors.terms),
         "batch_size": str(config.batch_size),
         "threshold": f"{config.threshold:.17g}",
-        "seed": str(config.seed),
-        "dim": str(config.embedding.dim),
-        "window": str(config.embedding.window),
-        "epochs": str(config.embedding.epochs),
-        "alpha0": f"{config.embedding.alpha0:.17g}",
-        "alpha_min": f"{config.embedding.alpha_min:.17g}",
-        "min_count": str(config.embedding.min_count),
+        **config_pairs(result.final_model.config),
         "iterations_run": str(len(result.records)),
         "converged": "true" if result.converged else "false",
-        "outputs": "iterations.csv iterations.dat selection.csv "
-                   "model.vec model.nodes model.meta",
+        "outputs": "iterations.csv iterations.dat selection.csv model.vec model.meta",
     }
     write_manifest(manifest, os.path.join(args.out, "manifest.txt"))
 
@@ -355,7 +348,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--text-column", default=None)
     p.add_argument("--id-column", default=None)
     p.add_argument("--model", help="saved document model base path")
-    p.add_argument("--batch-size", type=_positive_int, default=None)
     _add_training_options(p)
     p.add_argument("--out", required=True, help="selection CSV to write")
     p.set_defaults(func=_cmd_select)

@@ -92,11 +92,11 @@ class HuffmanCoding:
 
 @dataclass
 class WordModel:
-    """Trained token vectors plus the internal-node matrix behind them."""
+    """Token vectors; the internal-node matrix only on freshly trained models."""
 
     vocab: Vocabulary
     vectors: np.ndarray  # (V, dim) token vectors
-    node_vectors: np.ndarray  # (V-1, dim)
+    node_vectors: np.ndarray | None  # (V-1, dim); None when loaded from disk
     config: EmbeddingConfig
     seed: int
     epoch_losses: list[float] = field(default_factory=list)

@@ -1,5 +1,7 @@
 """Save/load for every pipeline artifact, with bit-stable round-trips.
 
+A word model is saved as its token vectors and config only: nothing
+trains from a loaded model, so the Huffman node matrix is not written.
 All numeric text is written with 17 significant digits, which is exact
 for 64-bit floats: save -> load -> save reproduces the file byte for
 byte. Writers go through a temp file and an atomic rename so readers
@@ -15,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .corpus import Document, DocumentSet, Vocabulary
-from .embedding import DocModel, EmbeddingConfig, WordModel, build_huffman
+from .embedding import DocModel, EmbeddingConfig, WordModel
 from .refine import IterationRecord
 from .selection import SelectionOrder
 
@@ -36,9 +38,12 @@ __all__ = [
     "file_digest",
     "atomic_write",
     "read_kv",
+    "config_pairs",
 ]
 
-WORD_FORMAT = "litscreen-wordmodel/1"
+WORD_FORMAT = "litscreen-wordmodel/2"
+# /1 models also wrote a `{base}.nodes` file; they load the same, without it.
+_WORD_FORMATS = (WORD_FORMAT, "litscreen-wordmodel/1")
 DOC_FORMAT = "litscreen-docmodel/1"
 TOKENS_FORMAT = "litscreen-tokens/1"
 MANIFEST_FORMAT = "litscreen-manifest/1"
@@ -68,7 +73,7 @@ def atomic_write(path: str, text: str):
 
 
 def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
-    """Read 'N D' header plus N labeled rows; errors name the byte offset."""
+    """Read an 'N D' header and exactly N labeled rows; errors name the byte offset."""
     try:
         f = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -80,12 +85,10 @@ def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
             raise PersistenceError(f"{path}: empty {what} file (byte 0)")
         offset += len(header.encode("utf-8"))
         parts = header.split()
-        if len(parts) != 2:
+        if (len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts)
+                or int(parts[1]) < 1):
             raise PersistenceError(f"{path}: bad header {header!r}")
-        try:
-            n, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise PersistenceError(f"{path}: bad header {header!r}") from None
+        n, dim = int(parts[0]), int(parts[1])
 
         labels: list[str] = []
         matrix = np.empty((n, dim), dtype=np.float64)
@@ -112,7 +115,14 @@ def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
                 raise PersistenceError(f"{path}: non-finite value in row {i + 1}")
             labels.append(label)
             matrix[i] = row
+        _reject_extra_rows(f, path, n, "row")
     return labels, matrix
+
+
+def _reject_extra_rows(f, path: str, n: int, what: str):
+    """Fail on any non-blank line after the n rows a header declared."""
+    if any(line.strip() for line in f):
+        raise PersistenceError(f"{path}: more than the {n} {what}s its header declares")
 
 
 def _write_matrix_file(path: str, labels, matrix: np.ndarray):
@@ -147,7 +157,8 @@ def read_kv(path: str, what: str) -> dict[str, str]:
     return pairs
 
 
-def _config_pairs(config: EmbeddingConfig) -> dict[str, str]:
+def config_pairs(config: EmbeddingConfig) -> dict[str, str]:
+    """An embedding config as the ``key = value`` strings every artifact writes."""
     return {
         "dim": str(config.dim),
         "window": str(config.window),
@@ -175,33 +186,21 @@ def _config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
 
 
 def save_model(model: WordModel, base: str):
-    """Write `{base}.vec`, `{base}.nodes`, `{base}.meta`."""
-    tokens = model.vocab.tokens()
-    _write_matrix_file(base + ".vec", tokens, model.vectors)
-    node_labels = [f"n{i}" for i in range(model.node_vectors.shape[0])]
-    _write_matrix_file(base + ".nodes", node_labels, model.node_vectors)
+    """Write `{base}.vec` (token vectors) and `{base}.meta` (format and config)."""
+    _write_matrix_file(base + ".vec", model.vocab.tokens(), model.vectors)
     meta = {"format": WORD_FORMAT}
-    meta.update(_config_pairs(model.config))
+    meta.update(config_pairs(model.config))
     _write_kv(base + ".meta", meta)
 
 
 def load_model(base: str) -> WordModel:
-    """Restore a word model; query-ready (counts are not persisted)."""
+    """Restore a word model for querying: no counts and no node matrix."""
     meta = read_kv(base + ".meta", "model meta")
     fmt = meta.get("format", "")
-    if fmt != WORD_FORMAT:
-        raise PersistenceError(
-            f"{base}.meta: format {fmt!r} does not match {WORD_FORMAT!r}"
-        )
+    if fmt not in _WORD_FORMATS:
+        raise PersistenceError(f"{base}.meta: unknown word model format {fmt!r}")
     config = _config_from_pairs(meta, base + ".meta")
     tokens, vectors = _read_matrix_file(base + ".vec", "vector")
-    _, nodes = _read_matrix_file(base + ".nodes", "node")
-    if vectors.shape[0] != len(tokens):
-        raise PersistenceError(f"{base}.vec: label/row count mismatch")
-    if nodes.shape[0] != max(0, len(tokens) - 1):
-        raise PersistenceError(
-            f"{base}.nodes: expected {len(tokens) - 1} rows, found {nodes.shape[0]}"
-        )
     if len(set(tokens)) != len(tokens):
         raise PersistenceError(f"{base}.vec: duplicate token")
     vocab = Vocabulary(
@@ -212,7 +211,7 @@ def load_model(base: str) -> WordModel:
     return WordModel(
         vocab=vocab,
         vectors=vectors,
-        node_vectors=nodes,
+        node_vectors=None,
         config=config,
         seed=config.seed,
     )
@@ -222,7 +221,7 @@ def save_doc_model(model: DocModel, base: str):
     """Write `{base}.dvec` and `{base}.meta`."""
     _write_matrix_file(base + ".dvec", model.ids, model.vectors)
     meta = {"format": DOC_FORMAT}
-    meta.update(_config_pairs(model.config))
+    meta.update(config_pairs(model.config))
     _write_kv(base + ".meta", meta)
 
 
@@ -257,6 +256,8 @@ def load_tokens(path: str) -> DocumentSet:
         header = f.readline().split()
         if len(header) != 2 or header[0] != TOKENS_FORMAT:
             raise PersistenceError(f"{path}: not a {TOKENS_FORMAT} file")
+        if not (header[1].isascii() and header[1].isdigit()):
+            raise PersistenceError(f"{path}: bad document count {header[1]!r}")
         n = int(header[1])
         documents = []
         for i in range(n):
@@ -265,6 +266,7 @@ def load_tokens(path: str) -> DocumentSet:
                 raise PersistenceError(f"{path}: truncated at document {i + 1} of {n}")
             doc_id, _, rest = line.rstrip("\n").partition("\t")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
+        _reject_extra_rows(f, path, n, "document")
     return DocumentSet(documents=documents, source_path=path)
 
 

@@ -115,7 +115,7 @@ def run_refinement(
     doc_model = train_doc2vec(token_lists, emb_cfg, ids=docs.ids())
     projection = pca_project(doc_model.vectors, 2)
     start = central_document(projection.points)
-    order = greedy_fps(projection.points, start, len(docs), batch_size=config.batch_size)
+    order = greedy_fps(projection.points, start, len(docs))
 
     n_docs = len(docs)
     max_iters = config.max_iterations
@@ -127,7 +127,7 @@ def run_refinement(
     converged = False
     model: WordModel | None = None
     for t in range(1, max_iters + 1):
-        subset = sorted(cumulative_batches(order, t))  # train in corpus order
+        subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
         subset_tokens = [token_lists[i] for i in subset]
         model = train_word2vec(subset_tokens, emb_cfg)
 

@@ -35,7 +35,6 @@ class SelectionOrder:
 
     indices: list[int]
     distances: list[float]
-    batch_size: int = 50
 
 
 def pca_project(vectors: np.ndarray, k: int = 2) -> Projection:
@@ -91,7 +90,7 @@ def _cosine_distances_to(points: np.ndarray, norms: np.ndarray, j: int) -> np.nd
     return dist
 
 
-def greedy_fps(points: np.ndarray, start: int, n: int, batch_size: int = 50) -> SelectionOrder:
+def greedy_fps(points: np.ndarray, start: int, n: int) -> SelectionOrder:
     """Classic greedy farthest-point ordering in cosine distance.
 
     Each pick maximizes the minimum cosine distance to everything selected
@@ -117,13 +116,13 @@ def greedy_fps(points: np.ndarray, start: int, n: int, batch_size: int = 50) -> 
         distances.append(float(mind[nxt]))
         mind = np.minimum(mind, _cosine_distances_to(pts, norms, nxt))
         mind[nxt] = -np.inf
-    return SelectionOrder(indices=indices, distances=distances, batch_size=batch_size)
+    return SelectionOrder(indices=indices, distances=distances)
 
 
-def cumulative_batches(order: SelectionOrder, t: int) -> list[int]:
+def cumulative_batches(order: SelectionOrder, t: int, batch_size: int) -> list[int]:
     """Document indices available at iteration t: the first min(batch_size*t, N)
     entries of the ordering, in selection order."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    stop = min(order.batch_size * t, len(order.indices))
+    stop = min(batch_size * t, len(order.indices))
     return order.indices[:stop]

@@ -189,15 +189,13 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
 
     # iteration -> cumulative documents at batch size 50, large corpus
     n = 1500
-    order = SelectionOrder(indices=list(range(n)), distances=[float("nan")] * n,
-                           batch_size=50)
+    order = SelectionOrder(indices=list(range(n)), distances=[float("nan")] * n)
     expected = {8: 400, 18: 900, 16: 800, 15: 750, 24: 1200, 14: 700}
     for t, count in expected.items():
-        ok &= len(cumulative_batches(order, t)) == count == min(50 * t, n)
+        ok &= len(cumulative_batches(order, t, 50)) == count == min(50 * t, n)
     # and the corpus-size cap
-    small = SelectionOrder(indices=list(range(1180)), distances=[float("nan")] * 1180,
-                           batch_size=50)
-    ok &= len(cumulative_batches(small, 24)) == 1180
+    small = SelectionOrder(indices=list(range(1180)), distances=[float("nan")] * 1180)
+    ok &= len(cumulative_batches(small, 24, 50)) == 1180
     verdict(5, ok,
             "centroid equals the correctly rounded componentwise mean (one ulp "
             "from the decimal literal on the reference pair) and matches the "
@@ -214,9 +212,8 @@ GOLDEN_REFINE_DIGESTS = {
     "iterations.dat": "473fecd7a0404d42b691856efd500d5f33d8fdf67ab6e7b330cd92e36efd0ebe",
     "selection.csv": "7a21423367692213cc45d5130651b76ffa01a9b164c0ecc84e7fd804dc3ee285",
     "model.vec": "c651296bf206596b3b7d7972fe9cc34acca11310d20042b63aec2e1770c1a5ef",
-    "model.nodes": "4d5814dd1ccbd48b4b0e5952af62cb18c2feccaa43a95d3e99b8773f4de86b96",
-    "model.meta": "f622d32f2d91f4fa76fe63eb35a55add0be3cc3d69e86a62a1e6c807618df09d",
-    "manifest.txt": "169174292a554838bd2f341a16e9cc4350e030f85161e76bee6172be06231efc",
+    "model.meta": "0125564196d39bfd41ea033f8c419643a62f78ca7d6664260d5be860534621eb",
+    "manifest.txt": "af21cb9554662bc03a6f54461ee8bc0cc47cca27ff248f0b1b6c80e413503400",
 }
 
 
@@ -237,7 +234,7 @@ def test_criterion_6_refine_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
     names = ["iterations.csv", "iterations.dat", "selection.csv",
-             "model.vec", "model.nodes", "model.meta", "manifest.txt"]
+             "model.vec", "model.meta", "manifest.txt"]
     diffs = []
     for name in names:
         with open(tmp_path / "run_a" / name, "rb") as f:

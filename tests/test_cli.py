@@ -57,10 +57,18 @@ class TestExitCodes:
 
     def test_nonpositive_batch_size_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
-            capsys, "select", "--corpus", "c.csv", "--batch-size", "0",
+            capsys, "refine", "--corpus", "c.csv", "--candidates", "k.csv",
+            "--batch-size", "0", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+
+    def test_select_has_no_batch_size(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "select", "--corpus", "c.csv", "--batch-size", "20",
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 1
+        assert "--batch-size" in err
 
     def test_version_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--version")
@@ -94,7 +102,7 @@ class TestPipeline:
 
         selection = str(tmp_path / "selection.csv")
         code, out, _ = run(capsys, "select", "--model", docmodel,
-                           "--batch-size", "20", "--out", selection)
+                           "--out", selection)
         assert code == 0
         with open(selection) as f:
             assert f.readline() == "rank,doc_id,min_distance\n"
@@ -106,12 +114,15 @@ class TestPipeline:
                            "--threshold", "5.0", "--out", rundir)
         assert code == 0
         assert "converged" in out
-        for name in ("iterations.csv", "iterations.dat", "selection.csv",
-                     "manifest.txt", "model.vec", "model.nodes", "model.meta"):
-            assert os.path.exists(os.path.join(rundir, name)), name
+        assert sorted(os.listdir(rundir)) == [
+            "iterations.csv", "iterations.dat", "manifest.txt",
+            "model.meta", "model.vec", "selection.csv"]
         manifest = read_manifest(os.path.join(rundir, "manifest.txt"))
         assert manifest["seed"] == "3"
         assert manifest["batch_size"] == "20"
+        assert manifest["dim"] == "16"
+        assert manifest["outputs"].split() == [
+            "iterations.csv", "iterations.dat", "selection.csv", "model.vec", "model.meta"]
 
         model = os.path.join(rundir, "model")
         sims = str(tmp_path / "sims.csv")

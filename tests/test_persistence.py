@@ -28,9 +28,27 @@ from litscreen.selection import SelectionOrder
 DOCS = [["alpha", "beta", "alpha"], ["beta", "gamma", "delta"], ["alpha", "gamma"]] * 3
 CFG = EmbeddingConfig(dim=6, window=2, epochs=2, seed=13)
 
+# A 3-token model as litscreen-wordmodel/1 wrote it, node matrix included.
+LEGACY_FILES = {
+    ".meta": "format = litscreen-wordmodel/1\ndim = 2\nwindow = 3\nepochs = 2\n"
+             "alpha0 = 0.025000000000000001\nalpha_min = 0.0001\nmin_count = 1\n"
+             "seed = 4\n",
+    ".vec": "3 2\ndielectric\t0.5 -1.25\nconductivity\t0.33333333333333331 2\n"
+            "Ag\t-0.125 0.75\n",
+    ".nodes": "2 2\nn0\t0.25 0.5\nn1\t-1 0\n",
+}
+
 
 def trained_model():
     return train_word2vec(DOCS, CFG)
+
+
+def rewrite_line(path, index, text):
+    with open(path) as f:
+        lines = f.readlines()
+    lines[index] = text
+    with open(path, "w") as f:
+        f.writelines(lines)
 
 
 class TestWordModelRoundTrip:
@@ -42,15 +60,21 @@ class TestWordModelRoundTrip:
         assert loaded.vocab.tokens() == model.vocab.tokens()
         assert loaded.vocab.counts is None
         assert np.array_equal(loaded.vectors, model.vectors)
-        assert np.array_equal(loaded.node_vectors, model.node_vectors)
+        assert loaded.node_vectors is None
         assert loaded.config == model.config
+
+    def test_only_vectors_and_meta_written(self, tmp_path):
+        save_model(trained_model(), str(tmp_path / "m"))
+        assert sorted(os.listdir(tmp_path)) == ["m.meta", "m.vec"]
+        with open(tmp_path / "m.meta") as f:
+            assert f.readline() == "format = litscreen-wordmodel/2\n"
 
     def test_second_save_byte_identical(self, tmp_path):
         model = trained_model()
         base1, base2 = str(tmp_path / "a"), str(tmp_path / "b")
         save_model(model, base1)
         save_model(load_model(base1), base2)
-        for ext in (".vec", ".nodes", ".meta"):
+        for ext in (".vec", ".meta"):
             with open(base1 + ext, "rb") as f:
                 first = f.read()
             with open(base2 + ext, "rb") as f:
@@ -67,6 +91,23 @@ class TestWordModelRoundTrip:
         loaded = load_model(base)
         assert loaded.config == model.config
         assert np.array_equal(loaded.vectors, model.vectors)
+
+    @pytest.mark.parametrize("with_nodes", [True, False])
+    def test_format_1_model_still_loads(self, tmp_path, with_nodes):
+        base = str(tmp_path / "m")
+        for ext, text in LEGACY_FILES.items():
+            if ext != ".nodes" or with_nodes:
+                with open(base + ext, "w") as f:
+                    f.write(text)
+        loaded = load_model(base)
+        assert loaded.vocab.tokens() == ["dielectric", "conductivity", "Ag"]
+        assert np.array_equal(loaded.vectors,
+                              [[0.5, -1.25], [1.0 / 3.0, 2.0], [-0.125, 0.75]])
+        assert loaded.config == EmbeddingConfig(dim=2, window=3, epochs=2, seed=4)
+        assert loaded.node_vectors is None
+        save_model(loaded, str(tmp_path / "again"))
+        with open(tmp_path / "again.vec") as f:
+            assert f.read() == LEGACY_FILES[".vec"]
 
     def test_header_shape(self, tmp_path):
         model = trained_model()
@@ -106,8 +147,33 @@ class TestWordModelRoundTrip:
         with open(base + ".meta") as f:
             meta = f.read()
         with open(base + ".meta", "w") as f:
-            f.write(meta.replace("litscreen-wordmodel/1", "litscreen-wordmodel/9"))
+            f.write(meta.replace("litscreen-wordmodel/2", "litscreen-wordmodel/9"))
         with pytest.raises(PersistenceError, match="format"):
+            load_model(base)
+
+    def test_rows_past_header_count_rejected(self, tmp_path):
+        # a header declaring fewer rows must not load a truncated vocabulary
+        model = trained_model()
+        base = str(tmp_path / "m")
+        save_model(model, base)
+        rewrite_line(base + ".vec", 0, f"{len(model.vocab) - 1} 6\n")
+        with pytest.raises(PersistenceError, match=r"m\.vec: more than the"):
+            load_model(base)
+
+    def test_blank_lines_past_rows_allowed(self, tmp_path):
+        model = trained_model()
+        base = str(tmp_path / "m")
+        save_model(model, base)
+        with open(base + ".vec", "a") as f:
+            f.write("\n  \n")
+        assert load_model(base).vocab.tokens() == model.vocab.tokens()
+
+    @pytest.mark.parametrize("header", ["-1 6", "3 0", "3 -6", "3 x", "3"])
+    def test_bad_header_rejected_naming_file(self, tmp_path, header):
+        base = str(tmp_path / "m")
+        save_model(trained_model(), base)
+        rewrite_line(base + ".vec", 0, header + "\n")
+        with pytest.raises(PersistenceError, match=r"m\.vec: bad header"):
             load_model(base)
 
     def test_non_finite_value_rejected(self, tmp_path):
@@ -196,13 +262,33 @@ class TestTokensRoundTrip:
         with pytest.raises(PersistenceError, match="truncated"):
             load_tokens(path)
 
+    def two_docs(self, tmp_path):
+        path = str(tmp_path / "c.tokens")
+        save_tokens(DocumentSet(documents=[
+            Document(id="a", text="", tokens=("x",)),
+            Document(id="b", text="", tokens=("y",)),
+        ]), path)
+        return path
+
+    @pytest.mark.parametrize("count", ["abc", "-1"])
+    def test_bad_count_rejected_naming_file(self, tmp_path, count):
+        path = self.two_docs(tmp_path)
+        rewrite_line(path, 0, f"litscreen-tokens/1 {count}\n")
+        with pytest.raises(PersistenceError, match=r"c\.tokens: bad document count"):
+            load_tokens(path)
+
+    def test_documents_past_count_rejected(self, tmp_path):
+        path = self.two_docs(tmp_path)
+        rewrite_line(path, 0, "litscreen-tokens/1 1\n")
+        with pytest.raises(PersistenceError, match=r"c\.tokens: more than the 1"):
+            load_tokens(path)
+
 
 class TestSelectionRoundTrip:
     def test_round_trip_with_nan_seed(self, tmp_path):
         order = SelectionOrder(
             indices=[2, 0, 1],
             distances=[float("nan"), 1.25, 0.5],
-            batch_size=2,
         )
         path = str(tmp_path / "sel.csv")
         save_selection(order, ["ida", "idb", "idc"], path)

@@ -135,7 +135,7 @@ class TestRunRefinement:
         token_lists = docs.token_lists()
         required = {"dielectric", "conductivity", "Ag", "Ti"}
         for rec in result.records:
-            subset = cumulative_batches(result.selection_order, rec.iteration)
+            subset = cumulative_batches(result.selection_order, rec.iteration, 2)
             present = set()
             for i in subset:
                 present.update(token_lists[i])
@@ -151,7 +151,7 @@ class TestRunRefinement:
             dim=EMB.dim, window=EMB.window, epochs=EMB.epochs, seed=9
         )
         rec = next(r for r in result.records if r.centroid is not None)
-        subset = sorted(cumulative_batches(result.selection_order, rec.iteration))
+        subset = sorted(cumulative_batches(result.selection_order, rec.iteration, 3))
         model = train_word2vec([token_lists[i] for i in subset], cfg)
         points = similarity_points(model, candidates_ag_ti(), PropertyAnchors())
         c = centroid(points)

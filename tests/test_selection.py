@@ -180,24 +180,21 @@ class TestGreedyFPS:
 
 
 class TestCumulativeBatches:
-    def order(self, n, batch):
-        return SelectionOrder(
-            indices=list(range(n)), distances=[float("nan")] * n, batch_size=batch
-        )
+    def order(self, n):
+        return SelectionOrder(indices=list(range(n)), distances=[float("nan")] * n)
 
     def test_grows_by_batch(self):
-        order = self.order(120, 50)
-        assert cumulative_batches(order, 1) == list(range(50))
-        assert cumulative_batches(order, 2) == list(range(100))
-        assert cumulative_batches(order, 3) == list(range(120))
-        assert cumulative_batches(order, 9) == list(range(120))
+        order = self.order(120)
+        assert cumulative_batches(order, 1, 50) == list(range(50))
+        assert cumulative_batches(order, 2, 50) == list(range(100))
+        assert cumulative_batches(order, 3, 50) == list(range(120))
+        assert cumulative_batches(order, 9, 50) == list(range(120))
 
     def test_selection_order_preserved(self):
-        order = SelectionOrder(indices=[4, 2, 0, 3, 1], distances=[float("nan")] * 5,
-                               batch_size=2)
-        assert cumulative_batches(order, 1) == [4, 2]
-        assert cumulative_batches(order, 2) == [4, 2, 0, 3]
+        order = SelectionOrder(indices=[4, 2, 0, 3, 1], distances=[float("nan")] * 5)
+        assert cumulative_batches(order, 1, 2) == [4, 2]
+        assert cumulative_batches(order, 2, 2) == [4, 2, 0, 3]
 
     def test_bad_iteration_index(self):
         with pytest.raises(ValueError):
-            cumulative_batches(self.order(10, 5), 0)
+            cumulative_batches(self.order(10), 0, 5)
