@@ -98,14 +98,25 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# Every key some command reads, so one config file can serve them all.
+_CONFIG_KEYS = frozenset({
+    "dim", "window", "epochs", "alpha0", "alpha_min", "min_count", "seed",
+    "text_column", "id_column", "anchors", "batch_size", "threshold",
+    "max_iterations", "preset", "system",
+})
+
+
 class _Settings:
-    """Flag > config-file value > built-in default."""
+    """Flag > config-file value > built-in default; unknown config keys fail."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         path = getattr(args, "config", None)
         raw = read_kv(path, "config") if path else {}
         self.file = {k.replace("-", "_"): v for k, v in raw.items()}
+        unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
 
     def get(self, name, cast, default):
         value = getattr(self.args, name, None)

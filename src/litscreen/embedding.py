@@ -3,27 +3,23 @@
 Both trainers run one SGD driver that walks each target token's
 root-to-leaf path through a Huffman tree built from vocabulary counts:
 skip-gram feeds it (token, window context) items and PV-DBOW (document,
-token) items. The per-pair step runs in a small C kernel (``_hs.c``),
-compiled with ``cc`` the first time a trainer runs and cached under this
-package's ``__pycache__/``; :func:`hs_step` is the same step in numpy and
+token) items. The per-pair step runs in the compiled kernel library
+(``_hs.c``, built and loaded by :mod:`litscreen.kernel` the first time a
+trainer runs); :func:`hs_step` is the same step in numpy and
 serves as the reference the kernel is tested against. Training is
 sequential and bit-reproducible for a fixed seed and compiler.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import heapq
 import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Vocabulary, build_vocabulary
+from .kernel import library
 
 __all__ = [
     "EmbeddingConfig",
@@ -230,71 +226,6 @@ def _index_docs(token_lists, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]
     return flat, lengths
 
 
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-def _kernel_path(source: bytes, cache_dir: str) -> str:
-    """Where the library built from ``source`` with ``_KERNEL_FLAGS`` lives."""
-    key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"_hs-{key}.so")
-
-
-def _build_kernel(source: bytes, cache_dir: str) -> str:
-    """Compile ``source`` with ``cc`` unless ``cache_dir`` already holds it.
-
-    The library is written to a temporary file and renamed into place, so
-    concurrent builds never expose a partial file. Raises RuntimeError with
-    the compiler's stderr when the compile fails.
-    """
-    path = _kernel_path(source, cache_dir)
-    if os.path.exists(path):
-        return path
-    import subprocess  # only a build needs it; importing it costs every command
-
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-    os.close(fd)
-    try:
-        try:
-            proc = subprocess.run(
-                ["cc", *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                input=source, capture_output=True,
-            )
-        except OSError as exc:
-            raise RuntimeError(f"cannot run the C compiler cc to build the training kernel: {exc}") from exc
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"compiling the training kernel failed:\n{proc.stderr.decode(errors='replace')}"
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-@functools.cache
-def _kernel():
-    """``hs_train`` from ``_hs.c``, compiled into ``__pycache__`` on first use."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    with open(os.path.join(here, "_hs.c"), "rb") as f:
-        source = f.read()
-    lib = ctypes.CDLL(_build_kernel(source, os.path.join(here, "__pycache__")))
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    fn = lib.hs_train
-    fn.argtypes = [matrix, matrix, ctypes.c_int64,
-                   i64, i64, i64, ctypes.c_int64,
-                   i64, i64, f64,
-                   ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_int64, ctypes.c_int64,
-                   out, out]
-    fn.restype = ctypes.c_int64
-    return fn
-
-
 def _train_hs(
     centers: np.ndarray,
     coding: HuffmanCoding,
@@ -313,7 +244,7 @@ def _train_hs(
     rate decays linearly per item across all epochs. Node vectors start at
     zero. Returns (node matrix, per-epoch mean loss, pairs trained).
     """
-    hs_train = _kernel()
+    hs_train = library().hs_train
     nodes = np.zeros((coding.n_nodes, config.dim))
     lengths = coding.code_lengths()
     path_off = np.zeros(len(lengths) + 1, dtype=np.int64)

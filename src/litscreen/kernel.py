@@ -1,0 +1,105 @@
+"""The compiled kernel library: ``_hs.c`` built with ``cc`` and loaded with ctypes.
+
+It holds the trainers' SGD loop (``hs_train``) and the text codec of
+``.vec``/``.dvec`` rows (``format_rows``, ``parse_row``). :func:`library`
+compiles the source the first time it is called, never at import, and
+caches the result under this package's ``__pycache__/``, keyed on the
+source and the flags, so later processes load it without compiling.
+There is no fallback: a missing or failing compiler raises RuntimeError.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import tempfile
+from collections.abc import Callable
+from typing import NamedTuple
+
+import numpy as np
+
+__all__ = ["FLAGS", "Kernel", "library_path", "build", "library"]
+
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+class Kernel(NamedTuple):
+    """The library's entry points, with argtypes and restype declared."""
+
+    hs_train: Callable[..., int]
+    format_rows: Callable[..., int]
+    parse_row: Callable[..., int]
+
+
+def library_path(source: bytes, cache_dir: str) -> str:
+    """Where the library built from ``source`` with ``FLAGS`` lives."""
+    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    return os.path.join(cache_dir, f"_hs-{key}.so")
+
+
+def build(source: bytes, cache_dir: str) -> str:
+    """Compile ``source`` with ``cc`` unless ``cache_dir`` already holds it.
+
+    The library is written to a temporary file and renamed into place, so
+    concurrent builds never expose a partial file. Raises RuntimeError with
+    the compiler's stderr when the compile fails.
+    """
+    path = library_path(source, cache_dir)
+    if os.path.exists(path):
+        return path
+    import subprocess  # only a build needs it; importing it costs every command
+
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run(
+                ["cc", *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                input=source, capture_output=True,
+            )
+        except OSError as exc:
+            raise RuntimeError(f"cannot run the C compiler cc to build the kernel library: {exc}") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"compiling the kernel library failed:\n{proc.stderr.decode(errors='replace')}"
+            )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def library() -> Kernel:
+    """The entry points of ``_hs.c``, compiled into ``__pycache__`` on first use."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "_hs.c"), "rb") as f:
+        source = f.read()
+    lib = ctypes.CDLL(build(source, os.path.join(here, "__pycache__")))
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    out_matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    out_i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    int64, double = ctypes.c_int64, ctypes.c_double
+
+    hs_train = lib.hs_train
+    hs_train.argtypes = [out_matrix, out_matrix, int64,
+                         i64, i64, i64, int64,
+                         i64, i64, f64,
+                         double, double, double,
+                         int64, int64,
+                         out, out]
+    hs_train.restype = int64
+    format_rows = lib.format_rows
+    format_rows.argtypes = [matrix, int64, int64, ctypes.c_char_p, int64, out_i64]
+    format_rows.restype = int64
+    # the row and its destination go by raw pointer: one call per file row
+    parse_row = lib.parse_row
+    parse_row.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64]
+    parse_row.restype = int64
+    return Kernel(hs_train, format_rows, parse_row)

@@ -4,12 +4,20 @@ A word model is saved as its token vectors and config only: nothing
 trains from a loaded model, so the Huffman node matrix is not written.
 All numeric text is written with 17 significant digits, which is exact
 for 64-bit floats: save -> load -> save reproduces the file byte for
-byte. Writers go through a temp file and an atomic rename so readers
-never observe a partial artifact.
+byte. The ``.vec``/``.dvec`` matrices go through the text codec of the
+compiled kernel library (:mod:`litscreen.kernel`): rows are formatted a
+block at a time with ``%.17g``, which writes what Python's
+``f"{x:.17g}"`` does, and read back a row at a time with ``strtod``
+behind a plain-decimal check, so neither the file nor its text is ever
+held whole. A non-finite value fails the save, naming the file and row.
+Writers go through a temp file and an atomic rename so readers never
+observe a partial artifact.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
 import os
 import tempfile
@@ -18,6 +26,7 @@ import numpy as np
 
 from .corpus import Document, DocumentSet, Vocabulary
 from .embedding import DocModel, EmbeddingConfig, WordModel
+from .kernel import library
 from .refine import IterationRecord
 from .selection import SelectionOrder
 
@@ -57,14 +66,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def atomic_write(path: str, text: str):
-    """Write UTF-8 text via a temp file and rename; creates parent dirs."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A binary file under a temp name beside ``path``, renamed onto it when
+    the block ends and deleted if it raises; creates parent dirs."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,26 +83,37 @@ def atomic_write(path: str, text: str):
         raise
 
 
+def atomic_write(path: str, text: str):
+    """Write UTF-8 text via a temp file and rename; creates parent dirs."""
+    with _atomic_open(path) as f:
+        f.write(text.encode("utf-8"))
+
+
 def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
-    """Read an 'N D' header and exactly N labeled rows; errors name the byte offset."""
+    """Read an 'N D' header and exactly N labeled rows; errors name the byte offset.
+
+    The file is read in binary a row at a time, each row parsed straight
+    into the matrix by one kernel-library call: values must be plain
+    decimal numbers, and CRLF line ends load.
+    """
     try:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "rb")
     except FileNotFoundError:
         raise PersistenceError(f"{what} file not found: {path}") from None
     with f:
-        offset = 0
         header = f.readline()
         if not header:
             raise PersistenceError(f"{path}: empty {what} file (byte 0)")
-        offset += len(header.encode("utf-8"))
+        offset = len(header)
         parts = header.split()
-        if (len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts)
-                or int(parts[1]) < 1):
-            raise PersistenceError(f"{path}: bad header {header!r}")
+        if len(parts) != 2 or not all(p.isdigit() for p in parts) or int(parts[1]) < 1:
+            raise PersistenceError(f"{path}: bad header {header.decode('utf-8', 'replace')!r}")
         n, dim = int(parts[0]), int(parts[1])
 
+        parse_row = library().parse_row
         labels: list[str] = []
         matrix = np.empty((n, dim), dtype=np.float64)
+        row_address = matrix.ctypes.data
         for i in range(n):
             line = f.readline()
             if not line:
@@ -99,22 +121,25 @@ def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
                     f"{path}: truncated {what} file, expected row {i + 1} of {n} "
                     f"near byte {offset}"
                 )
-            offset += len(line.encode("utf-8"))
-            label, _, rest = line.rstrip("\n").partition("\t")
-            fields = rest.split()
-            if len(fields) != dim:
-                raise PersistenceError(
-                    f"{path}: row {i + 1} has {len(fields)} values, expected {dim} "
-                    f"(near byte {offset})"
-                )
+            offset += len(line)
+            label, _, values = line.partition(b"\t")
+            got = parse_row(values, len(values), row_address, dim)
+            if got != dim:
+                if got >= 0:
+                    raise PersistenceError(
+                        f"{path}: row {i + 1} has {got} values, expected {dim} "
+                        f"(near byte {offset})"
+                    )
+                if got == -1:
+                    raise PersistenceError(f"{path}: unparsable float in row {i + 1}")
+                if got == -2:
+                    raise PersistenceError(f"{path}: non-finite value in row {i + 1}")
+                raise RuntimeError("the kernel library could not switch to the C locale")
             try:
-                row = np.array([float(v) for v in fields], dtype=np.float64)
-            except ValueError:
-                raise PersistenceError(f"{path}: unparsable float in row {i + 1}") from None
-            if not np.all(np.isfinite(row)):
-                raise PersistenceError(f"{path}: non-finite value in row {i + 1}")
-            labels.append(label)
-            matrix[i] = row
+                labels.append(label.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise PersistenceError(f"{path}: label of row {i + 1} is not UTF-8") from None
+            row_address += matrix.strides[0]
         _reject_extra_rows(f, path, n, "row")
     return labels, matrix
 
@@ -125,13 +150,51 @@ def _reject_extra_rows(f, path: str, n: int, what: str):
         raise PersistenceError(f"{path}: more than the {n} {what}s its header declares")
 
 
+# Text bytes per value: %.17g writes at most 24 (-1.2345678901234567e-308),
+# plus a separator. The writer formats blocks of rows into one buffer of
+# about _BLOCK_BYTES.
+_VALUE_BYTES = 25
+_BLOCK_BYTES = 1 << 18
+
+
 def _write_matrix_file(path: str, labels, matrix: np.ndarray):
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]}\n"]
-    for label, row in zip(labels, matrix):
+    """Write an 'N D' header and one ``label<TAB>values`` line per row.
+
+    The kernel library formats the values a block of rows at a time, and
+    each block is streamed to the file, so the text is never held whole.
+    A non-finite value fails naming the file and row.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    n, dim = matrix.shape
+    heads = []
+    for label in labels:
         if "\t" in label or "\n" in label:
             raise PersistenceError(f"label {label!r} contains tab or newline")
-        lines.append(label + "\t" + " ".join(_fmt(v) for v in row) + "\n")
-    atomic_write(path, "".join(lines))
+        heads.append(label.encode("utf-8") + b"\t")
+    if len(heads) != n:
+        raise PersistenceError(f"{path}: {len(heads)} labels for {n} rows")
+    if dim < 1:
+        raise PersistenceError(f"{path}: a matrix without columns cannot be saved")
+
+    format_rows = library().format_rows
+    block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+    buf = ctypes.create_string_buffer(min(block, n) * dim * _VALUE_BYTES)
+    text = memoryview(buf)
+    ends = np.empty(block, dtype=np.int64)
+    with _atomic_open(path) as f:
+        f.write(f"{n} {dim}\n".encode())
+        for start in range(0, n, block):
+            rows = matrix[start:start + block]
+            written = format_rows(rows, len(rows), dim, buf, len(buf), ends)
+            if written != len(rows):
+                if written < 0:
+                    raise RuntimeError("the kernel library could not format the rows")
+                raise PersistenceError(f"{path}: non-finite value in row {start + written + 1}")
+            row_start = 0
+            for head, row_end in zip(heads[start:start + len(rows)], ends[:len(rows)].tolist()):
+                f.write(head)
+                f.write(text[row_start:row_end])
+                row_start = row_end
 
 
 def _write_kv(path: str, pairs: dict[str, str]):

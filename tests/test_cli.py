@@ -193,6 +193,39 @@ class TestConfigPrecedence:
         with open(out + ".meta") as f:
             assert "dim = 9" in f.read()
 
+    def test_misspelled_ingest_key_is_data_error(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        conf = write(str(tmp_path / "c.conf"), "text_colum = summary\n")
+        code, _, err = run(capsys, "ingest", "--corpus", os.path.join(data, "corpus.csv"),
+                           "--config", conf, "--out", str(tmp_path / "tokens"))
+        assert code == 2
+        assert f"{conf}: unknown config key 'text_colum'" in err
+        assert not os.path.exists(tmp_path / "tokens")
+
+    def test_misspelled_refine_key_is_data_error(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepoch = 3\n")
+        code, _, err = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
+                           "--candidates", os.path.join(data, "candidates.csv"),
+                           "--config", conf, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{conf}: unknown config key 'epoch'" in err
+
+    def test_benchmark_refine_keys_accepted(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        conf = write(str(tmp_path / "c.conf"),
+                     "dim = 8\nepochs = 1\nwindow = 2\nbatch_size = 15\n"
+                     "max_iterations = 2\nthreshold = 1e-300\n")
+        code, out, _ = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
+                           "--candidates", os.path.join(data, "candidates.csv"),
+                           "--config", conf, "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert "t=2 documents=30 " in out
+        assert "no convergence within 2 iterations" in out
+
 
 def planted_model(base):
     """Word model with hand-placed similarity geometry for report tests.

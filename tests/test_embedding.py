@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from litscreen import embedding
+from litscreen import embedding, kernel
 from litscreen.corpus import build_vocabulary, preprocess
 from litscreen.embedding import (
     EmbeddingConfig,
@@ -375,18 +375,18 @@ class TestKernelMatchesReference:
         train_word2vec(tiny_corpus(), cfg)
         assert calls == []
 
-        with open(os.path.join(os.path.dirname(embedding.__file__), "_hs.c"), "rb") as f:
+        with open(os.path.join(os.path.dirname(kernel.__file__), "_hs.c"), "rb") as f:
             source = f.read()
         cache = str(tmp_path / "cache")
-        first = embedding._build_kernel(source, cache)
-        second = embedding._build_kernel(source, cache)
+        first = kernel.build(source, cache)
+        second = kernel.build(source, cache)
         assert first == second and len(calls) == 1
         assert os.listdir(cache) == [os.path.basename(first)]
-        assert embedding._kernel_path(source + b"\n", cache) != first
+        assert kernel.library_path(source + b"\n", cache) != first
 
     def test_failed_compile_reports_compiler_output(self, tmp_path):
         with pytest.raises(RuntimeError, match="error"):
-            embedding._build_kernel(b"int broken(void) { return }\n", str(tmp_path))
+            kernel.build(b"int broken(void) { return }\n", str(tmp_path))
         assert os.listdir(tmp_path) == []
 
 

@@ -1,11 +1,18 @@
+import ctypes
 import math
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from litscreen.corpus import Document, DocumentSet
-from litscreen.embedding import EmbeddingConfig, train_doc2vec, train_word2vec
+from litscreen.corpus import Document, DocumentSet, Vocabulary
+from litscreen.embedding import DocModel, EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
+from litscreen.kernel import library
 from litscreen.persistence import (
     PersistenceError,
     file_digest,
@@ -41,6 +48,167 @@ LEGACY_FILES = {
 
 def trained_model():
     return train_word2vec(DOCS, CFG)
+
+
+# The pure-Python matrix writer and reader that the kernel-library codec
+# replaced, kept as its reference: files must agree byte for byte, values
+# bit for bit.
+def reference_write_matrix(path, labels, matrix):
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}\n"]
+    for label, row in zip(labels, matrix):
+        lines.append(label + "\t" + " ".join(f"{v:.17g}" for v in row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join(lines))
+
+
+def reference_read_matrix(path):
+    with open(path, "r", encoding="utf-8") as f:
+        n, dim = (int(p) for p in f.readline().split())
+        labels = []
+        matrix = np.empty((n, dim))
+        for i in range(n):
+            label, _, rest = f.readline().rstrip("\n").partition("\t")
+            labels.append(label)
+            matrix[i] = [float(v) for v in rest.split()]
+    return labels, matrix
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def codec_text(matrix):
+    """The kernel library's text for ``matrix``'s rows."""
+    buf = ctypes.create_string_buffer(matrix.size * 25)  # 24 bytes a value + separator
+    ends = np.empty(len(matrix), dtype=np.int64)
+    written = library().format_rows(matrix, len(matrix), matrix.shape[1], buf, len(buf), ends)
+    assert written == len(matrix)
+    return buf.raw[:ends[-1]].decode("ascii")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# tab and newline cannot occur in a label; a carriage return splits the
+# reference reader's text-mode lines
+LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                max_size=6)
+
+
+@st.composite
+def labeled_matrices(draw):
+    n = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 6))
+    labels = draw(st.lists(LABEL, min_size=n, max_size=n))
+    return labels, draw(arrays(np.float64, (n, dim), elements=FINITE))
+
+
+class TestMatrixCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=12))
+    @example([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+              sys.float_info.min, -2.2250738585072009e-308])
+    # exact ties at the 17th digit round half to even; decade edges of %g
+    @example([1234567890123456.25, 1234567890123456.75, 0.5, 0.125])
+    @example([1e16, 1e17, 9.9999999999999998e16, 1e-4, 1e-5, 0.1, 1 / 3, -1.5e300])
+    def test_format_matches_python(self, values):
+        row = np.array([values])
+        assert codec_text(row) == " ".join(f"{x:.17g}" for x in values) + "\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_matrices())
+    def test_save_load_save_matches_reference(self, labeled):
+        labels, matrix = labeled
+        with tempfile.TemporaryDirectory() as tmp:
+            model = DocModel(ids=labels, vectors=matrix,
+                             config=EmbeddingConfig(dim=matrix.shape[1]), seed=0)
+            base, again = os.path.join(tmp, "d"), os.path.join(tmp, "again")
+            save_doc_model(model, base)
+            reference_write_matrix(os.path.join(tmp, "ref"), labels, matrix)
+            assert read_bytes(base + ".dvec") == read_bytes(os.path.join(tmp, "ref"))
+
+            loaded = load_doc_model(base)
+            assert loaded.ids == labels
+            assert same_bits(loaded.vectors, matrix)
+            ref_labels, ref_matrix = reference_read_matrix(base + ".dvec")
+            assert ref_labels == labels and same_bits(ref_matrix, matrix)
+
+            save_doc_model(loaded, again)
+            assert read_bytes(again + ".dvec") == read_bytes(base + ".dvec")
+
+    def test_word_model_matches_reference(self, tmp_path):
+        model = trained_model()
+        save_model(model, str(tmp_path / "m"))
+        reference_write_matrix(str(tmp_path / "ref"), model.vocab.tokens(), model.vectors)
+        assert read_bytes(tmp_path / "m.vec") == read_bytes(tmp_path / "ref")
+        tokens, vectors = reference_read_matrix(str(tmp_path / "m.vec"))
+        loaded = load_model(str(tmp_path / "m"))
+        assert loaded.vocab.tokens() == tokens and same_bits(loaded.vectors, vectors)
+
+
+def write_vec(tmp_path, text):
+    """A 2-token, dim-2 word model whose .vec file holds ``text``."""
+    base = str(tmp_path / "m")
+    model = WordModel(vocab=Vocabulary(index={"a": 0, "é": 1}, counts=None),
+                      vectors=np.zeros((2, 2)), node_vectors=None,
+                      config=EmbeddingConfig(dim=2), seed=0)
+    save_model(model, base)
+    with open(base + ".vec", "wb") as f:
+        f.write(text.encode("utf-8"))
+    return base
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("row,message", [
+        ("0x1p3 0.5", "unparsable float in row 1"),
+        ("1_0 0.5", "unparsable float in row 1"),
+        ("1e 0.5", "unparsable float in row 1"),
+        ("nan(1) 0.5", "unparsable float in row 1"),
+        ("nan 0.5", "non-finite value in row 1"),
+        ("0.5 -inf", "non-finite value in row 1"),
+        ("+Infinity 0.5", "non-finite value in row 1"),
+        ("1e999 0.5", "non-finite value in row 1"),
+        ("0.5", "row 1 has 1 values, expected 2"),
+        ("0.5 1 2", "row 1 has 3 values, expected 2"),
+    ])
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        base = write_vec(tmp_path, f"2 2\na\t{row}\né\t1 2\n")
+        with pytest.raises(PersistenceError, match=r"m\.vec: " + message.replace("+", r"\+")):
+            load_model(base)
+
+    def test_crlf_file_loads(self, tmp_path):
+        base = write_vec(tmp_path, "2 2\r\na\t0.5 -1.25\r\né\t1e-3 2\r\n")
+        loaded = load_model(base)
+        assert loaded.vocab.tokens() == ["a", "é"]
+        assert np.array_equal(loaded.vectors, [[0.5, -1.25], [1e-3, 2.0]])
+
+    def test_truncation_names_byte_offset(self, tmp_path):
+        # "é" is two bytes: the offset counts bytes, not characters
+        base = write_vec(tmp_path, "3 2\né\t1 2\n")
+        with pytest.raises(PersistenceError,
+                           match=r"m\.vec: truncated vector file, expected row 2 of 3 near byte 11$"):
+            load_model(base)
+
+
+class TestNonFiniteSave:
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+    def test_word_model(self, tmp_path, value):
+        model = trained_model()
+        model.vectors[1, 3] = value
+        with pytest.raises(PersistenceError, match=r"m\.vec: non-finite value in row 2$"):
+            save_model(model, str(tmp_path / "m"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_doc_model(self, tmp_path, value):
+        model = train_doc2vec(DOCS, CFG)
+        model.vectors[0, 0] = value
+        with pytest.raises(PersistenceError, match=r"d\.dvec: non-finite value in row 1$"):
+            save_doc_model(model, str(tmp_path / "d"))
+        assert os.listdir(tmp_path) == []
 
 
 def rewrite_line(path, index, text):
