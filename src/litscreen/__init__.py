@@ -27,6 +27,7 @@ from .embedding import (
     vector_of,
 )
 from .materials import (
+    CandidateTable,
     Composition,
     CompositionError,
     PropertyAnchors,
@@ -34,9 +35,7 @@ from .materials import (
     centroid,
     enumerate_simplex,
     load_compositions,
-    material_vector,
     parse_composition,
-    similarity_point,
     similarity_points,
 )
 from .refine import (

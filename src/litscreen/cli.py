@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 data or file error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 
@@ -267,8 +269,8 @@ def _cmd_refine(args) -> int:
 
 def _front_for(model_base: str, candidates, anchors, objectives):
     model = load_model(model_base)
-    points = similarity_points(model, candidates, anchors)
-    return points, pareto_front(points, objectives)
+    scores = similarity_points(model, candidates, anchors)
+    return scores, pareto_front(scores, objectives)
 
 
 def _cmd_screen(args) -> int:
@@ -276,20 +278,22 @@ def _cmd_screen(args) -> int:
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
     anchors = settings.get("anchors", _anchor_pair, PropertyAnchors())
     objectives = Objectives.preset(settings.get("preset", str, "orr"))
-    points, front = _front_for(args.model, candidates, anchors, objectives)
-    on_front = set(front)
+    scores, front = _front_for(args.model, candidates, anchors, objectives)
     print(f"Entries (Ori): {len(candidates)}")
     print(f"Entries (Front): {len(front)}")
     for i in front:
-        print(f"{candidates[i].id} {points[i].s_dielectric:.6f} {points[i].s_conductivity:.6f}")
+        print(f"{candidates.ids[i]} {scores[i, 0]:.6f} {scores[i, 1]:.6f}")
     if args.out:
-        lines = ["id,s_dielectric,s_conductivity,on_front\n"]
-        for i, (comp, pt) in enumerate(zip(candidates, points)):
-            lines.append(
-                f"{comp.id},{pt.s_dielectric:.17g},{pt.s_conductivity:.17g},"
-                f"{1 if i in on_front else 0}\n"
-            )
-        atomic_write(args.out, "".join(lines))
+        on_front = [0] * len(candidates)
+        for i in front:
+            on_front[i] = 1
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "s_dielectric", "s_conductivity", "on_front"])
+        writer.writerows((comp_id, f"{x:.17g}", f"{y:.17g}", flag)
+                         for comp_id, (x, y), flag
+                         in zip(candidates.ids, scores.tolist(), on_front))
+        atomic_write(args.out, buf.getvalue())
         print(f"similarity table: {args.out}")
     return 0
 

@@ -1,31 +1,36 @@
-"""Compositions as weighted element-vector superpositions in similarity space.
+"""Candidate compositions and their coordinates in similarity space.
 
-A composition maps to the fraction-weighted sum of its elements' word
-vectors; its coordinates are the cosine similarities of that sum to the
-two anchor property terms. The centroid over a candidate set is the
-componentwise mean of those coordinate pairs.
+A candidate set is a :class:`CandidateTable`: one (N, k) array of atomic
+fractions over a declared element set, with one id per row. A
+composition's material vector is the fraction-weighted sum of its
+elements' word vectors, and its coordinates are the cosine similarities
+of that vector to the two anchor property terms. :func:`similarity_points`
+computes those coordinates for the whole table at once, as an (N, 2)
+score array, and the centroid of a candidate set is the column mean of
+that array.
 """
 from __future__ import annotations
 
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .corpus import element_symbols
-from .embedding import WordModel, cosine_similarity, vector_of
+from .embedding import WordModel, vector_of
 
 __all__ = [
     "CompositionError",
     "Composition",
+    "CandidateTable",
     "SimilarityPoint",
     "PropertyAnchors",
     "parse_composition",
     "enumerate_simplex",
-    "material_vector",
-    "similarity_point",
     "similarity_points",
     "centroid",
     "load_compositions",
@@ -33,6 +38,9 @@ __all__ = [
 
 SUM_TOLERANCE = 1e-9
 PARSE_TOLERANCE = 1e-6
+# Scoring forms the material vectors a block of rows at a time, so memory
+# stays flat however many candidates there are.
+_BLOCK_BYTES = 256 * 1024
 
 
 class CompositionError(ValueError):
@@ -73,6 +81,59 @@ class Composition:
         return dict(zip(self.elements, self.fractions))
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Candidate compositions over one element set, held by column.
+
+    Row ``i`` of the (N, k) float64 ``fractions`` array holds the atomic
+    fractions of candidate ``ids[i]`` in ``elements`` order; every row is
+    finite, non-negative and sums to 1. The array is read-only. Indexing
+    or iterating yields :class:`Composition` views built on demand.
+    """
+
+    elements: tuple[str, ...]
+    ids: tuple[str, ...]
+    fractions: np.ndarray
+
+    def __post_init__(self):
+        elements, ids = tuple(self.elements), tuple(self.ids)
+        fractions = np.asarray(self.fractions, dtype=np.float64).view()
+        fractions.flags.writeable = False
+        if fractions.shape != (len(ids), len(elements)):
+            raise CompositionError(
+                f"fractions of shape {fractions.shape} for {len(ids)} ids "
+                f"and {len(elements)} elements"
+            )
+        if len(set(elements)) != len(elements):
+            raise CompositionError(f"duplicate element in {elements}")
+        with np.errstate(invalid="ignore"):
+            bad = (~np.isfinite(fractions).all(axis=1) | (fractions < 0).any(axis=1)
+                   | (np.abs(fractions.sum(axis=1) - 1.0) > SUM_TOLERANCE))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CompositionError(
+                f"candidate {ids[i]!r} (row {i + 1}): fractions {fractions[i].tolist()} "
+                "must be finite, non-negative and sum to 1"
+            )
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "fractions", fractions)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Composition:
+        return Composition(self.elements, tuple(self.fractions[i].tolist()), self.ids[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def present(self) -> tuple[str, ...]:
+        """Elements with a positive fraction in at least one row."""
+        used = (self.fractions > 0).any(axis=0)
+        return tuple(el for el, u in zip(self.elements, used.tolist()) if u)
+
+
 @dataclass(frozen=True)
 class PropertyAnchors:
     """Ordered anchor terms spanning the 2D similarity space."""
@@ -91,13 +152,15 @@ class PropertyAnchors:
 class SimilarityPoint:
     """Cosine similarities of one composition to the two anchors.
 
-    The axis names follow the default anchor pair; with custom anchors the
-    first anchor maps to ``s_dielectric`` and the second to ``s_conductivity``.
+    One row of the score array as an object, for callers that compare
+    points one at a time (see :func:`litscreen.screen.dominates`). The axis
+    names follow the default anchor pair; with custom anchors the first
+    anchor maps to ``s_dielectric`` and the second to ``s_conductivity``.
     """
 
     s_dielectric: float
     s_conductivity: float
-    composition: Composition
+    composition: Composition | None
 
     def coords(self) -> tuple[float, float]:
         return (self.s_dielectric, self.s_conductivity)
@@ -139,11 +202,13 @@ def parse_composition(spec: str, elements, comp_id: str = "") -> Composition:
     return Composition(elements=elements, fractions=fractions, id=comp_id or spec)
 
 
-def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> list[Composition]:
+def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> CandidateTable:
     """All compositions with fractions on the grid {0, 1/steps, ..., 1}.
 
-    Produces C(steps + k - 1, k - 1) compositions in ascending lexicographic
-    fraction order; errors out when that count exceeds ``max_count``.
+    Produces C(steps + k - 1, k - 1) rows in ascending lexicographic
+    fraction order, built as integer arrays with no per-row objects; errors
+    out when that count exceeds ``max_count``. A row's id lists its
+    elements with nonzero fraction, as in ``Ag0.25Pt0.75``.
     """
     elements = tuple(elements)
     k = len(elements)
@@ -157,61 +222,73 @@ def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> list[
             f"simplex grid would hold {expected} compositions, over the cap {max_count}"
         )
 
-    out: list[Composition] = []
+    # Grow the grid one leading part at a time: each row with `left` grid
+    # steps still unassigned expands into rows taking 0..left of them.
+    dtype = np.min_scalar_type(steps + 1)
+    parts = np.zeros((1, 0), dtype=dtype)
+    left = np.array([steps], dtype=dtype)
+    for _ in range(k - 1):
+        counts = left + 1
+        taken = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        taken = taken.astype(dtype)
+        parts = np.column_stack([np.repeat(parts, counts, axis=0), taken])
+        left = np.repeat(left, counts) - taken
+    parts = np.column_stack([parts, left])
 
-    def rec(prefix: list[int], remaining: int, depth: int):
-        if depth == k - 1:
-            parts = prefix + [remaining]
-            fracs = tuple(p / steps for p in parts)
-            label = "".join(f"{el}{f:g}" for el, f in zip(elements, fracs) if f > 0)
-            out.append(Composition(elements=elements, fractions=fracs, id=label))
-            return
-        for p in range(remaining + 1):
-            rec(prefix + [p], remaining - p, depth + 1)
-
-    rec([], steps, 0)
-    return out
+    pieces = []  # per element, each row's id piece: "" or symbol plus fraction
+    for j, el in enumerate(elements):
+        labels = np.array([""] + [f"{el}{p / steps:g}" for p in range(1, steps + 1)], dtype=object)
+        pieces.append(labels[parts[:, j]].tolist())
+    ids = tuple(map("".join, zip(*pieces)))
+    return CandidateTable(elements, ids, parts / steps)
 
 
-def material_vector(model: WordModel, comp: Composition) -> np.ndarray:
-    """Fraction-weighted sum of element vectors (unnormalized).
+def similarity_points(
+    model: WordModel, table: CandidateTable, anchors: PropertyAnchors | None = None
+) -> np.ndarray:
+    """(N, 2) cosine similarities of each candidate's material vector to the anchors.
 
-    Only elements with fraction > 0 need a vector; an absent one raises
-    OutOfVocabularyError.
+    Row ``i`` scores ``table`` row ``i``: column 0 holds the similarity to
+    the first anchor, column 1 to the second. Only elements with a positive
+    fraction in some row need a vector; an absent one, or an absent anchor,
+    raises OutOfVocabularyError. A material or anchor vector of zero norm raises
+    ValueError, since its cosine is undefined.
     """
-    vec = None
-    for el, f in zip(comp.elements, comp.fractions):
-        if f == 0.0:
-            continue
-        row = vector_of(model, el)
-        vec = f * row if vec is None else vec + f * row
-    if vec is None:
-        raise CompositionError(f"composition {comp.id!r} has no positive fraction")
-    return vec
-
-
-def similarity_point(model: WordModel, comp: Composition, anchors: PropertyAnchors | None = None) -> SimilarityPoint:
-    """Cosine similarity of the composition's material vector to each anchor."""
     if anchors is None:
         anchors = PropertyAnchors()
-    vec = material_vector(model, comp)
-    sims = []
-    for term in anchors.terms:
-        anchor_vec = vector_of(model, term)
-        sims.append(cosine_similarity(vec, anchor_vec))
-    return SimilarityPoint(s_dielectric=sims[0], s_conductivity=sims[1], composition=comp)
+    if not len(table):
+        return np.empty((0, 2))
+    dim = model.vectors.shape[1]
+    element_vectors = np.zeros((len(table.elements), dim))
+    for el in table.present():
+        element_vectors[table.elements.index(el)] = vector_of(model, el)
+    anchor_vectors = np.array([vector_of(model, t) for t in anchors.terms])
+    anchor_norms = np.sqrt(np.einsum("ij,ij->i", anchor_vectors, anchor_vectors))
+    if not anchor_norms.all():
+        raise ValueError("cosine similarity undefined for a zero-norm anchor vector")
 
-
-def similarity_points(model: WordModel, comps, anchors: PropertyAnchors | None = None) -> list[SimilarityPoint]:
-    return [similarity_point(model, c, anchors) for c in comps]
+    scores = np.empty((len(table), 2))
+    block = max(1, _BLOCK_BYTES // (8 * dim))
+    for start in range(0, len(table), block):
+        vectors = table.fractions[start:start + block] @ element_vectors
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        if not norms.all():
+            row = start + int(np.argmin(norms))
+            raise ValueError(
+                f"cosine similarity undefined: candidate {table.ids[row]!r} "
+                "has a zero-norm material vector"
+            )
+        scores[start:start + block] = (vectors @ anchor_vectors.T) / (norms[:, None] * anchor_norms)
+    return scores
 
 
 def centroid(points) -> np.ndarray:
-    """Componentwise mean of the (s_dielectric, s_conductivity) pairs."""
-    points = list(points)
-    if not points:
+    """Column means of an (N, 2) score array: the mean similarity pair."""
+    coords = np.asarray(points, dtype=np.float64)
+    if not coords.size:
         raise ValueError("centroid of an empty point list")
-    coords = np.array([p.coords() for p in points], dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError(f"expected an (N, 2) score array, got shape {coords.shape}")
     return coords.mean(axis=0)
 
 
@@ -226,64 +303,130 @@ def load_compositions(
     and measured-performance columns.
 
     When ``elements`` is None, every header column matching a periodic-table
-    symbol counts as an element column. Returns (compositions, measured,
-    potential) where ``measured`` maps composition id to current density
-    (mA/cm^2) for rows carrying a value, and ``potential`` (mV) is the
-    constant of the potential column when present.
+    symbol counts as an element column. Returns (table, measured, potential):
+    a :class:`CandidateTable` whose rows are renormalized to sum to 1,
+    ``measured`` mapping composition id to current density (mA/cm^2) for
+    rows carrying a value, and ``potential`` (mV), the constant of the
+    potential column when present. An empty element cell counts as 0, a
+    blank line is skipped and a leading byte-order mark is ignored.
+
+    Every fault raises CompositionError naming the file, and the data row
+    (1-based, blank lines not counted) where there is one: no data rows, a
+    row with more or fewer fields than the header, a fraction or measured
+    value that is not a finite number, a negative fraction, fractions
+    summing more than 1e-6 away from 1, conflicting potentials and a
+    repeated id.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+    try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise CompositionError(f"composition file not found: {path}") from None
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise CompositionError(f"composition file is empty: {path}")
-        header = list(reader.fieldnames)
-        if elements is None:
-            table = element_symbols()
-            elements = tuple(c for c in header if c in table)
-        else:
-            elements = tuple(elements)
-            missing = [el for el in elements if el not in header]
-            if missing:
-                raise CompositionError(f"{path}: missing element columns {missing}")
-        if not elements:
-            raise CompositionError(f"{path}: no element columns found in {header}")
+        reader = csv.reader(handle)
+        try:
+            return _read_compositions(
+                reader, path, elements, id_column, measured_column, potential_column)
+        except csv.Error as exc:
+            raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CompositionError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-        comps: list[Composition] = []
-        measured: dict[str, float] = {}
-        potential: float | None = None
-        for i, row in enumerate(reader, start=1):
-            comp_id = (row.get(id_column) or str(i)).strip() or str(i)
-            try:
-                raw = [float(row[el] or 0.0) for el in elements]
-            except (TypeError, ValueError) as exc:
-                raise CompositionError(f"{path} row {i}: bad fraction ({exc})") from None
-            for el, v in zip(elements, raw):
-                if not math.isfinite(v):
-                    raise CompositionError(f"{path} row {i}: non-finite fraction {v} for {el}")
-            total = math.fsum(raw)
-            if abs(total - 1.0) > PARSE_TOLERANCE:
-                raise CompositionError(
-                    f"{path} row {i}: fractions sum to {total}, expected 1"
-                )
-            fracs = tuple(v / total for v in raw)
-            comps.append(Composition(elements=elements, fractions=fracs, id=comp_id))
 
-            value = (row.get(measured_column) or "").strip()
-            if value:
-                measured[comp_id] = float(value)
-            pot = (row.get(potential_column) or "").strip()
-            if pot:
-                pot_val = float(pot)
+def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
+    """The first non-finite or negative fraction of a row, else its bad sum."""
+    for el, v in zip(elements, vals):
+        if not math.isfinite(v):
+            return CompositionError(f"{where}: non-finite fraction {v} for {el}")
+        if v < 0:
+            return CompositionError(f"{where}: negative fraction {v} for {el}")
+    return CompositionError(f"{where}: fractions sum to {total}, expected 1")
+
+
+def _read_compositions(reader, path, elements, id_column, measured_column, potential_column):
+    header = next(reader, None)
+    if header is None:
+        raise CompositionError(f"composition file is empty: {path}")
+    if elements is None:
+        symbols = element_symbols()
+        elements = tuple(c for c in header if c in symbols)
+    else:
+        elements = tuple(elements)
+        missing = [el for el in elements if el not in header]
+        if missing:
+            raise CompositionError(f"{path}: missing element columns {missing}")
+    if not elements:
+        raise CompositionError(f"{path}: no element columns found in {header}")
+    if len(set(elements)) != len(elements):
+        raise CompositionError(f"{path}: repeated element columns in {header}")
+
+    def column(name):
+        return header.index(name) if name in header else None
+
+    cols = [header.index(el) for el in elements]
+    id_col, measured_col, potential_col = (
+        column(id_column), column(measured_column), column(potential_column))
+    width = len(header)
+
+    def number(row, i, col, name):
+        text = row[col].strip()
+        if not text:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            raise CompositionError(f"{path} row {i}: {name} {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise CompositionError(f"{path} row {i}: non-finite {name} {value}")
+        return value
+
+    pick = itemgetter(*cols)
+    ids: dict[str, int] = {}  # id -> its row, in row order
+    raw = array("d")  # the rows' fractions, flat, as read
+    totals = array("d")
+    measured: dict[str, float] = {}
+    potential: float | None = None
+    i = 0
+    for row in reader:
+        if not row:
+            continue
+        i += 1
+        if len(row) != width:
+            raise CompositionError(f"{path} row {i}: {len(row)} fields, the header has {width}")
+        comp_id = (row[id_col].strip() if id_col is not None else "") or str(i)
+        cells = pick(row) if len(cols) > 1 else (row[cols[0]],)
+        if "" in cells:
+            cells = [c or "0" for c in cells]
+        try:
+            vals = list(map(float, cells))
+        except ValueError as exc:
+            raise CompositionError(f"{path} row {i}: bad fraction ({exc})") from None
+        try:
+            total = math.fsum(vals)
+        except (OverflowError, ValueError):  # huge or opposite infinite values
+            total = math.nan
+        # one test passes every valid row: NaN and inf fail the comparison
+        if not (abs(total - 1.0) <= PARSE_TOLERANCE and min(vals) >= 0.0):
+            raise _fraction_fault(f"{path} row {i}", elements, vals, total)
+        if ids.setdefault(comp_id, i) != i:
+            raise CompositionError(f"{path} row {i}: duplicate composition id {comp_id!r}")
+        raw.extend(vals)
+        totals.append(total)
+
+        if measured_col is not None:
+            value = number(row, i, measured_col, measured_column)
+            if value is not None:
+                measured[comp_id] = value
+        if potential_col is not None:
+            pot_val = number(row, i, potential_col, potential_column)
+            if pot_val is not None:
                 if potential is not None and pot_val != potential:
                     raise CompositionError(
                         f"{path} row {i}: conflicting potentials {potential} and {pot_val}"
                     )
                 potential = pot_val
 
-        ids = [c.id for c in comps]
-        if len(set(ids)) != len(ids):
-            raise CompositionError(f"{path}: duplicate composition ids")
-    return comps, measured, potential
+    if not ids:
+        raise CompositionError(f"{path}: no candidate rows")
+    fractions = np.frombuffer(raw).reshape(len(ids), len(elements))
+    fractions = fractions / np.frombuffer(totals)[:, None]
+    return CandidateTable(elements, tuple(ids), fractions), measured, potential

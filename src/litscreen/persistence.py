@@ -16,7 +16,6 @@ observe a partial artifact.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import hashlib
 import os
@@ -39,7 +38,6 @@ __all__ = [
     "save_tokens",
     "load_tokens",
     "save_selection",
-    "load_selection",
     "save_iteration_log",
     "save_iteration_table",
     "write_manifest",
@@ -304,8 +302,8 @@ def save_tokens(docs: DocumentSet, path: str):
     for doc in docs:
         if doc.tokens is None:
             raise PersistenceError(f"document {doc.id!r} has no tokens to save")
-        if "\t" in doc.id or "\n" in doc.id:
-            raise PersistenceError(f"document id {doc.id!r} contains tab or newline")
+        if "\t" in doc.id or "\n" in doc.id or "\r" in doc.id:
+            raise PersistenceError(f"document id {doc.id!r} contains a tab or line break")
         lines.append(doc.id + "\t" + " ".join(doc.tokens) + "\n")
     atomic_write(path, "".join(lines))
 
@@ -340,29 +338,6 @@ def save_selection(order: SelectionOrder, ids, path: str):
         d = "" if np.isnan(dist) else _fmt(dist)
         rows.append(f"{rank},{ids[idx]},{d}\n")
     atomic_write(path, "".join(rows))
-
-
-def load_selection(path: str, ids) -> SelectionOrder:
-    id_to_idx = {doc_id: i for i, doc_id in enumerate(ids)}
-    try:
-        f = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise PersistenceError(f"selection file not found: {path}") from None
-    with f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["rank", "doc_id", "min_distance"]:
-            raise PersistenceError(f"{path}: unexpected header {header}")
-        indices = []
-        distances = []
-        for row in reader:
-            if len(row) != 3:
-                raise PersistenceError(f"{path}: bad row {row}")
-            if row[1] not in id_to_idx:
-                raise PersistenceError(f"{path}: unknown document id {row[1]!r}")
-            indices.append(id_to_idx[row[1]])
-            distances.append(float("nan") if row[2] == "" else float(row[2]))
-    return SelectionOrder(indices=indices, distances=distances)
 
 
 def _record_fields(rec: IterationRecord) -> tuple[str, str, str, str, str, str]:

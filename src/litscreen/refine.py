@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import DocumentSet
 from .embedding import EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
-from .materials import Composition, PropertyAnchors, centroid, similarity_points
+from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
 from .selection import SelectionOrder, central_document, cumulative_batches, greedy_fps, pca_project
 
 __all__ = [
@@ -85,10 +85,13 @@ def centroid_displacement(prev, curr) -> float:
 
 def run_refinement(
     docs: DocumentSet,
-    candidates: list[Composition],
+    candidates: CandidateTable,
     config: RefineConfig,
 ) -> RefinementResult:
     """Run the full loop over a preprocessed corpus and candidate set.
+
+    Each iteration scores the whole candidate table at once and takes the
+    column mean of the scores as its centroid.
 
     Iterations whose vocabulary misses a required token are recorded without
     a centroid and can never trigger convergence; displacements compare
@@ -107,9 +110,7 @@ def run_refinement(
 
     required = config.required_tokens
     if required is None:
-        required = set(config.anchors.terms)
-        for comp in candidates:
-            required.update(el for el, f in zip(comp.elements, comp.fractions) if f > 0)
+        required = set(config.anchors.terms) | set(candidates.present())
     required = frozenset(required)
 
     doc_model = train_doc2vec(token_lists, emb_cfg, ids=docs.ids())
@@ -143,8 +144,7 @@ def run_refinement(
             )
             continue
 
-        points = similarity_points(model, candidates, config.anchors)
-        c = centroid(points)
+        c = centroid(similarity_points(model, candidates, config.anchors))
         displacement = None
         if prev_centroid is not None:
             displacement = centroid_displacement(prev_centroid, c)

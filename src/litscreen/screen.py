@@ -1,12 +1,16 @@
-"""Reaction-specific Pareto screening of composition similarity points.
+"""Reaction-specific Pareto screening of candidate similarity scores.
 
 HER and ORR want conductivity-like, non-dielectric materials (minimize
 s_dielectric, maximize s_conductivity); OER wants the reverse. The front
-of non-dominated candidates is the prediction set.
+of non-dominated rows of the (N, 2) score array from
+:func:`litscreen.materials.similarity_points` is the prediction set.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .materials import Composition, SimilarityPoint
 
@@ -63,37 +67,36 @@ def dominates(p: SimilarityPoint, q: SimilarityPoint, obj: Objectives) -> bool:
 
 
 def pareto_front(points, obj: Objectives) -> list[int]:
-    """Indices of all non-dominated points, ascending.
+    """Row indices of all non-dominated rows of an (N, 2) score array, ascending.
 
-    Sort-and-sweep: after flipping both axes to maximization, scan x-groups
-    in descending order; a group's max-y members survive iff that y beats
-    the best y seen among strictly larger x. Coincident points never
-    dominate each other, so duplicates of a front point all stay.
+    Sort and sweep: after flipping both axes to maximization, one lexsort
+    orders the rows by x descending, then y descending. Rows sharing an x
+    (0.0 and -0.0 count as equal) form a group whose first row holds its
+    best y; a group's best-y rows survive iff that y beats every y of the
+    groups with larger x. Coincident points never dominate each other, so
+    duplicates of a front point all stay. NaN coordinates are rejected.
     """
-    points = list(points)
-    if not points:
+    coords = np.asarray(points, dtype=np.float64)
+    if not coords.size:
         raise ValueError("pareto_front of an empty point list")
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError(f"expected an (N, 2) score array, got shape {coords.shape}")
+    if np.isnan(coords).any():
+        raise ValueError("pareto_front of NaN coordinates")
     sx, sy = obj.signs()
-    coords = [(sx * p.s_dielectric, sy * p.s_conductivity) for p in points]
-
-    by_x: dict[float, list[int]] = {}
-    for i, (x, _) in enumerate(coords):
-        by_x.setdefault(x, []).append(i)
-
-    front: list[int] = []
-    best_y = -float("inf")
-    for x in sorted(by_x, reverse=True):
-        group = by_x[x]
-        group_best = max(coords[i][1] for i in group)
-        if group_best > best_y:
-            front.extend(i for i in group if coords[i][1] == group_best)
-            best_y = group_best
-    front.sort()
-    return front
+    x, y = sx * coords[:, 0], sy * coords[:, 1]
+    order = np.lexsort((-y, -x))
+    x, y = x[order], y[order]
+    first = np.concatenate([[True], x[1:] != x[:-1]])  # first row of each x group
+    group = np.cumsum(first) - 1
+    best = y[first]
+    beaten = np.concatenate([[-np.inf], np.maximum.accumulate(best)[:-1]])
+    keep = (best > beaten)[group] & (y == best[group])
+    return np.sort(order[keep]).tolist()
 
 
 def format_summary(
-    candidates: list[Composition],
+    candidates: Sequence[Composition],
     fronts: dict[str, list[int]],
     measured: dict[str, float] | None = None,
     potential: float | None = None,

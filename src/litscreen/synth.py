@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import Composition, enumerate_simplex
+from .materials import CandidateTable, enumerate_simplex
 from .persistence import atomic_write
 
 __all__ = ["SynthSpec", "synthetic_corpus", "synthetic_candidates",
@@ -108,7 +108,7 @@ def synthetic_corpus(spec: SynthSpec = SynthSpec()) -> list[tuple[str, str]]:
     return rows
 
 
-def synthetic_candidates(steps: int = 4) -> list[Composition]:
+def synthetic_candidates(steps: int = 4) -> CandidateTable:
     """Every composition on the Ag/Pt/Ba/Ti grid with the given resolution."""
     return enumerate_simplex(CANDIDATE_ELEMENTS, steps)
 
@@ -121,12 +121,14 @@ def write_corpus_csv(rows: list[tuple[str, str]], path: str):
     atomic_write(path, buf.getvalue())
 
 
-def write_candidates_csv(compositions: list[Composition], path: str):
-    elements = sorted({el for comp in compositions for el in comp.elements})
+def write_candidates_csv(candidates: CandidateTable, path: str):
+    """An id column, then one fraction column per element in sorted order,
+    each value written as ``%.17g``."""
+    elements = sorted(candidates.elements)
+    columns = candidates.fractions[:, [candidates.elements.index(el) for el in elements]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id"] + elements)
-    for comp in compositions:
-        fractions = comp.as_dict()
-        writer.writerow([comp.id] + [f"{fractions.get(el, 0.0):.17g}" for el in elements])
+    writer.writerows([comp_id] + [f"{x:.17g}" for x in row]
+                     for comp_id, row in zip(candidates.ids, columns.tolist()))
     atomic_write(path, buf.getvalue())

@@ -14,15 +14,14 @@ import pytest
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary, load_corpus, preprocess_set
 from litscreen.embedding import EmbeddingConfig, WordModel, hs_step
-from litscreen.materials import Composition, SimilarityPoint, centroid, similarity_points
+from helpers import reference_pareto_front
+
+from litscreen.materials import centroid, similarity_points
 from litscreen.persistence import file_digest, save_model
 from litscreen.refine import RefineConfig, run_refinement
 from litscreen.screen import Objectives, pareto_front
 from litscreen.selection import SelectionOrder, cumulative_batches, greedy_fps, pca_project
 from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus, write_corpus_csv
-
-COMP = Composition(elements=("Ni",), fractions=(1.0,))
-
 
 def verdict(n, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
@@ -71,7 +70,7 @@ def test_criterion_1_hs_step_gradient_matches_finite_differences():
 def pareto_oracle(points, obj):
     sx = 1.0 if obj.s_dielectric == "max" else -1.0
     sy = 1.0 if obj.s_conductivity == "max" else -1.0
-    X = np.array([[sx * p.s_dielectric, sy * p.s_conductivity] for p in points])
+    X = np.asarray(points) * [sx, sy]
     ge = (X[:, None, 0] >= X[None, :, 0]) & (X[:, None, 1] >= X[None, :, 1])
     gt = (X[:, None, 0] > X[None, :, 0]) | (X[:, None, 1] > X[None, :, 1])
     dominated = (ge & gt).any(axis=0)
@@ -84,11 +83,12 @@ def test_criterion_2_pareto_front_matches_quadratic_oracle():
     coords = rng.uniform(-1, 1, size=(1000, 2))
     # quantize half the points so exact ties and duplicates are common
     coords[500:] = np.round(coords[500:] * 8) / 8
-    points = [SimilarityPoint(x, y, COMP) for x, y in coords]
     combos = [("min", "min"), ("min", "max"), ("max", "min"), ("max", "max")]
     for dx, dy in combos:
         obj = Objectives(s_dielectric=dx, s_conductivity=dy)
-        assert pareto_front(points, obj) == pareto_oracle(points, obj), (dx, dy)
+        front = pareto_front(coords, obj)
+        assert front == pareto_oracle(coords, obj), (dx, dy)
+        assert front == reference_pareto_front(coords, obj), (dx, dy)
     elapsed = time.perf_counter() - t0
     verdict(2, elapsed < 1.0,
             f"1000-point front equals O(n^2) oracle under all 4 objective "
@@ -174,7 +174,7 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
     # two-point reference: exact on x; on y the true mean of the doubles 0.2
     # and 0.4 is the precise midpoint between consecutive doubles, so the
     # correctly rounded result sits one ulp above the decimal literal 0.3
-    two = centroid([SimilarityPoint(0.1, 0.2, COMP), SimilarityPoint(0.3, 0.4, COMP)])
+    two = centroid(np.array([[0.1, 0.2], [0.3, 0.4]]))
     ok &= two[0] == 0.2
     ok &= two[1] == float((Fraction(0.2) + Fraction(0.4)) / 2)
     ok &= abs(two[1] - 0.3) <= math.ulp(0.3)
@@ -182,8 +182,7 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
     for _ in range(20):
         k = int(rng.integers(1, 40))
         coords = rng.uniform(-1, 1, size=(k, 2))
-        points = [SimilarityPoint(x, y, COMP) for x, y in coords]
-        c = centroid(points)
+        c = centroid(coords)
         fsum_mean = (math.fsum(coords[:, 0]) / k, math.fsum(coords[:, 1]) / k)
         ok &= abs(c[0] - fsum_mean[0]) < 1e-12 and abs(c[1] - fsum_mean[1]) < 1e-12
 
@@ -208,8 +207,8 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
 # moves one re-pins it here and says why in CHANGES.md; the check is never
 # relaxed to a tolerance.
 GOLDEN_REFINE_DIGESTS = {
-    "iterations.csv": "44299743565d3e987967efdaf1adb674c12f970b5e8985cf5f6a3c196605a604",
-    "iterations.dat": "473fecd7a0404d42b691856efd500d5f33d8fdf67ab6e7b330cd92e36efd0ebe",
+    "iterations.csv": "bb5915af69cf9a9a7e9bca275708281df16971f20bff499d9e56db80e9625f50",
+    "iterations.dat": "a559256de14c26f8dffe7146689389427399a0d36a5d6491161b63950ec588db",
     "selection.csv": "7a21423367692213cc45d5130651b76ffa01a9b164c0ecc84e7fd804dc3ee285",
     "model.vec": "c651296bf206596b3b7d7972fe9cc34acca11310d20042b63aec2e1770c1a5ef",
     "model.meta": "0125564196d39bfd41ea033f8c419643a62f78ca7d6664260d5be860534621eb",

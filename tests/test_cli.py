@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -54,6 +55,22 @@ class TestExitCodes:
                            "--candidates", cands)
         assert code == 2
         assert "k.csv row 1: non-finite fraction" in err
+
+    def test_non_numeric_measured_value_is_data_error(self, capsys, tmp_path):
+        base = planted_model(str(tmp_path / "m"))
+        cands = write(str(tmp_path / "k.csv"),
+                      "id,Ni,Pd,current_density\na,1,0,0.5\nb,0,1,abc\n")
+        code, out, err = run(capsys, "report", "--candidates", cands, "--model", base)
+        assert code == 2
+        assert out == ""
+        assert "k.csv row 2: current_density 'abc' is not a number" in err
+
+    def test_negative_fraction_is_data_error(self, capsys, tmp_path):
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,-0.5,1.5\n")
+        code, _, err = run(capsys, "screen", "--model", str(tmp_path / "m"),
+                           "--candidates", cands)
+        assert code == 2
+        assert "k.csv row 1: negative fraction -0.5 for Ag" in err
 
     def test_nonpositive_batch_size_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -225,6 +242,39 @@ class TestConfigPrecedence:
         assert code == 0
         assert "t=2 documents=30 " in out
         assert "no convergence within 2 iterations" in out
+
+
+class TestScreenTable:
+    def test_quoted_id_reads_back_as_one_field(self, capsys, tmp_path):
+        base = planted_model(str(tmp_path / "m"))
+        cands = write(str(tmp_path / "k.csv"), 'id,Ni,Pd\n"a,b",1,0\nplain,0.5,0.5\n')
+        table = str(tmp_path / "t.csv")
+        code, out, _ = run(capsys, "screen", "--model", base, "--candidates", cands,
+                           "--out", table)
+        assert code == 0
+        with open(table, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["id", "s_dielectric", "s_conductivity", "on_front"]
+        assert [r[0] for r in rows[1:]] == ["a,b", "plain"]
+        assert all(len(r) == 4 for r in rows)
+
+    def test_plain_rows_keep_their_bytes(self, capsys, tmp_path):
+        base = planted_model(str(tmp_path / "m"))
+        cands = write(str(tmp_path / "k.csv"),
+                      "id,Ni,Pd,Pt,Ru\nNi1,1,0,0,0\nPd1,0,1,0,0\nPt1,0,0,1,0\nRu1,0,0,0,1\n")
+        table = str(tmp_path / "t.csv")
+        code, out, _ = run(capsys, "screen", "--model", base, "--candidates", cands,
+                           "--preset", "orr", "--out", table)
+        assert code == 0
+        # unit element vectors give their own x and y back exactly
+        with open(table, "rb") as f:
+            assert f.read() == (b"id,s_dielectric,s_conductivity,on_front\n"
+                                b"Ni1,0.10000000000000001,0.5,1\n"
+                                b"Pd1,0.29999999999999999,0.59999999999999998,1\n"
+                                b"Pt1,0.59999999999999998,0.69999999999999996,1\n"
+                                b"Ru1,0.5,0.40000000000000002,0\n")
+        assert out.splitlines()[:3] == ["Entries (Ori): 4", "Entries (Front): 3",
+                                         "Ni1 0.100000 0.500000"]
 
 
 def planted_model(base):

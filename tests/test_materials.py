@@ -1,30 +1,33 @@
 import math
 import os
+import tempfile
 
 import mpmath
 import numpy as np
 import pytest
+from helpers import SCORE_BOUND, material_vector, reference_scores, similarity_point
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from litscreen.corpus import Vocabulary
+from litscreen.corpus import Vocabulary, load_corpus, preprocess_set
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
     WordModel,
-    cosine_similarity,
+    train_word2vec,
 )
 from litscreen.materials import (
+    CandidateTable,
     Composition,
     CompositionError,
     PropertyAnchors,
-    SimilarityPoint,
     centroid,
     enumerate_simplex,
     load_compositions,
-    material_vector,
     parse_composition,
-    similarity_point,
     similarity_points,
 )
+from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus, write_corpus_csv
 
 ELS = ("Ni", "Pd", "Pt", "Ru")
 
@@ -206,8 +209,7 @@ class TestSimilarityPoint:
 
 class TestCentroid:
     def make(self, pairs):
-        comp = Composition(elements=("Ni",), fractions=(1.0,))
-        return [SimilarityPoint(x, y, comp) for x, y in pairs]
+        return np.array(pairs, dtype=np.float64)
 
     def test_exact_componentwise_mean(self):
         pairs = [(0.1, 0.4), (0.3, 0.2)]
@@ -305,11 +307,313 @@ def test_similarity_points_batch():
         "dielectric": [1.0, 0.0],
         "conductivity": [0.0, 1.0],
     })
-    comps = [
-        Composition(elements=("Ni", "Pt"), fractions=(1.0, 0.0)),
-        Composition(elements=("Ni", "Pt"), fractions=(0.0, 1.0)),
-    ]
+    comps = CandidateTable(("Ni", "Pt"), ("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
     pts = similarity_points(model, comps)
-    assert pts[0].s_dielectric == pytest.approx(1.0)
-    assert pts[1].s_conductivity == pytest.approx(1.0)
-    assert pts[0].composition is comps[0]
+    assert pts.shape == (2, 2)
+    assert pts[0, 0] == pytest.approx(1.0)
+    assert pts[1, 1] == pytest.approx(1.0)
+
+
+def random_model(tokens, dim, seed):
+    rng = np.random.default_rng(seed)
+    return toy_model({t: rng.standard_normal(dim) for t in tokens})
+
+
+class TestCandidateTable:
+    ELEMENTS = ("Ni", "Pt")
+
+    def table(self):
+        return CandidateTable(self.ELEMENTS, ("a", "b"), np.array([[0.25, 0.75], [1.0, 0.0]]))
+
+    def test_rows_are_composition_views(self):
+        table = self.table()
+        assert len(table) == 2
+        assert table[1] == Composition(self.ELEMENTS, (1.0, 0.0), "b")
+        assert [c.id for c in table] == ["a", "b"]
+        assert table[0].fraction("Pt") == 0.75
+
+    def test_fractions_read_only_without_touching_the_caller_array(self):
+        source = np.array([[0.5, 0.5]])
+        table = CandidateTable(self.ELEMENTS, ("a",), source)
+        with pytest.raises(ValueError):
+            table.fractions[0, 0] = 1.0
+        source[0, 0] = 0.5  # the caller's array stays writable
+
+    @pytest.mark.parametrize("row", [[0.5, 0.6], [-0.5, 1.5], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_invalid_rows_rejected_naming_the_row(self, row):
+        with pytest.raises(CompositionError, match=r"candidate 'b' \(row 2\)"):
+            CandidateTable(self.ELEMENTS, ("a", "b"), np.array([[0.5, 0.5], row]))
+
+    def test_shape_and_element_checks(self):
+        with pytest.raises(CompositionError, match="shape"):
+            CandidateTable(self.ELEMENTS, ("a", "b"), np.array([[0.5, 0.5]]))
+        with pytest.raises(CompositionError, match="duplicate element"):
+            CandidateTable(("Ni", "Ni"), ("a",), np.array([[0.5, 0.5]]))
+
+    def test_present_lists_columns_with_a_positive_fraction(self):
+        table = CandidateTable(("Ni", "Pt", "Ru"), ("a", "b"), np.array([[1.0, 0, 0], [0, 0, 1.0]]))
+        assert table.present() == ("Ni", "Ru")
+
+
+class TestEnumerateSimplexTable:
+    @pytest.mark.parametrize("elements,steps", [
+        (("Ag", "Pt", "Ba", "Ti"), 5),
+        (("Ni", "Pt"), 300),  # part counts past 255 need a wider integer type
+        (("Ag", "Pt", "Ba"), 1),
+    ])
+    def test_matches_recursive_enumeration(self, elements, steps):
+        expected = []
+
+        def rec(prefix, remaining):
+            if len(prefix) == len(elements) - 1:
+                fracs = tuple(p / steps for p in prefix + [remaining])
+                label = "".join(f"{el}{f:g}" for el, f in zip(elements, fracs) if f > 0)
+                expected.append((label, fracs))
+                return
+            for p in range(remaining + 1):
+                rec(prefix + [p], remaining - p)
+
+        rec([], steps)
+        table = enumerate_simplex(elements, steps)
+        assert list(table.ids) == [label for label, _ in expected]
+        assert [tuple(r) for r in table.fractions.tolist()] == [f for _, f in expected]
+
+    def test_single_element(self):
+        table = enumerate_simplex(("Pt",), 3)
+        assert table.ids == ("Pt1",)
+        assert table.fractions.tolist() == [[1.0]]
+
+
+class TestBulkScoresMatchPerCandidateOracle:
+    """The bulk scores stay within SCORE_BOUND of the per-candidate path."""
+
+    def drift(self, model, table, anchors=None):
+        bulk = similarity_points(model, table, anchors)
+        oracle = reference_scores(model, table, anchors)
+        assert bulk.shape == oracle.shape == (len(table), 2)
+        return float(np.max(np.abs(bulk - oracle)))
+
+    def test_planted_grid_on_a_trained_model(self, tmp_path):
+        path = str(tmp_path / "corpus.csv")
+        write_corpus_csv(synthetic_corpus(SynthSpec(n_docs=120, rare_docs=6, seed=3)), path)
+        docs = preprocess_set(load_corpus(path, id_column="id"))
+        model = train_word2vec(docs.token_lists(), EmbeddingConfig(dim=24, epochs=2, seed=1))
+        table = synthetic_candidates()
+        assert len(table) == 35
+        assert self.drift(model, table) <= SCORE_BOUND
+
+    def test_six_element_grid_on_a_seeded_random_model(self):
+        elements = ("Ag", "Pt", "Ba", "Ti", "Ni", "Pd")
+        model = random_model(("dielectric", "conductivity") + elements, 200, seed=3)
+        table = enumerate_simplex(elements, 12)
+        assert len(table) == 6188
+        assert self.drift(model, table) <= SCORE_BOUND
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_fractions_and_anchors(self, seed):
+        rng = np.random.default_rng(seed)
+        elements = ("Ni", "Pd", "Pt", "Ru", "Ir")
+        model = random_model(("hardness", "toughness") + elements, int(rng.integers(2, 64)), seed)
+        raw = rng.dirichlet(np.ones(len(elements)), size=300)
+        raw[rng.random(raw.shape) < 0.3] = 0.0
+        raw[raw.sum(axis=1) == 0, 0] = 1.0
+        table = CandidateTable(elements, tuple(map(str, range(300))),
+                               raw / raw.sum(axis=1, keepdims=True))
+        anchors = PropertyAnchors(terms=("hardness", "toughness"))
+        assert self.drift(model, table, anchors) <= SCORE_BOUND
+
+
+class TestBulkScoring:
+    def test_all_zero_column_needs_no_vector(self):
+        model = toy_model({"Ni": [1.0, 0.0], "dielectric": [1.0, 1.0], "conductivity": [0.0, 1.0]})
+        table = CandidateTable(("Ni", "Missing"), ("a",), np.array([[1.0, 0.0]]))
+        assert similarity_points(model, table).tolist() == [[pytest.approx(2 ** -0.5), 0.0]]
+
+    def test_positive_column_without_vector_raises(self):
+        model = toy_model({"Ni": [1.0, 0.0], "dielectric": [1.0, 1.0], "conductivity": [0.0, 1.0]})
+        table = CandidateTable(("Ni", "Pt"), ("a", "b"), np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(OutOfVocabularyError, match="Pt"):
+            similarity_points(model, table)
+
+    def test_missing_anchor_raises(self):
+        model = toy_model({"Ni": [1.0, 0.0], "dielectric": [1.0, 1.0]})
+        table = CandidateTable(("Ni",), ("a",), np.array([[1.0]]))
+        with pytest.raises(OutOfVocabularyError, match="conductivity"):
+            similarity_points(model, table)
+
+    def test_zero_norm_material_vector_raises_naming_the_candidate(self):
+        model = toy_model({"Ni": [1.0, 0.0], "Pt": [-1.0, 0.0],
+                           "dielectric": [1.0, 1.0], "conductivity": [0.0, 1.0]})
+        table = CandidateTable(("Ni", "Pt"), ("a", "b"), np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="'b' has a zero-norm material vector"):
+            similarity_points(model, table)
+
+    def test_zero_norm_anchor_raises(self):
+        model = toy_model({"Ni": [1.0, 0.0], "dielectric": [0.0, 0.0], "conductivity": [0.0, 1.0]})
+        table = CandidateTable(("Ni",), ("a",), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="zero-norm anchor"):
+            similarity_points(model, table)
+
+    def test_empty_table_scores_to_empty_array(self):
+        model = toy_model({"Ni": [1.0, 0.0]})
+        table = CandidateTable(("Ni",), (), np.zeros((0, 1)))
+        assert similarity_points(model, table).shape == (0, 2)
+
+    def test_rows_past_one_block_score_like_the_first(self):
+        # at dim 2048 a 256 KB block holds 16 rows; 40 copies span three blocks
+        model = random_model(("Ni", "Pt", "dielectric", "conductivity"), 2048, seed=8)
+        table = CandidateTable(("Ni", "Pt"), tuple(map(str, range(40))),
+                               np.tile([[0.25, 0.75]], (40, 1)))
+        scores = similarity_points(model, table)
+        assert (scores == scores[0]).all()
+
+
+class TestCentroidInput:
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            centroid(np.zeros((3, 3)))
+
+
+class TestLoadCompositionsInputHoles:
+    def write(self, tmp_path, text):
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        return path
+
+    def test_non_numeric_measured_value_names_file_and_row(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt,current_density\na,0.5,0.5,1.5\nb,1,0,abc\n")
+        with pytest.raises(CompositionError,
+                           match=r"cands\.csv row 2: current_density 'abc' is not a number"):
+            load_compositions(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_measured_value_rejected(self, tmp_path, bad):
+        path = self.write(tmp_path, f"id,Ni,Pt,current_density\na,0.5,0.5,{bad}\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv row 1: non-finite current_density"):
+            load_compositions(path)
+
+    def test_non_numeric_potential_names_file_and_row(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt,potential\na,0.5,0.5,high\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv row 1: potential 'high'"):
+            load_compositions(path)
+
+    def test_negative_fraction_names_file_and_row(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt\na,0.5,0.5\nb,-0.5,1.5\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv row 2: negative fraction -0.5 for Ni"):
+            load_compositions(path)
+
+    @pytest.mark.parametrize("row,width", [("b,1", 2), ("b,1,0,", 4)])
+    def test_ragged_row_rejected(self, tmp_path, row, width):
+        path = self.write(tmp_path, f"id,Ni,Pt\na,0.5,0.5\n{row}\n")
+        with pytest.raises(CompositionError,
+                           match=rf"cands\.csv row 2: {width} fields, the header has 3"):
+            load_compositions(path)
+
+    @pytest.mark.parametrize("cells,fault", [
+        ("inf,-inf", "non-finite fraction inf for Ni"),
+        ("1e308,1e308", "fractions sum to nan"),
+        ("0.5,nan", "non-finite fraction nan for Pt"),
+    ])
+    def test_values_fsum_cannot_add(self, tmp_path, cells, fault):
+        path = self.write(tmp_path, f"id,Ni,Pt\na,{cells}\n")
+        with pytest.raises(CompositionError, match=rf"cands\.csv row 1: {fault}"):
+            load_compositions(path)
+
+    def test_duplicate_id_names_the_row(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt\na,0.5,0.5\nb,1,0\na,0,1\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv row 3: duplicate composition id 'a'"):
+            load_compositions(path)
+
+    def test_blank_lines_skipped_and_rows_renormalized(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt\n\na,0.3333333,0.6666664\n\nb,,1\n")
+        table, _, _ = load_compositions(path)
+        assert table.ids == ("a", "b")
+        total = 0.3333333 + 0.6666664
+        assert table.fractions.tolist() == [[0.3333333 / total, 0.6666664 / total], [0.0, 1.0]]
+
+    def test_byte_order_mark_is_not_part_of_the_id_header(self, tmp_path):
+        path = self.write(tmp_path, "\ufeffid,Ni,Pt\nalpha,0.5,0.5\n")
+        table, _, _ = load_compositions(path)
+        assert table.ids == ("alpha",)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = self.write(tmp_path, "id,Ni,Pt\n\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv: no candidate rows"):
+            load_compositions(path)
+
+    def test_quoted_id_with_comma_is_one_field(self, tmp_path):
+        path = self.write(tmp_path, 'id,Ni,Pt\n"a,b",0.5,0.5\n')
+        table, _, _ = load_compositions(path)
+        assert table.ids == ("a,b",)
+
+    def test_csv_syntax_error_names_file(self, tmp_path):
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("id,Ni,Pt\na," + "1" * 200_000 + ",0\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv line 2: field larger"):
+            load_compositions(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "wb") as f:
+            f.write(b"id,Ni,Pt\n\xff,0.5,0.5\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv: not UTF-8"):
+            load_compositions(path)
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["", "0", "1", "0.5", "0.25", "0.75", "1.0000001"] * 3 + [
+        "-0.5", "-0", "1e400", "1e308", "nan", "inf", "abc", " ", "1_0", "0x1p-1", '"a,b"']),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet='id,NiPt.0123456789e-+"\r\n x', max_size=8),
+)
+
+
+_GOOD_CELLS = {
+    "id": ["a", "b", "c", "", '"a,b"'],
+    "Ni": ["0.5", "1", "0", "0.25", "", "0.3333333"],
+    "Pt": ["0.5", "0", "1", "0.75", "1", "0.6666664"],
+    "current_density": ["", "1.5", "-2", "nan", "abc"],
+    "potential": ["", "850", "850", "900"],
+}
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly well-formed composition CSVs, with bad cells, widths and bytes mixed in."""
+    header = draw(st.sampled_from([
+        ["id", "Ni", "Pt", "current_density", "potential"], ["id", "Ni", "Pt"], ["Ni", "Pt"],
+        ["id", "Ni", "Pt", "current_density"], ["Ni", "Ni"], ["notes"],
+    ]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 2)):  # a plausible row: one fraction pair shares an index
+            pair = draw(st.integers(0, 5))
+            cells = [_GOOD_CELLS[h][pair] if h in ("Ni", "Pt")
+                     else draw(st.sampled_from(_GOOD_CELLS.get(h, ["x"]))) for h in header]
+        else:
+            width = len(header) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+            cells = [draw(_CSV_CELLS) for _ in range(width)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"])) + draw(
+        st.sampled_from(["", "", "", "x", "\x00", '"open']))
+
+
+class TestLoadCompositionsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_csv_texts())
+    def test_only_composition_error_escapes(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.csv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            try:
+                table, measured, potential = load_compositions(path)
+            except CompositionError:
+                return
+        assert len(table) and len(set(table.ids)) == len(table)
+        assert np.isfinite(table.fractions).all() and (table.fractions >= 0).all()
+        assert np.allclose(table.fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert all(np.isfinite(v) for v in measured.values())
+        assert potential is None or np.isfinite(potential)

@@ -6,7 +6,7 @@ import pytest
 from litscreen.corpus import Document, DocumentSet
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
-    Composition,
+    CandidateTable,
     PropertyAnchors,
     centroid,
     similarity_points,
@@ -44,12 +44,8 @@ def corpus_with_rare_element(n_common=10):
 
 
 def candidates_ag_ti():
-    els = ("Ag", "Ti")
-    return [
-        Composition(elements=els, fractions=(1.0, 0.0), id="Ag1"),
-        Composition(elements=els, fractions=(0.5, 0.5), id="Ag0.5Ti0.5"),
-        Composition(elements=els, fractions=(0.0, 1.0), id="Ti1"),
-    ]
+    return CandidateTable(("Ag", "Ti"), ("Ag1", "Ag0.5Ti0.5", "Ti1"),
+                          np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
 
 
 class TestRefineConfig:
@@ -185,8 +181,8 @@ class TestRunRefinement:
         points = similarity_points(
             result.final_model, candidates_ag_ti(), PropertyAnchors()
         )
-        assert len(points) == 3
-        assert all(-1.0 <= p.s_dielectric <= 1.0 for p in points)
+        assert points.shape == (3, 2)
+        assert ((-1.0 <= points) & (points <= 1.0)).all()
 
 
 def test_vocabulary_complete():

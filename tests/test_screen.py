@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from helpers import reference_pareto_front
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litscreen.materials import Composition, SimilarityPoint
 from litscreen.screen import (
@@ -13,14 +16,14 @@ COMP = Composition(elements=("Ni",), fractions=(1.0,))
 
 
 def pts(pairs):
-    return [SimilarityPoint(x, y, COMP) for x, y in pairs]
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
 
 
 def pareto_bruteforce(points, obj):
     """Quadratic dominance scan, written independently of the sweep."""
     sx = 1.0 if obj.s_dielectric == "max" else -1.0
     sy = 1.0 if obj.s_conductivity == "max" else -1.0
-    X = np.array([[sx * p.s_dielectric, sy * p.s_conductivity] for p in points])
+    X = np.asarray(points) * [sx, sy]
     keep = []
     for i in range(len(X)):
         ge = (X[:, 0] >= X[i, 0]) & (X[:, 1] >= X[i, 1])
@@ -123,11 +126,49 @@ class TestParetoFront:
         with pytest.raises(ValueError):
             pareto_front([], Objectives.preset("orr"))
 
+    def test_bad_shape_and_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            pareto_front(np.zeros((4, 3)), Objectives.preset("orr"))
+        with pytest.raises(ValueError, match="NaN"):
+            pareto_front(pts([(0.1, 0.2), (np.nan, 0.3)]), Objectives.preset("orr"))
+
+    def test_signed_zeros_share_an_x_group(self):
+        obj = Objectives.preset("orr")
+        points = pts([(0.0, 0.5), (-0.0, 0.5), (-0.0, 0.25), (0.5, -0.0), (0.5, 0.0)])
+        assert pareto_front(points, obj) == [0, 1] == pareto_bruteforce(points, obj)
+
+    def test_front_of_single_point(self):
+        assert pareto_front(pts([(0.3, 0.4)]), Objectives.preset("oer")) == [0]
+
     def test_oer_reverses_orr_on_antisymmetric_data(self):
         # strictly decreasing curve: ORR keeps everything, and so does OER
         points = pts([(0.1, 0.2), (0.2, 0.4), (0.3, 0.6)])
         assert pareto_front(points, Objectives.preset("orr")) == [0, 1, 2]
         assert pareto_front(points, Objectives.preset("oer")) == [0, 1, 2]
+
+
+_COORD = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+_DIRECTIONS = st.tuples(st.sampled_from(["min", "max"]), st.sampled_from(["min", "max"]))
+
+
+def dominates_scan(points, obj):
+    """Indices no other point dominates, by ``dominates`` on every pair."""
+    sp = [SimilarityPoint(x, y, None) for x, y in points.tolist()]
+    return [i for i, p in enumerate(sp) if not any(dominates(q, p, obj) for q in sp)]
+
+
+class TestParetoFrontProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30), _DIRECTIONS)
+    def test_matches_quadratic_dominates_scan(self, pairs, directions):
+        obj = Objectives(*directions)
+        points = pts(pairs)
+        front = pareto_front(points, obj)
+        assert front == dominates_scan(points, obj)
+        assert front == reference_pareto_front(points, obj)
 
 
 class TestFormatSummary:
