@@ -35,7 +35,6 @@ from .materials import (
     centroid,
     enumerate_simplex,
     load_compositions,
-    parse_composition,
     similarity_points,
 )
 from .refine import (

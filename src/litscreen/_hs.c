@@ -26,24 +26,30 @@ static double softplus_neg(double sz)
    row rows[i] of centers (row-major, dim columns) against every target
    in targets[offsets[i] .. offsets[i+1]). Target t's root-to-leaf path is
    path_nodes[path_off[t] .. path_off[t+1]) with the matching +/-1 codes
-   in path_signs. Per (center, target) pair this does what
-   embedding.hs_step does: every score and gradient is taken at the
-   incoming values, the node rows move from the old center, then the
-   center moves. The learning rate decays linearly per item, where
-   processed counts the items trained before this block:
+   in path_signs. Per (center, target) pair every score and gradient is
+   taken at the incoming values, the node rows move from the old center,
+   then the center moves. The learning rate decays linearly per item,
+   where processed counts the items trained before this block:
    max(alpha_min, alpha0 - span * (processed / total)).
+
+   The results are fixed to the bit, not just to rounding: each score is
+   one node's dot product summed in k order. Four nodes are scored in one
+   pass, but the interleave runs across nodes only, never within one sum,
+   so the adds of four chains overlap while each chain keeps its order.
+   This holds only without FMA contraction (-ffp-contract=off) and without
+   reassociation (no -ffast-math).
 
    work must hold (longest path + dim) doubles. Each pair's pre-update
    loss is added to *loss in pair order. Returns the pair count, or -1 on
    the first non-finite score, with the pairs before it already applied. */
-int64_t hs_train(double *centers, double *nodes, int64_t dim,
+int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                  const int64_t *rows, const int64_t *offsets,
                  const int64_t *targets, int64_t n_items,
                  const int64_t *path_off, const int64_t *path_nodes,
                  const double *path_signs,
                  double alpha0, double alpha_min, double span,
                  int64_t processed, int64_t total,
-                 double *work, double *loss)
+                 double *restrict work, double *loss)
 {
     double total_loss = *loss;
     int64_t pairs = 0;
@@ -52,39 +58,67 @@ int64_t hs_train(double *centers, double *nodes, int64_t dim,
         double alpha = alpha0 - span * ((double)processed / (double)total);
         if (!(alpha > alpha_min))
             alpha = alpha_min;
-        double *c = centers + rows[i] * dim;
+        double *restrict c = centers + rows[i] * dim;
 
         for (int64_t p = offsets[i]; p < offsets[i + 1]; p++) {
             const int64_t first = path_off[targets[p]];
             const int64_t len = path_off[targets[p] + 1] - first;
             const int64_t *path = path_nodes + first;
             const double *signs = path_signs + first;
-            double *g = work, *neu1e = work + len;
-            double pair_loss = 0.0;
+            double *restrict z = work, *restrict neu1e = work + len;
+            int64_t j = 0;
 
-            for (int64_t j = 0; j < len; j++) {
-                const double *nd = nodes + path[j] * dim;
-                double z = 0.0;
-                for (int64_t k = 0; k < dim; k++)
-                    z += nd[k] * c[k];
-                if (!isfinite(z))
-                    return -1;
-                double sz = signs[j] * z;
-                double clipped = sz < -60.0 ? -60.0 : (sz > 60.0 ? 60.0 : sz);
-                pair_loss += softplus_neg(sz);
-                g[j] = signs[j] * (1.0 - 1.0 / (1.0 + exp(-clipped)));
+            for (; j + 4 <= len; j += 4) {
+                const double *n0 = nodes + path[j] * dim;
+                const double *n1 = nodes + path[j + 1] * dim;
+                const double *n2 = nodes + path[j + 2] * dim;
+                const double *n3 = nodes + path[j + 3] * dim;
+                double z0 = 0.0, z1 = 0.0, z2 = 0.0, z3 = 0.0;
+                for (int64_t k = 0; k < dim; k++) {
+                    z0 += n0[k] * c[k];
+                    z1 += n1[k] * c[k];
+                    z2 += n2[k] * c[k];
+                    z3 += n3[k] * c[k];
+                }
+                z[j] = z0;
+                z[j + 1] = z1;
+                z[j + 2] = z2;
+                z[j + 3] = z3;
             }
+            for (; j < len; j++) {
+                const double *nd = nodes + path[j] * dim;
+                double zj = 0.0;
+                for (int64_t k = 0; k < dim; k++)
+                    zj += nd[k] * c[k];
+                z[j] = zj;
+            }
+
+            /* z[j] becomes node j's gradient; exp(-clipped) serves both it
+               and the loss log1p(exp(-sz)), which is softplus_neg(sz)
+               exactly for 0 < sz <= 60 and within rounding for -60 <= sz < 0 */
+            double pair_loss = 0.0;
+            for (j = 0; j < len; j++) {
+                if (!isfinite(z[j]))
+                    return -1;
+                double sz = signs[j] * z[j];
+                double clipped = sz < -60.0 ? -60.0 : (sz > 60.0 ? 60.0 : sz);
+                double e = exp(-clipped);
+                pair_loss += (sz == clipped && sz != 0.0) ? log1p(e) : softplus_neg(sz);
+                z[j] = signs[j] * (1.0 - 1.0 / (1.0 + e));
+            }
+
+            /* neu1e gathers the center's gradient from each node row
+               before that row moves */
             for (int64_t k = 0; k < dim; k++)
                 neu1e[k] = 0.0;
-            for (int64_t j = 0; j < len; j++) {
-                const double *nd = nodes + path[j] * dim;
-                for (int64_t k = 0; k < dim; k++)
-                    neu1e[k] += g[j] * nd[k];
-            }
-            for (int64_t j = 0; j < len; j++) {
-                double *nd = nodes + path[j] * dim;
-                for (int64_t k = 0; k < dim; k++)
-                    nd[k] += alpha * (g[j] * c[k]);
+            for (j = 0; j < len; j++) {
+                double *restrict nd = nodes + path[j] * dim;
+                const double g = z[j];
+                for (int64_t k = 0; k < dim; k++) {
+                    const double old = nd[k];
+                    neu1e[k] += g * old;
+                    nd[k] = old + alpha * (g * c[k]);
+                }
             }
             for (int64_t k = 0; k < dim; k++)
                 c[k] += alpha * neu1e[k];

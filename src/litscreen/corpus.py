@@ -131,8 +131,8 @@ def load_corpus(
     recorded as malformed (or raised when ``strict``) and reading goes on.
     Default ids are 1-based data-row numbers.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+    try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise CorpusError(f"corpus file not found: {path}") from None
     with handle:

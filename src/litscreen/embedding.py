@@ -5,9 +5,9 @@ root-to-leaf path through a Huffman tree built from vocabulary counts:
 skip-gram feeds it (token, window context) items and PV-DBOW (document,
 token) items. The per-pair step runs in the compiled kernel library
 (``_hs.c``, built and loaded by :mod:`litscreen.kernel` the first time a
-trainer runs); :func:`hs_step` is the same step in numpy and
-serves as the reference the kernel is tested against. Training is
-sequential and bit-reproducible for a fixed seed and compiler.
+trainer runs). The same step in numpy, ``hs_step``, lives in the tests
+as the reference the kernel is checked against. Training is sequential
+and bit-reproducible for a fixed seed and compiler.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ __all__ = [
     "DocModel",
     "OutOfVocabularyError",
     "build_huffman",
-    "hs_step",
     "train_word2vec",
     "train_doc2vec",
     "vector_of",
@@ -176,39 +175,6 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
     return HuffmanCoding(signs=signs, paths=paths, n_nodes=V - 1)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
-
-
-def hs_step(
-    center: np.ndarray,
-    node_rows: np.ndarray,
-    signs: np.ndarray,
-    alpha: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One SGD step of the hierarchical-softmax objective for one prediction.
-
-    loss = -sum_i log sigmoid(signs[i] * <center, node_rows[i]>)
-
-    Both gradients are evaluated at the incoming values; returns
-    (pre-update loss, updated center, updated node rows).
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    # ndarray methods and bare ufuncs rather than np.all/np.sum/np.clip/
-    # np.outer: the same arithmetic with less per-call overhead, since the
-    # tests call this once per training pair as the kernel's reference
-    z = node_rows @ center
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite input to hs_step")
-    sz = signs * z
-    loss = float(np.logaddexp(0.0, -sz).sum())
-    g = signs * (1.0 - _sigmoid(sz))  # (L,)
-    new_center = center + alpha * (g @ node_rows)
-    new_rows = node_rows + alpha * (g[:, None] * center)
-    return loss, new_center, new_rows
-
-
 def _init_matrix(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     return (rng.random((rows, dim)) - 0.5) / dim
 
@@ -240,8 +206,10 @@ def _train_hs(
     position, in consecutive CSR blocks ``(rows, offsets, targets)``: item
     i of a block is ``rows[i]`` with targets
     ``targets[offsets[i]:offsets[i+1]]``. The compiled kernel trains each
-    block; per pair it computes what :func:`hs_step` does, and the learning
-    rate decays linearly per item across all epochs. Node vectors start at
+    block: per pair, one SGD step of the hierarchical-softmax loss
+    ``-sum log sigmoid(sign * <center, node>)`` over the target's path,
+    with both gradients taken at the incoming values. The learning rate
+    decays linearly per item across all epochs. Node vectors start at
     zero. Returns (node matrix, per-epoch mean loss, pairs trained).
     """
     hs_train = library().hs_train
@@ -277,7 +245,7 @@ def _train_hs(
                 processed, total, work, epoch_loss,
             )
             if block_pairs < 0:
-                raise ValueError("non-finite input to hs_step")
+                raise ValueError("non-finite score while training")
             processed += n_items
             epoch_pairs += block_pairs
         pairs += epoch_pairs

@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["FLAGS", "Kernel", "library_path", "build", "library"]
 
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class Kernel(NamedTuple):

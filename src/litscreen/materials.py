@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -29,7 +28,6 @@ __all__ = [
     "CandidateTable",
     "SimilarityPoint",
     "PropertyAnchors",
-    "parse_composition",
     "enumerate_simplex",
     "similarity_points",
     "centroid",
@@ -164,42 +162,6 @@ class SimilarityPoint:
 
     def coords(self) -> tuple[float, float]:
         return (self.s_dielectric, self.s_conductivity)
-
-
-_PART_RE = re.compile(r"([A-Z][a-z]?)((?:\d+\.?\d*|\.\d+)?)")
-
-
-def parse_composition(spec: str, elements, comp_id: str = "") -> Composition:
-    """Parse strings like ``Ag0.2Pd0.8`` against a declared element set.
-
-    An omitted fraction means 1.0 (``Pt`` == ``Pt1.0``). Elements declared
-    but absent get fraction 0. Fraction sums within 1e-6 of 1 are
-    renormalized; anything further off is an error.
-    """
-    elements = tuple(elements)
-    declared = set(elements)
-    found: dict[str, float] = {}
-    pos = 0
-    spec = spec.strip()
-    while pos < len(spec):
-        m = _PART_RE.match(spec, pos)
-        if not m:
-            raise CompositionError(f"cannot parse {spec!r} at position {pos}")
-        symbol, number = m.group(1), m.group(2)
-        if symbol not in declared:
-            raise CompositionError(f"unknown element {symbol!r} in {spec!r}")
-        if symbol in found:
-            raise CompositionError(f"element {symbol!r} repeated in {spec!r}")
-        found[symbol] = float(number) if number else 1.0
-        pos = m.end()
-
-    if not found:
-        raise CompositionError(f"no element terms in {spec!r}")
-    total = math.fsum(found.values())
-    if abs(total - 1.0) > PARSE_TOLERANCE:
-        raise CompositionError(f"fractions in {spec!r} sum to {total}, expected 1")
-    fractions = tuple(found.get(el, 0.0) / total for el in elements)
-    return Composition(elements=elements, fractions=fractions, id=comp_id or spec)
 
 
 def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> CandidateTable:

@@ -41,7 +41,6 @@ __all__ = [
     "save_iteration_log",
     "save_iteration_table",
     "write_manifest",
-    "read_manifest",
     "file_digest",
     "atomic_write",
     "read_kv",
@@ -387,10 +386,3 @@ def write_manifest(pairs: dict[str, str], path: str):
     ordered = {"format": MANIFEST_FORMAT}
     ordered.update(pairs)
     _write_kv(path, ordered)
-
-
-def read_manifest(path: str) -> dict[str, str]:
-    pairs = read_kv(path, "manifest")
-    if pairs.get("format") != MANIFEST_FORMAT:
-        raise PersistenceError(f"{path}: not a {MANIFEST_FORMAT} file")
-    return pairs

@@ -23,7 +23,6 @@ __all__ = [
     "IterationRecord",
     "RefinementResult",
     "RefinementError",
-    "vocabulary_complete",
     "centroid_displacement",
     "run_refinement",
 ]
@@ -69,11 +68,6 @@ class RefinementResult:
     converged: bool
     final_model: WordModel
     selection_order: SelectionOrder
-
-
-def vocabulary_complete(model: WordModel, required) -> bool:
-    """True iff every required token has a vector."""
-    return all(t in model.vocab for t in required)
 
 
 def centroid_displacement(prev, curr) -> float:

@@ -5,14 +5,26 @@ path the bulk ``similarity_points`` replaced: one Composition at a time,
 summing element vectors in declared order and calling
 ``cosine_similarity`` per anchor. They are the oracle for the bulk path,
 which must stay within ``SCORE_BOUND`` of them. ``reference_pareto_front``
-is the dict-grouped sweep the lexsort sweep replaced.
+is the dict-grouped sweep the lexsort sweep replaced. ``hs_step`` is one
+hierarchical-softmax SGD step in numpy, the reference for the compiled
+trainer kernel. ``parse_composition`` and ``read_manifest`` read formula
+strings and run manifests, which only the tests need.
 """
 import csv
+import math
+import re
 
 import numpy as np
 
 from litscreen.embedding import cosine_similarity, vector_of
-from litscreen.materials import CompositionError, PropertyAnchors, SimilarityPoint
+from litscreen.materials import (
+    PARSE_TOLERANCE,
+    Composition,
+    CompositionError,
+    PropertyAnchors,
+    SimilarityPoint,
+)
+from litscreen.persistence import MANIFEST_FORMAT, PersistenceError, read_kv
 
 # Largest |bulk - per-candidate| score difference the bulk path may show.
 SCORE_BOUND = 1e-12
@@ -76,3 +88,75 @@ def read_selection(path):
     ids = [r[1] for r in rows[1:]]
     distances = [float("nan") if r[2] == "" else float(r[2]) for r in rows[1:]]
     return ids, distances
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+
+
+def hs_step(center, node_rows, signs, alpha):
+    """One SGD step of the hierarchical-softmax objective for one prediction.
+
+    loss = -sum_i log sigmoid(signs[i] * <center, node_rows[i]>)
+
+    Both gradients are evaluated at the incoming values; returns
+    (pre-update loss, updated center, updated node rows).
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    # ndarray methods and bare ufuncs rather than np.all/np.sum/np.clip/
+    # np.outer: the same arithmetic with less per-call overhead, since the
+    # tests call this once per training pair as the kernel's reference
+    z = node_rows @ center
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite input to hs_step")
+    sz = signs * z
+    loss = float(np.logaddexp(0.0, -sz).sum())
+    g = signs * (1.0 - _sigmoid(sz))  # (L,)
+    new_center = center + alpha * (g @ node_rows)
+    new_rows = node_rows + alpha * (g[:, None] * center)
+    return loss, new_center, new_rows
+
+
+_PART_RE = re.compile(r"([A-Z][a-z]?)((?:\d+\.?\d*|\.\d+)?)")
+
+
+def parse_composition(spec, elements, comp_id=""):
+    """Parse strings like ``Ag0.2Pd0.8`` against a declared element set.
+
+    An omitted fraction means 1.0 (``Pt`` == ``Pt1.0``). Elements declared
+    but absent get fraction 0. Fraction sums within 1e-6 of 1 are
+    renormalized; anything further off is an error.
+    """
+    elements = tuple(elements)
+    declared = set(elements)
+    found: dict[str, float] = {}
+    pos = 0
+    spec = spec.strip()
+    while pos < len(spec):
+        m = _PART_RE.match(spec, pos)
+        if not m:
+            raise CompositionError(f"cannot parse {spec!r} at position {pos}")
+        symbol, number = m.group(1), m.group(2)
+        if symbol not in declared:
+            raise CompositionError(f"unknown element {symbol!r} in {spec!r}")
+        if symbol in found:
+            raise CompositionError(f"element {symbol!r} repeated in {spec!r}")
+        found[symbol] = float(number) if number else 1.0
+        pos = m.end()
+
+    if not found:
+        raise CompositionError(f"no element terms in {spec!r}")
+    total = math.fsum(found.values())
+    if abs(total - 1.0) > PARSE_TOLERANCE:
+        raise CompositionError(f"fractions in {spec!r} sum to {total}, expected 1")
+    fractions = tuple(found.get(el, 0.0) / total for el in elements)
+    return Composition(elements=elements, fractions=fractions, id=comp_id or spec)
+
+
+def read_manifest(path):
+    """The ``key = value`` pairs of a run's manifest, format line included."""
+    pairs = read_kv(path, "manifest")
+    if pairs.get("format") != MANIFEST_FORMAT:
+        raise PersistenceError(f"{path}: not a {MANIFEST_FORMAT} file")
+    return pairs

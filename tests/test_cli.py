@@ -2,11 +2,12 @@ import csv
 import os
 
 import numpy as np
+from helpers import read_manifest
 
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import EmbeddingConfig, WordModel
-from litscreen.persistence import load_model, read_manifest, save_model
+from litscreen.persistence import load_model, save_model
 
 
 def run(capsys, *argv):

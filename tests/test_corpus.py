@@ -38,6 +38,14 @@ class TestLoadCorpus:
         docs = load_corpus(path, id_column="id")
         assert docs.ids() == ["a1", "a2"]
 
+    def test_byte_order_mark_not_part_of_first_column(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = write_csv(str(tmp_path), "\ufeffid,abstract\na1,x\na2,y\n")
+        assert load_corpus(path, id_column="id").ids() == ["a1", "a2"]
+        path = write_csv(str(tmp_path), "\ufeffabstract,id\nfirst doc,a1\n", name="d.csv")
+        docs = load_corpus(path)
+        assert [d.text for d in docs] == ["first doc"]
+
     def test_missing_text_column(self, tmp_path):
         path = write_csv(str(tmp_path), "title\nfoo\n")
         with pytest.raises(CorpusError):

@@ -5,6 +5,7 @@ import subprocess
 
 import numpy as np
 import pytest
+from helpers import hs_step
 
 from litscreen import embedding, kernel
 from litscreen.corpus import build_vocabulary, preprocess
@@ -13,7 +14,6 @@ from litscreen.embedding import (
     OutOfVocabularyError,
     build_huffman,
     cosine_similarity,
-    hs_step,
     train_doc2vec,
     train_word2vec,
     vector_of,
@@ -388,6 +388,102 @@ class TestKernelMatchesReference:
         with pytest.raises(RuntimeError, match="error"):
             kernel.build(b"int broken(void) { return }\n", str(tmp_path))
         assert os.listdir(tmp_path) == []
+
+
+def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes, path_signs,
+                    alpha0, alpha_min, span, processed, total, total_loss):
+    """Scalar replica of the kernel's ``hs_train`` on nested lists, updated
+    in place: each score one sequential sum in k order, ``math.exp`` and
+    ``math.log1p``, and the gradient gathered before the node rows move.
+    Returns (total_loss plus each pair's pre-update loss, pairs)."""
+    def softplus_neg(sz):
+        if sz == 0.0:
+            return math.log(2.0)
+        if sz > 0.0:
+            return math.log1p(math.exp(-sz))
+        return -sz + math.log1p(math.exp(sz))
+
+    pairs = 0
+    for i, row in enumerate(rows):
+        alpha = alpha0 - span * ((processed + i) / total)
+        if not alpha > alpha_min:
+            alpha = alpha_min
+        c = centers[row]
+        for t in targets[offsets[i]:offsets[i + 1]]:
+            path = path_nodes[path_off[t]:path_off[t + 1]]
+            signs = path_signs[path_off[t]:path_off[t + 1]]
+            g = []
+            pair_loss = 0.0
+            for node, sign in zip(path, signs):
+                z = 0.0
+                for k in range(len(c)):
+                    z += nodes[node][k] * c[k]
+                sz = sign * z
+                clipped = -60.0 if sz < -60.0 else (60.0 if sz > 60.0 else sz)
+                e = math.exp(-clipped)
+                pair_loss += math.log1p(e) if sz == clipped and sz != 0.0 else softplus_neg(sz)
+                g.append(sign * (1.0 - 1.0 / (1.0 + e)))
+            neu1e = [0.0] * len(c)
+            for node, gj in zip(path, g):
+                for k in range(len(c)):
+                    neu1e[k] += gj * nodes[node][k]
+            for node, gj in zip(path, g):
+                for k in range(len(c)):
+                    nodes[node][k] += alpha * (gj * c[k])
+            for k in range(len(c)):
+                c[k] += alpha * neu1e[k]
+            total_loss += pair_loss
+            pairs += 1
+    return total_loss, pairs
+
+
+class TestKernelMatchesScalarReplica:
+    """The kernel's results are fixed to the bit, so they must equal the
+    scalar replica's exactly, not to a tolerance."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_bit_identical(self, dim):
+        rng = np.random.default_rng(dim)
+        n_nodes, n_rows = 12, 5
+        # paths of 1..9 nodes (every leftover count of a four-node pass),
+        # all through node 0, as every Huffman path goes through the root
+        paths = [np.concatenate([[0], rng.permutation(np.arange(1, n_nodes))[:n - 1]])
+                 for n in range(1, 10)]
+        path_off = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in paths], out=path_off[1:])
+        path_nodes = np.concatenate(paths).astype(np.int64)
+        path_signs = rng.choice([-1.0, 1.0], size=len(path_nodes))
+        centers = rng.normal(size=(n_rows, dim))
+        centers[0] *= 40.0  # scores beyond the +/-60 clip
+        nodes = rng.normal(size=(n_nodes, dim))
+        nodes[n_nodes // 2:] = 0.0  # zero scores, as untrained nodes give
+        want_centers, want_nodes = centers.tolist(), nodes.tolist()
+        work = np.empty(9 + dim)
+        loss = np.zeros(1)
+        want_loss = 0.0
+        hs_train = kernel.library().hs_train
+        n_blocks, n_items = 4, 6
+        processed, total = 0, n_blocks * n_items
+        for _ in range(n_blocks):
+            rows = rng.integers(0, n_rows, size=n_items)
+            counts = rng.integers(0, 4, size=n_items)
+            offsets = np.zeros(n_items + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            targets = rng.integers(0, len(paths), size=int(offsets[-1]))
+            pairs = hs_train(centers, nodes, dim, rows, offsets, targets, n_items,
+                             path_off, path_nodes, path_signs,
+                             0.5, 0.01, 0.49, processed, total, work, loss)
+            want_loss, want_pairs = scalar_hs_train(
+                want_centers, want_nodes, rows.tolist(), offsets.tolist(), targets.tolist(),
+                path_off.tolist(), path_nodes.tolist(), path_signs.tolist(),
+                0.5, 0.01, 0.49, processed, total, want_loss)
+            processed += n_items
+            assert pairs == want_pairs
+            np.testing.assert_array_equal(centers.view(np.int64),
+                                          np.array(want_centers).view(np.int64))
+            np.testing.assert_array_equal(nodes.view(np.int64),
+                                          np.array(want_nodes).view(np.int64))
+            assert loss[0] == want_loss
 
 
 class TestConfig:

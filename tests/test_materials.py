@@ -5,7 +5,7 @@ import tempfile
 import mpmath
 import numpy as np
 import pytest
-from helpers import SCORE_BOUND, material_vector, reference_scores, similarity_point
+from helpers import SCORE_BOUND, material_vector, parse_composition, reference_scores, similarity_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,6 @@ from litscreen.materials import (
     centroid,
     enumerate_simplex,
     load_compositions,
-    parse_composition,
     similarity_points,
 )
 from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus, write_corpus_csv

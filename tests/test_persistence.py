@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from helpers import read_selection
+from helpers import read_manifest, read_selection
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,7 +20,6 @@ from litscreen.persistence import (
     load_doc_model,
     load_model,
     load_tokens,
-    read_manifest,
     save_doc_model,
     save_iteration_log,
     save_iteration_table,

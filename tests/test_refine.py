@@ -15,7 +15,6 @@ from litscreen.refine import (
     RefineConfig,
     RefinementError,
     run_refinement,
-    vocabulary_complete,
 )
 from litscreen.selection import cumulative_batches
 
@@ -183,12 +182,6 @@ class TestRunRefinement:
         )
         assert points.shape == (3, 2)
         assert ((-1.0 <= points) & (points <= 1.0)).all()
-
-
-def test_vocabulary_complete():
-    model = train_word2vec([["a", "b", "a"], ["b", "c"]], EmbeddingConfig(dim=4, epochs=1))
-    assert vocabulary_complete(model, {"a", "b"})
-    assert not vocabulary_complete(model, {"a", "z"})
 
 
 def test_default_max_iterations_covers_corpus():
