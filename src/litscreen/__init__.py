@@ -21,7 +21,6 @@ from .embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
     WordModel,
-    cosine_similarity,
     train_doc2vec,
     train_word2vec,
     vector_of,

@@ -35,7 +35,6 @@ from .persistence import (
     read_kv,
     save_doc_model,
     save_iteration_log,
-    save_iteration_table,
     save_model,
     save_selection,
     save_tokens,
@@ -143,9 +142,12 @@ class _Settings:
 def _load_documents(settings: _Settings):
     """Read --corpus as either a raw CSV or a saved tokens file."""
     args = settings.args
-    with open(args.corpus, "r", encoding="utf-8") as f:
-        first = f.readline()
-    if first.startswith("litscreen-tokens/"):
+    # compared as bytes, so that a file which is not UTF-8 reaches the loader
+    # whose error names it
+    marker = b"litscreen-tokens/"
+    with open(args.corpus, "rb") as f:
+        is_tokens = f.read(len(marker)) == marker
+    if is_tokens:
         return load_tokens(args.corpus)
     docs = load_corpus(
         args.corpus,
@@ -229,7 +231,6 @@ def _cmd_refine(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     save_iteration_log(result.records, os.path.join(args.out, "iterations.csv"))
-    save_iteration_table(result.records, os.path.join(args.out, "iterations.dat"))
     save_model(result.final_model, os.path.join(args.out, "model"))
     save_selection(result.selection_order, docs.ids(), os.path.join(args.out, "selection.csv"))
     manifest = {
@@ -244,7 +245,7 @@ def _cmd_refine(args) -> int:
         **config_pairs(result.final_model.config),
         "iterations_run": str(len(result.records)),
         "converged": "true" if result.converged else "false",
-        "outputs": "iterations.csv iterations.dat selection.csv model.vec model.meta",
+        "outputs": "iterations.csv selection.csv model.vec model.meta",
     }
     write_manifest(manifest, os.path.join(args.out, "manifest.txt"))
 

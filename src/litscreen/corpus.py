@@ -45,7 +45,6 @@ class DocumentSet:
     """Ordered collection of documents; iteration order equals file order."""
 
     documents: list[Document]
-    source_path: str = ""
     skipped_empty: int = 0
     skipped_malformed: list[tuple[int, str]] = field(default_factory=list)
 
@@ -77,7 +76,6 @@ class Vocabulary:
 
     index: dict[str, int]
     counts: dict[str, int] | None
-    min_count: int = 1
 
     def __len__(self) -> int:
         return len(self.index)
@@ -129,7 +127,8 @@ def load_corpus(
     Rows with an empty abstract are skipped and counted; rows too short to
     contain the abstract column, or that the CSV reader rejects, are
     recorded as malformed (or raised when ``strict``) and reading goes on.
-    Default ids are 1-based data-row numbers.
+    Default ids are 1-based data-row numbers. Text that is not UTF-8, and a
+    header the CSV reader rejects, raise CorpusError naming the file.
     """
     try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -141,6 +140,10 @@ def load_corpus(
             header = next(reader)
         except StopIteration:
             raise CorpusError(f"corpus file is empty: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise CorpusError(f"{path} header: {exc}") from None
         if text_column not in header:
             raise CorpusError(
                 f"column {text_column!r} not found in {path} (columns: {header})"
@@ -152,7 +155,7 @@ def load_corpus(
                 raise CorpusError(f"id column {id_column!r} not found in {path}")
             id_idx = header.index(id_column)
 
-        docset = DocumentSet(documents=[], source_path=path)
+        docset = DocumentSet(documents=[])
         seen_ids: set[str] = set()
         row_num = 0
         while True:
@@ -160,6 +163,8 @@ def load_corpus(
                 row = next(reader)
             except StopIteration:
                 break
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
             except csv.Error as exc:
                 # the reader resumes at the next line, so later rows still load
                 row_num += 1
@@ -230,19 +235,12 @@ def preprocess(
     return tokens
 
 
-def preprocess_set(
-    docs: DocumentSet,
-    elements: frozenset[str] | set[str] | None = None,
-    stopwords: frozenset[str] | set[str] | None = None,
-    license_patterns: list[str] | None = None,
-) -> DocumentSet:
-    """Return a copy of ``docs`` with tokens filled for every document."""
-    if elements is None:
-        elements = element_symbols()
-    if stopwords is None:
-        stopwords = default_stopwords()
-    if license_patterns is None:
-        license_patterns = default_license_patterns()
+def preprocess_set(docs: DocumentSet) -> DocumentSet:
+    """Return a copy of ``docs`` with tokens filled for every document, using
+    the bundled element, stopword and license lists."""
+    elements = element_symbols()
+    stopwords = default_stopwords()
+    license_patterns = default_license_patterns()
     processed = [
         replace(doc, tokens=tuple(preprocess(doc.text, elements, stopwords, license_patterns)))
         for doc in docs.documents
@@ -265,8 +263,4 @@ def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
     if not kept:
         raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
     ordered = sorted(kept, key=lambda t: (-kept[t], t))
-    return Vocabulary(
-        index={t: i for i, t in enumerate(ordered)},
-        counts=kept,
-        min_count=min_count,
-    )
+    return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "train_word2vec",
     "train_doc2vec",
     "vector_of",
-    "cosine_similarity",
 ]
 
 
@@ -107,18 +105,6 @@ class DocModel:
     config: EmbeddingConfig
     seed: int
     epoch_losses: list[float] = field(default_factory=list)
-    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._rows = {}
-        for row, doc_id in enumerate(self.ids):
-            self._rows.setdefault(doc_id, row)
-
-    def vector_for(self, doc_id: str) -> np.ndarray:
-        try:
-            return self.vectors[self._rows[doc_id]]
-        except KeyError:
-            raise OutOfVocabularyError(f"no vector for document {doc_id!r}") from None
 
 
 def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
@@ -258,7 +244,7 @@ def _train_hs(
 _BLOCK_POSITIONS = 4096
 
 
-def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | None = None) -> WordModel:
+def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
     """Train skip-gram token vectors with hierarchical softmax.
 
     For each in-vocabulary position a window radius is drawn uniformly from
@@ -269,8 +255,7 @@ def train_word2vec(token_lists, config: EmbeddingConfig, vocab: Vocabulary | Non
     token_lists = [list(t) for t in token_lists]
     if not token_lists:
         raise ValueError("empty corpus")
-    if vocab is None:
-        vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    vocab = build_vocabulary(token_lists, min_count=config.min_count)
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
     vectors = _init_matrix(rng, len(vocab), config.dim)
@@ -348,14 +333,3 @@ def vector_of(model: WordModel, token: str) -> np.ndarray:
     if idx is None:
         raise OutOfVocabularyError(f"token {token!r} is not in the vocabulary")
     return model.vectors[idx]
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> / (|a| |b|); raises ValueError on zero-norm input."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return float(a @ b) / (na * nb)

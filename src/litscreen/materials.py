@@ -75,9 +75,6 @@ class Composition:
         except ValueError:
             raise CompositionError(f"element {element!r} not declared") from None
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.elements, self.fractions))
-
 
 @dataclass(frozen=True, eq=False)
 class CandidateTable:
@@ -254,15 +251,9 @@ def centroid(points) -> np.ndarray:
     return coords.mean(axis=0)
 
 
-def load_compositions(
-    path: str,
-    elements=None,
-    id_column: str = "id",
-    measured_column: str = "current_density",
-    potential_column: str = "potential",
-):
-    """Read a composition CSV: one fraction column per element, optional id
-    and measured-performance columns.
+def load_compositions(path: str, elements=None):
+    """Read a composition CSV: one fraction column per element, and optional
+    ``id``, ``current_density`` and ``potential`` columns.
 
     When ``elements`` is None, every header column matching a periodic-table
     symbol counts as an element column. Returns (table, measured, potential):
@@ -286,8 +277,7 @@ def load_compositions(
     with handle:
         reader = csv.reader(handle)
         try:
-            return _read_compositions(
-                reader, path, elements, id_column, measured_column, potential_column)
+            return _read_compositions(reader, path, elements)
         except csv.Error as exc:
             raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -304,7 +294,7 @@ def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
     return CompositionError(f"{where}: fractions sum to {total}, expected 1")
 
 
-def _read_compositions(reader, path, elements, id_column, measured_column, potential_column):
+def _read_compositions(reader, path, elements):
     header = next(reader, None)
     if header is None:
         raise CompositionError(f"composition file is empty: {path}")
@@ -326,7 +316,7 @@ def _read_compositions(reader, path, elements, id_column, measured_column, poten
 
     cols = [header.index(el) for el in elements]
     id_col, measured_col, potential_col = (
-        column(id_column), column(measured_column), column(potential_column))
+        column("id"), column("current_density"), column("potential"))
     width = len(header)
 
     def number(row, i, col, name):
@@ -375,11 +365,11 @@ def _read_compositions(reader, path, elements, id_column, measured_column, poten
         totals.append(total)
 
         if measured_col is not None:
-            value = number(row, i, measured_col, measured_column)
+            value = number(row, i, measured_col, "current_density")
             if value is not None:
                 measured[comp_id] = value
         if potential_col is not None:
-            pot_val = number(row, i, potential_col, potential_column)
+            pot_val = number(row, i, potential_col, "potential")
             if pot_val is not None:
                 if potential is not None and pot_val != potential:
                     raise CompositionError(

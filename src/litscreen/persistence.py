@@ -2,6 +2,9 @@
 
 A word model is saved as its token vectors and config only: nothing
 trains from a loaded model, so the Huffman node matrix is not written.
+Only the current ``litscreen-wordmodel/2`` format loads; any other
+``.meta`` format, the older ``/1`` included, fails naming the file. A
+refinement run's per-iteration log is one CSV, ``iterations.csv``.
 All numeric text is written with 17 significant digits, which is exact
 for 64-bit floats: save -> load -> save reproduces the file byte for
 byte. The ``.vec``/``.dvec`` matrices go through the text codec of the
@@ -11,13 +14,16 @@ block at a time with ``%.17g``, which writes what Python's
 behind a plain-decimal check, so neither the file nor its text is ever
 held whole. A non-finite value fails the save, naming the file and row.
 Writers go through a temp file and an atomic rename so readers never
-observe a partial artifact.
+observe a partial artifact. A text file that is not UTF-8 fails naming
+the file.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import ctypes
 import hashlib
+import io
 import os
 import tempfile
 
@@ -39,7 +45,6 @@ __all__ = [
     "load_tokens",
     "save_selection",
     "save_iteration_log",
-    "save_iteration_table",
     "write_manifest",
     "file_digest",
     "atomic_write",
@@ -48,8 +53,6 @@ __all__ = [
 ]
 
 WORD_FORMAT = "litscreen-wordmodel/2"
-# /1 models also wrote a `{base}.nodes` file; they load the same, without it.
-_WORD_FORMATS = (WORD_FORMAT, "litscreen-wordmodel/1")
 DOC_FORMAT = "litscreen-docmodel/1"
 TOKENS_FORMAT = "litscreen-tokens/1"
 MANIFEST_FORMAT = "litscreen-manifest/1"
@@ -194,6 +197,15 @@ def _write_matrix_file(path: str, labels, matrix: np.ndarray):
                 row_start = row_end
 
 
+@contextlib.contextmanager
+def _naming_undecodable(path: str):
+    """Re-raise a UTF-8 decoding error of a text file as one naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise PersistenceError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _write_kv(path: str, pairs: dict[str, str]):
     atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
@@ -204,7 +216,7 @@ def read_kv(path: str, what: str) -> dict[str, str]:
         f = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise PersistenceError(f"{what} file not found: {path}") from None
-    with f:
+    with f, _naming_undecodable(path):
         pairs = {}
         for line in f:
             line = line.strip()
@@ -257,17 +269,13 @@ def load_model(base: str) -> WordModel:
     """Restore a word model for querying: no counts and no node matrix."""
     meta = read_kv(base + ".meta", "model meta")
     fmt = meta.get("format", "")
-    if fmt not in _WORD_FORMATS:
+    if fmt != WORD_FORMAT:
         raise PersistenceError(f"{base}.meta: unknown word model format {fmt!r}")
     config = _config_from_pairs(meta, base + ".meta")
     tokens, vectors = _read_matrix_file(base + ".vec", "vector")
     if len(set(tokens)) != len(tokens):
         raise PersistenceError(f"{base}.vec: duplicate token")
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(tokens)},
-        counts=None,
-        min_count=config.min_count,
-    )
+    vocab = Vocabulary(index={t: i for i, t in enumerate(tokens)}, counts=None)
     return WordModel(
         vocab=vocab,
         vectors=vectors,
@@ -312,7 +320,7 @@ def load_tokens(path: str) -> DocumentSet:
         f = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise PersistenceError(f"tokens file not found: {path}") from None
-    with f:
+    with f, _naming_undecodable(path):
         header = f.readline().split()
         if len(header) != 2 or header[0] != TOKENS_FORMAT:
             raise PersistenceError(f"{path}: not a {TOKENS_FORMAT} file")
@@ -327,50 +335,31 @@ def load_tokens(path: str) -> DocumentSet:
             doc_id, _, rest = line.rstrip("\n").partition("\t")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
         _reject_extra_rows(f, path, n, "document")
-    return DocumentSet(documents=documents, source_path=path)
+    return DocumentSet(documents=documents)
 
 
 def save_selection(order: SelectionOrder, ids, path: str):
-    """CSV of rank, document id, maximin distance at selection time."""
-    rows = ["rank,doc_id,min_distance\n"]
-    for rank, (idx, dist) in enumerate(zip(order.indices, order.distances)):
-        d = "" if np.isnan(dist) else _fmt(dist)
-        rows.append(f"{rank},{ids[idx]},{d}\n")
-    atomic_write(path, "".join(rows))
-
-
-def _record_fields(rec: IterationRecord) -> tuple[str, str, str, str, str, str]:
-    cx = cy = disp = ""
-    if rec.centroid is not None:
-        cx, cy = _fmt(rec.centroid[0]), _fmt(rec.centroid[1])
-    if rec.displacement is not None:
-        disp = _fmt(rec.displacement)
-    return (
-        str(rec.iteration),
-        str(rec.documents_used),
-        "true" if rec.vocab_complete else "false",
-        cx,
-        cy,
-        disp,
-    )
+    """CSV of rank, document id, maximin distance at selection time; an id
+    holding a comma, quote or line break is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["rank", "doc_id", "min_distance"])
+    writer.writerows((rank, ids[idx], "" if np.isnan(dist) else _fmt(dist))
+                     for rank, (idx, dist) in enumerate(zip(order.indices, order.distances)))
+    atomic_write(path, buf.getvalue())
 
 
 def save_iteration_log(records: list[IterationRecord], path: str):
     """CSV iteration log: t, documents_used, vocab_complete, centroid, displacement."""
     lines = ["t,documents_used,vocab_complete,centroid_x,centroid_y,displacement\n"]
     for rec in records:
-        lines.append(",".join(_record_fields(rec)) + "\n")
-    atomic_write(path, "".join(lines))
-
-
-def save_iteration_table(records: list[IterationRecord], path: str):
-    """Whitespace-delimited iteration log for plotting; missing values are NaN."""
-    lines = ["# t documents_used vocab_complete centroid_x centroid_y displacement\n"]
-    for rec in records:
-        fields = list(_record_fields(rec))
-        fields[2] = "1" if rec.vocab_complete else "0"
-        fields = [v if v else "NaN" for v in fields]
-        lines.append(" ".join(fields) + "\n")
+        cx = cy = disp = ""
+        if rec.centroid is not None:
+            cx, cy = _fmt(rec.centroid[0]), _fmt(rec.centroid[1])
+        if rec.displacement is not None:
+            disp = _fmt(rec.displacement)
+        complete = "true" if rec.vocab_complete else "false"
+        lines.append(f"{rec.iteration},{rec.documents_used},{complete},{cx},{cy},{disp}\n")
     atomic_write(path, "".join(lines))
 
 

@@ -5,7 +5,9 @@ ordered by greedy farthest-point sampling from the central document.
 Each iteration retrains a fresh word model on one more batch of selected
 documents and tracks the Euclidean displacement of the candidate-set
 centroid in similarity space; growth stops once the displacement drops
-below the threshold.
+below the threshold. A run keeps one record per iteration, the selection
+order and the last word model, which ``litscreen refine`` saves as
+``iterations.csv``, ``selection.csv`` and ``model.vec``/``model.meta``.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ __all__ = [
     "IterationRecord",
     "RefinementResult",
     "RefinementError",
-    "centroid_displacement",
     "run_refinement",
 ]
 
@@ -40,7 +41,6 @@ class RefineConfig:
     batch_size: int = 50
     threshold: float = 0.03
     max_iterations: int | None = None  # None: run until the corpus is exhausted
-    required_tokens: frozenset[str] | None = None  # None: candidate elements + anchors
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     anchors: PropertyAnchors = field(default_factory=PropertyAnchors)
     seed: int = 0
@@ -70,13 +70,6 @@ class RefinementResult:
     selection_order: SelectionOrder
 
 
-def centroid_displacement(prev, curr) -> float:
-    """Euclidean distance between consecutive centroids."""
-    prev = np.asarray(prev, dtype=np.float64)
-    curr = np.asarray(curr, dtype=np.float64)
-    return float(np.linalg.norm(curr - prev))
-
-
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -87,9 +80,10 @@ def run_refinement(
     Each iteration scores the whole candidate table at once and takes the
     column mean of the scores as its centroid.
 
-    Iterations whose vocabulary misses a required token are recorded without
-    a centroid and can never trigger convergence; displacements compare
-    against the most recent defined centroid. The first defined centroid has
+    Iterations whose vocabulary misses an anchor term, or an element with a
+    positive fraction in some candidate, are recorded without a centroid
+    and can never trigger convergence; displacements compare against the
+    most recent defined centroid. The first defined centroid has
     nothing to compare against. A loop that exhausts max_iterations without
     converging returns converged=False; never defining a centroid at all is
     an error.
@@ -102,10 +96,7 @@ def run_refinement(
     token_lists = docs.token_lists()
     emb_cfg = replace(config.embedding, seed=config.seed)
 
-    required = config.required_tokens
-    if required is None:
-        required = set(config.anchors.terms) | set(candidates.present())
-    required = frozenset(required)
+    required = set(config.anchors.terms) | set(candidates.present())
 
     doc_model = train_doc2vec(token_lists, emb_cfg, ids=docs.ids())
     projection = pca_project(doc_model.vectors, 2)
@@ -141,7 +132,7 @@ def run_refinement(
         c = centroid(similarity_points(model, candidates, config.anchors))
         displacement = None
         if prev_centroid is not None:
-            displacement = centroid_displacement(prev_centroid, c)
+            displacement = float(np.linalg.norm(c - prev_centroid))
         records.append(
             IterationRecord(
                 iteration=t,

@@ -33,6 +33,8 @@ _FILLER = ("synthesis", "sample", "temperature", "electrode", "measurement",
            "microscopy", "diffraction", "composite", "powder", "sintering",
            "voltage", "frequency", "density", "stability", "interface")
 _GLUE = ("the", "of", "and", "in", "with", "for", "at")
+# Share of abstracts that end in one of these license statements.
+_LICENSE_FRACTION = 0.2
 _LICENSE_TAILS = (
     "All rights reserved.",
     "(c) 2018 published under standard terms.",
@@ -47,7 +49,6 @@ class SynthSpec:
     n_docs: int = 500
     rare_docs: int = 8
     seed: int = 7
-    license_fraction: float = 0.2
 
     def __post_init__(self):
         if self.n_docs < 4:
@@ -55,8 +56,6 @@ class SynthSpec:
         n_dielectric = self.n_docs // 2
         if not 1 <= self.rare_docs <= n_dielectric:
             raise ValueError("rare_docs must fit inside the dielectric half")
-        if not 0.0 <= self.license_fraction <= 1.0:
-            raise ValueError("license_fraction must be within [0, 1]")
 
 
 def _sentences(words: list[str], rng: np.random.Generator) -> str:
@@ -101,7 +100,7 @@ def synthetic_corpus(spec: SynthSpec = SynthSpec()) -> list[tuple[str, str]]:
         words = [words[j] for j in rng.permutation(len(words))]
 
         text = _sentences(words, rng)
-        if rng.random() < spec.license_fraction:
+        if rng.random() < _LICENSE_FRACTION:
             tail = _LICENSE_TAILS[int(rng.integers(0, len(_LICENSE_TAILS)))]
             text = text + " " + tail
         rows.append((f"D{i + 1:04d}", text))

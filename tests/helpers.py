@@ -8,7 +8,8 @@ which must stay within ``SCORE_BOUND`` of them. ``reference_pareto_front``
 is the dict-grouped sweep the lexsort sweep replaced. ``hs_step`` is one
 hierarchical-softmax SGD step in numpy, the reference for the compiled
 trainer kernel. ``parse_composition`` and ``read_manifest`` read formula
-strings and run manifests, which only the tests need.
+strings and run manifests, and ``cosine_similarity`` scores one pair of
+vectors; only the tests need them.
 """
 import csv
 import math
@@ -16,7 +17,7 @@ import re
 
 import numpy as np
 
-from litscreen.embedding import cosine_similarity, vector_of
+from litscreen.embedding import vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
     Composition,
@@ -28,6 +29,17 @@ from litscreen.persistence import MANIFEST_FORMAT, PersistenceError, read_kv
 
 # Largest |bulk - per-candidate| score difference the bulk path may show.
 SCORE_BOUND = 1e-12
+
+
+def cosine_similarity(a, b):
+    """<a, b> / (|a| |b|); raises ValueError on zero-norm input."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = math.sqrt(float(a @ a))
+    nb = math.sqrt(float(b @ b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    return float(a @ b) / (na * nb)
 
 
 def material_vector(model, comp):

@@ -234,11 +234,10 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
 # relaxed to a tolerance.
 GOLDEN_REFINE_DIGESTS = {
     "iterations.csv": "bb5915af69cf9a9a7e9bca275708281df16971f20bff499d9e56db80e9625f50",
-    "iterations.dat": "a559256de14c26f8dffe7146689389427399a0d36a5d6491161b63950ec588db",
     "selection.csv": "7a21423367692213cc45d5130651b76ffa01a9b164c0ecc84e7fd804dc3ee285",
     "model.vec": "c651296bf206596b3b7d7972fe9cc34acca11310d20042b63aec2e1770c1a5ef",
     "model.meta": "0125564196d39bfd41ea033f8c419643a62f78ca7d6664260d5be860534621eb",
-    "manifest.txt": "af21cb9554662bc03a6f54461ee8bc0cc47cca27ff248f0b1b6c80e413503400",
+    "manifest.txt": "57286cd918616904a25378848bb12a966eeb7c336d496e42a3a52cb492a22285",
 }
 
 
@@ -258,7 +257,7 @@ def test_criterion_6_refine_runs_are_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "run_b")]) == 0
     capsys.readouterr()
 
-    names = ["iterations.csv", "iterations.dat", "selection.csv",
+    names = ["iterations.csv", "selection.csv",
              "model.vec", "model.meta", "manifest.txt"]
     diffs = []
     for name in names:

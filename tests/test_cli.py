@@ -2,6 +2,7 @@ import csv
 import os
 
 import numpy as np
+import pytest
 from helpers import read_manifest
 
 from litscreen.cli import main
@@ -93,6 +94,44 @@ class TestExitCodes:
         assert code == 0
 
 
+def write_bytes(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
+
+
+class TestUnreadableInputs:
+    """Bytes the readers reject exit 2 with the file named, never a traceback."""
+
+    def ingest(self, capsys, tmp_path, corpus, *extra):
+        return run(capsys, "ingest", "--corpus", corpus, "--out", str(tmp_path / "t"), *extra)
+
+    def test_oversized_corpus_header_field(self, capsys, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        corpus = write(str(tmp_path / "c.csv"), f"abstract,{big}\nfirst\n")
+        code, _, err = self.ingest(capsys, tmp_path, corpus)
+        assert code == 2
+        assert f"{corpus} header: field larger than field limit" in err
+
+    @pytest.mark.parametrize("name, data", [
+        ("c.csv", b"caf\xe9,abstract\nx,y\n"),
+        ("c.csv", b"id,abstract\na,caf\xe9\n"),
+        ("c.tokens", b"litscreen-tokens/1 1\na\tcaf\xe9\n"),
+    ], ids=["corpus_first_line", "corpus_row", "tokens_file"])
+    def test_non_utf8_corpus(self, capsys, tmp_path, name, data):
+        corpus = write_bytes(str(tmp_path / name), data)
+        code, _, err = self.ingest(capsys, tmp_path, corpus)
+        assert code == 2
+        assert f"{corpus}: not UTF-8 text" in err
+
+    def test_non_utf8_config_file(self, capsys, tmp_path):
+        corpus = write(str(tmp_path / "c.csv"), "abstract\nAg films\n")
+        conf = write_bytes(str(tmp_path / "run.conf"), b"# caf\xe9\ntext_column = abstract\n")
+        code, _, err = self.ingest(capsys, tmp_path, corpus, "--config", conf)
+        assert code == 2
+        assert f"{conf}: not UTF-8 text" in err
+
+
 class TestPipeline:
     def test_synth_through_report(self, capsys, tmp_path):
         data = str(tmp_path / "data")
@@ -133,14 +172,14 @@ class TestPipeline:
         assert code == 0
         assert "converged" in out
         assert sorted(os.listdir(rundir)) == [
-            "iterations.csv", "iterations.dat", "manifest.txt",
+            "iterations.csv", "manifest.txt",
             "model.meta", "model.vec", "selection.csv"]
         manifest = read_manifest(os.path.join(rundir, "manifest.txt"))
         assert manifest["seed"] == "3"
         assert manifest["batch_size"] == "20"
         assert manifest["dim"] == "16"
         assert manifest["outputs"].split() == [
-            "iterations.csv", "iterations.dat", "selection.csv", "model.vec", "model.meta"]
+            "iterations.csv", "selection.csv", "model.vec", "model.meta"]
 
         model = os.path.join(rundir, "model")
         sims = str(tmp_path / "sims.csv")

@@ -1,7 +1,10 @@
 import csv
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litscreen.corpus import (
     CorpusError,
@@ -182,3 +185,37 @@ def test_preprocess_set_fills_tokens(tmp_path):
     docs = preprocess_set(load_corpus(path))
     assert docs.documents[0].tokens == ("Ag", "study", "films")
     assert docs.token_lists() == [("Ag", "study", "films")]
+
+
+_CORPUS_PIECES = st.sampled_from([
+    b"id", b"abstract", b"Ag films", b"x", b"1", b" ", b",", b'"', b'""', b"\r", b"\n",
+    b"\r\n", b"\x00", b"\xef\xbb\xbf", "caf\u00e9".encode()])
+_BAD_BYTES = st.one_of(st.sampled_from([b"\xe9", b"\xff", b"\xc3"]), st.binary(max_size=3))
+
+
+@st.composite
+def _corpus_bytes(draw):
+    """A plausible header, or none, then rows of CSV punctuation and text,
+    in half the files with bytes that need not be UTF-8."""
+    header = draw(st.sampled_from([
+        b"id,abstract\n", b"abstract\n", b"abstract,id\r\n", b"\xef\xbb\xbfid,abstract\n",
+        b'"id","abstract"\n', b"id\n", b""]))
+    pieces = st.one_of(_CORPUS_PIECES, _BAD_BYTES) if draw(st.booleans()) else _CORPUS_PIECES
+    return header + b"".join(draw(st.lists(pieces, max_size=40)))
+
+
+class TestLoadCorpusFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_corpus_bytes(), st.booleans(), st.sampled_from([None, "id"]))
+    def test_only_corpus_error_escapes(self, data, strict, id_column):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            try:
+                docs = load_corpus(path, id_column=id_column, strict=strict)
+            except CorpusError:
+                return
+        assert len(set(docs.ids())) == len(docs)
+        assert all(doc.text.strip() for doc in docs)
+        assert not strict or not docs.skipped_malformed

@@ -5,7 +5,7 @@ import subprocess
 
 import numpy as np
 import pytest
-from helpers import hs_step
+from helpers import cosine_similarity, hs_step
 
 from litscreen import embedding, kernel
 from litscreen.corpus import build_vocabulary, preprocess
@@ -13,7 +13,6 @@ from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
     build_huffman,
-    cosine_similarity,
     train_doc2vec,
     train_word2vec,
     vector_of,
@@ -242,9 +241,7 @@ class TestTrainDoc2vec:
         docs = [["a", "b"], ["c", "d"]]
         model = train_doc2vec(docs, EmbeddingConfig(dim=4, epochs=1, seed=0), ids=["x", "y"])
         assert model.ids == ["x", "y"]
-        assert model.vector_for("y").shape == (4,)
-        with pytest.raises(OutOfVocabularyError):
-            model.vector_for("z")
+        assert model.vectors.shape == (2, 4)
 
     def test_topic_documents_cluster(self):
         docs = tiny_corpus()

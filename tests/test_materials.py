@@ -49,7 +49,7 @@ class TestParseComposition:
 
     def test_implicit_unity(self):
         comp = parse_composition("Pt", ELS)
-        assert comp.as_dict()["Pt"] == 1.0
+        assert comp.fraction("Pt") == 1.0
         assert comp.fraction("Ni") == 0.0
 
     def test_two_element(self):

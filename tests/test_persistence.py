@@ -22,7 +22,6 @@ from litscreen.persistence import (
     load_tokens,
     save_doc_model,
     save_iteration_log,
-    save_iteration_table,
     save_model,
     save_selection,
     save_tokens,
@@ -33,17 +32,6 @@ from litscreen.selection import SelectionOrder
 
 DOCS = [["alpha", "beta", "alpha"], ["beta", "gamma", "delta"], ["alpha", "gamma"]] * 3
 CFG = EmbeddingConfig(dim=6, window=2, epochs=2, seed=13)
-
-# A 3-token model as litscreen-wordmodel/1 wrote it, node matrix included.
-LEGACY_FILES = {
-    ".meta": "format = litscreen-wordmodel/1\ndim = 2\nwindow = 3\nepochs = 2\n"
-             "alpha0 = 0.025000000000000001\nalpha_min = 0.0001\nmin_count = 1\n"
-             "seed = 4\n",
-    ".vec": "3 2\ndielectric\t0.5 -1.25\nconductivity\t0.33333333333333331 2\n"
-            "Ag\t-0.125 0.75\n",
-    ".nodes": "2 2\nn0\t0.25 0.5\nn1\t-1 0\n",
-}
-
 
 def trained_model():
     return train_word2vec(DOCS, CFG)
@@ -259,23 +247,6 @@ class TestWordModelRoundTrip:
         assert loaded.config == model.config
         assert np.array_equal(loaded.vectors, model.vectors)
 
-    @pytest.mark.parametrize("with_nodes", [True, False])
-    def test_format_1_model_still_loads(self, tmp_path, with_nodes):
-        base = str(tmp_path / "m")
-        for ext, text in LEGACY_FILES.items():
-            if ext != ".nodes" or with_nodes:
-                with open(base + ext, "w") as f:
-                    f.write(text)
-        loaded = load_model(base)
-        assert loaded.vocab.tokens() == ["dielectric", "conductivity", "Ag"]
-        assert np.array_equal(loaded.vectors,
-                              [[0.5, -1.25], [1.0 / 3.0, 2.0], [-0.125, 0.75]])
-        assert loaded.config == EmbeddingConfig(dim=2, window=3, epochs=2, seed=4)
-        assert loaded.node_vectors is None
-        save_model(loaded, str(tmp_path / "again"))
-        with open(tmp_path / "again.vec") as f:
-            assert f.read() == LEGACY_FILES[".vec"]
-
     def test_header_shape(self, tmp_path):
         model = trained_model()
         base = str(tmp_path / "m")
@@ -313,10 +284,12 @@ class TestWordModelRoundTrip:
         save_model(model, base)
         with open(base + ".meta") as f:
             meta = f.read()
-        with open(base + ".meta", "w") as f:
-            f.write(meta.replace("litscreen-wordmodel/2", "litscreen-wordmodel/9"))
-        with pytest.raises(PersistenceError, match="format"):
-            load_model(base)
+        # the older /1 format is rejected like any unknown one
+        for other in ("litscreen-wordmodel/9", "litscreen-wordmodel/1"):
+            with open(base + ".meta", "w") as f:
+                f.write(meta.replace("litscreen-wordmodel/2", other))
+            with pytest.raises(PersistenceError, match=r"m\.meta: unknown word model format"):
+                load_model(base)
 
     def test_rows_past_header_count_rejected(self, tmp_path):
         # a header declaring fewer rows must not load a truncated vocabulary
@@ -467,9 +440,10 @@ class TestSelectionRoundTrip:
             distances=[float("nan"), 1.25, 0.5],
         )
         path = str(tmp_path / "sel.csv")
-        save_selection(order, ["ida", "idb", "idc"], path)
+        # ids a CSV field must quote; a split row fails read_selection
+        save_selection(order, ["ida,1", 'id "b"', "id\r\nc"], path)
         ids, distances = read_selection(path)
-        assert ids == ["idc", "ida", "idb"]
+        assert ids == ["id\r\nc", "ida,1", 'id "b"']
         assert math.isnan(distances[0])
         assert distances[1:] == [1.25, 0.5]
 
@@ -501,15 +475,6 @@ class TestIterationLogs:
         assert lines[1] == "1,50,false,,,"
         assert lines[2] == "2,100,true,0.5,0.25,"
         assert lines[3].startswith("3,150,true,0.5078125,0.2421875,0.011048543456039806")
-
-    def test_plot_table_uses_nan(self, tmp_path):
-        path = str(tmp_path / "it.dat")
-        save_iteration_table(self.RECORDS, path)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "1 50 0 NaN NaN NaN"
-        assert lines[2] == "2 100 1 0.5 0.25 NaN"
 
 
 class TestManifest:

@@ -160,10 +160,11 @@ class TestRunRefinement:
         assert np.array_equal(r1.final_model.vectors, r2.final_model.vectors)
 
     def test_required_token_never_present_is_error(self):
+        # an anchor term no document holds keeps every vocabulary incomplete
         cfg = RefineConfig(
             batch_size=4,
             embedding=EMB,
-            required_tokens=frozenset({"unobtainium"}),
+            anchors=PropertyAnchors(terms=("dielectric", "unobtainium")),
         )
         with pytest.raises(RefinementError):
             run_refinement(corpus_with_rare_element(), candidates_ag_ti(), cfg)
