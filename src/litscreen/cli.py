@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 data or file error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import math
 import os
 import sys
+from dataclasses import fields, replace
 
 from . import __version__
 from .corpus import CorpusError, load_corpus, preprocess_set
@@ -26,7 +26,7 @@ from .materials import (
 )
 from .persistence import (
     PersistenceError,
-    atomic_write,
+    config_from_pairs,
     config_pairs,
     file_digest,
     load_doc_model,
@@ -38,6 +38,7 @@ from .persistence import (
     save_model,
     save_selection,
     save_tokens,
+    write_csv,
     write_manifest,
 )
 from .refine import RefineConfig, RefinementError, run_refinement
@@ -94,49 +95,50 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
 # Every key some command reads, so one config file can serve them all.
-_CONFIG_KEYS = frozenset({
-    "dim", "window", "epochs", "alpha0", "alpha_min", "min_count", "seed",
+_CONFIG_KEYS = frozenset(f.name for f in fields(EmbeddingConfig)) | {
     "text_column", "id_column", "anchors", "batch_size", "threshold",
     "max_iterations", "preset", "system",
-})
+}
 
 
 class _Settings:
-    """Flag > config-file value > built-in default; unknown config keys fail."""
+    """Flag > config-file value > the callee's own default; unknown config keys fail."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        path = getattr(args, "config", None)
-        raw = read_kv(path, "config") if path else {}
+        self.path = getattr(args, "config", None)
+        raw = read_kv(self.path, "config") if self.path else {}
         self.file = {k.replace("-", "_"): v for k, v in raw.items()}
         unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
         if unknown:
-            raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+            raise ValueError(f"{self.path}: unknown config key {', '.join(map(repr, unknown))}")
 
-    def get(self, name, cast, default):
+    def get(self, name, cast):
+        """The flag's value, else the config file's cast by ``cast``, else None;
+        a file value that ``cast`` rejects fails naming the file and the key."""
         value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.file:
-            return cast(self.file[name])
-        return default
+        if value is None and name in self.file:
+            try:
+                return cast(self.file[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{self.path}: {name} = {self.file[name]!r}: {exc}") from None
+        return value
+
+    def pick(self, **casts) -> dict:
+        """The values a flag or the config file set, by name; the callee's
+        defaults fill in the rest."""
+        values = {name: self.get(name, cast) for name, cast in casts.items()}
+        return {name: value for name, value in values.items() if value is not None}
 
     def embedding(self) -> EmbeddingConfig:
-        return EmbeddingConfig(
-            dim=self.get("dim", int, 200),
-            window=self.get("window", int, 5),
-            epochs=self.get("epochs", int, 5),
-            alpha0=self.get("alpha0", float, 0.025),
-            alpha_min=self.get("alpha_min", float, 0.0001),
-            min_count=self.get("min_count", int, 1),
-            seed=self.get("seed", int, 0),
-        )
+        """The config file's embedding values, with ``--seed`` over its seed."""
+        return replace(config_from_pairs(self.file, self.path), **self.pick(seed=int))
 
 
 def _load_documents(settings: _Settings):
@@ -151,17 +153,16 @@ def _load_documents(settings: _Settings):
         return load_tokens(args.corpus)
     docs = load_corpus(
         args.corpus,
-        text_column=settings.get("text_column", str, "abstract"),
-        id_column=settings.get("id_column", str, None),
         strict=getattr(args, "strict", False),
+        **settings.pick(text_column=str, id_column=str),
     )
     return preprocess_set(docs)
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(n_docs=args.n_docs, rare_docs=args.rare_docs, seed=args.seed)
-    rows = synthetic_corpus(spec)
-    comps = synthetic_candidates(args.steps)
+    settings = _Settings(args)
+    rows = synthetic_corpus(SynthSpec(**settings.pick(n_docs=int, rare_docs=int, seed=int)))
+    comps = synthetic_candidates(**settings.pick(steps=int))
     corpus_path = os.path.join(args.out, "corpus.csv")
     cand_path = os.path.join(args.out, "candidates.csv")
     write_corpus_csv(rows, corpus_path)
@@ -186,8 +187,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_embed_docs(args) -> int:
     settings = _Settings(args)
-    docs = _load_documents(settings)
     config = settings.embedding()
+    docs = _load_documents(settings)
     model = train_doc2vec(docs.token_lists(), config, ids=docs.ids())
     save_doc_model(model, args.out)
     print(f"embedded {len(model.ids)} documents at dim {config.dim}")
@@ -216,17 +217,13 @@ def _cmd_select(args) -> int:
 
 def _cmd_refine(args) -> int:
     settings = _Settings(args)
+    config = RefineConfig(
+        embedding=settings.embedding(),
+        **settings.pick(batch_size=_positive_int, threshold=_positive_float,
+                        max_iterations=_positive_int, anchors=_anchor_pair),
+    )
     docs = _load_documents(settings)
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    anchors = settings.get("anchors", _anchor_pair, PropertyAnchors())
-    config = RefineConfig(
-        batch_size=settings.get("batch_size", int, 50),
-        threshold=settings.get("threshold", float, 0.03),
-        max_iterations=settings.get("max_iterations", int, None),
-        embedding=settings.embedding(),
-        anchors=anchors,
-        seed=settings.get("seed", int, 0),
-    )
     result = run_refinement(docs, candidates, config)
 
     os.makedirs(args.out, exist_ok=True)
@@ -239,7 +236,7 @@ def _cmd_refine(args) -> int:
         "corpus_sha256": file_digest(args.corpus),
         "candidates": os.path.basename(args.candidates),
         "candidates_sha256": file_digest(args.candidates),
-        "anchors": ",".join(anchors.terms),
+        "anchors": ",".join(config.anchors.terms),
         "batch_size": str(config.batch_size),
         "threshold": f"{config.threshold:.17g}",
         **config_pairs(result.final_model.config),
@@ -276,9 +273,9 @@ def _front_for(model_base: str, candidates, anchors, objectives):
 
 def _cmd_screen(args) -> int:
     settings = _Settings(args)
+    anchors = settings.get("anchors", _anchor_pair)
+    objectives = settings.get("preset", Objectives.preset) or Objectives()
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    anchors = settings.get("anchors", _anchor_pair, PropertyAnchors())
-    objectives = Objectives.preset(settings.get("preset", str, "orr"))
     scores, front = _front_for(args.model, candidates, anchors, objectives)
     print(f"Entries (Ori): {len(candidates)}")
     print(f"Entries (Front): {len(front)}")
@@ -288,22 +285,18 @@ def _cmd_screen(args) -> int:
         on_front = [0] * len(candidates)
         for i in front:
             on_front[i] = 1
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "s_dielectric", "s_conductivity", "on_front"])
-        writer.writerows((comp_id, f"{x:.17g}", f"{y:.17g}", flag)
-                         for comp_id, (x, y), flag
-                         in zip(candidates.ids, scores.tolist(), on_front))
-        atomic_write(args.out, buf.getvalue())
+        write_csv(args.out, ["id", "s_dielectric", "s_conductivity", "on_front"],
+                  ((comp_id, f"{x:.17g}", f"{y:.17g}", flag)
+                   for comp_id, (x, y), flag in zip(candidates.ids, scores.tolist(), on_front)))
         print(f"similarity table: {args.out}")
     return 0
 
 
 def _cmd_report(args) -> int:
     settings = _Settings(args)
+    anchors = settings.get("anchors", _anchor_pair)
+    objectives = settings.get("preset", Objectives.preset) or Objectives()
     candidates, measured, potential = load_compositions(args.candidates, elements=args.elements)
-    anchors = settings.get("anchors", _anchor_pair, PropertyAnchors())
-    objectives = Objectives.preset(settings.get("preset", str, "orr"))
     fronts = {}
     if args.full_model:
         _, fronts["Full"] = _front_for(args.full_model, candidates, anchors, objectives)
@@ -311,7 +304,7 @@ def _cmd_report(args) -> int:
         _, fronts["Selection"] = _front_for(args.model, candidates, anchors, objectives)
     if args.potential is not None:
         potential = args.potential
-    label = settings.get("system", str, "")
+    label = settings.get("system", str)
     sys.stdout.write(format_summary(candidates, fronts, measured, potential, label))
     return 0
 
@@ -322,12 +315,12 @@ def _add_config(p: argparse.ArgumentParser):
 
 def _add_corpus_options(p: argparse.ArgumentParser):
     p.add_argument("--corpus", required=True, help="corpus CSV or saved tokens file")
-    p.add_argument("--text-column", default=None, help="abstract column name")
-    p.add_argument("--id-column", default=None, help="document id column name")
+    p.add_argument("--text-column", help="abstract column name")
+    p.add_argument("--id-column", help="document id column name")
 
 
 def _add_training_options(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
+    p.add_argument("--seed", type=int, help="RNG seed")
 
 
 def _build_parser() -> _Parser:
@@ -337,11 +330,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate the planted-topic benchmark corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-docs", type=_positive_int, default=500)
-    p.add_argument("--rare-docs", type=_positive_int, default=8)
-    p.add_argument("--steps", type=_positive_int, default=4,
-                   help="composition grid resolution")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n-docs", type=_positive_int)
+    p.add_argument("--rare-docs", type=_positive_int)
+    p.add_argument("--steps", type=_positive_int, help="composition grid resolution")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, clean, and tokenize a corpus CSV")
@@ -361,8 +353,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("select", help="order documents by greedy diversity")
     _add_config(p)
     p.add_argument("--corpus", help="corpus CSV or tokens file (trains on the fly)")
-    p.add_argument("--text-column", default=None)
-    p.add_argument("--id-column", default=None)
+    p.add_argument("--text-column")
+    p.add_argument("--id-column")
     p.add_argument("--model", help="saved document model base path")
     _add_training_options(p)
     p.add_argument("--out", required=True, help="selection CSV to write")
@@ -372,13 +364,13 @@ def _build_parser() -> _Parser:
     _add_config(p)
     _add_corpus_options(p)
     p.add_argument("--candidates", required=True, help="candidate composition CSV")
-    p.add_argument("--elements", type=_element_list, default=None,
+    p.add_argument("--elements", type=_element_list,
                    help="comma-separated element columns")
-    p.add_argument("--anchors", type=_anchor_pair, default=None,
+    p.add_argument("--anchors", type=_anchor_pair,
                    help="two comma-separated anchor terms")
-    p.add_argument("--threshold", type=_positive_float, default=None,
+    p.add_argument("--threshold", type=_positive_float,
                    help="convergence displacement threshold")
-    p.add_argument("--batch-size", type=_positive_int, default=None)
+    p.add_argument("--batch-size", type=_positive_int)
     _add_training_options(p)
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 when the run does not converge")
@@ -389,9 +381,9 @@ def _build_parser() -> _Parser:
     _add_config(p)
     p.add_argument("--model", required=True, help="word model base path")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--elements", type=_element_list, default=None)
-    p.add_argument("--anchors", type=_anchor_pair, default=None)
-    p.add_argument("--preset", choices=("orr", "her", "oer"), default=None)
+    p.add_argument("--elements", type=_element_list)
+    p.add_argument("--anchors", type=_anchor_pair)
+    p.add_argument("--preset", type=Objectives.preset, help="orr, her or oer")
     p.add_argument("--out", help="similarity table CSV to write")
     p.set_defaults(func=_cmd_screen)
 
@@ -401,10 +393,10 @@ def _build_parser() -> _Parser:
                    help="composition CSV with measured values")
     p.add_argument("--model", help="selection-trained word model base path")
     p.add_argument("--full-model", help="full-corpus word model base path")
-    p.add_argument("--elements", type=_element_list, default=None)
-    p.add_argument("--anchors", type=_anchor_pair, default=None)
-    p.add_argument("--preset", choices=("orr", "her", "oer"), default=None)
-    p.add_argument("--potential", type=float, default=None,
+    p.add_argument("--elements", type=_element_list)
+    p.add_argument("--anchors", type=_anchor_pair)
+    p.add_argument("--preset", type=Objectives.preset, help="orr, her or oer")
+    p.add_argument("--potential", type=float,
                    help="potential (mV) shown in the header")
     p.set_defaults(func=_cmd_report)
 

@@ -60,6 +60,10 @@ class EmbeddingConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError(
                 f"need alpha0 > alpha_min > 0, got {self.alpha0}, {self.alpha_min}"
@@ -103,7 +107,6 @@ class DocModel:
     ids: list[str]
     vectors: np.ndarray  # (N, dim)
     config: EmbeddingConfig
-    seed: int
     epoch_losses: list[float] = field(default_factory=list)
 
 
@@ -322,7 +325,6 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
         ids=ids,
         vectors=doc_vectors,
         config=config,
-        seed=config.seed,
         epoch_losses=epoch_losses,
     )
 

@@ -26,6 +26,7 @@ import hashlib
 import io
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,9 +48,10 @@ __all__ = [
     "save_iteration_log",
     "write_manifest",
     "file_digest",
-    "atomic_write",
+    "write_csv",
     "read_kv",
     "config_pairs",
+    "config_from_pairs",
 ]
 
 WORD_FORMAT = "litscreen-wordmodel/2"
@@ -83,7 +85,7 @@ def _atomic_open(path: str):
         raise
 
 
-def atomic_write(path: str, text: str):
+def _atomic_write(path: str, text: str):
     """Write UTF-8 text via a temp file and rename; creates parent dirs."""
     with _atomic_open(path) as f:
         f.write(text.encode("utf-8"))
@@ -207,7 +209,7 @@ def _naming_undecodable(path: str):
 
 
 def _write_kv(path: str, pairs: dict[str, str]):
-    atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    _atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
 
 def read_kv(path: str, what: str) -> dict[str, str]:
@@ -230,49 +232,62 @@ def read_kv(path: str, what: str) -> dict[str, str]:
 
 
 def config_pairs(config: EmbeddingConfig) -> dict[str, str]:
-    """An embedding config as the ``key = value`` strings every artifact writes."""
-    return {
-        "dim": str(config.dim),
-        "window": str(config.window),
-        "epochs": str(config.epochs),
-        "alpha0": _fmt(config.alpha0),
-        "alpha_min": _fmt(config.alpha_min),
-        "min_count": str(config.min_count),
-        "seed": str(config.seed),
-    }
+    """An embedding config as the ``key = value`` strings every artifact
+    writes, in field order."""
+    values = {f.name: getattr(config, f.name) for f in fields(EmbeddingConfig)}
+    return {k: _fmt(v) if isinstance(v, float) else str(v) for k, v in values.items()}
 
 
-def _config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
+def config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
+    """The embedding config that ``key = value`` strings read from ``path``
+    set; a key left out keeps its default and other keys are ignored. A
+    value that does not parse, or that the config rejects, raises
+    PersistenceError naming the file and the key."""
+    values = {}
+    for f in fields(EmbeddingConfig):
+        if f.name in pairs:
+            cast = type(f.default)
+            try:
+                values[f.name] = cast(pairs[f.name])
+            except ValueError:
+                raise PersistenceError(
+                    f"{path}: {f.name} = {pairs[f.name]!r} does not parse as {cast.__name__}"
+                ) from None
     try:
-        return EmbeddingConfig(
-            dim=int(pairs["dim"]),
-            window=int(pairs["window"]),
-            epochs=int(pairs["epochs"]),
-            alpha0=float(pairs["alpha0"]),
-            alpha_min=float(pairs["alpha_min"]),
-            min_count=int(pairs["min_count"]),
-            seed=int(pairs["seed"]),
+        return EmbeddingConfig(**values)
+    except ValueError as exc:
+        raise PersistenceError(f"{path}: {exc}") from None
+
+
+def _load_labeled_matrix(base: str, kind: str, fmt: str, suffix: str, what: str):
+    """The config in ``{base}.meta``, whose format must be ``fmt``, and the
+    labels and matrix in ``{base}{suffix}``, whose columns must number the
+    config's ``dim``."""
+    meta_path, matrix_path = base + ".meta", base + suffix
+    meta = read_kv(meta_path, f"{kind} meta")
+    if meta.get("format", "") != fmt:
+        raise PersistenceError(f"{meta_path}: unknown {kind} format {meta.get('format', '')!r}")
+    missing = [f.name for f in fields(EmbeddingConfig) if f.name not in meta]
+    if missing:
+        raise PersistenceError(f"{meta_path}: missing config key {missing[0]!r}")
+    config = config_from_pairs(meta, meta_path)
+    labels, matrix = _read_matrix_file(matrix_path, what)
+    if matrix.shape[1] != config.dim:
+        raise PersistenceError(
+            f"{meta_path}: dim = {config.dim}, but {matrix_path} has {matrix.shape[1]} columns"
         )
-    except KeyError as exc:
-        raise PersistenceError(f"{path}: missing config key {exc}") from None
+    return config, labels, matrix
 
 
 def save_model(model: WordModel, base: str):
     """Write `{base}.vec` (token vectors) and `{base}.meta` (format and config)."""
     _write_matrix_file(base + ".vec", model.vocab.tokens(), model.vectors)
-    meta = {"format": WORD_FORMAT}
-    meta.update(config_pairs(model.config))
-    _write_kv(base + ".meta", meta)
+    _write_kv(base + ".meta", {"format": WORD_FORMAT, **config_pairs(model.config)})
 
 
 def load_model(base: str) -> WordModel:
     """Restore a word model for querying: no counts and no node matrix."""
-    meta = read_kv(base + ".meta", "model meta")
-    fmt = meta.get("format", "")
-    if fmt != WORD_FORMAT:
-        raise PersistenceError(f"{base}.meta: unknown word model format {fmt!r}")
-    config = _config_from_pairs(meta, base + ".meta")
-    tokens, vectors = _read_matrix_file(base + ".vec", "vector")
+    config, tokens, vectors = _load_labeled_matrix(base, "word model", WORD_FORMAT, ".vec", "vector")
     if len(set(tokens)) != len(tokens):
         raise PersistenceError(f"{base}.vec: duplicate token")
     vocab = Vocabulary(index={t: i for i, t in enumerate(tokens)}, counts=None)
@@ -288,19 +303,13 @@ def load_model(base: str) -> WordModel:
 def save_doc_model(model: DocModel, base: str):
     """Write `{base}.dvec` and `{base}.meta`."""
     _write_matrix_file(base + ".dvec", model.ids, model.vectors)
-    meta = {"format": DOC_FORMAT}
-    meta.update(config_pairs(model.config))
-    _write_kv(base + ".meta", meta)
+    _write_kv(base + ".meta", {"format": DOC_FORMAT, **config_pairs(model.config)})
 
 
 def load_doc_model(base: str) -> DocModel:
-    meta = read_kv(base + ".meta", "doc model meta")
-    fmt = meta.get("format", "")
-    if fmt != DOC_FORMAT:
-        raise PersistenceError(f"{base}.meta: format {fmt!r} does not match {DOC_FORMAT!r}")
-    config = _config_from_pairs(meta, base + ".meta")
-    ids, vectors = _read_matrix_file(base + ".dvec", "document vector")
-    return DocModel(ids=ids, vectors=vectors, config=config, seed=config.seed)
+    config, ids, vectors = _load_labeled_matrix(
+        base, "doc model", DOC_FORMAT, ".dvec", "document vector")
+    return DocModel(ids=ids, vectors=vectors, config=config)
 
 
 def save_tokens(docs: DocumentSet, path: str):
@@ -312,7 +321,7 @@ def save_tokens(docs: DocumentSet, path: str):
         if "\t" in doc.id or "\n" in doc.id or "\r" in doc.id:
             raise PersistenceError(f"document id {doc.id!r} contains a tab or line break")
         lines.append(doc.id + "\t" + " ".join(doc.tokens) + "\n")
-    atomic_write(path, "".join(lines))
+    _atomic_write(path, "".join(lines))
 
 
 def load_tokens(path: str) -> DocumentSet:
@@ -338,20 +347,26 @@ def load_tokens(path: str) -> DocumentSet:
     return DocumentSet(documents=documents)
 
 
-def save_selection(order: SelectionOrder, ids, path: str):
-    """CSV of rank, document id, maximin distance at selection time; an id
-    holding a comma, quote or line break is quoted."""
+def write_csv(path: str, header, rows):
+    """A header row and then ``rows`` as CSV with LF line ends, written
+    atomically; a field holding a comma, quote or line break is quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "doc_id", "min_distance"])
-    writer.writerows((rank, ids[idx], "" if np.isnan(dist) else _fmt(dist))
-                     for rank, (idx, dist) in enumerate(zip(order.indices, order.distances)))
-    atomic_write(path, buf.getvalue())
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def save_selection(order: SelectionOrder, ids, path: str):
+    """CSV of rank, document id, maximin distance at selection time."""
+    write_csv(path, ["rank", "doc_id", "min_distance"],
+              ((rank, ids[idx], "" if np.isnan(dist) else _fmt(dist))
+               for rank, (idx, dist) in enumerate(zip(order.indices, order.distances))))
 
 
 def save_iteration_log(records: list[IterationRecord], path: str):
     """CSV iteration log: t, documents_used, vocab_complete, centroid, displacement."""
-    lines = ["t,documents_used,vocab_complete,centroid_x,centroid_y,displacement\n"]
+    rows = []
     for rec in records:
         cx = cy = disp = ""
         if rec.centroid is not None:
@@ -359,8 +374,9 @@ def save_iteration_log(records: list[IterationRecord], path: str):
         if rec.displacement is not None:
             disp = _fmt(rec.displacement)
         complete = "true" if rec.vocab_complete else "false"
-        lines.append(f"{rec.iteration},{rec.documents_used},{complete},{cx},{cy},{disp}\n")
-    atomic_write(path, "".join(lines))
+        rows.append((rec.iteration, rec.documents_used, complete, cx, cy, disp))
+    write_csv(path, ["t", "documents_used", "vocab_complete", "centroid_x", "centroid_y",
+                     "displacement"], rows)
 
 
 def file_digest(path: str) -> str:

@@ -11,7 +11,7 @@ order and the last word model, which ``litscreen refine`` saves as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,31 +35,36 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Loop parameters; ``seed`` overrides the embedding config's seed so the
-    document model and every per-iteration word model share one seed."""
+    """Loop parameters. The document model and every per-iteration word
+    model train with ``embedding``, its seed included."""
 
     batch_size: int = 50
     threshold: float = 0.03
     max_iterations: int | None = None  # None: run until the corpus is exhausted
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     anchors: PropertyAnchors = field(default_factory=PropertyAnchors)
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (self.threshold > 0) or not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
 class IterationRecord:
     iteration: int
     documents_used: int
-    vocab_complete: bool
     centroid: tuple[float, float] | None = None
     displacement: float | None = None
     missing: tuple[str, ...] = ()
+
+    @property
+    def vocab_complete(self) -> bool:
+        """True when the iteration's vocabulary missed no required token."""
+        return not self.missing
 
 
 @dataclass
@@ -94,11 +99,10 @@ def run_refinement(
         raise RefinementError("empty candidate list")
 
     token_lists = docs.token_lists()
-    emb_cfg = replace(config.embedding, seed=config.seed)
 
     required = set(config.anchors.terms) | set(candidates.present())
 
-    doc_model = train_doc2vec(token_lists, emb_cfg, ids=docs.ids())
+    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
     projection = pca_project(doc_model.vectors, 2)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, len(docs))
@@ -115,18 +119,11 @@ def run_refinement(
     for t in range(1, max_iters + 1):
         subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
         subset_tokens = [token_lists[i] for i in subset]
-        model = train_word2vec(subset_tokens, emb_cfg)
+        model = train_word2vec(subset_tokens, config.embedding)
 
         missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
         if missing:
-            records.append(
-                IterationRecord(
-                    iteration=t,
-                    documents_used=len(subset),
-                    vocab_complete=False,
-                    missing=missing,
-                )
-            )
+            records.append(IterationRecord(iteration=t, documents_used=len(subset), missing=missing))
             continue
 
         c = centroid(similarity_points(model, candidates, config.anchors))
@@ -137,7 +134,6 @@ def run_refinement(
             IterationRecord(
                 iteration=t,
                 documents_used=len(subset),
-                vocab_complete=True,
                 centroid=(float(c[0]), float(c[1])),
                 displacement=displacement,
             )

@@ -7,12 +7,11 @@ of non-dominated rows of the (N, 2) score array from
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import Composition, SimilarityPoint
+from .materials import CandidateTable, SimilarityPoint
 
 __all__ = [
     "Objectives",
@@ -96,16 +95,16 @@ def pareto_front(points, obj: Objectives) -> list[int]:
 
 
 def format_summary(
-    candidates: Sequence[Composition],
+    candidates: CandidateTable,
     fronts: dict[str, list[int]],
     measured: dict[str, float] | None = None,
     potential: float | None = None,
-    label: str = "",
+    label: str | None = None,
 ) -> str:
     """Plain-text summary with Entries and Min/Max rows per scenario.
 
     ``fronts`` maps scenario names (e.g. 'Selection', 'Full') to front index
-    lists; the 'Ori' scenario is always the whole candidate list.
+    lists; the 'Ori' scenario is always the whole candidate table.
     """
     lines = []
     if label:
@@ -116,12 +115,13 @@ def format_summary(
     for name, front in fronts.items():
         lines.append(f"Entries ({name}): {len(front)}")
     if measured:
-        all_vals = [measured[c.id] for c in candidates if c.id in measured]
+        ids = candidates.ids
+        all_vals = [measured[i] for i in ids if i in measured]
         if all_vals:
             lines.append(f"Min (Ori): {min(all_vals):.2f}")
             lines.append(f"Max (Ori): {max(all_vals):.2f}")
         for name, front in fronts.items():
-            vals = [measured[candidates[i].id] for i in front if candidates[i].id in measured]
+            vals = [measured[ids[i]] for i in front if ids[i] in measured]
             if vals:
                 lines.append(f"Min ({name}): {min(vals):.2f}")
                 lines.append(f"Max ({name}): {max(vals):.2f}")

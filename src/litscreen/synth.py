@@ -8,14 +8,12 @@ first. Candidate compositions enumerate the Ag/Pt/Ba/Ti simplex.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .materials import CandidateTable, enumerate_simplex
-from .persistence import atomic_write
+from .persistence import write_csv
 
 __all__ = ["SynthSpec", "synthetic_corpus", "synthetic_candidates",
            "write_corpus_csv", "write_candidates_csv"]
@@ -113,11 +111,7 @@ def synthetic_candidates(steps: int = 4) -> CandidateTable:
 
 
 def write_corpus_csv(rows: list[tuple[str, str]], path: str):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "abstract"])
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue())
+    write_csv(path, ["id", "abstract"], rows)
 
 
 def write_candidates_csv(candidates: CandidateTable, path: str):
@@ -125,9 +119,6 @@ def write_candidates_csv(candidates: CandidateTable, path: str):
     each value written as ``%.17g``."""
     elements = sorted(candidates.elements)
     columns = candidates.fractions[:, [candidates.elements.index(el) for el in elements]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id"] + elements)
-    writer.writerows([comp_id] + [f"{x:.17g}" for x in row]
-                     for comp_id, row in zip(candidates.ids, columns.tolist()))
-    atomic_write(path, buf.getvalue())
+    write_csv(path, ["id"] + elements,
+              ([comp_id] + [f"{x:.17g}" for x in row]
+               for comp_id, row in zip(candidates.ids, columns.tolist())))

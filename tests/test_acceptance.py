@@ -287,8 +287,7 @@ def test_criterion_7_synthetic_corpus_end_to_end(tmp_path):
     config = RefineConfig(
         batch_size=50,
         threshold=0.03,
-        embedding=EmbeddingConfig(dim=48, window=5, epochs=3),
-        seed=0,
+        embedding=EmbeddingConfig(dim=48, window=5, epochs=3, seed=0),
     )
     result = run_refinement(docs, candidates, config)
 

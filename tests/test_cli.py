@@ -8,7 +8,8 @@ from helpers import read_manifest
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import EmbeddingConfig, WordModel
-from litscreen.persistence import load_model, save_model
+from litscreen.persistence import config_pairs, load_model, save_model
+from litscreen.refine import RefineConfig
 
 
 def run(capsys, *argv):
@@ -269,6 +270,39 @@ class TestConfigPrecedence:
                            "--config", conf, "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"{conf}: unknown config key 'epoch'" in err
+
+    @pytest.mark.parametrize("command, line", [
+        ("refine", "dim = abc"),
+        ("refine", "anchors = dielectric"),
+        ("refine", "batch_size = 0"),
+        ("refine", "seed = -1"),
+        ("refine", "max_iterations = 0"),
+        ("refine", "max_iterations = -2"),
+        ("screen", "preset = xyz"),
+    ])
+    def test_bad_value_names_file_and_key(self, capsys, tmp_path, command, line):
+        # the config is read before any input file, so none needs to exist
+        conf = write(str(tmp_path / "c.conf"), line + "\n")
+        inputs = {"refine": ["--corpus", "c.csv", "--out", str(tmp_path / "run")],
+                  "screen": ["--model", "m"]}[command]
+        code, out, err = run(capsys, command, "--candidates", "k.csv", "--config", conf,
+                             *inputs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {conf}: {line.split()[0]} ")
+
+    def test_defaults_are_the_config_classes_defaults(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        code, _, _ = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
+                         "--candidates", os.path.join(data, "candidates.csv"),
+                         "--out", str(tmp_path / "run"))
+        assert code == 0
+        manifest = read_manifest(str(tmp_path / "run" / "manifest.txt"))
+        embedding = config_pairs(EmbeddingConfig())
+        assert {key: manifest[key] for key in embedding} == embedding
+        assert manifest["batch_size"] == str(RefineConfig().batch_size)
+        assert manifest["threshold"] == f"{RefineConfig().threshold:.17g}"
 
     def test_benchmark_refine_keys_accepted(self, capsys, tmp_path):
         data = str(tmp_path / "data")

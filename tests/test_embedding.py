@@ -495,6 +495,10 @@ class TestConfig:
             EmbeddingConfig(alpha0=0.0)
         with pytest.raises(ValueError):
             EmbeddingConfig(alpha0=0.01, alpha_min=0.02)
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            EmbeddingConfig(min_count=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            EmbeddingConfig(seed=-1)
 
     def test_cosine_zero_norm_rejected(self):
         with pytest.raises(ValueError):

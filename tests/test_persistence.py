@@ -111,7 +111,7 @@ class TestMatrixCodec:
         labels, matrix = labeled
         with tempfile.TemporaryDirectory() as tmp:
             model = DocModel(ids=labels, vectors=matrix,
-                             config=EmbeddingConfig(dim=matrix.shape[1]), seed=0)
+                             config=EmbeddingConfig(dim=matrix.shape[1]))
             base, again = os.path.join(tmp, "d"), os.path.join(tmp, "again")
             save_doc_model(model, base)
             reference_write_matrix(os.path.join(tmp, "ref"), labels, matrix)
@@ -433,6 +433,42 @@ class TestTokensRoundTrip:
             load_tokens(path)
 
 
+class TestMetaFaults:
+    """A bad ``.meta`` fails naming the file, for word and document models alike."""
+
+    @staticmethod
+    def saved(tmp_path, kind):
+        base = str(tmp_path / "m")
+        if kind == "word":
+            save_model(trained_model(), base)
+            return base, load_model, ".vec"
+        save_doc_model(train_doc2vec(DOCS, CFG), base)
+        return base, load_doc_model, ".dvec"
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    @pytest.mark.parametrize("line", ["dim = abc", "window = x", "dim = 0"])
+    def test_bad_value_names_file_and_key(self, tmp_path, kind, line):
+        base, load, _ = self.saved(tmp_path, kind)
+        key = line.split()[0]
+        with open(base + ".meta") as f:
+            lines = [line + "\n" if ln.startswith(key + " ") else ln for ln in f]
+        with open(base + ".meta", "w") as f:
+            f.writelines(lines)
+        with pytest.raises(PersistenceError, match=rf"m\.meta: {key} "):
+            load(base)
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    def test_dim_other_than_matrix_columns_names_both_files(self, tmp_path, kind):
+        base, load, suffix = self.saved(tmp_path, kind)
+        with open(base + ".meta") as f:
+            meta = f.read()
+        with open(base + ".meta", "w") as f:
+            f.write(meta.replace("dim = 6\n", "dim = 7\n"))
+        with pytest.raises(PersistenceError) as caught:
+            load(base)
+        assert str(caught.value) == f"{base}.meta: dim = 7, but {base}{suffix} has 6 columns"
+
+
 class TestSelectionRoundTrip:
     def test_round_trip_with_nan_seed(self, tmp_path):
         order = SelectionOrder(
@@ -458,11 +494,9 @@ class TestSelectionRoundTrip:
 
 class TestIterationLogs:
     RECORDS = [
-        IterationRecord(iteration=1, documents_used=50, vocab_complete=False,
-                        missing=("Ti",)),
-        IterationRecord(iteration=2, documents_used=100, vocab_complete=True,
-                        centroid=(0.5, 0.25)),
-        IterationRecord(iteration=3, documents_used=150, vocab_complete=True,
+        IterationRecord(iteration=1, documents_used=50, missing=("Ti",)),
+        IterationRecord(iteration=2, documents_used=100, centroid=(0.5, 0.25)),
+        IterationRecord(iteration=3, documents_used=150,
                         centroid=(0.5078125, 0.2421875), displacement=0.011048543456039806),
     ]
 

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from litscreen import refine
 from litscreen.corpus import Document, DocumentSet
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
@@ -55,6 +57,8 @@ class TestRefineConfig:
             RefineConfig(threshold=0.0)
         with pytest.raises(ValueError):
             RefineConfig(threshold=float("inf"))
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            RefineConfig(max_iterations=0)
 
     def test_defaults(self):
         cfg = RefineConfig()
@@ -72,8 +76,7 @@ class TestRunRefinement:
                 batch_size=batch_size,
                 threshold=threshold,
                 max_iterations=max_iterations,
-                embedding=EMB,
-                seed=seed,
+                embedding=replace(EMB, seed=seed),
             ),
         )
 
@@ -191,3 +194,18 @@ def test_default_max_iterations_covers_corpus():
     result = run_refinement(docs, candidates_ag_ti(), cfg)
     assert len(result.records) == math.ceil(len(docs) / 3)
     assert result.records[-1].documents_used == len(docs)
+
+
+def test_embedding_seed_trains_every_model(monkeypatch):
+    # the loop has one seed, the embedding config's: the document model and
+    # every per-iteration word model train with it
+    seeds = []
+    for name in ("train_doc2vec", "train_word2vec"):
+        def recording(token_lists, config, *args, _trainer=getattr(refine, name), **kwargs):
+            seeds.append(config.seed)
+            return _trainer(token_lists, config, *args, **kwargs)
+        monkeypatch.setattr(refine, name, recording)
+    cfg = RefineConfig(batch_size=3, threshold=1e-15, embedding=replace(EMB, seed=5))
+    result = run_refinement(corpus_with_rare_element(), candidates_ag_ti(), cfg)
+    assert seeds == [5] * (1 + len(result.records))
+    assert len(result.records) == 4

@@ -4,7 +4,7 @@ from helpers import reference_pareto_front
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litscreen.materials import Composition, SimilarityPoint
+from litscreen.materials import CandidateTable, Composition, SimilarityPoint
 from litscreen.screen import (
     Objectives,
     dominates,
@@ -173,8 +173,7 @@ class TestParetoFrontProperties:
 
 class TestFormatSummary:
     def test_measured_rows_use_two_decimals(self):
-        comps = [Composition(elements=("Ni",), fractions=(1.0,), id=i)
-                 for i in ("a", "b", "c", "d")]
+        comps = CandidateTable(("Ni",), ("a", "b", "c", "d"), np.ones((4, 1)))
         measured = {"a": 0.821, "b": 3.0, "c": 6.9, "d": 6.437}
         text = format_summary(
             comps,
@@ -196,7 +195,7 @@ class TestFormatSummary:
         assert "Max (Selection): 6.90" in lines
 
     def test_no_measured_data(self):
-        comps = [Composition(elements=("Ni",), fractions=(1.0,), id="a")]
+        comps = CandidateTable(("Ni",), ("a",), np.ones((1, 1)))
         text = format_summary(comps, fronts={"Selection": [0]})
         assert "Entries (Ori): 1" in text
         assert "Min" not in text
