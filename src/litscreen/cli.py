@@ -108,13 +108,19 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(EmbeddingConfig)) | {
 
 
 class _Settings:
-    """Flag > config-file value > the callee's own default; unknown config keys fail."""
+    """Flag > config-file value > the callee's own default; unknown config
+    keys fail, as do two spellings of one key (``text-column``, ``text_column``)."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.path = getattr(args, "config", None)
         raw = read_kv(self.path, "config") if self.path else {}
-        self.file = {k.replace("-", "_"): v for k, v in raw.items()}
+        self.file = {}
+        for key, value in raw.items():
+            name = key.replace("-", "_")
+            if name in self.file:
+                raise ValueError(f"{self.path}: repeated key {name!r}")
+            self.file[name] = value
         unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
         if unknown:
             raise ValueError(f"{self.path}: unknown config key {', '.join(map(repr, unknown))}")

@@ -8,6 +8,7 @@ the embedding trainers.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -93,27 +94,26 @@ class Vocabulary:
 
 def _read_data_file(name: str) -> list[str]:
     text = resources.files("litscreen.data").joinpath(name).read_text("utf-8")
-    lines = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
 
 
+@functools.cache
 def element_symbols() -> frozenset[str]:
     """The 118 periodic-table symbols, case-sensitive."""
     return frozenset(_read_data_file("periodic_table.txt"))
 
 
+@functools.cache
 def default_stopwords() -> frozenset[str]:
     """Bundled English stopword list (lowercase)."""
     return frozenset(_read_data_file("stopwords.txt"))
 
 
-def default_license_patterns() -> list[str]:
-    """Bundled license-boilerplate regexes, one per line."""
-    return _read_data_file("license_patterns.txt")
+@functools.cache
+def default_license_patterns() -> tuple[re.Pattern, ...]:
+    """Bundled license-boilerplate regexes, one per line, compiled case-insensitive."""
+    return tuple(re.compile(p, re.IGNORECASE) for p in _read_data_file("license_patterns.txt"))
 
 
 def load_corpus(
@@ -197,13 +197,8 @@ def load_corpus(
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def preprocess(
-    text: str,
-    elements: frozenset[str] | set[str] | None = None,
-    stopwords: frozenset[str] | set[str] | None = None,
-    license_patterns: list[str] | None = None,
-) -> list[str]:
-    """Clean raw abstract text into tokens.
+def preprocess(text: str) -> list[str]:
+    """Clean raw abstract text into tokens with the bundled lists.
 
     Order of operations: license-statement substrings are removed first,
     then the text is split on non-alphanumeric boundaries. Tokens matching
@@ -211,41 +206,25 @@ def preprocess(
     is lowercased. Stopwords and single-character non-element tokens are
     dropped.
     """
-    if elements is None:
-        elements = element_symbols()
-    if stopwords is None:
-        stopwords = default_stopwords()
-    if license_patterns is None:
-        license_patterns = default_license_patterns()
-
-    for pattern in license_patterns:
-        text = re.sub(pattern, " ", text, flags=re.IGNORECASE)
-
+    for pattern in default_license_patterns():
+        text = pattern.sub(" ", text)
+    elements = element_symbols()
+    stopwords = default_stopwords()
     tokens = []
     for raw in _TOKEN_RE.findall(text):
         if raw in elements:
             tokens.append(raw)
             continue
         token = raw.lower()
-        if token in stopwords:
-            continue
-        if len(token) < 2:
-            continue
-        tokens.append(token)
+        if len(token) > 1 and token not in stopwords:
+            tokens.append(token)
     return tokens
 
 
 def preprocess_set(docs: DocumentSet) -> DocumentSet:
-    """Return a copy of ``docs`` with tokens filled for every document, using
-    the bundled element, stopword and license lists."""
-    elements = element_symbols()
-    stopwords = default_stopwords()
-    license_patterns = default_license_patterns()
-    processed = [
-        replace(doc, tokens=tuple(preprocess(doc.text, elements, stopwords, license_patterns)))
-        for doc in docs.documents
-    ]
-    return replace(docs, documents=processed)
+    """Return a copy of ``docs`` with tokens filled for every document."""
+    return replace(docs, documents=[replace(doc, tokens=tuple(preprocess(doc.text)))
+                                    for doc in docs.documents])
 
 
 def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:

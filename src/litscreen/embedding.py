@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class EmbeddingConfig:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
         if not (self.alpha0 > self.alpha_min > 0):
             raise ValueError(
                 f"need alpha0 > alpha_min > 0, got {self.alpha0}, {self.alpha_min}"
@@ -72,19 +75,25 @@ class EmbeddingConfig:
 
 @dataclass
 class HuffmanCoding:
-    """Per-token prefix-free codes over the frequency-built Huffman tree.
+    """Per-token prefix-free codes over the frequency-built Huffman tree, as
+    the flat table the kernel reads.
 
-    ``signs[i]`` holds the code of token i as a +/-1 float sequence and
-    ``paths[i]`` the internal-node indices from root to leaf; both have the
-    same length. ``n_nodes`` is V-1.
+    Token i's path is ``nodes[offsets[i]:offsets[i+1]]``, internal-node
+    indices from root to leaf, and the same slice of ``signs`` is its code
+    as +/-1 floats.
     """
 
-    signs: list[np.ndarray]
-    paths: list[np.ndarray]
-    n_nodes: int
+    offsets: np.ndarray  # (V+1,) int64, from 0
+    nodes: np.ndarray  # int64, below n_nodes
+    signs: np.ndarray  # float64
+
+    @property
+    def n_nodes(self) -> int:
+        """V-1, the internal nodes of a tree over V leaves."""
+        return len(self.offsets) - 2
 
     def code_lengths(self) -> list[int]:
-        return [len(p) for p in self.paths]
+        return np.diff(self.offsets).tolist()
 
 
 @dataclass
@@ -148,29 +157,41 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
         branch[n1] = 1.0
         branch[n2] = -1.0
 
+    # a parent is created after its children, so depths fill root-down
     root = 2 * V - 2
-    signs = []
-    paths = []
-    for leaf in range(V):
-        rev_signs = []
-        rev_path = []
+    depth = [0] * (2 * V - 1)
+    for node in range(root - 1, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    ends = list(itertools.accumulate(depth[:V]))
+    nodes = [0] * ends[-1]
+    signs = [0.0] * ends[-1]
+    for leaf, end in enumerate(ends):
+        # fill the leaf's slice leaf-up, so it reads root-first
         node = leaf
         while node != root:
-            rev_signs.append(branch[node])
-            rev_path.append(parent[node] - V)
+            end -= 1
+            nodes[end] = parent[node] - V
+            signs[end] = branch[node]
             node = parent[node]
-        signs.append(np.array(rev_signs[::-1], dtype=np.float64))
-        paths.append(np.array(rev_path[::-1], dtype=np.int64))
-    return HuffmanCoding(signs=signs, paths=paths, n_nodes=V - 1)
+    return HuffmanCoding(offsets=np.array([0] + ends, dtype=np.int64),
+                         nodes=np.array(nodes, dtype=np.int64),
+                         signs=np.array(signs, dtype=np.float64))
 
 
-def _init_matrix(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    return (rng.random((rows, dim)) - 0.5) / dim
-
-
-def _index_docs(token_lists, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """All documents' in-vocabulary token indices as one flat array, plus
-    each document's length; out-of-vocabulary tokens are dropped."""
+def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):
+    """What both trainers start from: the vocabulary, its Huffman coding,
+    the seeded generator, the initial center rows drawn from it (one per
+    document if ``doc_rows``, else one per token), and every document's
+    in-vocabulary token indices as one flat array plus each document's
+    length; out-of-vocabulary tokens are dropped."""
+    token_lists = [list(t) for t in token_lists]
+    if not token_lists:
+        raise ValueError("empty corpus")
+    vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    coding = build_huffman(vocab)
+    rng = np.random.default_rng(config.seed)
+    rows = len(token_lists) if doc_rows else len(vocab)
+    centers = (rng.random((rows, config.dim)) - 0.5) / config.dim
     index = vocab.index
     docs = [[index[t] for t in tokens if t in index] for tokens in token_lists]
     lengths = np.array([len(d) for d in docs], dtype=np.int64)
@@ -178,7 +199,7 @@ def _index_docs(token_lists, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]
                        count=int(lengths.sum()))
     if flat.size == 0:
         raise ValueError("no in-vocabulary tokens to train on")
-    return flat, lengths
+    return vocab, coding, rng, centers, flat, lengths
 
 
 def _train_hs(
@@ -203,12 +224,7 @@ def _train_hs(
     """
     hs_train = library().hs_train
     nodes = np.zeros((coding.n_nodes, config.dim))
-    lengths = coding.code_lengths()
-    path_off = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=path_off[1:])
-    path_nodes = np.concatenate(coding.paths)
-    path_signs = np.concatenate(coding.signs)
-    work = np.empty(max(lengths) + config.dim)
+    work = np.empty(max(coding.code_lengths()) + config.dim)
     epoch_loss = np.zeros(1)
     total = config.epochs * tokens_per_epoch
     alpha_span = config.alpha0 - config.alpha_min
@@ -225,11 +241,11 @@ def _train_hs(
                     or offsets[0] != 0 or offsets[-1] != len(targets)
                     or np.any(np.diff(offsets) < 0)
                     or np.any((rows < 0) | (rows >= len(centers)))
-                    or np.any((targets < 0) | (targets >= len(lengths)))):
+                    or np.any((targets < 0) | (targets >= len(coding.offsets) - 1))):
                 raise ValueError("training items out of range")
             block_pairs = hs_train(
                 centers, nodes, config.dim, rows, offsets, targets, n_items,
-                path_off, path_nodes, path_signs,
+                coding.offsets, coding.nodes, coding.signs,
                 config.alpha0, config.alpha_min, alpha_span,
                 processed, total, work, epoch_loss,
             )
@@ -255,14 +271,7 @@ def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
     token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
     (seeded).
     """
-    token_lists = [list(t) for t in token_lists]
-    if not token_lists:
-        raise ValueError("empty corpus")
-    vocab = build_vocabulary(token_lists, min_count=config.min_count)
-    coding = build_huffman(vocab)
-    rng = np.random.default_rng(config.seed)
-    vectors = _init_matrix(rng, len(vocab), config.dim)
-    flat, lengths = _index_docs(token_lists, vocab)
+    vocab, coding, rng, vectors, flat, lengths = _setup(token_lists, config, doc_rows=False)
     doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
     doc_end = doc_start + np.repeat(lengths, lengths)
 
@@ -302,22 +311,12 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     shared Huffman tree; schedule and initialization match
     :func:`train_word2vec`.
     """
-    token_lists = [list(t) for t in token_lists]
-    if not token_lists:
-        raise ValueError("empty corpus")
-    if ids is None:
-        ids = [str(i) for i in range(len(token_lists))]
-    ids = [str(i) for i in ids]
-    if len(ids) != len(token_lists):
-        raise ValueError(f"{len(ids)} ids for {len(token_lists)} documents")
-
-    vocab = build_vocabulary(token_lists, min_count=config.min_count)
-    coding = build_huffman(vocab)
-    rng = np.random.default_rng(config.seed)
-    doc_vectors = _init_matrix(rng, len(token_lists), config.dim)
-    flat, lengths = _index_docs(token_lists, vocab)
+    _, coding, _, doc_vectors, flat, lengths = _setup(token_lists, config, doc_rows=True)
+    ids = [str(i) for i in (range(len(lengths)) if ids is None else ids)]
+    if len(ids) != len(lengths):
+        raise ValueError(f"{len(ids)} ids for {len(lengths)} documents")
     # one item per token: its document's row and the token itself
-    items = [(np.repeat(np.arange(len(token_lists), dtype=np.int64), lengths),
+    items = [(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
               np.arange(flat.size + 1, dtype=np.int64), flat)]
 
     _, epoch_losses, _ = _train_hs(doc_vectors, coding, config, flat.size, lambda: items)

@@ -146,6 +146,15 @@ def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
     return labels, matrix
 
 
+def _reject_repeats(labels, path: str, what: str):
+    """Fail naming the file and the row of the first label seen before."""
+    seen = set()
+    for i, label in enumerate(labels):
+        if label in seen:
+            raise PersistenceError(f"{path} row {i + 1}: duplicate {what} {label!r}")
+        seen.add(label)
+
+
 def _reject_extra_rows(f, path: str, n: int, what: str):
     """Fail on any non-blank line after the n rows a header declared."""
     if any(line.strip() for line in f):
@@ -213,7 +222,8 @@ def _write_kv(path: str, pairs: dict[str, str]):
 
 
 def read_kv(path: str, what: str) -> dict[str, str]:
-    """Parse ``key = value`` lines, skipping blanks and ``#`` comments."""
+    """Parse ``key = value`` lines, skipping blanks and ``#`` comments; a
+    repeated key fails naming the file and the key."""
     try:
         f = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -227,7 +237,10 @@ def read_kv(path: str, what: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise PersistenceError(f"{path}: bad line {line!r}")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in pairs:
+                raise PersistenceError(f"{path}: repeated key {key!r}")
+            pairs[key] = value.strip()
     return pairs
 
 
@@ -262,7 +275,7 @@ def config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
 def _load_labeled_matrix(base: str, kind: str, fmt: str, suffix: str, what: str):
     """The config in ``{base}.meta``, whose format must be ``fmt``, and the
     labels and matrix in ``{base}{suffix}``, whose columns must number the
-    config's ``dim``."""
+    config's ``dim`` and whose labels must be unique."""
     meta_path, matrix_path = base + ".meta", base + suffix
     meta = read_kv(meta_path, f"{kind} meta")
     if meta.get("format", "") != fmt:
@@ -276,6 +289,7 @@ def _load_labeled_matrix(base: str, kind: str, fmt: str, suffix: str, what: str)
         raise PersistenceError(
             f"{meta_path}: dim = {config.dim}, but {matrix_path} has {matrix.shape[1]} columns"
         )
+    _reject_repeats(labels, matrix_path, "label")
     return config, labels, matrix
 
 
@@ -288,8 +302,6 @@ def save_model(model: WordModel, base: str):
 def load_model(base: str) -> WordModel:
     """Restore a word model for querying: no counts and no node matrix."""
     config, tokens, vectors = _load_labeled_matrix(base, "word model", WORD_FORMAT, ".vec", "vector")
-    if len(set(tokens)) != len(tokens):
-        raise PersistenceError(f"{base}.vec: duplicate token")
     vocab = Vocabulary(index={t: i for i, t in enumerate(tokens)}, counts=None)
     return WordModel(
         vocab=vocab,
@@ -344,6 +356,7 @@ def load_tokens(path: str) -> DocumentSet:
             doc_id, _, rest = line.rstrip("\n").partition("\t")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
         _reject_extra_rows(f, path, n, "document")
+    _reject_repeats([doc.id for doc in documents], path, "document id")
     return DocumentSet(documents=documents)
 
 

@@ -7,9 +7,10 @@ summing element vectors in declared order and calling
 which must stay within ``SCORE_BOUND`` of them. ``reference_pareto_front``
 is the dict-grouped sweep the lexsort sweep replaced. ``hs_step`` is one
 hierarchical-softmax SGD step in numpy, the reference for the compiled
-trainer kernel. ``parse_composition`` and ``read_manifest`` read formula
-strings and run manifests, and ``cosine_similarity`` scores one pair of
-vectors; only the tests need them.
+trainer kernel, and ``code_path`` reads one token's path and code out of
+the flat Huffman table that kernel reads. ``parse_composition`` and
+``read_manifest`` read formula strings and run manifests, and
+``cosine_similarity`` scores one pair of vectors; only the tests need them.
 """
 import csv
 import math
@@ -100,6 +101,12 @@ def read_selection(path):
     ids = [r[1] for r in rows[1:]]
     distances = [float("nan") if r[2] == "" else float(r[2]) for r in rows[1:]]
     return ids, distances
+
+
+def code_path(coding, token):
+    """Token ``token``'s (internal-node indices root first, +/-1 code) in ``coding``."""
+    span = slice(coding.offsets[token], coding.offsets[token + 1])
+    return coding.nodes[span], coding.signs[span]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -133,6 +133,36 @@ class TestUnreadableInputs:
         assert f"{conf}: not UTF-8 text" in err
 
 
+class TestRepeatedLabels:
+    """A document id or token that appears twice in a saved artifact exits 2,
+    naming the file and the row, before anything is written."""
+
+    def test_tokens_file_id(self, capsys, tmp_path):
+        tokens = write(str(tmp_path / "c.tokens"),
+                       "litscreen-tokens/1 2\na\tAg films\na\tPt films\n")
+        out = str(tmp_path / "sel.csv")
+        code, _, err = run(capsys, "select", "--corpus", tokens, "--out", out)
+        assert code == 2
+        assert f"{tokens} row 2: duplicate document id 'a'" in err
+        assert not os.path.exists(out)
+
+    def test_dvec_id(self, capsys, tmp_path):
+        tokens = write(str(tmp_path / "c.tokens"),
+                       "litscreen-tokens/1 3\na\tAg films\nb\tPt films\nc\tAg Pt\n")
+        base = str(tmp_path / "d")
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
+        assert run(capsys, "embed-docs", "--corpus", tokens, "--config", conf,
+                   "--out", base)[0] == 0
+        with open(base + ".dvec") as f:
+            text = f.read()
+        write(base + ".dvec", text.replace("\nc\t", "\na\t"))
+        out = str(tmp_path / "sel.csv")
+        code, _, err = run(capsys, "select", "--model", base, "--out", out)
+        assert code == 2
+        assert f"{base}.dvec row 3: duplicate label 'a'" in err
+        assert not os.path.exists(out)
+
+
 class TestPipeline:
     def test_synth_through_report(self, capsys, tmp_path):
         data = str(tmp_path / "data")
@@ -276,6 +306,7 @@ class TestConfigPrecedence:
         ("refine", "anchors = dielectric"),
         ("refine", "batch_size = 0"),
         ("refine", "seed = -1"),
+        ("refine", "alpha0 = inf"),
         ("refine", "max_iterations = 0"),
         ("refine", "max_iterations = -2"),
         ("screen", "preset = xyz"),
@@ -290,6 +321,19 @@ class TestConfigPrecedence:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {conf}: {line.split()[0]} ")
+
+    @pytest.mark.parametrize("text, key", [
+        ("dim = 8\ndim = 16\n", "dim"),
+        ("text-column = abstract\ntext_column = summary\n", "text_column"),
+    ])
+    def test_repeated_key_names_file_and_key(self, capsys, tmp_path, text, key):
+        conf = write(str(tmp_path / "c.conf"), text)
+        corpus = write(str(tmp_path / "c.csv"), "abstract,summary\nAg films,Pt films\n")
+        code, out, err = run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                             "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {conf}: repeated key {key!r}\n"
 
     def test_defaults_are_the_config_classes_defaults(self, capsys, tmp_path):
         data = str(tmp_path / "data")

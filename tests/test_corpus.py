@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import tempfile
 
 import pytest
@@ -16,10 +17,6 @@ from litscreen.corpus import (
     preprocess,
     preprocess_set,
 )
-
-ELS = element_symbols()
-STOPS = default_stopwords()
-LIC = default_license_patterns()
 
 
 def write_csv(tmp_path, text, name="c.csv"):
@@ -99,7 +96,7 @@ class TestLoadCorpus:
 
 class TestPreprocess:
     def run(self, text):
-        return preprocess(text, ELS, STOPS, LIC)
+        return preprocess(text)
 
     def test_lowercases_and_drops_stopwords(self):
         assert self.run("The Quick Results of measurement") == [
@@ -154,6 +151,17 @@ class TestPreprocess:
             once = self.run(text)
             again = self.run(" ".join(once))
             assert again == once
+
+
+class TestBundledLists:
+    def test_read_once_and_immutable(self):
+        for load in (element_symbols, default_stopwords, default_license_patterns):
+            assert load() is load()
+        assert isinstance(element_symbols(), frozenset) and len(element_symbols()) == 118
+        assert isinstance(default_stopwords(), frozenset)
+        patterns = default_license_patterns()
+        assert isinstance(patterns, tuple) and patterns
+        assert all(p.flags & re.IGNORECASE for p in patterns)
 
 
 class TestVocabulary:

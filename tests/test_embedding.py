@@ -5,7 +5,7 @@ import subprocess
 
 import numpy as np
 import pytest
-from helpers import cosine_similarity, hs_step
+from helpers import code_path, cosine_similarity, hs_step
 
 from litscreen import embedding, kernel
 from litscreen.corpus import build_vocabulary, preprocess
@@ -42,7 +42,7 @@ def optimal_tree_cost(counts):
 def huffman_cost(vocab):
     tree = build_huffman(vocab)
     tokens = vocab.tokens()
-    return sum(vocab.counts[t] * len(tree.paths[i]) for i, t in enumerate(tokens))
+    return sum(vocab.counts[t] * len(code_path(tree, i)[0]) for i, t in enumerate(tokens))
 
 
 class TestHuffman:
@@ -58,26 +58,29 @@ class TestHuffman:
     def test_kraft_equality(self):
         vocab = build_vocabulary([["a"] * 9, ["b"] * 5, ["c"] * 3, ["d"] * 2, ["e"]])
         tree = build_huffman(vocab)
-        assert sum(2.0 ** -len(p) for p in tree.paths) == pytest.approx(1.0, abs=1e-12)
+        lengths = [len(code_path(tree, i)[0]) for i in range(len(vocab))]
+        assert sum(2.0 ** -n for n in lengths) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tokens(self):
         vocab = build_vocabulary([["a", "a", "b"]])
         tree = build_huffman(vocab)
         assert tree.n_nodes == 1
-        for path, signs in zip(tree.paths, tree.signs):
+        codes = [code_path(tree, i) for i in range(2)]
+        for path, signs in codes:
             assert len(path) == 1 and path[0] == 0
             assert signs[0] in (-1.0, 1.0)
-        assert tree.signs[0][0] != tree.signs[1][0]
+        assert codes[0][1][0] != codes[1][1][0]
 
     def test_paths_are_root_first(self):
         vocab = build_vocabulary([["a"] * 8, ["b"] * 4, ["c"] * 2, ["d"]])
         tree = build_huffman(vocab)
         V = len(vocab)
         root = V - 2  # internal ids are offsets from V; the root is created last
-        for path in tree.paths:
+        for i in range(V):
+            path, _ = code_path(tree, i)
             assert path[0] == root
-            # depths strictly decrease toward the leaf
-            assert all(path[k] > path[k + 1] or True for k in range(len(path) - 1))
+            # a parent is created after its children, so ids fall toward the leaf
+            assert all(path[k] > path[k + 1] for k in range(len(path) - 1))
 
     def test_frequent_token_gets_short_code(self):
         vocab = build_vocabulary([["a"] * 100, ["b"] * 2, ["c"] * 2, ["d"]])
@@ -88,15 +91,32 @@ class TestHuffman:
     def test_deterministic(self):
         vocab = build_vocabulary([["a"] * 3, ["b"] * 3, ["c"] * 2, ["d"] * 2])
         t1, t2 = build_huffman(vocab), build_huffman(vocab)
-        for p, q in zip(t1.paths, t2.paths):
+        for i in range(len(vocab)):
+            (p, s), (q, t) = code_path(t1, i), code_path(t2, i)
             assert np.array_equal(p, q)
-        for s, t in zip(t1.signs, t2.signs):
             assert np.array_equal(s, t)
 
     def test_single_token_vocabulary_rejected(self):
         vocab = build_vocabulary([["only"]])
         with pytest.raises(ValueError):
             build_huffman(vocab)
+
+    @pytest.mark.parametrize("v", [2, 3, 5, 17, 200])
+    def test_kernel_table_well_formed(self, v):
+        # hs_train indexes raw memory with this table and checks none of it
+        rng = np.random.default_rng(v)
+        counts = rng.integers(1, 1000, size=v)
+        tree = build_huffman(build_vocabulary([[f"w{i}"] * c for i, c in enumerate(counts)]))
+        assert tree.offsets.dtype == tree.nodes.dtype == np.int64
+        assert tree.signs.dtype == np.float64
+        assert all(a.flags.c_contiguous for a in (tree.offsets, tree.nodes, tree.signs))
+        assert len(tree.offsets) == v + 1 and tree.offsets[0] == 0
+        assert np.all(np.diff(tree.offsets) >= 0)
+        assert len(tree.nodes) == len(tree.signs) == tree.offsets[-1]
+        assert tree.n_nodes == v - 1
+        assert np.all((tree.nodes >= 0) & (tree.nodes < tree.n_nodes))
+        assert np.all(np.abs(tree.signs) == 1.0)
+        assert tree.code_lengths() == np.diff(tree.offsets).tolist()
 
 
 class TestHsStep:
@@ -294,10 +314,8 @@ def reference_train(token_lists, config, documents=False):
             alpha = max(config.alpha_min, config.alpha0 - alpha_span * (processed / total))
             processed += 1
             for target in targets:
-                path = coding.paths[target]
-                loss, centers[row], nodes[path] = hs_step(
-                    centers[row], nodes[path], coding.signs[target], alpha
-                )
+                path, signs = code_path(coding, target)
+                loss, centers[row], nodes[path] = hs_step(centers[row], nodes[path], signs, alpha)
                 epoch_loss += loss
                 epoch_pairs += 1
         pairs += epoch_pairs
@@ -499,6 +517,9 @@ class TestConfig:
             EmbeddingConfig(min_count=0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             EmbeddingConfig(seed=-1)
+        for alpha0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha0 must be finite"):
+                EmbeddingConfig(alpha0=alpha0)
 
     def test_cosine_zero_norm_rejected(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,10 @@ class TestMatrixCodec:
             save_doc_model(model, base)
             reference_write_matrix(os.path.join(tmp, "ref"), labels, matrix)
             assert read_bytes(base + ".dvec") == read_bytes(os.path.join(tmp, "ref"))
+            if len(set(labels)) < len(labels):
+                with pytest.raises(PersistenceError, match=r"d\.dvec row \d+: duplicate label"):
+                    load_doc_model(base)
+                return
 
             loaded = load_doc_model(base)
             assert loaded.ids == labels
@@ -426,6 +430,13 @@ class TestTokensRoundTrip:
         with pytest.raises(PersistenceError, match=r"c\.tokens: bad document count"):
             load_tokens(path)
 
+    def test_repeated_id_rejected_naming_file_and_row(self, tmp_path):
+        path = self.two_docs(tmp_path)
+        rewrite_line(path, 2, "a\ty\n")
+        with pytest.raises(PersistenceError,
+                           match=r"c\.tokens row 2: duplicate document id 'a'"):
+            load_tokens(path)
+
     def test_documents_past_count_rejected(self, tmp_path):
         path = self.two_docs(tmp_path)
         rewrite_line(path, 0, "litscreen-tokens/1 1\n")
@@ -446,7 +457,7 @@ class TestMetaFaults:
         return base, load_doc_model, ".dvec"
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
-    @pytest.mark.parametrize("line", ["dim = abc", "window = x", "dim = 0"])
+    @pytest.mark.parametrize("line", ["dim = abc", "window = x", "dim = 0", "alpha0 = inf"])
     def test_bad_value_names_file_and_key(self, tmp_path, kind, line):
         base, load, _ = self.saved(tmp_path, kind)
         key = line.split()[0]
@@ -455,6 +466,25 @@ class TestMetaFaults:
         with open(base + ".meta", "w") as f:
             f.writelines(lines)
         with pytest.raises(PersistenceError, match=rf"m\.meta: {key} "):
+            load(base)
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    def test_repeated_key_names_file_and_key(self, tmp_path, kind):
+        base, load, _ = self.saved(tmp_path, kind)
+        with open(base + ".meta", "a") as f:
+            f.write("dim = 6\n")
+        with pytest.raises(PersistenceError, match=r"m\.meta: repeated key 'dim'"):
+            load(base)
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    def test_repeated_label_names_file_and_row(self, tmp_path, kind):
+        base, load, suffix = self.saved(tmp_path, kind)
+        with open(base + suffix) as f:
+            lines = f.readlines()
+        first = lines[1].partition("\t")[0]
+        rewrite_line(base + suffix, 2, first + "\t" + lines[2].partition("\t")[2])
+        with pytest.raises(PersistenceError,
+                           match=rf"m\{suffix} row 2: duplicate label '{first}'"):
             load(base)
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
