@@ -39,9 +39,11 @@ static double softplus_neg(double sz)
    This holds only without FMA contraction (-ffp-contract=off) and without
    reassociation (no -ffast-math).
 
-   work must hold (longest path + dim) doubles. Each pair's pre-update
-   loss is added to *loss in pair order. Returns the pair count, or -1 on
-   the first non-finite score, with the pairs before it already applied. */
+   work must hold (longest path + dim) doubles. Only when loss is not
+   NULL is each pair's pre-update loss added to *loss in pair order; a
+   NULL loss skips the log1p and leaves the vectors bit for bit the same.
+   Returns the pair count, or -1 on the first non-finite score, with the
+   pairs before it already applied. */
 int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                  const int64_t *rows, const int64_t *offsets,
                  const int64_t *targets, int64_t n_items,
@@ -51,7 +53,7 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                  int64_t processed, int64_t total,
                  double *restrict work, double *loss)
 {
-    double total_loss = *loss;
+    double total_loss = loss ? *loss : 0.0;
     int64_t pairs = 0;
 
     for (int64_t i = 0; i < n_items; i++, processed++) {
@@ -103,7 +105,8 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                 double sz = signs[j] * z[j];
                 double clipped = sz < -60.0 ? -60.0 : (sz > 60.0 ? 60.0 : sz);
                 double e = exp(-clipped);
-                pair_loss += (sz == clipped && sz != 0.0) ? log1p(e) : softplus_neg(sz);
+                if (loss)
+                    pair_loss += (sz == clipped && sz != 0.0) ? log1p(e) : softplus_neg(sz);
                 z[j] = signs[j] * (1.0 - 1.0 / (1.0 + e));
             }
 
@@ -126,7 +129,8 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
             pairs++;
         }
     }
-    *loss = total_loss;
+    if (loss)
+        *loss = total_loss;
     return pairs;
 }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,25 +98,33 @@ class HuffmanCoding:
 
 @dataclass
 class WordModel:
-    """Token vectors; the internal-node matrix only on freshly trained models."""
+    """Token vectors; the internal-node matrix only on freshly trained models.
+
+    ``final_loss`` is the final epoch's mean loss per pair, None when
+    loaded from disk.
+    """
 
     vocab: Vocabulary
     vectors: np.ndarray  # (V, dim) token vectors
     node_vectors: np.ndarray | None  # (V-1, dim); None when loaded from disk
     config: EmbeddingConfig
     seed: int
-    epoch_losses: list[float] = field(default_factory=list)
+    final_loss: float | None = None
     pairs_trained: int = 0
 
 
 @dataclass
 class DocModel:
-    """One trained vector per document, keyed by document id."""
+    """One trained vector per document, keyed by document id.
+
+    ``final_loss`` is the final epoch's mean loss per pair, None when
+    loaded from disk.
+    """
 
     ids: list[str]
     vectors: np.ndarray  # (N, dim)
     config: EmbeddingConfig
-    epoch_losses: list[float] = field(default_factory=list)
+    final_loss: float | None = None
 
 
 def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
@@ -208,7 +216,7 @@ def _train_hs(
     config: EmbeddingConfig,
     tokens_per_epoch: int,
     epoch_items,
-) -> tuple[np.ndarray, list[float], int]:
+) -> tuple[np.ndarray, float, int]:
     """SGD over hierarchical softmax, updating ``centers`` in place.
 
     ``epoch_items()`` is called once per epoch and yields that epoch's
@@ -220,19 +228,20 @@ def _train_hs(
     ``-sum log sigmoid(sign * <center, node>)`` over the target's path,
     with both gradients taken at the incoming values. The learning rate
     decays linearly per item across all epochs. Node vectors start at
-    zero. Returns (node matrix, per-epoch mean loss, pairs trained).
+    zero. The loss is computed in the final epoch only; the epochs before
+    it skip it. Returns (node matrix, the final epoch's mean loss per
+    pair, pairs trained).
     """
     hs_train = library().hs_train
     nodes = np.zeros((coding.n_nodes, config.dim))
     work = np.empty(max(coding.code_lengths()) + config.dim)
-    epoch_loss = np.zeros(1)
+    final_loss = np.zeros(1)
     total = config.epochs * tokens_per_epoch
     alpha_span = config.alpha0 - config.alpha_min
     processed = 0
     pairs = 0
-    epoch_losses = []
-    for _ in range(config.epochs):
-        epoch_loss[0] = 0.0
+    for epoch in range(config.epochs):
+        loss = final_loss if epoch == config.epochs - 1 else None
         epoch_pairs = 0
         for rows, offsets, targets in epoch_items():
             n_items = len(rows)
@@ -247,15 +256,14 @@ def _train_hs(
                 centers, nodes, config.dim, rows, offsets, targets, n_items,
                 coding.offsets, coding.nodes, coding.signs,
                 config.alpha0, config.alpha_min, alpha_span,
-                processed, total, work, epoch_loss,
+                processed, total, work, loss,
             )
             if block_pairs < 0:
                 raise ValueError("non-finite score while training")
             processed += n_items
             epoch_pairs += block_pairs
         pairs += epoch_pairs
-        epoch_losses.append(float(epoch_loss[0]) / max(1, epoch_pairs))
-    return nodes, epoch_losses, pairs
+    return nodes, float(final_loss[0]) / max(1, epoch_pairs), pairs
 
 
 # Skip-gram positions per kernel call: bounds the window arrays at a few
@@ -291,14 +299,14 @@ def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
             context += context >= np.repeat(pos, counts)
             yield flat[block], offsets, flat[context]
 
-    nodes, epoch_losses, pairs = _train_hs(vectors, coding, config, flat.size, windows)
+    nodes, final_loss, pairs = _train_hs(vectors, coding, config, flat.size, windows)
     return WordModel(
         vocab=vocab,
         vectors=vectors,
         node_vectors=nodes,
         config=config,
         seed=config.seed,
-        epoch_losses=epoch_losses,
+        final_loss=final_loss,
         pairs_trained=pairs,
     )
 
@@ -319,12 +327,12 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     items = [(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
               np.arange(flat.size + 1, dtype=np.int64), flat)]
 
-    _, epoch_losses, _ = _train_hs(doc_vectors, coding, config, flat.size, lambda: items)
+    _, final_loss, _ = _train_hs(doc_vectors, coding, config, flat.size, lambda: items)
     return DocModel(
         ids=ids,
         vectors=doc_vectors,
         config=config,
-        epoch_losses=epoch_losses,
+        final_loss=final_loss,
     )
 
 

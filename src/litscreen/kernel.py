@@ -87,13 +87,21 @@ def library() -> Kernel:
     out_i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     int64, double = ctypes.c_int64, ctypes.c_double
 
+    class optional_loss(np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(1,),
+                                               flags=("C_CONTIGUOUS", "WRITEABLE"))):
+        """hs_train's loss accumulator, or None: NULL, so the loss is not computed."""
+
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else super().from_param(obj)
+
     hs_train = lib.hs_train
     hs_train.argtypes = [out_matrix, out_matrix, int64,
                          i64, i64, i64, int64,
                          i64, i64, f64,
                          double, double, double,
                          int64, int64,
-                         out, out]
+                         out, optional_loss]
     hs_train.restype = int64
     format_rows = lib.format_rows
     format_rows.argtypes = [matrix, int64, int64, ctypes.c_char_p, int64, out_i64]

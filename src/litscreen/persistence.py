@@ -173,7 +173,8 @@ def _write_matrix_file(path: str, labels, matrix: np.ndarray):
 
     The kernel library formats the values a block of rows at a time, and
     each block is streamed to the file, so the text is never held whole.
-    A non-finite value fails naming the file and row.
+    A non-finite value fails naming the file and row, and a repeated label
+    fails naming them before the file is opened.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     n, dim = matrix.shape
@@ -184,6 +185,7 @@ def _write_matrix_file(path: str, labels, matrix: np.ndarray):
         heads.append(label.encode("utf-8") + b"\t")
     if len(heads) != n:
         raise PersistenceError(f"{path}: {len(heads)} labels for {n} rows")
+    _reject_repeats(labels, path, "label")
     if dim < 1:
         raise PersistenceError(f"{path}: a matrix without columns cannot be saved")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -207,7 +208,7 @@ class TestTrainWord2vec:
         m2 = train_word2vec(tiny_corpus(), self.CFG)
         assert np.array_equal(m1.vectors, m2.vectors)
         assert np.array_equal(m1.node_vectors, m2.node_vectors)
-        assert m1.epoch_losses == m2.epoch_losses
+        assert m1.final_loss == m2.final_loss
         assert m1.pairs_trained == m2.pairs_trained
 
     def test_seed_changes_result(self):
@@ -216,8 +217,9 @@ class TestTrainWord2vec:
         assert not np.array_equal(m1.vectors, m2.vectors)
 
     def test_loss_decreases(self):
+        one_epoch = train_word2vec(tiny_corpus(), dataclasses.replace(self.CFG, epochs=1))
         model = train_word2vec(tiny_corpus(), self.CFG)
-        assert model.epoch_losses[-1] < model.epoch_losses[0]
+        assert model.final_loss < one_epoch.final_loss
 
     def test_cooccurring_tokens_more_similar(self):
         cfg = EmbeddingConfig(dim=24, window=2, epochs=20, seed=2)
@@ -237,8 +239,7 @@ class TestTrainWord2vec:
     def test_pairs_counted(self):
         model = train_word2vec(tiny_corpus(), self.CFG)
         assert model.pairs_trained > 0
-        # every epoch logs a mean loss
-        assert len(model.epoch_losses) == self.CFG.epochs
+        assert math.isfinite(model.final_loss) and model.final_loss > 0
 
     def test_shapes(self):
         model = train_word2vec(tiny_corpus(), self.CFG)
@@ -345,7 +346,7 @@ class TestKernelMatchesReference:
         vectors, nodes, losses, pairs = reference_train(tokens, cfg)
         model = train_word2vec(tokens, cfg)
         assert model.pairs_trained == pairs
-        assert model.epoch_losses == pytest.approx(losses, rel=1e-9, abs=0)
+        assert model.final_loss == pytest.approx(losses[-1], rel=1e-9, abs=0)
         assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
         assert np.max(np.abs(model.node_vectors - nodes)) <= 1e-12
 
@@ -354,7 +355,7 @@ class TestKernelMatchesReference:
         tokens = planted_tokens(n_docs)
         vectors, _, losses, _ = reference_train(tokens, cfg, documents=True)
         model = train_doc2vec(tokens, cfg)
-        assert model.epoch_losses == pytest.approx(losses, rel=1e-9, abs=0)
+        assert model.final_loss == pytest.approx(losses[-1], rel=1e-9, abs=0)
         assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
 
     @staticmethod
@@ -454,7 +455,8 @@ def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes
 
 class TestKernelMatchesScalarReplica:
     """The kernel's results are fixed to the bit, so they must equal the
-    scalar replica's exactly, not to a tolerance."""
+    scalar replica's exactly, not to a tolerance, whether or not the kernel
+    is given a loss buffer; the replica always computes the loss."""
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
     def test_bit_identical(self, dim):
@@ -485,19 +487,23 @@ class TestKernelMatchesScalarReplica:
             offsets = np.zeros(n_items + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             targets = rng.integers(0, len(paths), size=int(offsets[-1]))
-            pairs = hs_train(centers, nodes, dim, rows, offsets, targets, n_items,
-                             path_off, path_nodes, path_signs,
-                             0.5, 0.01, 0.49, processed, total, work, loss)
             want_loss, want_pairs = scalar_hs_train(
                 want_centers, want_nodes, rows.tolist(), offsets.tolist(), targets.tolist(),
                 path_off.tolist(), path_nodes.tolist(), path_signs.tolist(),
                 0.5, 0.01, 0.49, processed, total, want_loss)
+            start_centers, start_nodes = centers, nodes
+            # None passes NULL: the kernel skips the loss, not the update
+            for buffer in (loss, None):
+                centers, nodes = start_centers.copy(), start_nodes.copy()
+                pairs = hs_train(centers, nodes, dim, rows, offsets, targets, n_items,
+                                 path_off, path_nodes, path_signs,
+                                 0.5, 0.01, 0.49, processed, total, work, buffer)
+                assert pairs == want_pairs
+                np.testing.assert_array_equal(centers.view(np.int64),
+                                              np.array(want_centers).view(np.int64))
+                np.testing.assert_array_equal(nodes.view(np.int64),
+                                              np.array(want_nodes).view(np.int64))
             processed += n_items
-            assert pairs == want_pairs
-            np.testing.assert_array_equal(centers.view(np.int64),
-                                          np.array(want_centers).view(np.int64))
-            np.testing.assert_array_equal(nodes.view(np.int64),
-                                          np.array(want_nodes).view(np.int64))
             assert loss[0] == want_loss
 
 
