@@ -1,12 +1,7 @@
-/* litscreen's compiled kernels: the SGD loop over hierarchical softmax
-   that both trainers run (hs_train), and the text codec of the rows of
-   .vec/.dvec matrix files (format_rows, parse_row). */
-#define _POSIX_C_SOURCE 200809L
-#include <locale.h>
+/* litscreen's compiled kernel: the SGD loop over hierarchical softmax
+   that both trainers run (hs_train). */
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
 
 #define LOGE2 0.693147180559945309417232121458176568
 
@@ -132,156 +127,4 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
     if (loss)
         *loss = total_loss;
     return pairs;
-}
-
-/* The matrix text codec. glibc's snprintf and strtod follow the calling
-   thread's LC_NUMERIC, which a host program may have set to a locale
-   with a decimal comma; Python's float formatting and float() never read
-   the locale. So each call runs under the C locale and then restores the
-   caller's. */
-
-/* Longest %.17g text of a double, -1.2345678901234567e-308, plus the
-   separator after it. */
-#define VALUE_BYTES 25
-
-/* Writes rows [0, n_rows) of a row-major (n_rows, dim) matrix as text:
-   each value as %.17g, which prints every finite double exactly as
-   Python's f"{x:.17g}" does, values separated by one space and each row
-   ended by '\n'. ends[i] receives the offset in buf just past row i.
-   Returns the number of rows written, which is less than n_rows when row
-   [returned count] holds a non-finite value; -1 when dim < 1, when cap
-   is under n_rows * dim * VALUE_BYTES or when the C locale cannot be
-   made. */
-int64_t format_rows(const double *values, int64_t n_rows, int64_t dim,
-                    char *buf, int64_t cap, int64_t *ends)
-{
-    if (dim < 1 || cap < n_rows * dim * VALUE_BYTES)
-        return -1;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (!c_locale)
-        return -1;
-    locale_t caller = uselocale(c_locale);
-    char *p = buf;
-    int64_t i;
-
-    for (i = 0; i < n_rows; i++) {
-        const double *row = values + i * dim;
-        int64_t k;
-        for (k = 0; k < dim && isfinite(row[k]); k++) {
-            p += snprintf(p, VALUE_BYTES, "%.17g", row[k]);
-            *p++ = ' ';
-        }
-        if (k < dim)
-            break;
-        p[-1] = '\n';
-        ends[i] = p - buf;
-    }
-    uselocale(caller);
-    freelocale(c_locale);
-    return i;
-}
-
-static int is_space(char c)
-{
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f';
-}
-
-static int is_digit(char c)
-{
-    return c >= '0' && c <= '9';
-}
-
-/* Length of the plain decimal number that starts at s: an optional sign,
-   digits with an optional fraction (one digit at least) and an optional
-   exponent. 0 when s does not start with one. */
-static int64_t decimal_len(const char *s, const char *end)
-{
-    const char *p = s;
-    int digits = 0;
-
-    if (p < end && (*p == '+' || *p == '-'))
-        p++;
-    for (; p < end && is_digit(*p); p++)
-        digits = 1;
-    if (p < end && *p == '.')
-        for (p++; p < end && is_digit(*p); p++)
-            digits = 1;
-    if (!digits)
-        return 0;
-    if (p < end && (*p == 'e' || *p == 'E')) {
-        const char *e = p + 1;
-        if (e < end && (*e == '+' || *e == '-'))
-            e++;
-        if (e < end && is_digit(*e)) {
-            while (e < end && is_digit(*e))
-                e++;
-            p = e;
-        }
-    }
-    return p - s;
-}
-
-/* Whether s[0..len) is a signed or unsigned inf, infinity or nan, in any
-   case: the non-finite spellings Python's float() accepts. */
-static int is_non_finite_word(const char *s, int64_t len)
-{
-    static const char *const words[] = {"inf", "infinity", "nan"};
-    if (len && (*s == '+' || *s == '-'))
-        s++, len--;
-    for (int w = 0; w < 3; w++) {
-        int64_t k = 0;
-        while (k < len && words[w][k] && (s[k] | 0x20) == words[w][k])
-            k++;
-        if (k == len && !words[w][k])
-            return 1;
-    }
-    return 0;
-}
-
-/* Parses the fields of text[0..len), separated by runs of ASCII
-   whitespace, into out[0..dim). text[len] must be a NUL byte, as it is in
-   a Python bytes object passed as c_char_p. A field is converted with
-   strtod, which rounds correctly as Python's float() does, only when it
-   is a plain decimal number, so hex floats, nan payloads and digit
-   separators such as 1_0 are refused.
-   Returns dim when there are exactly dim fields and all are finite
-   numbers. Otherwise returns the field count when it is not dim, else -1
-   when a field is not a number, else -2 when a field is nan or infinite
-   or overflows to infinity, and -3 when the C locale cannot be made. */
-int64_t parse_row(const char *text, int64_t len, double *out, int64_t dim)
-{
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (!c_locale)
-        return -3;
-    locale_t caller = uselocale(c_locale);
-    const char *p = text, *end = text + len;
-    int64_t count = 0;
-    int unparsable = 0, non_finite = 0;
-
-    for (;;) {
-        while (p < end && is_space(*p))
-            p++;
-        if (p == end)
-            break;
-        const char *q = p;
-        while (q < end && !is_space(*q))
-            q++;
-        if (count < dim && !unparsable) {
-            if (decimal_len(p, q) == q - p) {
-                out[count] = strtod(p, NULL);
-                non_finite |= !isfinite(out[count]);
-            } else if (is_non_finite_word(p, q - p)) {
-                non_finite = 1;
-            } else {
-                unparsable = 1;
-            }
-        }
-        count++;
-        p = q;
-    }
-    uselocale(caller);
-    freelocale(c_locale);
-    if (count != dim)
-        return count;
-    return unparsable ? -1 : (non_finite ? -2 : dim);
 }

@@ -196,9 +196,9 @@ def _cmd_embed_docs(args) -> int:
     config = settings.embedding()
     docs = _load_documents(settings)
     model = train_doc2vec(docs.token_lists(), config, ids=docs.ids())
-    save_doc_model(model, args.out)
+    paths = save_doc_model(model, args.out)
     print(f"embedded {len(model.ids)} documents at dim {config.dim}")
-    print(f"model files: {args.out}.dvec {args.out}.meta")
+    print(f"model files: {' '.join(paths)}")
     return 0
 
 
@@ -234,7 +234,7 @@ def _cmd_refine(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     save_iteration_log(result.records, os.path.join(args.out, "iterations.csv"))
-    save_model(result.final_model, os.path.join(args.out, "model"))
+    model_paths = save_model(result.final_model, os.path.join(args.out, "model"))
     save_selection(result.selection_order, docs.ids(), os.path.join(args.out, "selection.csv"))
     manifest = {
         "tool": f"litscreen/{__version__}",
@@ -248,7 +248,8 @@ def _cmd_refine(args) -> int:
         **config_pairs(result.final_model.config),
         "iterations_run": str(len(result.records)),
         "converged": "true" if result.converged else "false",
-        "outputs": "iterations.csv selection.csv model.vec model.meta",
+        "outputs": " ".join(["iterations.csv", "selection.csv",
+                             *(os.path.basename(p) for p in model_paths)]),
     }
     write_manifest(manifest, os.path.join(args.out, "manifest.txt"))
 

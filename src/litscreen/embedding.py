@@ -232,7 +232,7 @@ def _train_hs(
     it skip it. Returns (node matrix, the final epoch's mean loss per
     pair, pairs trained).
     """
-    hs_train = library().hs_train
+    hs_train = library()
     nodes = np.zeros((coding.n_nodes, config.dim))
     work = np.empty(max(coding.code_lengths()) + config.dim)
     final_loss = np.zeros(1)

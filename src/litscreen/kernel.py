@@ -1,10 +1,10 @@
 """The compiled kernel library: ``_hs.c`` built with ``cc`` and loaded with ctypes.
 
-It holds the trainers' SGD loop (``hs_train``) and the text codec of
-``.vec``/``.dvec`` rows (``format_rows``, ``parse_row``). :func:`library`
-compiles the source the first time it is called, never at import, and
-caches the result under this package's ``__pycache__/``, keyed on the
-source and the flags, so later processes load it without compiling.
+It holds the trainers' SGD loop, ``hs_train``, and nothing else: saving
+and loading models never touch it. :func:`library` compiles the source
+the first time it is called, never at import, and caches the result
+under this package's ``__pycache__/``, keyed on the source and the flags,
+so later processes load it without compiling.
 There is no fallback: a missing or failing compiler raises RuntimeError.
 """
 from __future__ import annotations
@@ -14,22 +14,12 @@ import functools
 import hashlib
 import os
 import tempfile
-from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FLAGS", "Kernel", "library_path", "build", "library"]
+__all__ = ["FLAGS", "library_path", "build", "library"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-class Kernel(NamedTuple):
-    """The library's entry points, with argtypes and restype declared."""
-
-    hs_train: Callable[..., int]
-    format_rows: Callable[..., int]
-    parse_row: Callable[..., int]
 
 
 def library_path(source: bytes, cache_dir: str) -> str:
@@ -73,18 +63,17 @@ def build(source: bytes, cache_dir: str) -> str:
 
 
 @functools.cache
-def library() -> Kernel:
-    """The entry points of ``_hs.c``, compiled into ``__pycache__`` on first use."""
+def library():
+    """``hs_train`` from ``_hs.c``, with argtypes and restype declared;
+    compiled into ``__pycache__`` on first use."""
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "_hs.c"), "rb") as f:
         source = f.read()
     lib = ctypes.CDLL(build(source, os.path.join(here, "__pycache__")))
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     out_matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    out_i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     int64, double = ctypes.c_int64, ctypes.c_double
 
     class optional_loss(np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(1,),
@@ -103,11 +92,4 @@ def library() -> Kernel:
                          int64, int64,
                          out, optional_loss]
     hs_train.restype = int64
-    format_rows = lib.format_rows
-    format_rows.argtypes = [matrix, int64, int64, ctypes.c_char_p, int64, out_i64]
-    format_rows.restype = int64
-    # the row and its destination go by raw pointer: one call per file row
-    parse_row = lib.parse_row
-    parse_row.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64]
-    parse_row.restype = int64
-    return Kernel(hs_train, format_rows, parse_row)
+    return hs_train

@@ -1,38 +1,40 @@
 """Save/load for every pipeline artifact, with bit-stable round-trips.
 
-A word model is saved as its token vectors and config only: nothing
-trains from a loaded model, so the Huffman node matrix is not written.
-Only the current ``litscreen-wordmodel/2`` format loads; any other
-``.meta`` format, the older ``/1`` included, fails naming the file. A
-refinement run's per-iteration log is one CSV, ``iterations.csv``.
-All numeric text is written with 17 significant digits, which is exact
-for 64-bit floats: save -> load -> save reproduces the file byte for
-byte. The ``.vec``/``.dvec`` matrices go through the text codec of the
-compiled kernel library (:mod:`litscreen.kernel`): rows are formatted a
-block at a time with ``%.17g``, which writes what Python's
-``f"{x:.17g}"`` does, and read back a row at a time with ``strtod``
-behind a plain-decimal check, so neither the file nor its text is ever
-held whole. A non-finite value fails the save, naming the file and row.
-Writers go through a temp file and an atomic rename so readers never
-observe a partial artifact. A text file that is not UTF-8 fails naming
-the file.
+A model is three files: its matrix in ``{base}.npy``, written by
+``np.save`` as little-endian float64 in C order; one UTF-8 label per row,
+one per line, in ``{base}.labels``; and its format and config as
+``key = value`` lines in ``{base}.meta``. A word model's rows are its token
+vectors: nothing trains from a loaded model, so the Huffman node matrix is
+not written. Only the current ``litscreen-wordmodel/3`` and
+``litscreen-docmodel/2`` formats load; any other ``.meta`` format fails
+naming the file. The ``.npy`` header is read and checked with
+``numpy.lib.format`` before any value is, so nothing is ever unpickled, and
+the file must hold exactly the values its header declares. A non-finite
+value, a repeated label or a label holding a line break fails naming the
+file and the row, on save before any file is opened and on load. A
+refinement run's per-iteration log is one CSV, ``iterations.csv``. Floats
+in text are written with 17 significant digits, which is exact for 64-bit
+floats. Writers go through a temp file and an atomic rename so readers
+never observe a partial artifact, and a model's ``.meta`` is removed
+first and written last, so a model saved only in part does not load. A
+text file that is not UTF-8 fails naming the file.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import hashlib
 import io
 import os
 import tempfile
+import tokenize
 from dataclasses import fields
 
 import numpy as np
+import numpy.lib.format as npy
 
 from .corpus import Document, DocumentSet, Vocabulary
 from .embedding import DocModel, EmbeddingConfig, WordModel
-from .kernel import library
 from .refine import IterationRecord
 from .selection import SelectionOrder
 
@@ -54,8 +56,8 @@ __all__ = [
     "config_from_pairs",
 ]
 
-WORD_FORMAT = "litscreen-wordmodel/2"
-DOC_FORMAT = "litscreen-docmodel/1"
+WORD_FORMAT = "litscreen-wordmodel/3"
+DOC_FORMAT = "litscreen-docmodel/2"
 TOKENS_FORMAT = "litscreen-tokens/1"
 MANIFEST_FORMAT = "litscreen-manifest/1"
 
@@ -91,59 +93,78 @@ def _atomic_write(path: str, text: str):
         f.write(text.encode("utf-8"))
 
 
-def _read_matrix_file(path: str, what: str) -> tuple[list[str], np.ndarray]:
-    """Read an 'N D' header and exactly N labeled rows; errors name the byte offset.
+_F8 = np.dtype("<f8")
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
+# What numpy's header readers raise on forged bytes, beyond the ValueError
+# they document: the header is a Python literal, parsed with ast and, on a
+# syntax error, re-tokenized (each type here was seen by fuzzing them).
+_BAD_NPY_HEADER = (ValueError, TypeError, IndexError, SyntaxError, tokenize.TokenError)
 
-    The file is read in binary a row at a time, each row parsed straight
-    into the matrix by one kernel-library call: values must be plain
-    decimal numbers, and CRLF line ends load.
+
+def _reject_non_finite(matrix: np.ndarray, path: str):
+    """Fail naming the file and the first row that holds a nan or an inf."""
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise PersistenceError(f"{path}: non-finite value in row {int(bad.argmax()) + 1}")
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """The finite (n, d) ``<f8`` C-order matrix of a ``.npy`` file.
+
+    The header is checked before any value is read, and the file must hold
+    exactly the bytes its shape needs, so a forged shape never sizes an
+    allocation and no trailing byte is ignored.
     """
     try:
         f = open(path, "rb")
     except FileNotFoundError:
-        raise PersistenceError(f"{what} file not found: {path}") from None
+        raise PersistenceError(f"matrix file not found: {path}") from None
     with f:
-        header = f.readline()
-        if not header:
-            raise PersistenceError(f"{path}: empty {what} file (byte 0)")
-        offset = len(header)
-        parts = header.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts) or int(parts[1]) < 1:
-            raise PersistenceError(f"{path}: bad header {header.decode('utf-8', 'replace')!r}")
-        n, dim = int(parts[0]), int(parts[1])
+        try:
+            read_header = _NPY_HEADERS.get(npy.read_magic(f))
+            if read_header is None:
+                raise ValueError("unsupported format version")
+            shape, fortran_order, dtype = read_header(f)
+        except _BAD_NPY_HEADER as exc:
+            raise PersistenceError(f"{path}: not a .npy matrix ({exc})") from None
+        if dtype != _F8:
+            raise PersistenceError(f"{path}: dtype {dtype.str}, expected <f8")
+        if fortran_order:
+            raise PersistenceError(f"{path}: Fortran-order array, expected C order")
+        if len(shape) != 2 or shape[0] < 0 or shape[1] < 1:
+            raise PersistenceError(f"{path}: shape {shape}, expected (rows, columns >= 1)")
+        n, dim = shape
+        size, expected = os.fstat(f.fileno()).st_size - f.tell(), 8 * n * dim
+        if size < expected:
+            raise PersistenceError(f"{path}: truncated, {size} of the {expected} bytes "
+                                   f"a {n} x {dim} matrix needs")
+        if size > expected:
+            raise PersistenceError(f"{path}: {size - expected} bytes past the {n} x {dim} matrix")
+        matrix = np.fromfile(f, dtype=_F8, count=n * dim).reshape(n, dim)
+    _reject_non_finite(matrix, path)
+    return matrix
 
-        parse_row = library().parse_row
-        labels: list[str] = []
-        matrix = np.empty((n, dim), dtype=np.float64)
-        row_address = matrix.ctypes.data
-        for i in range(n):
-            line = f.readline()
-            if not line:
-                raise PersistenceError(
-                    f"{path}: truncated {what} file, expected row {i + 1} of {n} "
-                    f"near byte {offset}"
-                )
-            offset += len(line)
-            label, _, values = line.partition(b"\t")
-            got = parse_row(values, len(values), row_address, dim)
-            if got != dim:
-                if got >= 0:
-                    raise PersistenceError(
-                        f"{path}: row {i + 1} has {got} values, expected {dim} "
-                        f"(near byte {offset})"
-                    )
-                if got == -1:
-                    raise PersistenceError(f"{path}: unparsable float in row {i + 1}")
-                if got == -2:
-                    raise PersistenceError(f"{path}: non-finite value in row {i + 1}")
-                raise RuntimeError("the kernel library could not switch to the C locale")
-            try:
-                labels.append(label.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise PersistenceError(f"{path}: label of row {i + 1} is not UTF-8") from None
-            row_address += matrix.strides[0]
-        _reject_extra_rows(f, path, n, "row")
-    return labels, matrix
+
+def _read_labels(path: str) -> list[str]:
+    """One label per line of a UTF-8 file, each ended by ``\\n``."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise PersistenceError(f"labels file not found: {path}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise PersistenceError(f"{path} row {row}: label is not UTF-8") from None
+    if "\r" in text:
+        row = text.count("\n", 0, text.index("\r")) + 1
+        raise PersistenceError(f"{path} row {row}: label holds a line break")
+    if text and not text.endswith("\n"):
+        raise PersistenceError(f"{path}: truncated, the last label has no line end")
+    labels = text[:-1].split("\n") if text else []
+    _reject_repeats(labels, path, "label")
+    return labels
 
 
 def _reject_repeats(labels, path: str, what: str):
@@ -161,53 +182,39 @@ def _reject_extra_rows(f, path: str, n: int, what: str):
         raise PersistenceError(f"{path}: more than the {n} {what}s its header declares")
 
 
-# Text bytes per value: %.17g writes at most 24 (-1.2345678901234567e-308),
-# plus a separator. The writer formats blocks of rows into one buffer of
-# about _BLOCK_BYTES.
-_VALUE_BYTES = 25
-_BLOCK_BYTES = 1 << 18
+def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, str]) -> list[str]:
+    """Write ``{base}.npy``, ``{base}.labels`` and then ``{base}.meta``, and
+    return their paths in that order. An existing ``{base}.meta`` is
+    removed first.
 
-
-def _write_matrix_file(path: str, labels, matrix: np.ndarray):
-    """Write an 'N D' header and one ``label<TAB>values`` line per row.
-
-    The kernel library formats the values a block of rows at a time, and
-    each block is streamed to the file, so the text is never held whole.
-    A non-finite value fails naming the file and row, and a repeated label
-    fails naming them before the file is opened.
+    Every check runs before a file is opened: one label per row, none
+    holding a line break and none repeated, at least one column, and only
+    finite values.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    matrix_path, labels_path, meta_path = base + ".npy", base + ".labels", base + ".meta"
+    matrix = np.ascontiguousarray(matrix, dtype=_F8)
     n, dim = matrix.shape
-    heads = []
-    for label in labels:
-        if "\t" in label or "\n" in label:
-            raise PersistenceError(f"label {label!r} contains tab or newline")
-        heads.append(label.encode("utf-8") + b"\t")
-    if len(heads) != n:
-        raise PersistenceError(f"{path}: {len(heads)} labels for {n} rows")
-    _reject_repeats(labels, path, "label")
+    if len(labels) != n:
+        raise PersistenceError(f"{labels_path}: {len(labels)} labels for {n} rows")
+    for i, label in enumerate(labels):
+        if "\n" in label or "\r" in label:
+            raise PersistenceError(f"{labels_path} row {i + 1}: label holds a line break")
+    _reject_repeats(labels, labels_path, "label")
     if dim < 1:
-        raise PersistenceError(f"{path}: a matrix without columns cannot be saved")
+        raise PersistenceError(f"{matrix_path}: a matrix without columns cannot be saved")
+    _reject_non_finite(matrix, matrix_path)
+    label_bytes = "".join(label + "\n" for label in labels).encode("utf-8")
 
-    format_rows = library().format_rows
-    block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
-    buf = ctypes.create_string_buffer(min(block, n) * dim * _VALUE_BYTES)
-    text = memoryview(buf)
-    ends = np.empty(block, dtype=np.int64)
-    with _atomic_open(path) as f:
-        f.write(f"{n} {dim}\n".encode())
-        for start in range(0, n, block):
-            rows = matrix[start:start + block]
-            written = format_rows(rows, len(rows), dim, buf, len(buf), ends)
-            if written != len(rows):
-                if written < 0:
-                    raise RuntimeError("the kernel library could not format the rows")
-                raise PersistenceError(f"{path}: non-finite value in row {start + written + 1}")
-            row_start = 0
-            for head, row_end in zip(heads[start:start + len(rows)], ends[:len(rows)].tolist()):
-                f.write(head)
-                f.write(text[row_start:row_end])
-                row_start = row_end
+    # the old .meta goes first and the new one comes last, so a save cut
+    # short leaves no model that loads, never new values under old labels
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(meta_path)
+    with _atomic_open(matrix_path) as f:
+        np.save(f, matrix, allow_pickle=False)
+    with _atomic_open(labels_path) as f:
+        f.write(label_bytes)
+    _write_kv(meta_path, meta)
+    return [matrix_path, labels_path, meta_path]
 
 
 @contextlib.contextmanager
@@ -274,11 +281,11 @@ def config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
         raise PersistenceError(f"{path}: {exc}") from None
 
 
-def _load_labeled_matrix(base: str, kind: str, fmt: str, suffix: str, what: str):
-    """The config in ``{base}.meta``, whose format must be ``fmt``, and the
-    labels and matrix in ``{base}{suffix}``, whose columns must number the
-    config's ``dim`` and whose labels must be unique."""
-    meta_path, matrix_path = base + ".meta", base + suffix
+def _load_labeled_matrix(base: str, kind: str, fmt: str):
+    """The config in ``{base}.meta``, whose format must be ``fmt``, the
+    matrix in ``{base}.npy``, whose columns must number the config's
+    ``dim``, and one unique label per matrix row in ``{base}.labels``."""
+    meta_path, matrix_path, labels_path = base + ".meta", base + ".npy", base + ".labels"
     meta = read_kv(meta_path, f"{kind} meta")
     if meta.get("format", "") != fmt:
         raise PersistenceError(f"{meta_path}: unknown {kind} format {meta.get('format', '')!r}")
@@ -286,24 +293,29 @@ def _load_labeled_matrix(base: str, kind: str, fmt: str, suffix: str, what: str)
     if missing:
         raise PersistenceError(f"{meta_path}: missing config key {missing[0]!r}")
     config = config_from_pairs(meta, meta_path)
-    labels, matrix = _read_matrix_file(matrix_path, what)
+    matrix = _read_matrix(matrix_path)
     if matrix.shape[1] != config.dim:
         raise PersistenceError(
             f"{meta_path}: dim = {config.dim}, but {matrix_path} has {matrix.shape[1]} columns"
         )
-    _reject_repeats(labels, matrix_path, "label")
+    labels = _read_labels(labels_path)
+    if len(labels) != len(matrix):
+        raise PersistenceError(
+            f"{labels_path}: {len(labels)} labels for the {len(matrix)} rows of {matrix_path}"
+        )
     return config, labels, matrix
 
 
-def save_model(model: WordModel, base: str):
-    """Write `{base}.vec` (token vectors) and `{base}.meta` (format and config)."""
-    _write_matrix_file(base + ".vec", model.vocab.tokens(), model.vectors)
-    _write_kv(base + ".meta", {"format": WORD_FORMAT, **config_pairs(model.config)})
+def save_model(model: WordModel, base: str) -> list[str]:
+    """Write the token vectors, the tokens and the format and config of a
+    word model under ``base``; returns the paths written, in write order."""
+    return _save_labeled_matrix(base, model.vocab.tokens(), model.vectors,
+                                {"format": WORD_FORMAT, **config_pairs(model.config)})
 
 
 def load_model(base: str) -> WordModel:
     """Restore a word model for querying: no counts and no node matrix."""
-    config, tokens, vectors = _load_labeled_matrix(base, "word model", WORD_FORMAT, ".vec", "vector")
+    config, tokens, vectors = _load_labeled_matrix(base, "word model", WORD_FORMAT)
     vocab = Vocabulary(index={t: i for i, t in enumerate(tokens)}, counts=None)
     return WordModel(
         vocab=vocab,
@@ -314,15 +326,15 @@ def load_model(base: str) -> WordModel:
     )
 
 
-def save_doc_model(model: DocModel, base: str):
-    """Write `{base}.dvec` and `{base}.meta`."""
-    _write_matrix_file(base + ".dvec", model.ids, model.vectors)
-    _write_kv(base + ".meta", {"format": DOC_FORMAT, **config_pairs(model.config)})
+def save_doc_model(model: DocModel, base: str) -> list[str]:
+    """Write the document vectors, the ids and the format and config of a
+    document model under ``base``; returns the paths written, in write order."""
+    return _save_labeled_matrix(base, model.ids, model.vectors,
+                                {"format": DOC_FORMAT, **config_pairs(model.config)})
 
 
 def load_doc_model(base: str) -> DocModel:
-    config, ids, vectors = _load_labeled_matrix(
-        base, "doc model", DOC_FORMAT, ".dvec", "document vector")
+    config, ids, vectors = _load_labeled_matrix(base, "doc model", DOC_FORMAT)
     return DocModel(ids=ids, vectors=vectors, config=config)
 
 

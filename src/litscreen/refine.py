@@ -7,7 +7,8 @@ documents and tracks the Euclidean displacement of the candidate-set
 centroid in similarity space; growth stops once the displacement drops
 below the threshold. A run keeps one record per iteration, the selection
 order and the last word model, which ``litscreen refine`` saves as
-``iterations.csv``, ``selection.csv`` and ``model.vec``/``model.meta``.
+``iterations.csv``, ``selection.csv`` and the model files that
+:func:`litscreen.persistence.save_model` names.
 """
 from __future__ import annotations
 

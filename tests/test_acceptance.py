@@ -39,7 +39,7 @@ def kernel_step(center, nodes, signs, alpha):
     loss = np.zeros(1)
     one = np.zeros(1, dtype=np.int64)
     # processed 0 of total 1: the learning rate is alpha0 = alpha exactly
-    pairs = library().hs_train(
+    pairs = library()(
         centers, rows, dim, one, np.array([0, 1], dtype=np.int64), one, 1,
         np.array([0, n], dtype=np.int64), np.arange(n, dtype=np.int64),
         np.asarray(signs, dtype=np.float64), alpha, alpha / 2, alpha / 2, 0, 1,
@@ -235,9 +235,10 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
 GOLDEN_REFINE_DIGESTS = {
     "iterations.csv": "bb5915af69cf9a9a7e9bca275708281df16971f20bff499d9e56db80e9625f50",
     "selection.csv": "7a21423367692213cc45d5130651b76ffa01a9b164c0ecc84e7fd804dc3ee285",
-    "model.vec": "c651296bf206596b3b7d7972fe9cc34acca11310d20042b63aec2e1770c1a5ef",
-    "model.meta": "0125564196d39bfd41ea033f8c419643a62f78ca7d6664260d5be860534621eb",
-    "manifest.txt": "57286cd918616904a25378848bb12a966eeb7c336d496e42a3a52cb492a22285",
+    "model.npy": "c979e2d023c9d39ed796b2b596aa8efc41ae295a3e971e96f867841358eb2ffd",
+    "model.labels": "8d578e2136813e16e00a4735640d44e5260b249acac74ab6e2ae8ffbaa278d87",
+    "model.meta": "622b045676faa4a1ebb11d7f94547f354972a0dd35fa2f92f8cc15dc9eedb37e",
+    "manifest.txt": "14702401f4e72413ded566318ec047b2889516322ac8e28328574071a65ddc13",
 }
 
 
@@ -258,7 +259,7 @@ def test_criterion_6_refine_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
     names = ["iterations.csv", "selection.csv",
-             "model.vec", "model.meta", "manifest.txt"]
+             "model.npy", "model.labels", "model.meta", "manifest.txt"]
     diffs = []
     for name in names:
         with open(tmp_path / "run_a" / name, "rb") as f:

@@ -1,5 +1,7 @@
 import csv
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -153,14 +155,66 @@ class TestRepeatedLabels:
         conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
         assert run(capsys, "embed-docs", "--corpus", tokens, "--config", conf,
                    "--out", base)[0] == 0
-        with open(base + ".dvec") as f:
-            text = f.read()
-        write(base + ".dvec", text.replace("\nc\t", "\na\t"))
+        with open(base + ".labels") as f:
+            assert f.read() == "a\nb\nc\n"
+        write(base + ".labels", "a\nb\na\n")
         out = str(tmp_path / "sel.csv")
         code, _, err = run(capsys, "select", "--model", base, "--out", out)
         assert code == 2
-        assert f"{base}.dvec row 3: duplicate label 'a'" in err
+        assert f"{base}.labels row 3: duplicate label 'a'" in err
         assert not os.path.exists(out)
+
+
+class TestScreeningNeedsNoKernel:
+    def test_saved_models_screen_without_the_library(self, capsys, tmp_path, monkeypatch):
+        # train and save with the kernel library, then make every module that
+        # imported it raise: loading and screening saved models must not call it
+        data = str(tmp_path / "data")
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\n")
+        run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")
+        corpus = os.path.join(data, "corpus.csv")
+        cands = os.path.join(data, "candidates.csv")
+        word, docs = str(tmp_path / "run"), str(tmp_path / "docs")
+        assert run(capsys, "refine", "--corpus", corpus, "--candidates", cands,
+                   "--config", conf, "--batch-size", "20", "--threshold", "5",
+                   "--out", word)[0] == 0
+        assert run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                   "--out", docs)[0] == 0
+        model = os.path.join(word, "model")
+
+        out = str(tmp_path / "out")
+        commands = [
+            ("screen", "--model", model, "--candidates", cands, "--preset", "orr",
+             "--out", os.path.join(out, "table.csv")),
+            ("report", "--candidates", cands, "--model", model, "--full-model", model),
+            ("select", "--model", docs, "--out", os.path.join(out, "selection.csv")),
+        ]
+
+        def outputs():
+            """Each command's (exit code, stdout, stderr) and the files they wrote."""
+            os.makedirs(out)
+            results = [run(capsys, *argv) for argv in commands]
+            files = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as f:
+                    files[name] = f.read()
+            shutil.rmtree(out)
+            return results, files
+
+        with_library = outputs()
+
+        def no_library():
+            raise RuntimeError("the kernel library was called")
+
+        importers = [m for name, m in sys.modules.items()
+                     if name.startswith("litscreen") and getattr(m, "library", None) is not None]
+        assert importers
+        for module in importers:
+            monkeypatch.setattr(module, "library", no_library)
+        without = outputs()
+        assert [code for code, _, _ in without[0]] == [0, 0, 0]
+        assert without[0] == with_library[0]
+        assert without[1] == with_library[1] and len(without[1]) == 2
 
 
 class TestPipeline:
@@ -183,10 +237,12 @@ class TestPipeline:
         assert "documents: 60" in out
 
         docmodel = str(tmp_path / "docs")
-        code, _, _ = run(capsys, "embed-docs", "--corpus", tokens,
-                         "--config", conf, "--seed", "3", "--out", docmodel)
+        code, out, _ = run(capsys, "embed-docs", "--corpus", tokens,
+                           "--config", conf, "--seed", "3", "--out", docmodel)
         assert code == 0
-        assert os.path.exists(docmodel + ".dvec")
+        files = [docmodel + ext for ext in (".npy", ".labels", ".meta")]
+        assert f"model files: {' '.join(files)}" in out
+        assert all(os.path.exists(f) for f in files)
 
         selection = str(tmp_path / "selection.csv")
         code, out, _ = run(capsys, "select", "--model", docmodel,
@@ -204,13 +260,13 @@ class TestPipeline:
         assert "converged" in out
         assert sorted(os.listdir(rundir)) == [
             "iterations.csv", "manifest.txt",
-            "model.meta", "model.vec", "selection.csv"]
+            "model.labels", "model.meta", "model.npy", "selection.csv"]
         manifest = read_manifest(os.path.join(rundir, "manifest.txt"))
         assert manifest["seed"] == "3"
         assert manifest["batch_size"] == "20"
         assert manifest["dim"] == "16"
         assert manifest["outputs"].split() == [
-            "iterations.csv", "selection.csv", "model.vec", "model.meta"]
+            "iterations.csv", "selection.csv", "model.npy", "model.labels", "model.meta"]
 
         model = os.path.join(rundir, "model")
         sims = str(tmp_path / "sims.csv")

@@ -478,7 +478,7 @@ class TestKernelMatchesScalarReplica:
         work = np.empty(9 + dim)
         loss = np.zeros(1)
         want_loss = 0.0
-        hs_train = kernel.library().hs_train
+        hs_train = kernel.library()
         n_blocks, n_items = 4, 6
         processed, total = 0, n_blocks * n_items
         for _ in range(n_blocks):

@@ -22,7 +22,7 @@ def train_one_pair(center, loss):
     """One pair through ``hs_train`` on a two-node path; returns its result."""
     dim = len(center)
     one = np.zeros(1, dtype=np.int64)
-    return kernel.library().hs_train(
+    return kernel.library()(
         center.reshape(1, dim), np.ones((2, dim)), dim, one, np.array([0, 1], dtype=np.int64),
         one, 1, np.array([0, 2], dtype=np.int64), np.arange(2, dtype=np.int64),
         np.array([1.0, -1.0]), 0.1, 0.05, 0.05, 0, 1, np.empty(2 + dim), loss)

@@ -9,7 +9,7 @@ from helpers import SCORE_BOUND, material_vector, parse_composition, reference_s
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litscreen.corpus import Vocabulary, load_corpus, preprocess_set
+from litscreen.corpus import Vocabulary, element_symbols, load_corpus, preprocess_set
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
@@ -26,7 +26,13 @@ from litscreen.materials import (
     load_compositions,
     similarity_points,
 )
-from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus, write_corpus_csv
+from litscreen.synth import (
+    SynthSpec,
+    synthetic_candidates,
+    synthetic_corpus,
+    write_candidates_csv,
+    write_corpus_csv,
+)
 
 ELS = ("Ni", "Pd", "Pt", "Ru")
 
@@ -616,3 +622,25 @@ class TestLoadCompositionsFuzz:
         assert np.allclose(table.fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert all(np.isfinite(v) for v in measured.values())
         assert potential is None or np.isfinite(potential)
+
+
+class TestCandidateCsvRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(element_symbols())), min_size=2, max_size=6,
+                    unique=True),
+           st.integers(1, 12))
+    def test_enumerated_grid_round_trips(self, elements, steps):
+        table = enumerate_simplex(elements, steps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            write_candidates_csv(table, path)
+            loaded, measured, potential = load_compositions(path, elements=table.elements)
+        assert loaded.ids == table.ids
+        assert loaded.elements == table.elements
+        assert (measured, potential) == ({}, None)
+        assert np.max(np.abs(loaded.fractions - table.fractions)) <= 1e-15
+        # the loader divides each row by its sum, which moves no bit of a
+        # row that already sums to exactly 1
+        exact = np.array([math.fsum(row) == 1.0 for row in table.fractions.tolist()])
+        assert np.array_equal(loaded.fractions[exact].view(np.int64),
+                              table.fractions[exact].view(np.int64))

@@ -1,11 +1,12 @@
-import ctypes
+import io
 import math
 import os
-import sys
+import pickle
 import tempfile
 from types import SimpleNamespace
 
 import numpy as np
+import numpy.lib.format as npy
 import pytest
 from helpers import read_manifest, read_selection
 from hypothesis import example, given, settings
@@ -14,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from litscreen.corpus import Document, DocumentSet, Vocabulary
 from litscreen.embedding import DocModel, EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
-from litscreen.kernel import library
 from litscreen.persistence import (
     PersistenceError,
     file_digest,
@@ -38,27 +38,16 @@ def trained_model():
     return train_word2vec(DOCS, CFG)
 
 
-# The pure-Python matrix writer and reader that the kernel-library codec
-# replaced, kept as its reference: files must agree byte for byte, values
-# bit for bit.
-def reference_write_matrix(path, labels, matrix):
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]}\n"]
-    for label, row in zip(labels, matrix):
-        lines.append(label + "\t" + " ".join(f"{v:.17g}" for v in row) + "\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(lines))
+# What a saved model's files must hold, byte for byte: np.save's output for
+# the matrix, and each label followed by a line feed.
+def reference_npy(matrix):
+    buf = io.BytesIO()
+    np.save(buf, matrix)
+    return buf.getvalue()
 
 
-def reference_read_matrix(path):
-    with open(path, "r", encoding="utf-8") as f:
-        n, dim = (int(p) for p in f.readline().split())
-        labels = []
-        matrix = np.empty((n, dim))
-        for i in range(n):
-            label, _, rest = f.readline().rstrip("\n").partition("\t")
-            labels.append(label)
-            matrix[i] = [float(v) for v in rest.split()]
-    return labels, matrix
+def reference_labels(labels):
+    return "".join(label + "\n" for label in labels).encode("utf-8")
 
 
 def same_bits(a, b):
@@ -70,19 +59,34 @@ def read_bytes(path):
         return f.read()
 
 
-def codec_text(matrix):
-    """The kernel library's text for ``matrix``'s rows."""
-    buf = ctypes.create_string_buffer(matrix.size * 25)  # 24 bytes a value + separator
-    ends = np.empty(len(matrix), dtype=np.int64)
-    written = library().format_rows(matrix, len(matrix), matrix.shape[1], buf, len(buf), ends)
-    assert written == len(matrix)
-    return buf.raw[:ends[-1]].decode("ascii")
+def write_bytes(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def npy_with_header(shape, data=b"", descr="<f8", fortran_order=False):
+    """A .npy file's bytes whose header declares ``shape``, then ``data``."""
+    buf = io.BytesIO()
+    npy.write_array_header_1_0(buf, {"descr": descr, "fortran_order": fortran_order,
+                                     "shape": shape})
+    return buf.getvalue() + data
+
+
+def npz_bytes(matrix):
+    buf = io.BytesIO()
+    np.savez(buf, m=matrix)
+    return buf.getvalue()
+
+
+def raw_header(text):
+    """A version 1.0 .npy file whose header is ``text``, and no values."""
+    header = text.encode("latin1")
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# tab and newline cannot occur in a label; a carriage return splits the
-# reference reader's text-mode lines
-LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+# a label holds anything but a line break: a tab is an ordinary character
+LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
                 max_size=6)
 
 
@@ -95,89 +99,243 @@ def labeled_matrices(draw):
 
 
 class TestMatrixCodec:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(FINITE, min_size=1, max_size=12))
-    @example([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
-              sys.float_info.min, -2.2250738585072009e-308])
-    # exact ties at the 17th digit round half to even; decade edges of %g
-    @example([1234567890123456.25, 1234567890123456.75, 0.5, 0.125])
-    @example([1e16, 1e17, 9.9999999999999998e16, 1e-4, 1e-5, 0.1, 1 / 3, -1.5e300])
-    def test_format_matches_python(self, values):
-        row = np.array([values])
-        assert codec_text(row) == " ".join(f"{x:.17g}" for x in values) + "\n"
-
     @settings(max_examples=80, deadline=None)
     @given(labeled_matrices())
+    @example((["a\tb", "\t", ""], np.array([[0.0], [-0.0], [5e-324]])))
     def test_save_load_save_matches_reference(self, labeled):
         labels, matrix = labeled
         with tempfile.TemporaryDirectory() as tmp:
             model = DocModel(ids=labels, vectors=matrix,
                              config=EmbeddingConfig(dim=matrix.shape[1]))
             base, again = os.path.join(tmp, "d"), os.path.join(tmp, "again")
-            save_doc_model(model, base)
-            reference_write_matrix(os.path.join(tmp, "ref"), labels, matrix)
-            assert read_bytes(base + ".dvec") == read_bytes(os.path.join(tmp, "ref"))
+            assert save_doc_model(model, base) == [base + ".npy", base + ".labels", base + ".meta"]
+            assert read_bytes(base + ".npy") == reference_npy(matrix)
+            assert read_bytes(base + ".labels") == reference_labels(labels)
             loaded = load_doc_model(base)
             assert loaded.ids == labels
             assert same_bits(loaded.vectors, matrix)
-            ref_labels, ref_matrix = reference_read_matrix(base + ".dvec")
-            assert ref_labels == labels and same_bits(ref_matrix, matrix)
+            assert same_bits(np.load(base + ".npy"), matrix)
 
             save_doc_model(loaded, again)
-            assert read_bytes(again + ".dvec") == read_bytes(base + ".dvec")
+            for ext in (".npy", ".labels"):
+                assert read_bytes(again + ext) == read_bytes(base + ext)
 
     def test_word_model_matches_reference(self, tmp_path):
         model = trained_model()
-        save_model(model, str(tmp_path / "m"))
-        reference_write_matrix(str(tmp_path / "ref"), model.vocab.tokens(), model.vectors)
-        assert read_bytes(tmp_path / "m.vec") == read_bytes(tmp_path / "ref")
-        tokens, vectors = reference_read_matrix(str(tmp_path / "m.vec"))
-        loaded = load_model(str(tmp_path / "m"))
-        assert loaded.vocab.tokens() == tokens and same_bits(loaded.vectors, vectors)
+        base = str(tmp_path / "m")
+        assert save_model(model, base) == [base + ".npy", base + ".labels", base + ".meta"]
+        assert read_bytes(base + ".npy") == reference_npy(model.vectors)
+        assert read_bytes(base + ".labels") == reference_labels(model.vocab.tokens())
+        loaded = load_model(base)
+        assert loaded.vocab.tokens() == model.vocab.tokens()
+        assert same_bits(loaded.vectors, model.vectors)
 
 
-def write_vec(tmp_path, text):
-    """A 2-token, dim-2 word model whose .vec file holds ``text``."""
+MATRIX = np.array([[0.5, -1.0], [2.0, 3.0]])
+
+
+def save_kind(kind, base):
+    """Save a 2 x 2 model of ``kind`` at ``base``; returns its loader."""
+    config = EmbeddingConfig(dim=2)
+    if kind == "word":
+        save_model(WordModel(vocab=Vocabulary(index={"a": 0, "é": 1}, counts=None),
+                             vectors=MATRIX, node_vectors=None, config=config, seed=0), base)
+        return load_model
+    save_doc_model(DocModel(ids=["a", "é"], vectors=MATRIX, config=config), base)
+    return load_doc_model
+
+
+def saved_pair(tmp_path):
+    """The base of a saved 2-token, dim-2 word model, tokens 'a' and 'é'."""
     base = str(tmp_path / "m")
-    model = WordModel(vocab=Vocabulary(index={"a": 0, "é": 1}, counts=None),
-                      vectors=np.zeros((2, 2)), node_vectors=None,
-                      config=EmbeddingConfig(dim=2), seed=0)
-    save_model(model, base)
-    with open(base + ".vec", "wb") as f:
-        f.write(text.encode("utf-8"))
+    save_kind("word", base)
     return base
+
+
+def write_npy(path, array):
+    with open(path, "wb") as f:
+        np.save(f, array)
 
 
 class TestMalformedRows:
     @pytest.mark.parametrize("row,message", [
-        ("0x1p3 0.5", "unparsable float in row 1"),
-        ("1_0 0.5", "unparsable float in row 1"),
-        ("1e 0.5", "unparsable float in row 1"),
-        ("nan(1) 0.5", "unparsable float in row 1"),
         ("nan 0.5", "non-finite value in row 1"),
         ("0.5 -inf", "non-finite value in row 1"),
         ("+Infinity 0.5", "non-finite value in row 1"),
         ("1e999 0.5", "non-finite value in row 1"),
-        ("0.5", "row 1 has 1 values, expected 2"),
-        ("0.5 1 2", "row 1 has 3 values, expected 2"),
     ])
     def test_bad_row_rejected(self, tmp_path, row, message):
-        base = write_vec(tmp_path, f"2 2\na\t{row}\né\t1 2\n")
-        with pytest.raises(PersistenceError, match=r"m\.vec: " + message.replace("+", r"\+")):
+        # ``row`` gives the first row's values as Python float literals
+        base = saved_pair(tmp_path)
+        write_npy(base + ".npy", np.array([[float(v) for v in row.split()], [1.0, 2.0]]))
+        with pytest.raises(PersistenceError, match=r"m\.npy: " + message):
             load_model(base)
 
-    def test_crlf_file_loads(self, tmp_path):
-        base = write_vec(tmp_path, "2 2\r\na\t0.5 -1.25\r\né\t1e-3 2\r\n")
-        loaded = load_model(base)
-        assert loaded.vocab.tokens() == ["a", "é"]
-        assert np.array_equal(loaded.vectors, [[0.5, -1.25], [1e-3, 2.0]])
+    def test_non_finite_value_names_its_row(self, tmp_path):
+        base = saved_pair(tmp_path)
+        write_npy(base + ".npy", np.array([[1.0, 2.0], [3.0, np.nan]]))
+        with pytest.raises(PersistenceError, match=r"m\.npy: non-finite value in row 2$"):
+            load_model(base)
 
     def test_truncation_names_byte_offset(self, tmp_path):
-        # "é" is two bytes: the offset counts bytes, not characters
-        base = write_vec(tmp_path, "3 2\né\t1 2\n")
+        base = saved_pair(tmp_path)
+        data = read_bytes(base + ".npy")
+        write_bytes(base + ".npy", data[:-5])
         with pytest.raises(PersistenceError,
-                           match=r"m\.vec: truncated vector file, expected row 2 of 3 near byte 11$"):
+                           match=r"m\.npy: truncated, 27 of the 32 bytes a 2 x 2 matrix needs$"):
             load_model(base)
+
+    @pytest.mark.parametrize("array,message", [
+        (np.zeros((2, 2), dtype=">f8"), r"dtype >f8, expected <f8"),
+        (np.zeros((2, 2), dtype="<f4"), r"dtype <f4, expected <f8"),
+        (np.zeros((2, 2), dtype=object), r"dtype \|O, expected <f8"),
+        (np.asfortranarray(np.arange(4.0).reshape(2, 2)), "Fortran-order array"),
+        (np.zeros(4), r"shape \(4,\)"),
+        (np.zeros((2, 2, 1)), r"shape \(2, 2, 1\)"),
+    ], ids=["big-endian", "float32", "object", "fortran", "1d", "3d"])
+    def test_wrong_array_kind_names_file(self, tmp_path, array, message):
+        base = saved_pair(tmp_path)
+        with open(base + ".npy", "wb") as f:
+            np.save(f, array, allow_pickle=True)
+        with pytest.raises(PersistenceError, match=r"m\.npy: " + message):
+            load_model(base)
+
+    def test_nothing_is_unpickled(self, tmp_path):
+        # an object array's values are a pickle; the dtype check comes first
+        calls = []
+        base = saved_pair(tmp_path)
+        with open(base + ".npy", "wb") as f:
+            np.save(f, np.array([[Recorder(calls)] * 2] * 2, dtype=object), allow_pickle=True)
+        with pytest.raises(PersistenceError, match=r"m\.npy: dtype \|O"):
+            load_model(base)
+        assert calls == []
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"2 2\na\t0.5 1\n\xc3\xa9\t1 2\n",
+        pickle.dumps(np.zeros((2, 2))),
+        npz_bytes(np.zeros((2, 2))),
+        b"\x93NUMPY\x03\x00",
+        # headers on which numpy's reader raises other than ValueError
+        raw_header("{'descr': ('<f8',), 'fortran_order': False, 'shape': (2, 2), }"),
+        raw_header("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), [1]: 2}"),
+        raw_header("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2"),
+        raw_header("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }\n  1\n 2"),
+    ], ids=["empty", "text", "pickle", "npz", "version-3", "index-error", "type-error",
+            "token-error", "indentation-error"])
+    def test_not_a_npy_file_names_file(self, tmp_path, data):
+        base = saved_pair(tmp_path)
+        write_bytes(base + ".npy", data)
+        with pytest.raises(PersistenceError, match=r"m\.npy: not a \.npy matrix"):
+            load_model(base)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        base = saved_pair(tmp_path)
+        write_bytes(base + ".npy", read_bytes(base + ".npy") + b"\n")
+        with pytest.raises(PersistenceError, match=r"m\.npy: 1 bytes past the 2 x 2 matrix$"):
+            load_model(base)
+
+    @pytest.mark.parametrize("data,message", [
+        (b"a\n", r"m\.labels: 1 labels for the 2 rows of .*m\.npy$"),
+        (b"a\n\xc3\xa9\nb\n", r"m\.labels: 3 labels for the 2 rows of .*m\.npy$"),
+        (b"a\n\xff\n", r"m\.labels row 2: label is not UTF-8$"),
+        (b"a\n\xc3\xa9", r"m\.labels: truncated, the last label has no line end$"),
+        (b"a\nb\r\n", r"m\.labels row 2: label holds a line break$"),
+    ], ids=["too-few", "too-many", "not-utf8", "no-line-end", "carriage-return"])
+    def test_bad_labels_name_file(self, tmp_path, data, message):
+        base = saved_pair(tmp_path)
+        write_bytes(base + ".labels", data)
+        with pytest.raises(PersistenceError, match=message):
+            load_model(base)
+
+    def test_crlf_labels_refused(self, tmp_path):
+        # a file edited with CRLF line ends cannot load tokens ending in \r
+        base = saved_pair(tmp_path)
+        write_bytes(base + ".labels", "a\r\né\r\n".encode())
+        with pytest.raises(PersistenceError, match=r"m\.labels row 1: label holds a line break$"):
+            load_model(base)
+
+
+@st.composite
+def altered_npy(draw):
+    """np.save output for MATRIX, altered so that the reader must refuse it."""
+    kind = draw(st.sampled_from(["truncated", "appended", ">f8", "<f4", "fortran", "1d", "3d",
+                                 "non-finite"]))
+    data = reference_npy(MATRIX)
+    if kind == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "appended":
+        return data + draw(st.binary(min_size=1, max_size=40))
+    if kind == "non-finite":
+        matrix = MATRIX.copy()
+        matrix[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]))
+        return reference_npy(matrix)
+    return reference_npy({
+        ">f8": MATRIX.astype(">f8"),
+        "<f4": MATRIX.astype("<f4"),
+        "fortran": np.asfortranarray(MATRIX),
+        "1d": MATRIX.ravel(),
+        "3d": MATRIX.reshape(draw(st.sampled_from([(1, 2, 2), (2, 1, 2), (2, 2, 1)]))),
+    }[kind])
+
+
+@st.composite
+def mutated_npy(draw):
+    """np.save output for MATRIX with a few bytes of its magic or header overwritten."""
+    data = bytearray(reference_npy(MATRIX))
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, 127))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+NPY_MAGIC = b"\x93NUMPY"
+
+
+class TestReaderFuzz:
+    """Random and altered bytes as a model's .npy or .labels: only
+    PersistenceError may escape the loaders."""
+
+    @staticmethod
+    def load_with(kind, ext, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "m")
+            load = save_kind(kind, base)
+            write_bytes(base + ext, data)
+            try:
+                load(base)
+            except PersistenceError as exc:
+                assert base + ext in str(exc)
+                return False
+            return True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["word", "doc"]), st.sampled_from([".npy", ".labels"]),
+           st.one_of(st.binary(max_size=200),
+                     st.binary(max_size=200).map(lambda b: NPY_MAGIC + b"\x01\x00" + b),
+                     st.binary(max_size=200).map(lambda b: NPY_MAGIC + b"\x02\x00" + b)))
+    def test_random_bytes(self, kind, ext, data):
+        self.load_with(kind, ext, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["word", "doc"]), mutated_npy())
+    def test_mutated_header(self, kind, data):
+        self.load_with(kind, ".npy", data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["word", "doc"]), altered_npy())
+    def test_altered_npy_refused(self, kind, data):
+        assert not self.load_with(kind, ".npy", data)
+
+
+class Recorder:
+    """Appends to ``calls`` when unpickled."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __reduce__(self):
+        return (list.append, (self.calls, "unpickled"))
 
 
 class TestNonFiniteSave:
@@ -185,7 +343,7 @@ class TestNonFiniteSave:
     def test_word_model(self, tmp_path, value):
         model = trained_model()
         model.vectors[1, 3] = value
-        with pytest.raises(PersistenceError, match=r"m\.vec: non-finite value in row 2$"):
+        with pytest.raises(PersistenceError, match=r"m\.npy: non-finite value in row 2$"):
             save_model(model, str(tmp_path / "m"))
         assert os.listdir(tmp_path) == []
 
@@ -193,23 +351,64 @@ class TestNonFiniteSave:
     def test_doc_model(self, tmp_path, value):
         model = train_doc2vec(DOCS, CFG)
         model.vectors[0, 0] = value
-        with pytest.raises(PersistenceError, match=r"d\.dvec: non-finite value in row 1$"):
+        with pytest.raises(PersistenceError, match=r"d\.npy: non-finite value in row 1$"):
             save_doc_model(model, str(tmp_path / "d"))
         assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("save,suffix", [(save_model, ".vec"), (save_doc_model, ".dvec")])
-def test_repeated_label_refused_on_save(tmp_path, save, suffix):
-    labels = ["a", "é", "a"]
+def model_with_labels(save, labels):
+    """A dim-2 model of ``save``'s kind whose rows carry ``labels``."""
     if save is save_model:
         # a vocabulary stand-in: a real index cannot hold one token twice
-        model = WordModel(vocab=SimpleNamespace(tokens=lambda: labels), vectors=np.zeros((3, 2)),
-                          node_vectors=None, config=EmbeddingConfig(dim=2), seed=0)
-    else:
-        model = DocModel(ids=labels, vectors=np.zeros((3, 2)), config=EmbeddingConfig(dim=2))
-    with pytest.raises(PersistenceError, match=rf"m\{suffix} row 3: duplicate label 'a'$"):
-        save(model, str(tmp_path / "m"))
+        return WordModel(vocab=SimpleNamespace(tokens=lambda: labels),
+                         vectors=np.zeros((len(labels), 2)), node_vectors=None,
+                         config=EmbeddingConfig(dim=2), seed=0)
+    return DocModel(ids=labels, vectors=np.zeros((len(labels), 2)),
+                    config=EmbeddingConfig(dim=2))
+
+
+@pytest.mark.parametrize("save", [save_model, save_doc_model])
+def test_repeated_label_refused_on_save(tmp_path, save):
+    with pytest.raises(PersistenceError, match=r"m\.labels row 3: duplicate label 'a'$"):
+        save(model_with_labels(save, ["a", "é", "a"]), str(tmp_path / "m"))
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("save", [save_model, save_doc_model])
+@pytest.mark.parametrize("label", ["b\nc", "b\r", "\r\n"])
+def test_label_with_line_break_refused_on_save(tmp_path, save, label):
+    with pytest.raises(PersistenceError,
+                       match=r"m\.labels row 2: label holds a line break$"):
+        save(model_with_labels(save, ["a", label]), str(tmp_path / "m"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_interrupted_resave_leaves_no_loadable_model(tmp_path, monkeypatch):
+    # a second save over the same base fails after its .npy is in place
+    base = str(tmp_path / "m")
+    save_kind("doc", base)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst.endswith(".labels"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_doc_model(DocModel(ids=["x", "y"], vectors=MATRIX + 1,
+                                config=EmbeddingConfig(dim=2)), base)
+    with pytest.raises(PersistenceError, match=r"meta file not found: .*m\.meta$"):
+        load_doc_model(base)
+
+
+@pytest.mark.parametrize("save,load", [(save_model, load_model), (save_doc_model, load_doc_model)])
+def test_label_with_tab_round_trips(tmp_path, save, load):
+    base = str(tmp_path / "m")
+    save(model_with_labels(save, ["a\tb", "\t"]), base)
+    loaded = load(base)
+    labels = loaded.vocab.tokens() if save is save_model else loaded.ids
+    assert labels == ["a\tb", "\t"]
 
 
 def rewrite_line(path, index, text):
@@ -233,22 +432,19 @@ class TestWordModelRoundTrip:
         assert loaded.config == model.config
 
     def test_only_vectors_and_meta_written(self, tmp_path):
+        # the vectors, their tokens and the meta; no Huffman node matrix
         save_model(trained_model(), str(tmp_path / "m"))
-        assert sorted(os.listdir(tmp_path)) == ["m.meta", "m.vec"]
+        assert sorted(os.listdir(tmp_path)) == ["m.labels", "m.meta", "m.npy"]
         with open(tmp_path / "m.meta") as f:
-            assert f.readline() == "format = litscreen-wordmodel/2\n"
+            assert f.readline() == "format = litscreen-wordmodel/3\n"
 
     def test_second_save_byte_identical(self, tmp_path):
         model = trained_model()
         base1, base2 = str(tmp_path / "a"), str(tmp_path / "b")
         save_model(model, base1)
         save_model(load_model(base1), base2)
-        for ext in (".vec", ".meta"):
-            with open(base1 + ext, "rb") as f:
-                first = f.read()
-            with open(base2 + ext, "rb") as f:
-                second = f.read()
-            assert first == second, ext
+        for ext in (".npy", ".labels", ".meta"):
+            assert read_bytes(base1 + ext) == read_bytes(base2 + ext), ext
 
     def test_legacy_deterministic_meta_key_still_loads(self, tmp_path):
         # .meta files written before the key was dropped end with this line
@@ -265,31 +461,25 @@ class TestWordModelRoundTrip:
         model = trained_model()
         base = str(tmp_path / "m")
         save_model(model, base)
-        with open(base + ".vec") as f:
-            header = f.readline().split()
-        assert header == [str(len(model.vocab)), "6"]
+        with open(base + ".npy", "rb") as f:
+            assert npy.read_magic(f) == (1, 0)
+            header = npy.read_array_header_1_0(f)
+        assert header == ((len(model.vocab), 6), False, np.dtype("<f8"))
 
     def test_truncated_vectors_error_names_offset(self, tmp_path):
         model = trained_model()
         base = str(tmp_path / "m")
         save_model(model, base)
-        with open(base + ".vec") as f:
-            lines = f.readlines()
-        with open(base + ".vec", "w") as f:
-            f.writelines(lines[:-2])
-        with pytest.raises(PersistenceError, match="byte"):
+        write_bytes(base + ".npy", read_bytes(base + ".npy")[:-2 * 6 * 8])
+        with pytest.raises(PersistenceError, match=r"m\.npy: truncated, \d+ of the \d+ bytes"):
             load_model(base)
 
     def test_wrong_row_width(self, tmp_path):
         model = trained_model()
         base = str(tmp_path / "m")
         save_model(model, base)
-        with open(base + ".vec") as f:
-            lines = f.readlines()
-        lines[1] = lines[1].rsplit(" ", 1)[0] + "\n"  # drop one float
-        with open(base + ".vec", "w") as f:
-            f.writelines(lines)
-        with pytest.raises(PersistenceError, match="row 1"):
+        write_npy(base + ".npy", model.vectors[:, :5])  # drop one column
+        with pytest.raises(PersistenceError, match=r"m\.meta: dim = 6, but .*m\.npy has 5 columns"):
             load_model(base)
 
     def test_format_version_mismatch(self, tmp_path):
@@ -298,10 +488,10 @@ class TestWordModelRoundTrip:
         save_model(model, base)
         with open(base + ".meta") as f:
             meta = f.read()
-        # the older /1 format is rejected like any unknown one
-        for other in ("litscreen-wordmodel/9", "litscreen-wordmodel/1"):
+        # the older text formats /2 and /1 are rejected like any unknown one
+        for other in ("litscreen-wordmodel/9", "litscreen-wordmodel/2", "litscreen-wordmodel/1"):
             with open(base + ".meta", "w") as f:
-                f.write(meta.replace("litscreen-wordmodel/2", other))
+                f.write(meta.replace("litscreen-wordmodel/3", other))
             with pytest.raises(PersistenceError, match=r"m\.meta: unknown word model format"):
                 load_model(base)
 
@@ -310,44 +500,42 @@ class TestWordModelRoundTrip:
         model = trained_model()
         base = str(tmp_path / "m")
         save_model(model, base)
-        rewrite_line(base + ".vec", 0, f"{len(model.vocab) - 1} 6\n")
-        with pytest.raises(PersistenceError, match=r"m\.vec: more than the"):
+        n = len(model.vocab)
+        write_bytes(base + ".npy", npy_with_header((n - 1, 6), model.vectors.tobytes()))
+        with pytest.raises(PersistenceError, match=rf"m\.npy: 48 bytes past the {n - 1} x 6 matrix"):
             load_model(base)
-
-    def test_blank_lines_past_rows_allowed(self, tmp_path):
-        model = trained_model()
-        base = str(tmp_path / "m")
-        save_model(model, base)
-        with open(base + ".vec", "a") as f:
-            f.write("\n  \n")
-        assert load_model(base).vocab.tokens() == model.vocab.tokens()
 
     @pytest.mark.parametrize("header", ["-1 6", "3 0", "3 -6", "3 x", "3"])
     def test_bad_header_rejected_naming_file(self, tmp_path, header):
+        # ``header`` is the shape the .npy header declares, entry by entry
         base = str(tmp_path / "m")
         save_model(trained_model(), base)
-        rewrite_line(base + ".vec", 0, header + "\n")
-        with pytest.raises(PersistenceError, match=r"m\.vec: bad header"):
+        shape = tuple(int(p) if p.lstrip("-").isdigit() else p for p in header.split())
+        write_bytes(base + ".npy", npy_with_header(shape))
+        with pytest.raises(PersistenceError, match=r"m\.npy: (not a \.npy matrix|shape)"):
             load_model(base)
 
     def test_non_finite_value_rejected(self, tmp_path):
         model = trained_model()
         base = str(tmp_path / "m")
         save_model(model, base)
-        with open(base + ".vec") as f:
-            lines = f.readlines()
-        token, _, rest = lines[1].partition("\t")
-        fields = rest.split()
-        fields[0] = "nan"
-        lines[1] = token + "\t" + " ".join(fields) + "\n"
-        with open(base + ".vec", "w") as f:
-            f.writelines(lines)
-        with pytest.raises(PersistenceError, match="non-finite"):
+        vectors = np.load(base + ".npy")
+        vectors[0, 0] = np.nan
+        write_npy(base + ".npy", vectors)
+        with pytest.raises(PersistenceError, match=r"m\.npy: non-finite value in row 1$"):
             load_model(base)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(PersistenceError):
             load_model(str(tmp_path / "absent"))
+
+    @pytest.mark.parametrize("ext", [".meta", ".npy", ".labels"])
+    def test_each_missing_file_named(self, tmp_path, ext):
+        base = str(tmp_path / "m")
+        save_model(trained_model(), base)
+        os.unlink(base + ext)
+        with pytest.raises(PersistenceError, match=rf"file not found: .*m\{ext}$"):
+            load_model(base)
 
     def test_17_digit_precision_preserves_floats(self, tmp_path):
         # values with no short decimal representation survive exactly
@@ -462,14 +650,14 @@ class TestMetaFaults:
         base = str(tmp_path / "m")
         if kind == "word":
             save_model(trained_model(), base)
-            return base, load_model, ".vec"
+            return base, load_model
         save_doc_model(train_doc2vec(DOCS, CFG), base)
-        return base, load_doc_model, ".dvec"
+        return base, load_doc_model
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
     @pytest.mark.parametrize("line", ["dim = abc", "window = x", "dim = 0", "alpha0 = inf"])
     def test_bad_value_names_file_and_key(self, tmp_path, kind, line):
-        base, load, _ = self.saved(tmp_path, kind)
+        base, load = self.saved(tmp_path, kind)
         key = line.split()[0]
         with open(base + ".meta") as f:
             lines = [line + "\n" if ln.startswith(key + " ") else ln for ln in f]
@@ -480,7 +668,7 @@ class TestMetaFaults:
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
     def test_repeated_key_names_file_and_key(self, tmp_path, kind):
-        base, load, _ = self.saved(tmp_path, kind)
+        base, load = self.saved(tmp_path, kind)
         with open(base + ".meta", "a") as f:
             f.write("dim = 6\n")
         with pytest.raises(PersistenceError, match=r"m\.meta: repeated key 'dim'"):
@@ -488,25 +676,24 @@ class TestMetaFaults:
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
     def test_repeated_label_names_file_and_row(self, tmp_path, kind):
-        base, load, suffix = self.saved(tmp_path, kind)
-        with open(base + suffix) as f:
-            lines = f.readlines()
-        first = lines[1].partition("\t")[0]
-        rewrite_line(base + suffix, 2, first + "\t" + lines[2].partition("\t")[2])
+        base, load = self.saved(tmp_path, kind)
+        with open(base + ".labels") as f:
+            first = f.readline()
+        rewrite_line(base + ".labels", 1, first)
         with pytest.raises(PersistenceError,
-                           match=rf"m\{suffix} row 2: duplicate label '{first}'"):
+                           match=rf"m\.labels row 2: duplicate label '{first[:-1]}'"):
             load(base)
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
     def test_dim_other_than_matrix_columns_names_both_files(self, tmp_path, kind):
-        base, load, suffix = self.saved(tmp_path, kind)
+        base, load = self.saved(tmp_path, kind)
         with open(base + ".meta") as f:
             meta = f.read()
         with open(base + ".meta", "w") as f:
             f.write(meta.replace("dim = 6\n", "dim = 7\n"))
         with pytest.raises(PersistenceError) as caught:
             load(base)
-        assert str(caught.value) == f"{base}.meta: dim = 7, but {base}{suffix} has 6 columns"
+        assert str(caught.value) == f"{base}.meta: dim = 7, but {base}.npy has 6 columns"
 
 
 class TestSelectionRoundTrip:
