@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import __version__
 from .corpus import CorpusError, load_corpus, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
@@ -278,6 +280,12 @@ def _front_for(model_base: str, candidates, anchors, objectives):
     return scores, pareto_front(scores, objectives)
 
 
+def _g17(values: np.ndarray) -> list[str]:
+    """Each value as ``%.17g``, the bytes of ``f"{x:.17g}"``, from one ``%`` call."""
+    values = values.tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _cmd_screen(args) -> int:
     settings = _Settings(args)
     anchors = settings.get("anchors", _anchor_pair)
@@ -289,12 +297,10 @@ def _cmd_screen(args) -> int:
     for i in front:
         print(f"{candidates.ids[i]} {scores[i, 0]:.6f} {scores[i, 1]:.6f}")
     if args.out:
-        on_front = [0] * len(candidates)
-        for i in front:
-            on_front[i] = 1
+        on_front = np.full(len(candidates), "0")
+        on_front[front] = "1"
         write_csv(args.out, ["id", "s_dielectric", "s_conductivity", "on_front"],
-                  ((comp_id, f"{x:.17g}", f"{y:.17g}", flag)
-                   for comp_id, (x, y), flag in zip(candidates.ids, scores.tolist(), on_front)))
+                  zip(candidates.ids, _g17(scores[:, 0]), _g17(scores[:, 1]), on_front.tolist()))
         print(f"similarity table: {args.out}")
     return 0
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -39,6 +39,10 @@ PARSE_TOLERANCE = 1e-6
 # Scoring forms the material vectors a block of rows at a time, so memory
 # stays flat however many candidates there are.
 _BLOCK_BYTES = 256 * 1024
+# The candidate reader checks and converts this many data rows per step:
+# enough that its whole-block calls outweigh their set-up, few enough that
+# memory stays flat.
+_BLOCK_ROWS = 2048
 
 
 class CompositionError(ValueError):
@@ -264,11 +268,12 @@ def load_compositions(path: str, elements=None):
     blank line is skipped and a leading byte-order mark is ignored.
 
     Every fault raises CompositionError naming the file, and the data row
-    (1-based, blank lines not counted) where there is one: no data rows, a
-    row with more or fewer fields than the header, a fraction or measured
-    value that is not a finite number, a negative fraction, fractions
-    summing more than 1e-6 away from 1, conflicting potentials and a
-    repeated id.
+    (1-based, blank lines not counted) or the line where there is one: no
+    data rows, a header repeating a column that is read, a row with more or
+    fewer fields than the header, a fraction or measured value that is not a
+    finite number, a negative fraction, fractions summing more than 1e-6
+    away from 1, conflicting potentials, a repeated id and bytes that are
+    not UTF-8. Of several faults, the one in the first bad row is reported.
     """
     try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -281,17 +286,21 @@ def load_compositions(path: str, elements=None):
         except csv.Error as exc:
             raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise CompositionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise _not_utf8(path, exc) from None
 
 
-def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
-    """The first non-finite or negative fraction of a row, else its bad sum."""
-    for el, v in zip(elements, vals):
-        if not math.isfinite(v):
-            return CompositionError(f"{where}: non-finite fraction {v} for {el}")
-        if v < 0:
-            return CompositionError(f"{where}: negative fraction {v} for {el}")
-    return CompositionError(f"{where}: fractions sum to {total}, expected 1")
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> CompositionError:
+    """Name the line of the file's first byte that is not UTF-8. The text
+    reader decodes ahead of the rows it returns, so only a second read, as
+    bytes and on this error path alone, can place the byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        line = len((data[:first.start] + b".").splitlines())  # \n, \r\n and \r end a line
+        return CompositionError(f"{path} line {line}: not UTF-8 text ({first.reason})")
+    return CompositionError(f"{path}: not UTF-8 text ({exc.reason})")  # changed since
 
 
 def _read_compositions(reader, path, elements):
@@ -308,77 +317,178 @@ def _read_compositions(reader, path, elements):
             raise CompositionError(f"{path}: missing element columns {missing}")
     if not elements:
         raise CompositionError(f"{path}: no element columns found in {header}")
+    for name in elements + ("id", "current_density", "potential"):
+        if header.count(name) > 1:
+            raise CompositionError(f"{path}: column {name!r} repeats in the header")
     if len(set(elements)) != len(elements):
         raise CompositionError(f"{path}: repeated element columns in {header}")
 
-    def column(name):
-        return header.index(name) if name in header else None
-
-    cols = [header.index(el) for el in elements]
-    id_col, measured_col, potential_col = (
-        column("id"), column("current_density"), column("potential"))
-    width = len(header)
-
-    def number(row, i, col, name):
-        text = row[col].strip()
-        if not text:
-            return None
+    table = _CandidateRows(path, header, elements)
+    while True:
+        rows, error = [], None
         try:
-            value = float(text)
-        except ValueError:
-            raise CompositionError(f"{path} row {i}: {name} {text!r} is not a number") from None
-        if not math.isfinite(value):
-            raise CompositionError(f"{path} row {i}: non-finite {name} {value}")
-        return value
+            for row in reader:
+                if row:  # a blank line is skipped
+                    rows.append(row)
+                    if len(rows) == _BLOCK_ROWS:
+                        break
+        except (csv.Error, UnicodeDecodeError) as exc:
+            error = exc  # a fault in the rows read before it comes first
+        if rows:
+            table.add(rows)
+        if error is not None:
+            raise error
+        if len(rows) < _BLOCK_ROWS:
+            return table.result()
 
-    pick = itemgetter(*cols)
-    ids: dict[str, int] = {}  # id -> its row, in row order
-    raw = array("d")  # the rows' fractions, flat, as read
-    totals = array("d")
-    measured: dict[str, float] = {}
-    potential: float | None = None
-    i = 0
-    for row in reader:
-        if not row:
-            continue
-        i += 1
-        if len(row) != width:
-            raise CompositionError(f"{path} row {i}: {len(row)} fields, the header has {width}")
-        comp_id = (row[id_col].strip() if id_col is not None else "") or str(i)
-        cells = pick(row) if len(cols) > 1 else (row[cols[0]],)
-        if "" in cells:
+
+def _number(where: str, cell: str, name: str) -> float | None:
+    """A measured or potential cell's value; None when it is blank."""
+    text = cell.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise CompositionError(f"{where}: {name} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise CompositionError(f"{where}: non-finite {name} {value}")
+    return value
+
+
+def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
+    """The first non-finite or negative fraction of a row, else its bad sum."""
+    for el, v in zip(elements, vals):
+        if not math.isfinite(v):
+            return CompositionError(f"{where}: non-finite fraction {v} for {el}")
+        if v < 0:
+            return CompositionError(f"{where}: negative fraction {v} for {el}")
+    return CompositionError(f"{where}: fractions sum to {total}, expected 1")
+
+
+class _CandidateRows:
+    """The data rows of one candidate CSV, checked and kept a block at a time.
+
+    A block passes a few whole-block checks, each as strict as the row
+    check it stands for. Numbers go through Python's ``float`` (numpy calls
+    it on each ``str`` cell) and row totals through ``math.fsum``, so a
+    value's grammar and every bit read are those of a row-at-a-time reader.
+    Only a block that fails is checked again row by row, which names the
+    fault.
+    """
+
+    def __init__(self, path: str, header: list[str], elements: tuple[str, ...]):
+        self.path, self.elements, self.width = path, elements, len(header)
+        self.pick = itemgetter(*(header.index(el) for el in elements))  # a str for one element
+        self.id_col, self.measured_col, self.potential_col = (
+            header.index(name) if name in header else None
+            for name in ("id", "current_density", "potential"))
+        self.ids: dict[str, None] = {}  # every id so far, in row order
+        self.blocks: list[np.ndarray] = []  # each block's fractions, renormalized
+        self.measured: dict[str, float] = {}
+        self.potential: float | None = None
+
+    def add(self, rows: list[list[str]]):
+        """Keep the next block of data rows, or raise the first fault in it."""
+        if not self._add(rows):
+            raise self._fault(rows)
+
+    def result(self):
+        if not self.ids:
+            raise CompositionError(f"{self.path}: no candidate rows")
+        table = CandidateTable(self.elements, tuple(self.ids), np.concatenate(self.blocks))
+        return table, self.measured, self.potential
+
+    def _add(self, rows) -> bool:
+        n, k, first = len(rows), len(self.elements), len(self.ids) + 1
+        if set(map(len, rows)) != {self.width}:
+            return False
+        picked = map(self.pick, rows)
+        cells = list(picked if k == 1 else chain.from_iterable(picked))
+        if "" in cells:  # an empty fraction cell counts as 0
             cells = [c or "0" for c in cells]
         try:
-            vals = list(map(float, cells))
-        except ValueError as exc:
-            raise CompositionError(f"{path} row {i}: bad fraction ({exc})") from None
+            fractions = np.array(cells, dtype=np.float64).reshape(n, k)
+            totals = np.array(list(map(math.fsum, fractions.tolist())))
+        except (ValueError, OverflowError):  # not a number; a sum fsum cannot form
+            return False
+        # NaN and inf fail the comparisons
+        if not ((np.abs(totals - 1.0) <= PARSE_TOLERANCE) & (fractions.min(axis=1) >= 0.0)).all():
+            return False
+        if self.id_col is None:
+            ids = list(map(str, range(first, first + n)))
+        else:
+            ids = list(map(str.strip, map(itemgetter(self.id_col), rows)))
+            if "" in ids:  # a blank id is the row's number
+                ids = [c or str(i) for i, c in enumerate(ids, first)]
+        fresh = dict.fromkeys(ids)
+        if len(fresh) != n or not fresh.keys().isdisjoint(self.ids.keys()):
+            return False
+        measured = self._numbers(rows, self.measured_col)
+        potentials = self._numbers(rows, self.potential_col)
+        if measured is None or potentials is None:
+            return False
+        if potentials:
+            known = potentials[0][1] if self.potential is None else self.potential
+            if any(v != known for _, v in potentials):
+                return False
+        self.ids.update(fresh)
+        self.blocks.append(fractions / totals[:, None])
+        self.measured.update((ids[j], v) for j, v in measured)
+        if potentials:
+            self.potential = potentials[-1][1]
+        return True
+
+    @staticmethod
+    def _numbers(rows, col):
+        """(row offset, value) of each non-blank cell of column ``col``, none
+        without the column, or None when a cell is not a finite number."""
+        if col is None:
+            return []
+        cells = [(j, text) for j, text in enumerate(map(str.strip, map(itemgetter(col), rows)))
+                 if text]
         try:
-            total = math.fsum(vals)
-        except (OverflowError, ValueError):  # huge or opposite infinite values
-            total = math.nan
-        # one test passes every valid row: NaN and inf fail the comparison
-        if not (abs(total - 1.0) <= PARSE_TOLERANCE and min(vals) >= 0.0):
-            raise _fraction_fault(f"{path} row {i}", elements, vals, total)
-        if ids.setdefault(comp_id, i) != i:
-            raise CompositionError(f"{path} row {i}: duplicate composition id {comp_id!r}")
-        raw.extend(vals)
-        totals.append(total)
+            values = [(j, float(text)) for j, text in cells]
+        except ValueError:
+            return None
+        return values if all(math.isfinite(v) for _, v in values) else None
 
-        if measured_col is not None:
-            value = number(row, i, measured_col, "current_density")
-            if value is not None:
-                measured[comp_id] = value
-        if potential_col is not None:
-            pot_val = number(row, i, potential_col, "potential")
-            if pot_val is not None:
-                if potential is not None and pot_val != potential:
-                    raise CompositionError(
-                        f"{path} row {i}: conflicting potentials {potential} and {pot_val}"
-                    )
-                potential = pot_val
-
-    if not ids:
-        raise CompositionError(f"{path}: no candidate rows")
-    fractions = np.frombuffer(raw).reshape(len(ids), len(elements))
-    fractions = fractions / np.frombuffer(totals)[:, None]
-    return CandidateTable(elements, tuple(ids), fractions), measured, potential
+    def _fault(self, rows) -> CompositionError:
+        """The first fault of a block, met by checking it row by row: the first
+        bad row, and within it the first failed check in the order width,
+        fractions, duplicate id, current_density, potential."""
+        path, width, elements = self.path, self.width, self.elements
+        seen = set()
+        potential = self.potential
+        for i, row in enumerate(rows, len(self.ids) + 1):
+            where = f"{path} row {i}"
+            if len(row) != width:
+                return CompositionError(f"{where}: {len(row)} fields, the header has {width}")
+            cells = self.pick(row)
+            try:
+                vals = [float(c or "0") for c in ((cells,) if len(elements) == 1 else cells)]
+            except ValueError as exc:
+                return CompositionError(f"{where}: bad fraction ({exc})")
+            try:
+                total = math.fsum(vals)
+            except (OverflowError, ValueError):  # huge or opposite infinite values
+                total = math.nan
+            if not (abs(total - 1.0) <= PARSE_TOLERANCE and min(vals) >= 0.0):
+                return _fraction_fault(where, elements, vals, total)
+            comp_id = (row[self.id_col].strip() if self.id_col is not None else "") or str(i)
+            if comp_id in self.ids or comp_id in seen:
+                return CompositionError(f"{where}: duplicate composition id {comp_id!r}")
+            seen.add(comp_id)
+            try:
+                if self.measured_col is not None:
+                    _number(where, row[self.measured_col], "current_density")
+                if self.potential_col is not None:
+                    value = _number(where, row[self.potential_col], "potential")
+                    if value is not None:
+                        if potential is not None and value != potential:
+                            return CompositionError(
+                                f"{where}: conflicting potentials {potential} and {value}")
+                        potential = value
+            except CompositionError as exc:
+                return exc
+        raise AssertionError(f"{path}: a block failed a check that no row fails")

@@ -22,13 +22,13 @@ text file that is not UTF-8 fails naming the file.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import io
 import os
+import re
 import tempfile
 import tokenize
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import numpy.lib.format as npy
@@ -60,6 +60,13 @@ WORD_FORMAT = "litscreen-wordmodel/3"
 DOC_FORMAT = "litscreen-docmodel/2"
 TOKENS_FORMAT = "litscreen-tokens/1"
 MANIFEST_FORMAT = "litscreen-manifest/1"
+
+
+# Tables are built and written this many rows at a time, so memory stays
+# flat however long they are.
+_BLOCK_ROWS = 2048
+# What csv.writer quotes (QUOTE_MINIMAL) when its line end is "\n".
+_NEEDS_QUOTES = re.compile('[,"\n]')
 
 
 class PersistenceError(ValueError):
@@ -375,19 +382,41 @@ def load_tokens(path: str) -> DocumentSet:
 
 
 def write_csv(path: str, header, rows):
-    """A header row and then ``rows`` as CSV with LF line ends, written
-    atomically; a field holding a comma, quote or line break is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    """A header row and then ``rows``, each a sequence of str fields, as CSV
+    with LF line ends, written atomically. Bytes are those of ``csv.writer``
+    with ``lineterminator="\\n"``: a field holding a comma, a quote or a line
+    feed is quoted, with its quotes doubled, and a row of one empty field
+    is written as ``""``."""
+    rows = iter(rows)
+    block = [header]
+    with _atomic_open(path) as f:
+        while block:
+            f.write(_csv_text(block).encode("utf-8"))
+            block = list(islice(rows, _BLOCK_ROWS))
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV text, from one join when no field needs quoting."""
+    text = "\n".join(map(",".join, rows)) + "\n"
+    separators = sum(map(len, rows)) - len(rows)
+    # no field holds a quote, a comma or a line feed, and none is a lone empty one
+    if ('"' not in text and text.count(",") == separators
+            and text.count("\n") == len(rows) and min(map(len, rows)) > 1):
+        return text
+    return "".join(map(_csv_line, rows))
+
+
+def _csv_line(row) -> str:
+    if len(row) == 1 and not row[0]:
+        return '""\n'
+    return ",".join('"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES.search(f) else f
+                    for f in row) + "\n"
 
 
 def save_selection(order: SelectionOrder, ids, path: str):
     """CSV of rank, document id, maximin distance at selection time."""
     write_csv(path, ["rank", "doc_id", "min_distance"],
-              ((rank, ids[idx], "" if np.isnan(dist) else _fmt(dist))
+              ((str(rank), ids[idx], "" if np.isnan(dist) else _fmt(dist))
                for rank, (idx, dist) in enumerate(zip(order.indices, order.distances))))
 
 
@@ -401,7 +430,7 @@ def save_iteration_log(records: list[IterationRecord], path: str):
         if rec.displacement is not None:
             disp = _fmt(rec.displacement)
         complete = "true" if rec.vocab_complete else "false"
-        rows.append((rec.iteration, rec.documents_used, complete, cx, cy, disp))
+        rows.append((str(rec.iteration), str(rec.documents_used), complete, cx, cy, disp))
     write_csv(path, ["t", "documents_used", "vocab_complete", "centroid_x", "centroid_y",
                      "displacement"], rows)
 

@@ -11,16 +11,23 @@ trainer kernel, and ``code_path`` reads one token's path and code out of
 the flat Huffman table that kernel reads. ``parse_composition`` and
 ``read_manifest`` read formula strings and run manifests, and
 ``cosine_similarity`` scores one pair of vectors; only the tests need them.
+``reference_load_compositions`` is the candidate CSV reader that checks and
+converts one row at a time, the oracle for the block reader in
+``load_compositions``.
 """
 import csv
 import math
 import re
+from array import array
+from operator import itemgetter
 
 import numpy as np
 
+from litscreen.corpus import element_symbols
 from litscreen.embedding import vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
+    CandidateTable,
     Composition,
     CompositionError,
     PropertyAnchors,
@@ -179,3 +186,122 @@ def read_manifest(path):
     if pairs.get("format") != MANIFEST_FORMAT:
         raise PersistenceError(f"{path}: not a {MANIFEST_FORMAT} file")
     return pairs
+
+
+def reference_load_compositions(path, elements=None):
+    """``load_compositions`` one row at a time: each row is checked in full,
+    in the order width, fractions, id, current_density, potential, before
+    the next row is read, so the first fault met is the one reported."""
+    try:
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
+    except FileNotFoundError:
+        raise CompositionError(f"composition file not found: {path}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            return _reference_rows(reader, path, elements)
+        except csv.Error as exc:
+            raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CompositionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _reference_fraction_fault(where, elements, vals, total):
+    for el, v in zip(elements, vals):
+        if not math.isfinite(v):
+            return CompositionError(f"{where}: non-finite fraction {v} for {el}")
+        if v < 0:
+            return CompositionError(f"{where}: negative fraction {v} for {el}")
+    return CompositionError(f"{where}: fractions sum to {total}, expected 1")
+
+
+def _reference_rows(reader, path, elements):
+    header = next(reader, None)
+    if header is None:
+        raise CompositionError(f"composition file is empty: {path}")
+    if elements is None:
+        symbols = element_symbols()
+        elements = tuple(c for c in header if c in symbols)
+    else:
+        elements = tuple(elements)
+        missing = [el for el in elements if el not in header]
+        if missing:
+            raise CompositionError(f"{path}: missing element columns {missing}")
+    if not elements:
+        raise CompositionError(f"{path}: no element columns found in {header}")
+    for name in elements + ("id", "current_density", "potential"):
+        if header.count(name) > 1:
+            raise CompositionError(f"{path}: column {name!r} repeats in the header")
+    if len(set(elements)) != len(elements):
+        raise CompositionError(f"{path}: repeated element columns in {header}")
+
+    def column(name):
+        return header.index(name) if name in header else None
+
+    cols = [header.index(el) for el in elements]
+    id_col, measured_col, potential_col = (
+        column("id"), column("current_density"), column("potential"))
+    width = len(header)
+
+    def number(row, i, col, name):
+        text = row[col].strip()
+        if not text:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            raise CompositionError(f"{path} row {i}: {name} {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise CompositionError(f"{path} row {i}: non-finite {name} {value}")
+        return value
+
+    pick = itemgetter(*cols)
+    ids = {}
+    raw = array("d")
+    totals = array("d")
+    measured = {}
+    potential = None
+    i = 0
+    for row in reader:
+        if not row:
+            continue
+        i += 1
+        if len(row) != width:
+            raise CompositionError(f"{path} row {i}: {len(row)} fields, the header has {width}")
+        comp_id = (row[id_col].strip() if id_col is not None else "") or str(i)
+        cells = pick(row) if len(cols) > 1 else (row[cols[0]],)
+        if "" in cells:
+            cells = [c or "0" for c in cells]
+        try:
+            vals = list(map(float, cells))
+        except ValueError as exc:
+            raise CompositionError(f"{path} row {i}: bad fraction ({exc})") from None
+        try:
+            total = math.fsum(vals)
+        except (OverflowError, ValueError):
+            total = math.nan
+        if not (abs(total - 1.0) <= PARSE_TOLERANCE and min(vals) >= 0.0):
+            raise _reference_fraction_fault(f"{path} row {i}", elements, vals, total)
+        if ids.setdefault(comp_id, i) != i:
+            raise CompositionError(f"{path} row {i}: duplicate composition id {comp_id!r}")
+        raw.extend(vals)
+        totals.append(total)
+
+        if measured_col is not None:
+            value = number(row, i, measured_col, "current_density")
+            if value is not None:
+                measured[comp_id] = value
+        if potential_col is not None:
+            pot_val = number(row, i, potential_col, "potential")
+            if pot_val is not None:
+                if potential is not None and pot_val != potential:
+                    raise CompositionError(
+                        f"{path} row {i}: conflicting potentials {potential} and {pot_val}"
+                    )
+                potential = pot_val
+
+    if not ids:
+        raise CompositionError(f"{path}: no candidate rows")
+    fractions = np.frombuffer(raw).reshape(len(ids), len(elements))
+    fractions = fractions / np.frombuffer(totals)[:, None]
+    return CandidateTable(elements, tuple(ids), fractions), measured, potential

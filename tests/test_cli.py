@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import shutil
 import sys
@@ -10,8 +11,16 @@ from helpers import read_manifest
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import EmbeddingConfig, WordModel
+from litscreen.materials import (
+    CandidateTable,
+    enumerate_simplex,
+    load_compositions,
+    similarity_points,
+)
 from litscreen.persistence import config_pairs, load_model, save_model
 from litscreen.refine import RefineConfig
+from litscreen.screen import Objectives, pareto_front
+from litscreen.synth import write_candidates_csv
 
 
 def run(capsys, *argv):
@@ -126,6 +135,21 @@ class TestUnreadableInputs:
         code, _, err = self.ingest(capsys, tmp_path, corpus)
         assert code == 2
         assert f"{corpus}: not UTF-8 text" in err
+
+    def test_non_utf8_candidates_name_the_line(self, capsys, tmp_path):
+        cands = write_bytes(str(tmp_path / "k.csv"),
+                            b"id,Ag,Pt\n" + b"a,1,0\n" * 2 + b"caf\xe9,0,1\n")
+        code, _, err = run(capsys, "screen", "--model", str(tmp_path / "m"),
+                           "--candidates", cands)
+        assert code == 2
+        assert f"{cands} line 4: not UTF-8 text" in err
+
+    def test_repeated_candidate_column_is_data_error(self, capsys, tmp_path):
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt,Ag\na,1,0,0\n")
+        code, _, err = run(capsys, "screen", "--model", str(tmp_path / "m"),
+                           "--candidates", cands, "--elements", "Ag,Pt")
+        assert code == 2
+        assert f"{cands}: column 'Ag' repeats in the header" in err
 
     def test_non_utf8_config_file(self, capsys, tmp_path):
         corpus = write(str(tmp_path / "c.csv"), "abstract\nAg films\n")
@@ -449,6 +473,31 @@ class TestScreenTable:
                                 b"Ru1,0.5,0.40000000000000002,0\n")
         assert out.splitlines()[:3] == ["Entries (Ori): 4", "Entries (Front): 3",
                                          "Ni1 0.100000 0.500000"]
+
+
+    def test_table_bytes_match_the_reference_formatting(self, capsys, tmp_path):
+        base = planted_model(str(tmp_path / "m"))
+        grid = enumerate_simplex(("Ni", "Pd", "Pt", "Ru"), 24)  # 2,925 rows
+        odd = {7: "a,b", 100: 'say "hi"', 2500: "two\nlines", 2924: "é"}
+        ids = [odd.get(i, comp_id) for i, comp_id in enumerate(grid.ids)]
+        cands = str(tmp_path / "k.csv")
+        write_candidates_csv(CandidateTable(grid.elements, ids, grid.fractions), cands)
+        table = str(tmp_path / "t.csv")
+        code, _, _ = run(capsys, "screen", "--model", base, "--candidates", cands,
+                         "--preset", "orr", "--out", table)
+        assert code == 0
+
+        candidates, _, _ = load_compositions(cands)
+        assert list(candidates.ids) == ids
+        scores = similarity_points(load_model(base), candidates)
+        front = set(pareto_front(scores, Objectives.preset("orr")))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "s_dielectric", "s_conductivity", "on_front"])
+        writer.writerows((comp_id, f"{x:.17g}", f"{y:.17g}", int(i in front))
+                         for i, (comp_id, (x, y)) in enumerate(zip(ids, scores.tolist())))
+        with open(table, "rb") as f:
+            assert f.read() == buf.getvalue().encode("utf-8")
 
 
 def planted_model(base):

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import tempfile
@@ -5,7 +6,14 @@ import tempfile
 import mpmath
 import numpy as np
 import pytest
-from helpers import SCORE_BOUND, material_vector, parse_composition, reference_scores, similarity_point
+from helpers import (
+    SCORE_BOUND,
+    material_vector,
+    parse_composition,
+    reference_load_compositions,
+    reference_scores,
+    similarity_point,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -559,11 +567,38 @@ class TestLoadCompositionsInputHoles:
         with pytest.raises(CompositionError, match=r"cands\.csv line 2: field larger"):
             load_compositions(path)
 
+    @pytest.mark.parametrize("header, elements, column", [
+        ("id,Ag,Pt,Ag", ("Ag", "Pt"), "Ag"),
+        ("id,Ag,Pt,id", None, "id"),
+        ("id,Ag,Pt,current_density,current_density", None, "current_density"),
+        ("Ag,Pt,potential,potential", None, "potential"),
+    ])
+    def test_repeated_header_column_names_the_column(self, tmp_path, header, elements, column):
+        width = header.count(",") + 1
+        path = self.write(tmp_path, header + "\n" + ",".join(["1"] + ["0"] * (width - 1)) + "\n")
+        with pytest.raises(CompositionError,
+                           match=rf"cands\.csv: column '{column}' repeats in the header$"):
+            load_compositions(path, elements=elements)
+
+    @pytest.mark.parametrize("lines, end, line", [
+        (500, b"\n", 501), (500, b"\r\n", 501), (500, b"\r", 501), (1, b"\n", 2),
+    ], ids=["lf_past_the_decode_ahead", "crlf", "cr", "first_row"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, lines, end, line):
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "wb") as f:
+            f.write(b"\xef\xbb\xbfid,Ni,Pt" + end)
+            f.write(b"".join(b"a%d,0.5,0.5" % i + end for i in range(1, lines)))
+            f.write(b"caf\xe9,1,0" + end + b"z,0,1" + end)
+        with pytest.raises(CompositionError,
+                           match=rf"cands\.csv line {line}: not UTF-8 text \(invalid continuation"):
+            load_compositions(path)
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = os.path.join(str(tmp_path), "cands.csv")
         with open(path, "wb") as f:
             f.write(b"id,Ni,Pt\n\xff,0.5,0.5\n")
-        with pytest.raises(CompositionError, match=r"cands\.csv: not UTF-8"):
+        with pytest.raises(CompositionError,
+                           match=r"cands\.csv line 2: not UTF-8 text \(invalid start byte\)$"):
             load_compositions(path)
 
 
@@ -590,6 +625,7 @@ def _csv_texts(draw):
     header = draw(st.sampled_from([
         ["id", "Ni", "Pt", "current_density", "potential"], ["id", "Ni", "Pt"], ["Ni", "Pt"],
         ["id", "Ni", "Pt", "current_density"], ["Ni", "Ni"], ["notes"],
+        ["id", "Ni", "Pt", "Ni"], ["id", "Ni", "Pt", "id"], ["Ni", "Pt", "potential"],
     ]))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
@@ -605,7 +641,109 @@ def _csv_texts(draw):
         st.sampled_from(["", "", "", "x", "\x00", '"open']))
 
 
+def _outcome(load, path):
+    """What a reader makes of a file: its ids, elements, fraction bits,
+    measured values and potential (floats as hex, so -0.0 shows), or the
+    message of its CompositionError."""
+    try:
+        table, measured, potential = load(path)
+    except CompositionError as exc:
+        return str(exc)
+    return (table.ids, table.elements, table.fractions.view(np.int64).tolist(),
+            {k: v.hex() for k, v in measured.items()},
+            None if potential is None else potential.hex())
+
+
+def _big_candidate_csv(seed, fault):
+    """A seeded 6,000-row candidate CSV with blank lines among the rows and
+    the named fault planted, mostly past the first block of 2,048 rows;
+    returns its text and where the fault is, as ``row N`` (a data row) or
+    ``line N``, or None when the file is clean."""
+    rng = np.random.default_rng(seed)
+    n = 6000
+    x = rng.random((n, 3))
+    x /= x.sum(axis=1, keepdims=True)
+    rows = [[f"c{i + 1}"] + [repr(v) for v in r] + ["", ""] for i, r in enumerate(x.tolist())]
+    for i in rng.choice(n, 300, replace=False):
+        rows[i][4] = f"{rng.normal():.6g}"
+        rows[i][5] = "850"
+    r = int(rng.integers(4200, n))  # 1-based data row of the fault
+    row = rows[r - 1]
+    if fault == "width":
+        row.append("x")
+    elif fault == "parse":
+        row[2] = "0x1p-1"
+    elif fault == "negative":
+        row[1], row[2] = "-0.25", repr(float(row[2]) + 0.5)
+    elif fault == "sum":
+        row[3] = "0.9"
+    elif fault == "nan":
+        row[1] = "nan"
+    elif fault == "dup_first_block":
+        row[0] = "c7"
+    elif fault == "dup_across_boundary":
+        r = 2049
+        rows[r - 1][0] = "c2048"
+    elif fault == "blank_id_as_row_number":
+        rows[99][0] = str(r)
+        row[0] = " "
+    elif fault == "measured":
+        row[4] = "abc"
+    elif fault == "potential":
+        row[5] = "900"
+    elif fault == "fraction_before_measured":
+        row[3], row[4] = "2", "abc"
+    elif fault == "duplicate_before_measured":
+        row[0], row[4] = "c7", "abc"
+    elif fault == "earlier_row_later_check":
+        rows[r - 2][4] = "inf"
+        row.append("x")
+        r -= 1
+    elif fault == "row_before_csv_error":
+        row[5] = "900"
+    where = None if fault in ("clean", "csv_error") else f"row {r}"
+    lines = ["id,Ni,Pt,Ru,current_density,potential"]
+    for i, cells in enumerate(rows):
+        lines.append(",".join(cells))
+        if i % 997 == 0:
+            lines.append("")
+    if fault in ("csv_error", "row_before_csv_error"):  # a field over the csv module's limit
+        lines.append("z," + "1" * (csv.field_size_limit() + 1))
+        where = where or f"line {len(lines)}"
+    return "\n".join(lines) + "\n", where
+
+
 class TestLoadCompositionsFuzz:
+    """The block reader against the row-at-a-time reader in tests/helpers.py:
+    the same table bit for bit, or the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts())
+    def test_matches_the_row_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.csv")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            assert _outcome(load_compositions, path) == _outcome(reference_load_compositions, path)
+
+    @pytest.mark.parametrize("fault", [
+        "clean", "width", "parse", "negative", "sum", "nan", "dup_first_block",
+        "dup_across_boundary", "blank_id_as_row_number", "measured", "potential",
+        "fraction_before_measured", "duplicate_before_measured", "earlier_row_later_check",
+        "csv_error", "row_before_csv_error",
+    ])
+    def test_many_rows_match_the_row_reader(self, tmp_path, fault):
+        text, where = _big_candidate_csv(1301, fault)
+        path = os.path.join(str(tmp_path), "big.csv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        got = _outcome(load_compositions, path)
+        assert got == _outcome(reference_load_compositions, path)
+        if where is None:
+            assert len(got[0]) == 6000
+        else:
+            assert f"big.csv {where}: " in got
+
     @settings(max_examples=150, deadline=None)
     @given(_csv_texts())
     def test_only_composition_error_escapes(self, text):

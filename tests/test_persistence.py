@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -26,6 +27,7 @@ from litscreen.persistence import (
     save_model,
     save_selection,
     save_tokens,
+    write_csv,
     write_manifest,
 )
 from litscreen.refine import IterationRecord
@@ -694,6 +696,46 @@ class TestMetaFaults:
         with pytest.raises(PersistenceError) as caught:
             load(base)
         assert str(caught.value) == f"{base}.meta: dim = 7, but {base}.npy has 6 columns"
+
+
+# Fields that csv.writer quotes or treats specially, and ones it leaves alone.
+_CSV_FIELDS = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', " x ", "é",
+                     "ü,ß", "\t", "1.5"]),
+    st.text(max_size=6),
+)
+
+
+class TestWriteCsv:
+    """write_csv's bytes are those of csv.writer(lineterminator="\\n")."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(header=st.lists(_CSV_FIELDS, max_size=4),
+           special=st.lists(st.tuples(st.integers(0, 4500), st.lists(_CSV_FIELDS, max_size=4)),
+                            max_size=6))
+    def test_bytes_match_csv_writer(self, header, special):
+        # plain rows across more than one block, with the drawn rows among them
+        rows = [[f"p{i}", str(i % 7)] for i in range(4500)]
+        for at, row in sorted(special, reverse=True):
+            rows.insert(at, row)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_csv(path, header, iter(rows))
+            with open(path, "rb") as f:
+                assert f.read() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("row", [[""], [], ["", ""], ["a\nb", "c"], ["x", 'q"']])
+    def test_special_rows(self, tmp_path, row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["h"], row, ["z", "1"]])
+        path = str(tmp_path / "t.csv")
+        write_csv(path, ["h"], [row, ["z", "1"]])
+        with open(path, "rb") as f:
+            assert f.read() == buf.getvalue().encode("utf-8")
 
 
 class TestSelectionRoundTrip:
