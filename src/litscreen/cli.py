@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data or file error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -336,6 +337,7 @@ def _add_training_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="RNG seed")
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="litscreen", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"litscreen {__version__}")

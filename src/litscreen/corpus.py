@@ -25,6 +25,7 @@ __all__ = [
     "element_symbols",
     "default_stopwords",
     "default_license_patterns",
+    "not_utf8_message",
 ]
 
 
@@ -116,6 +117,21 @@ def default_license_patterns() -> tuple[re.Pattern, ...]:
     return tuple(re.compile(p, re.IGNORECASE) for p in _read_data_file("license_patterns.txt"))
 
 
+def not_utf8_message(path: str, exc: UnicodeDecodeError) -> str:
+    """An error message naming ``path`` and the line of its first byte that
+    is not UTF-8. A text reader decodes ahead of the rows it returns, so
+    ``exc`` cannot place the byte; a second read, as bytes and on this
+    error path alone, does. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        line = len((data[:first.start] + b".").splitlines())
+        return f"{path} line {line}: not UTF-8 text ({first.reason})"
+    return f"{path}: not UTF-8 text ({exc.reason})"  # changed since
+
+
 def load_corpus(
     path: str,
     text_column: str = "abstract",
@@ -127,8 +143,9 @@ def load_corpus(
     Rows with an empty abstract are skipped and counted; rows too short to
     contain the abstract column, or that the CSV reader rejects, are
     recorded as malformed (or raised when ``strict``) and reading goes on.
-    Default ids are 1-based data-row numbers. Text that is not UTF-8, and a
-    header the CSV reader rejects, raise CorpusError naming the file.
+    Default ids are 1-based data-row numbers. Text that is not UTF-8 raises
+    CorpusError naming the file and the line, and a header the CSV reader
+    rejects one naming the file.
     """
     try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -141,7 +158,7 @@ def load_corpus(
         except StopIteration:
             raise CorpusError(f"corpus file is empty: {path}") from None
         except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise CorpusError(not_utf8_message(path, exc)) from None
         except csv.Error as exc:
             raise CorpusError(f"{path} header: {exc}") from None
         if text_column not in header:
@@ -164,7 +181,7 @@ def load_corpus(
             except StopIteration:
                 break
             except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+                raise CorpusError(not_utf8_message(path, exc)) from None
             except csv.Error as exc:
                 # the reader resumes at the next line, so later rows still load
                 row_num += 1

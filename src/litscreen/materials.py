@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import element_symbols
+from .corpus import element_symbols, not_utf8_message
 from .embedding import WordModel, vector_of
 
 __all__ = [
@@ -286,21 +286,7 @@ def load_compositions(path: str, elements=None):
         except csv.Error as exc:
             raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> CompositionError:
-    """Name the line of the file's first byte that is not UTF-8. The text
-    reader decodes ahead of the rows it returns, so only a second read, as
-    bytes and on this error path alone, can place the byte."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as first:
-        line = len((data[:first.start] + b".").splitlines())  # \n, \r\n and \r end a line
-        return CompositionError(f"{path} line {line}: not UTF-8 text ({first.reason})")
-    return CompositionError(f"{path}: not UTF-8 text ({exc.reason})")  # changed since
+            raise CompositionError(not_utf8_message(path, exc)) from None
 
 
 def _read_compositions(reader, path, elements):

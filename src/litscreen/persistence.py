@@ -17,7 +17,7 @@ in text are written with 17 significant digits, which is exact for 64-bit
 floats. Writers go through a temp file and an atomic rename so readers
 never observe a partial artifact, and a model's ``.meta`` is removed
 first and written last, so a model saved only in part does not load. A
-text file that is not UTF-8 fails naming the file.
+text file that is not UTF-8 fails naming the file and the line.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 import numpy.lib.format as npy
 
-from .corpus import Document, DocumentSet, Vocabulary
+from .corpus import Document, DocumentSet, Vocabulary, not_utf8_message
 from .embedding import DocModel, EmbeddingConfig, WordModel
 from .refine import IterationRecord
 from .selection import SelectionOrder
@@ -65,8 +65,8 @@ MANIFEST_FORMAT = "litscreen-manifest/1"
 # Tables are built and written this many rows at a time, so memory stays
 # flat however long they are.
 _BLOCK_ROWS = 2048
-# What csv.writer quotes (QUOTE_MINIMAL) when its line end is "\n".
-_NEEDS_QUOTES = re.compile('[,"\n]')
+# What csv.writer quotes (QUOTE_MINIMAL) when its line end is "\r\n".
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
 class PersistenceError(ValueError):
@@ -226,11 +226,12 @@ def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, 
 
 @contextlib.contextmanager
 def _naming_undecodable(path: str):
-    """Re-raise a UTF-8 decoding error of a text file as one naming ``path``."""
+    """Re-raise a UTF-8 decoding error of a text file as one naming ``path``
+    and the line."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise PersistenceError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise PersistenceError(not_utf8_message(path, exc)) from None
 
 
 def _write_kv(path: str, pairs: dict[str, str]):
@@ -383,10 +384,11 @@ def load_tokens(path: str) -> DocumentSet:
 
 def write_csv(path: str, header, rows):
     """A header row and then ``rows``, each a sequence of str fields, as CSV
-    with LF line ends, written atomically. Bytes are those of ``csv.writer``
-    with ``lineterminator="\\n"``: a field holding a comma, a quote or a line
-    feed is quoted, with its quotes doubled, and a row of one empty field
-    is written as ``""``."""
+    with LF line ends, written atomically. A field holding a comma, a quote,
+    a line feed or a carriage return is quoted, with its quotes doubled, so
+    ``csv.reader`` reads every row back whole, and a row of one empty field
+    is written as ``""``. These are the bytes of ``csv.writer`` with
+    ``lineterminator="\\r\\n"``, each row's ``\\r\\n`` then written as ``\\n``."""
     rows = iter(rows)
     block = [header]
     with _atomic_open(path) as f:
@@ -399,8 +401,8 @@ def _csv_text(rows) -> str:
     """Rows as CSV text, from one join when no field needs quoting."""
     text = "\n".join(map(",".join, rows)) + "\n"
     separators = sum(map(len, rows)) - len(rows)
-    # no field holds a quote, a comma or a line feed, and none is a lone empty one
-    if ('"' not in text and text.count(",") == separators
+    # no field holds a quote, a comma or a line break, and none is a lone empty one
+    if ('"' not in text and "\r" not in text and text.count(",") == separators
             and text.count("\n") == len(rows) and min(map(len, rows)) > 1):
         return text
     return "".join(map(_csv_line, rows))

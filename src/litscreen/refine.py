@@ -9,9 +9,19 @@ below the threshold. A run keeps one record per iteration, the selection
 order and the last word model, which ``litscreen refine`` saves as
 ``iterations.csv``, ``selection.csv`` and the model files that
 :func:`litscreen.persistence.save_model` names.
+
+Given the selection order, iteration t's model depends only on t and the
+seed, so iterations train in pairs on two threads: a second thread trains
+t+1 while the calling thread trains t (ctypes releases the GIL while the
+kernel runs), and t+1 is committed only if t neither converged nor was
+the last. A model trained for a t+1 that is not committed, and any error
+its training raised, is dropped, so records, artifacts and errors are
+those of a run that trains one iteration at a time. No thread outlives
+the call; while it runs, memory holds two word models.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +86,28 @@ class RefinementResult:
     selection_order: SelectionOrder
 
 
+class _Lookahead(threading.Thread):
+    """One iteration's word model, trained on a second thread; ``result()``
+    joins it and returns the model or raises what training raised."""
+
+    def __init__(self, token_lists, config: EmbeddingConfig):
+        super().__init__(name="litscreen-lookahead")
+        self._args = (token_lists, config)
+        self._model = self._error = None
+
+    def run(self):
+        try:
+            self._model = train_word2vec(*self._args)
+        except BaseException as exc:  # raised again on the calling thread, if committed
+            self._error = exc
+
+    def result(self) -> WordModel:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._model
+
+
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -113,36 +145,51 @@ def run_refinement(
     if max_iters is None:
         max_iters = -(-n_docs // config.batch_size)  # ceil
 
+    def batch(t):
+        subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
+        return [token_lists[i] for i in subset]
+
     records: list[IterationRecord] = []
     prev_centroid: np.ndarray | None = None
     converged = False
     model: WordModel | None = None
-    for t in range(1, max_iters + 1):
-        subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
-        subset_tokens = [token_lists[i] for i in subset]
-        model = train_word2vec(subset_tokens, config.embedding)
+    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is odd
+    try:
+        for t in range(1, max_iters + 1):
+            if ahead is not None:
+                model, ahead = ahead.result(), None
+            else:
+                if t < max_iters:
+                    ahead = _Lookahead(batch(t + 1), config.embedding)
+                    ahead.start()
+                model = train_word2vec(batch(t), config.embedding)
+            documents_used = min(config.batch_size * t, n_docs)
 
-        missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
-        if missing:
-            records.append(IterationRecord(iteration=t, documents_used=len(subset), missing=missing))
-            continue
+            missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
+            if missing:
+                records.append(IterationRecord(iteration=t, documents_used=documents_used,
+                                               missing=missing))
+                continue
 
-        c = centroid(similarity_points(model, candidates, config.anchors))
-        displacement = None
-        if prev_centroid is not None:
-            displacement = float(np.linalg.norm(c - prev_centroid))
-        records.append(
-            IterationRecord(
-                iteration=t,
-                documents_used=len(subset),
-                centroid=(float(c[0]), float(c[1])),
-                displacement=displacement,
+            c = centroid(similarity_points(model, candidates, config.anchors))
+            displacement = None
+            if prev_centroid is not None:
+                displacement = float(np.linalg.norm(c - prev_centroid))
+            records.append(
+                IterationRecord(
+                    iteration=t,
+                    documents_used=documents_used,
+                    centroid=(float(c[0]), float(c[1])),
+                    displacement=displacement,
+                )
             )
-        )
-        prev_centroid = c
-        if displacement is not None and displacement < config.threshold:
-            converged = True
-            break
+            prev_centroid = c
+            if displacement is not None and displacement < config.threshold:
+                converged = True
+                break
+    finally:
+        if ahead is not None:  # t converged or raised: drop t+1, and its error with it
+            ahead.join()
 
     if prev_centroid is None:
         raise RefinementError(

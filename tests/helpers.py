@@ -13,7 +13,9 @@ the flat Huffman table that kernel reads. ``parse_composition`` and
 ``cosine_similarity`` scores one pair of vectors; only the tests need them.
 ``reference_load_compositions`` is the candidate CSV reader that checks and
 converts one row at a time, the oracle for the block reader in
-``load_compositions``.
+``load_compositions``. ``reference_run_refinement`` is the refinement loop
+that trains one iteration at a time on the calling thread, the oracle for
+``run_refinement``, which trains them in pairs on two threads.
 """
 import csv
 import math
@@ -24,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from litscreen.corpus import element_symbols
-from litscreen.embedding import vector_of
+from litscreen.embedding import train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
     CandidateTable,
@@ -32,8 +34,12 @@ from litscreen.materials import (
     CompositionError,
     PropertyAnchors,
     SimilarityPoint,
+    centroid,
+    similarity_points,
 )
 from litscreen.persistence import MANIFEST_FORMAT, PersistenceError, read_kv
+from litscreen.refine import IterationRecord, RefinementError, RefinementResult
+from litscreen.selection import central_document, cumulative_batches, greedy_fps, pca_project
 
 # Largest |bulk - per-candidate| score difference the bulk path may show.
 SCORE_BOUND = 1e-12
@@ -305,3 +311,69 @@ def _reference_rows(reader, path, elements):
     fractions = np.frombuffer(raw).reshape(len(ids), len(elements))
     fractions = fractions / np.frombuffer(totals)[:, None]
     return CandidateTable(elements, tuple(ids), fractions), measured, potential
+
+
+def reference_run_refinement(docs, candidates, config):
+    """``run_refinement`` training one iteration at a time, on the calling
+    thread: each word model is trained only once the one before it is scored."""
+    if len(docs) == 0:
+        raise RefinementError("empty corpus")
+    if not candidates:
+        raise RefinementError("empty candidate list")
+
+    token_lists = docs.token_lists()
+
+    required = set(config.anchors.terms) | set(candidates.present())
+
+    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
+    projection = pca_project(doc_model.vectors, 2)
+    start = central_document(projection.points)
+    order = greedy_fps(projection.points, start, len(docs))
+
+    n_docs = len(docs)
+    max_iters = config.max_iterations
+    if max_iters is None:
+        max_iters = -(-n_docs // config.batch_size)  # ceil
+
+    records = []
+    prev_centroid = None
+    converged = False
+    model = None
+    for t in range(1, max_iters + 1):
+        subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
+        subset_tokens = [token_lists[i] for i in subset]
+        model = train_word2vec(subset_tokens, config.embedding)
+
+        missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
+        if missing:
+            records.append(IterationRecord(iteration=t, documents_used=len(subset), missing=missing))
+            continue
+
+        c = centroid(similarity_points(model, candidates, config.anchors))
+        displacement = None
+        if prev_centroid is not None:
+            displacement = float(np.linalg.norm(c - prev_centroid))
+        records.append(
+            IterationRecord(
+                iteration=t,
+                documents_used=len(subset),
+                centroid=(float(c[0]), float(c[1])),
+                displacement=displacement,
+            )
+        )
+        prev_centroid = c
+        if displacement is not None and displacement < config.threshold:
+            converged = True
+            break
+
+    if prev_centroid is None:
+        raise RefinementError(
+            "corpus exhausted before any centroid was definable; "
+            f"required tokens never all present (last missing: {records[-1].missing})"
+        )
+    return RefinementResult(
+        records=records,
+        converged=converged,
+        final_model=model,
+        selection_order=order,
+    )

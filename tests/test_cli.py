@@ -2,12 +2,15 @@ import csv
 import io
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from helpers import read_manifest
 
+import litscreen
+from litscreen import cli
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import EmbeddingConfig, WordModel
@@ -125,16 +128,16 @@ class TestUnreadableInputs:
         assert code == 2
         assert f"{corpus} header: field larger than field limit" in err
 
-    @pytest.mark.parametrize("name, data", [
-        ("c.csv", b"caf\xe9,abstract\nx,y\n"),
-        ("c.csv", b"id,abstract\na,caf\xe9\n"),
-        ("c.tokens", b"litscreen-tokens/1 1\na\tcaf\xe9\n"),
+    @pytest.mark.parametrize("name, data, line", [
+        ("c.csv", b"caf\xe9,abstract\nx,y\n", 1),
+        ("c.csv", b"id,abstract\na,caf\xe9\n", 2),
+        ("c.tokens", b"litscreen-tokens/1 1\na\tcaf\xe9\n", 2),
     ], ids=["corpus_first_line", "corpus_row", "tokens_file"])
-    def test_non_utf8_corpus(self, capsys, tmp_path, name, data):
+    def test_non_utf8_corpus(self, capsys, tmp_path, name, data, line):
         corpus = write_bytes(str(tmp_path / name), data)
         code, _, err = self.ingest(capsys, tmp_path, corpus)
         assert code == 2
-        assert f"{corpus}: not UTF-8 text" in err
+        assert f"{corpus} line {line}: not UTF-8 text" in err
 
     def test_non_utf8_candidates_name_the_line(self, capsys, tmp_path):
         cands = write_bytes(str(tmp_path / "k.csv"),
@@ -156,7 +159,7 @@ class TestUnreadableInputs:
         conf = write_bytes(str(tmp_path / "run.conf"), b"# caf\xe9\ntext_column = abstract\n")
         code, _, err = self.ingest(capsys, tmp_path, corpus, "--config", conf)
         assert code == 2
-        assert f"{conf}: not UTF-8 text" in err
+        assert f"{conf} line 1: not UTF-8 text" in err
 
 
 class TestRepeatedLabels:
@@ -560,3 +563,49 @@ class TestReportMeasuredExtremes:
         np.testing.assert_allclose(
             np.linalg.norm(loaded.vectors[2:], axis=1), 1.0, atol=1e-12
         )
+
+
+def fresh_process(*argv):
+    """(exit code, stdout) of ``litscreen`` run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(litscreen.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "litscreen.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+class TestOneProcess:
+    def test_parser_reused_across_calls(self, capsys, tmp_path):
+        # the parser is built once per process: a usage error, then a screen
+        # and a refine, exit and print as they do in fresh processes
+        data = str(tmp_path / "data")
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\n")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")[0] == 0
+        corpus = os.path.join(data, "corpus.csv")
+        cands = os.path.join(data, "candidates.csv")
+        refine_argv = ["refine", "--corpus", corpus, "--candidates", cands, "--config", conf,
+                       "--batch-size", "10", "--threshold", "5", "--out"]
+        assert run(capsys, *refine_argv, str(tmp_path / "model_run"))[0] == 0
+        model = os.path.join(str(tmp_path / "model_run"), "model")
+        calls = [
+            ["screen", "--model", model, "--preset", "xyz", "--candidates", cands],
+            ["screen", "--model", model, "--candidates", cands, "--preset", "orr"],
+            [*refine_argv, str(tmp_path / "run")],
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        calls[2][-1] = str(tmp_path / "fresh_run")
+        assert in_process == [fresh_process(*argv) for argv in calls]
+        assert [code for code, _ in in_process] == [1, 0, 0]
+
+
+def test_import_loads_no_needless_modules():
+    # each costs startup time on every command; the kernel build imports
+    # subprocess itself, and the refinement loop needs only threading
+    src = os.path.dirname(os.path.dirname(litscreen.__file__))
+    code = ("import sys, litscreen.cli; "
+            "print(' '.join(m for m in ('concurrent.futures', 'logging', 'subprocess') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.split() == []

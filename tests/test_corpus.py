@@ -87,6 +87,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus("/nonexistent/corpus.csv")
 
+    @pytest.mark.parametrize("rows, end, line", [
+        (1000, b"\n", 1002), (1000, b"\r\n", 1002), (1000, b"\r", 1002), (1, b"\n", 3),
+    ], ids=["lf_past_the_decode_ahead", "crlf", "cr", "second_row"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, rows, end, line):
+        path = os.path.join(str(tmp_path), "c.csv")
+        with open(path, "wb") as f:
+            f.write(b"id,abstract" + end)
+            f.write(b"".join(b"a%d,Ag films" % i + end for i in range(rows)))
+            f.write(b"z,caf\xe9" + end + b"y,Pt films" + end)
+        with pytest.raises(CorpusError,
+                           match=rf"c\.csv line {line}: not UTF-8 text \(invalid continuation"):
+            load_corpus(path, id_column="id")
+
     def test_quoted_multiline_field(self, tmp_path):
         path = write_csv(str(tmp_path), 'abstract\n"line one\nline two"\nplain\n')
         docs = load_corpus(path)

@@ -22,6 +22,7 @@ from litscreen.persistence import (
     load_doc_model,
     load_model,
     load_tokens,
+    read_kv,
     save_doc_model,
     save_iteration_log,
     save_model,
@@ -637,11 +638,30 @@ class TestTokensRoundTrip:
                            match=r"c\.tokens row 2: duplicate document id 'a'"):
             load_tokens(path)
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = str(tmp_path / "c.tokens")
+        with open(path, "wb") as f:
+            f.write(b"litscreen-tokens/1 1002\n")
+            f.write(b"".join(b"d%d\tag film\n" % i for i in range(1000)))
+            f.write(b"z\tcaf\xe9\ny\tpt\n")
+        with pytest.raises(PersistenceError, match=r"c\.tokens line 1002: not UTF-8 text"):
+            load_tokens(path)
+
     def test_documents_past_count_rejected(self, tmp_path):
         path = self.two_docs(tmp_path)
         rewrite_line(path, 0, "litscreen-tokens/1 1\n")
         with pytest.raises(PersistenceError, match=r"c\.tokens: more than the 1"):
             load_tokens(path)
+
+
+def test_non_utf8_config_byte_names_its_line(tmp_path):
+    path = str(tmp_path / "run.conf")
+    with open(path, "wb") as f:
+        f.write(b"# options\n")
+        f.write(b"".join(b"key%d = %d\n" % (i, i) for i in range(1000)))
+        f.write(b"system = caf\xe9\n")
+    with pytest.raises(PersistenceError, match=r"run\.conf line 1002: not UTF-8 text"):
+        read_kv(path, "config")
 
 
 class TestMetaFaults:
@@ -706,8 +726,22 @@ _CSV_FIELDS = st.one_of(
 )
 
 
+def csv_writer_bytes(rows):
+    """What write_csv writes: csv.writer's rows with "\\r\\n" line ends, so
+    that it quotes a field holding either, each row then ended by "\\n"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+    return "".join(lines).encode("utf-8")
+
+
 class TestWriteCsv:
-    """write_csv's bytes are those of csv.writer(lineterminator="\\n")."""
+    """write_csv's bytes are those of csv.writer, with "\\r\\n" quoted and "\\n" written."""
 
     @settings(max_examples=40, deadline=None)
     @given(header=st.lists(_CSV_FIELDS, max_size=4),
@@ -718,24 +752,27 @@ class TestWriteCsv:
         rows = [[f"p{i}", str(i % 7)] for i in range(4500)]
         for at, row in sorted(special, reverse=True):
             rows.insert(at, row)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
             write_csv(path, header, iter(rows))
             with open(path, "rb") as f:
-                assert f.read() == buf.getvalue().encode("utf-8")
+                assert f.read() == csv_writer_bytes([header, *rows])
 
-    @pytest.mark.parametrize("row", [[""], [], ["", ""], ["a\nb", "c"], ["x", 'q"']])
+    @pytest.mark.parametrize("row", [[""], [], ["", ""], ["a\nb", "c"], ["x", 'q"'],
+                                     ["a\rb", "1"], ["\r"]])
     def test_special_rows(self, tmp_path, row):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([["h"], row, ["z", "1"]])
         path = str(tmp_path / "t.csv")
         write_csv(path, ["h"], [row, ["z", "1"]])
         with open(path, "rb") as f:
-            assert f.read() == buf.getvalue().encode("utf-8")
+            assert f.read() == csv_writer_bytes([["h"], row, ["z", "1"]])
+
+    @pytest.mark.parametrize("doc_id", ["a\rb", "a\r\nb", "a\nb", "\r", "a\r"])
+    def test_line_breaks_in_ids_read_back_whole(self, tmp_path, doc_id):
+        path = str(tmp_path / "t.csv")
+        rows = [[doc_id, "1"], ["z", "2"]]
+        write_csv(path, ["id", "x"], rows)
+        with open(path, newline="", encoding="utf-8") as f:
+            assert list(csv.reader(f)) == [["id", "x"], *rows]
 
 
 class TestSelectionRoundTrip:

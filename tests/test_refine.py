@@ -1,11 +1,12 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from litscreen import refine
-from litscreen.corpus import Document, DocumentSet
+from litscreen.corpus import Document, DocumentSet, preprocess_set
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
     CandidateTable,
@@ -19,6 +20,9 @@ from litscreen.refine import (
     run_refinement,
 )
 from litscreen.selection import cumulative_batches
+from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus
+
+from helpers import reference_run_refinement
 
 EMB = EmbeddingConfig(dim=12, window=2, epochs=2)
 
@@ -209,3 +213,149 @@ def test_embedding_seed_trains_every_model(monkeypatch):
     result = run_refinement(corpus_with_rare_element(), candidates_ag_ti(), cfg)
     assert seeds == [5] * (1 + len(result.records))
     assert len(result.records) == 4
+
+
+def planted_docs(seed):
+    rows = synthetic_corpus(SynthSpec(n_docs=120, rare_docs=3, seed=seed))
+    return preprocess_set(DocumentSet(documents=[Document(id=i, text=t) for i, t in rows]))
+
+
+def zipf_docs(seed, n_docs=30, types=400):
+    """Zipf-drawn filler words around each document's anchor word and elements."""
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, types + 1, dtype=np.float64) ** -1.05
+    topics = (("conductivity", ("Ag", "Pt")), ("dielectric", ("Ba", "Ti")))
+    lists = []
+    for i in range(n_docs):
+        anchor, elements = topics[i % 2]
+        filler = rng.choice(types, size=int(rng.integers(10, 30)), p=weights / weights.sum())
+        toks = [anchor, *elements, *(f"w{j}" for j in filler)]
+        lists.append([toks[j] for j in rng.permutation(len(toks))])
+    return docset(lists)
+
+
+PAIRED = EmbeddingConfig(dim=12, window=3, epochs=1)
+
+# name: (documents, config, iterations the run records, converged)
+PAIRED_CASES = {
+    "planted-converges-at-odd-t": (
+        lambda: planted_docs(1), RefineConfig(batch_size=15, threshold=0.1, embedding=PAIRED),
+        5, True),
+    "planted-converges-at-even-t": (
+        lambda: planted_docs(0), RefineConfig(batch_size=15, threshold=0.1, embedding=PAIRED),
+        4, True),
+    "planted-leading-missing-tokens": (
+        lambda: planted_docs(0),
+        RefineConfig(batch_size=15, threshold=0.1, embedding=replace(PAIRED, seed=1)),
+        8, False),
+    "zipf-max-iterations-1": (
+        lambda: zipf_docs(3),
+        RefineConfig(batch_size=6, threshold=1e-300, max_iterations=1, embedding=PAIRED),
+        1, False),
+    "zipf-max-iterations-3": (
+        lambda: zipf_docs(3),
+        RefineConfig(batch_size=6, threshold=1e-300, max_iterations=3, embedding=PAIRED),
+        3, False),
+    "zipf-exhausts-odd-corpus": (
+        lambda: zipf_docs(4),
+        RefineConfig(batch_size=7, threshold=1e-300, embedding=PAIRED),
+        5, False),
+}
+
+
+def paired_case(name):
+    make_docs, config, iterations, converged = PAIRED_CASES[name]
+    return make_docs(), synthetic_candidates(3), config, iterations, converged
+
+
+def assert_same_run(result, expected):
+    assert result.records == expected.records
+    assert result.converged == expected.converged
+    assert result.selection_order.indices == expected.selection_order.indices
+    assert (np.asarray(result.selection_order.distances).tobytes()
+            == np.asarray(expected.selection_order.distances).tobytes())
+    got, want = result.final_model, expected.final_model
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.node_vectors.tobytes() == want.node_vectors.tobytes()
+    assert got.pairs_trained == want.pairs_trained
+
+
+class InjectedError(RuntimeError):
+    pass
+
+
+def fail_at(monkeypatch, t_fail, batch_size, n_docs):
+    """Make ``refine.train_word2vec`` raise InjectedError when it trains iteration t_fail."""
+    real = refine.train_word2vec
+
+    def train(token_lists, config):
+        if len(token_lists) == min(batch_size * t_fail, n_docs):
+            raise InjectedError(f"t={t_fail}")
+        return real(token_lists, config)
+
+    monkeypatch.setattr(refine, "train_word2vec", train)
+
+
+class TestPairedIterations:
+    """run_refinement trains t and t+1 on two threads; records, the selection
+    and the final model match the one-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PAIRED_CASES))
+    def test_matches_serial_loop(self, name):
+        docs, candidates, config, iterations, converged = paired_case(name)
+        expected = reference_run_refinement(docs, candidates, config)
+        threads = threading.active_count()
+        result = run_refinement(docs, candidates, config)
+        assert threading.active_count() == threads
+        assert_same_run(result, expected)
+        # the case covers what its name says
+        assert (len(result.records), result.converged) == (iterations, converged)
+        if "missing" in name:
+            assert result.records[0].missing and not result.records[-1].missing
+
+    def test_exhaustion_error_matches_serial_loop(self):
+        docs = planted_docs(0)
+        config = RefineConfig(batch_size=15, embedding=PAIRED,
+                              anchors=PropertyAnchors(terms=("dielectric", "unobtainium")))
+        with pytest.raises(RefinementError) as want:
+            reference_run_refinement(docs, synthetic_candidates(3), config)
+        threads = threading.active_count()
+        with pytest.raises(RefinementError) as got:
+            run_refinement(docs, synthetic_candidates(3), config)
+        assert threading.active_count() == threads
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("t_fail", [1, 2, 3, 4])
+    def test_error_in_a_committed_iteration_surfaces(self, monkeypatch, t_fail):
+        # odd t fails on the calling thread while t+1 trains; even t fails on
+        # the second thread and is raised when t is committed
+        docs, candidates, config, _, _ = paired_case("planted-converges-at-odd-t")
+        fail_at(monkeypatch, t_fail, config.batch_size, len(docs))
+        threads = threading.active_count()
+        with pytest.raises(InjectedError, match=f"^t={t_fail}$"):
+            run_refinement(docs, candidates, config)
+        assert threading.active_count() == threads
+
+    def test_error_in_a_discarded_iteration_never_escapes(self, monkeypatch):
+        docs, candidates, config, iterations, _ = paired_case("planted-converges-at-odd-t")
+        expected = reference_run_refinement(docs, candidates, config)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        fail_at(monkeypatch, iterations + 1, config.batch_size, len(docs))
+        threads = threading.active_count()
+        result = run_refinement(docs, candidates, config)
+        assert threading.active_count() == threads
+        assert_same_run(result, expected)
+        assert hooked == []
+
+    def test_error_in_both_iterations_surfaces_the_earlier(self, monkeypatch):
+        docs, candidates, config, _, _ = paired_case("planted-converges-at-odd-t")
+
+        def train(token_lists, config):
+            raise InjectedError(f"documents={len(token_lists)}")
+
+        monkeypatch.setattr(refine, "train_word2vec", train)
+        threads = threading.active_count()
+        with pytest.raises(InjectedError, match=f"^documents={config.batch_size}$"):
+            run_refinement(docs, candidates, config)
+        assert threading.active_count() == threads
