@@ -1,5 +1,13 @@
 /* litscreen's compiled kernel: the SGD loop over hierarchical softmax
-   that both trainers run (hs_train). */
+   that both trainers run (hs_train).
+
+   On x86-64 Linux the library holds two builds of hs_train, a baseline
+   (SSE2) one and an AVX2 one, and the dynamic loader picks one by CPUID
+   when the library is loaded. Both give the same bits: AVX2 adds no fused
+   multiply-add, so with -ffp-contract=off and no -ffast-math each build
+   does the same IEEE operations in the same order, only more of them per
+   vector. Elsewhere, or where the compiler lacks target_clones, the same
+   source builds one plain hs_train. */
 #include <math.h>
 #include <stdint.h>
 
@@ -39,6 +47,11 @@ static double softplus_neg(double sz)
    NULL loss skips the log1p and leaves the vectors bit for bit the same.
    Returns the pair count, or -1 on the first non-finite score, with the
    pairs before it already applied. */
+#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+__attribute__((target_clones("avx2", "default")))
+#endif
+#endif
 int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                  const int64_t *rows, const int64_t *offsets,
                  const int64_t *targets, int64_t n_items,

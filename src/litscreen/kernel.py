@@ -6,6 +6,14 @@ the first time it is called, never at import, and caches the result
 under this package's ``__pycache__/``, keyed on the source and the flags,
 so later processes load it without compiling.
 There is no fallback: a missing or failing compiler raises RuntimeError.
+
+``FLAGS`` target baseline x86-64, yet on x86-64 Linux the library holds a
+baseline and an AVX2 ``hs_train`` (GCC ``target_clones``), and the
+dynamic loader picks one by CPUID when the library is loaded. One cached
+file therefore serves any x86-64 CPU, and its name needs no CPU in the
+key. The two give the same bits: ``-ffp-contract=off`` keeps multiply-adds
+unfused and nothing reassociates, so both do the same IEEE operations in
+the same order.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FLAGS", "library_path", "build", "library"]
+__all__ = ["FLAGS", "library_path", "build", "library", "load"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -64,12 +72,18 @@ def build(source: bytes, cache_dir: str) -> str:
 
 @functools.cache
 def library():
-    """``hs_train`` from ``_hs.c``, with argtypes and restype declared;
-    compiled into ``__pycache__`` on first use."""
+    """``hs_train`` from ``_hs.c``, compiled into ``__pycache__`` on first
+    use and loaded with :func:`load`."""
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "_hs.c"), "rb") as f:
         source = f.read()
-    lib = ctypes.CDLL(build(source, os.path.join(here, "__pycache__")))
+    return load(build(source, os.path.join(here, "__pycache__")))
+
+
+def load(path: str):
+    """``hs_train`` from the library at ``path``, with argtypes and restype
+    declared."""
+    lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     out_matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))

@@ -458,8 +458,21 @@ class TestKernelMatchesScalarReplica:
     scalar replica's exactly, not to a tolerance, whether or not the kernel
     is given a loss buffer; the replica always computes the loss."""
 
-    @pytest.mark.parametrize("dim", [1, 3, 8])
+    # dims 13 and 48 run a vector loop's body many times, and 13 its tail
+    DIMS = [1, 3, 8, 13, 48]
+
+    @pytest.mark.parametrize("dim", DIMS)
     def test_bit_identical(self, dim):
+        self.check(kernel.library(), dim)
+
+    # the shipped library runs one of its two builds here; check each
+    @pytest.mark.parametrize("isa", ["baseline", "avx2"])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_single_isa_build_bit_identical(self, dim, isa, single_isa_kernel):
+        self.check(single_isa_kernel(isa), dim)
+
+    @staticmethod
+    def check(hs_train, dim):
         rng = np.random.default_rng(dim)
         n_nodes, n_rows = 12, 5
         # paths of 1..9 nodes (every leftover count of a four-node pass),
@@ -478,7 +491,6 @@ class TestKernelMatchesScalarReplica:
         work = np.empty(9 + dim)
         loss = np.zeros(1)
         want_loss = 0.0
-        hs_train = kernel.library()
         n_blocks, n_items = 4, 6
         processed, total = 0, n_blocks * n_items
         for _ in range(n_blocks):
@@ -505,6 +517,22 @@ class TestKernelMatchesScalarReplica:
                                               np.array(want_nodes).view(np.int64))
             processed += n_items
             assert loss[0] == want_loss
+
+
+def trained_bytes(tokens):
+    """Everything a word and a doc model train, as bytes."""
+    cfg = EmbeddingConfig(dim=48, window=5, epochs=3)
+    words, docs = train_word2vec(tokens, cfg), train_doc2vec(tokens, cfg)
+    return (words.vectors.tobytes(), words.node_vectors.tobytes(), words.final_loss.hex(),
+            words.pairs_trained, docs.vectors.tobytes(), docs.final_loss.hex())
+
+
+@pytest.mark.parametrize("isa", ["baseline", "avx2"])
+def test_single_isa_builds_train_the_same_bits(isa, single_isa_kernel, monkeypatch):
+    tokens = planted_tokens(500)
+    shipped = trained_bytes(tokens)
+    monkeypatch.setattr(embedding, "library", lambda: single_isa_kernel(isa))
+    assert trained_bytes(tokens) == shipped
 
 
 class TestConfig:

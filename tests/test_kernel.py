@@ -18,6 +18,15 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_avx2_build_compiles_without_warnings(single_isa_source, tmp_path):
+    # the shipped library's AVX2 clone, built alone, so a warning in
+    # either clone fails the suite
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *kernel.FLAGS, "-mavx2",
+                           "-x", "c", "-", "-o", str(tmp_path / "hs.so"), "-lm"],
+                          input=single_isa_source, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
 def train_one_pair(center, loss):
     """One pair through ``hs_train`` on a two-node path; returns its result."""
     dim = len(center)
