@@ -10,7 +10,12 @@ order and the last word model, which ``litscreen refine`` saves as
 ``iterations.csv``, ``selection.csv`` and the model files that
 :func:`litscreen.persistence.save_model` names.
 
-Given the selection order, iteration t's model depends only on t and the
+Given the selection order, iteration t's vocabulary depends only on t,
+``batch_size`` and ``min_count``, so one pass over the documents in
+selection order finds the first t whose vocabulary holds every required
+token. The iterations before it cannot define a centroid: they are
+recorded as incomplete without training a model. From that t on, every
+vocabulary is complete, and iteration t's model depends only on t and the
 seed, so iterations train in pairs on two threads: a second thread trains
 t+1 while the calling thread trains t (ctypes releases the GIL while the
 kernel runs), and t+1 is committed only if t neither converged nor was
@@ -26,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DocumentSet
-from .embedding import EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
+from .corpus import DocumentSet, build_vocabulary
+from .embedding import EmbeddingConfig, WordModel, build_huffman, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
 from .selection import SelectionOrder, central_document, cumulative_batches, greedy_fps, pca_project
 
@@ -51,7 +56,9 @@ class RefineConfig:
 
     batch_size: int = 50
     threshold: float = 0.03
-    max_iterations: int | None = None  # None: run until the corpus is exhausted
+    # at most this many iterations; the loop stops sooner, at
+    # ceil(N / batch_size), once the corpus is exhausted (None: only there)
+    max_iterations: int | None = None
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     anchors: PropertyAnchors = field(default_factory=PropertyAnchors)
 
@@ -108,6 +115,25 @@ class _Lookahead(threading.Thread):
         return self._model
 
 
+def _documents_needed(token_lists, indices, required, min_count: int) -> dict[str, int]:
+    """For each required token, the number of documents, taken in the order
+    ``indices``, after which its count first reaches ``min_count``. A token
+    that never does is left out. The pass stops once every token has."""
+    counts = dict.fromkeys(required, 0)
+    pending = set(required)
+    needed = {}
+    for n, i in enumerate(indices, 1):
+        if not pending:
+            break
+        doc = token_lists[i]
+        for tok in pending.intersection(doc):
+            counts[tok] += doc.count(tok)
+            if counts[tok] >= min_count:
+                needed[tok] = n
+                pending.discard(tok)
+    return needed
+
+
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -122,9 +148,16 @@ def run_refinement(
     positive fraction in some candidate, are recorded without a centroid
     and can never trigger convergence; displacements compare against the
     most recent defined centroid. The first defined centroid has
-    nothing to compare against. A loop that exhausts max_iterations without
-    converging returns converged=False; never defining a centroid at all is
-    an error.
+    nothing to compare against. A loop that reaches max_iterations, or
+    exhausts the corpus, without converging returns converged=False; never
+    defining a centroid at all is an error.
+
+    Which iterations are incomplete is known from the selection order
+    alone, and the leading ones are recorded without training a model; a
+    vocabulary error that training iteration 1 would raise is still raised.
+    The one difference from training every iteration: a non-finite score
+    that only a skipped iteration's training would have met raises no
+    ValueError.
     """
     if len(docs) == 0:
         raise RefinementError("empty corpus")
@@ -141,21 +174,41 @@ def run_refinement(
     order = greedy_fps(projection.points, start, len(docs))
 
     n_docs = len(docs)
-    max_iters = config.max_iterations
-    if max_iters is None:
-        max_iters = -(-n_docs // config.batch_size)  # ceil
+    max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
+    if config.max_iterations is not None:
+        max_iters = min(max_iters, config.max_iterations)
 
     def batch(t):
         subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
         return [token_lists[i] for i in subset]
 
+    # the leading iterations that miss a required token, recorded untrained
+    min_count = config.embedding.min_count
+    needed = _documents_needed(token_lists, order.indices, required, min_count)
+    first_complete = max_iters + 1
+    if len(needed) == len(required):  # required holds at least the two anchor terms
+        first_complete = min(first_complete, -(-max(needed.values()) // config.batch_size))
     records: list[IterationRecord] = []
+    for t in range(1, first_complete):
+        documents_used = min(config.batch_size * t, n_docs)
+        missing = tuple(sorted(tok for tok in required
+                               if needed.get(tok, n_docs + 1) > documents_used))
+        records.append(IterationRecord(iteration=t, documents_used=documents_used,
+                                       missing=missing))
+    if records:  # raise what training iteration 1 would; later vocabularies only grow
+        build_huffman(build_vocabulary(batch(1), min_count))
+    if first_complete > max_iters:
+        raise RefinementError(
+            "corpus exhausted before any centroid was definable; "
+            f"required tokens never all present (last missing: {records[-1].missing})"
+        )
+
     prev_centroid: np.ndarray | None = None
     converged = False
     model: WordModel | None = None
-    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is odd
+    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
     try:
-        for t in range(1, max_iters + 1):
+        for t in range(first_complete, max_iters + 1):
             if ahead is not None:
                 model, ahead = ahead.result(), None
             else:
@@ -163,14 +216,6 @@ def run_refinement(
                     ahead = _Lookahead(batch(t + 1), config.embedding)
                     ahead.start()
                 model = train_word2vec(batch(t), config.embedding)
-            documents_used = min(config.batch_size * t, n_docs)
-
-            missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
-            if missing:
-                records.append(IterationRecord(iteration=t, documents_used=documents_used,
-                                               missing=missing))
-                continue
-
             c = centroid(similarity_points(model, candidates, config.anchors))
             displacement = None
             if prev_centroid is not None:
@@ -178,7 +223,7 @@ def run_refinement(
             records.append(
                 IterationRecord(
                     iteration=t,
-                    documents_used=documents_used,
+                    documents_used=min(config.batch_size * t, n_docs),
                     centroid=(float(c[0]), float(c[1])),
                     displacement=displacement,
                 )
@@ -191,11 +236,6 @@ def run_refinement(
         if ahead is not None:  # t converged or raised: drop t+1, and its error with it
             ahead.join()
 
-    if prev_centroid is None:
-        raise RefinementError(
-            "corpus exhausted before any centroid was definable; "
-            f"required tokens never all present (last missing: {records[-1].missing})"
-        )
     assert model is not None
     return RefinementResult(
         records=records,

@@ -331,9 +331,9 @@ def reference_run_refinement(docs, candidates, config):
     order = greedy_fps(projection.points, start, len(docs))
 
     n_docs = len(docs)
-    max_iters = config.max_iterations
-    if max_iters is None:
-        max_iters = -(-n_docs // config.batch_size)  # ceil
+    max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
+    if config.max_iterations is not None:
+        max_iters = min(max_iters, config.max_iterations)
 
     records = []
     prev_centroid = None

@@ -459,7 +459,7 @@ class TestKernelMatchesScalarReplica:
     is given a loss buffer; the replica always computes the loss."""
 
     # dims 13 and 48 run a vector loop's body many times, and 13 its tail
-    DIMS = [1, 3, 8, 13, 48]
+    DIMS = [1, 3, 8, 13, 48, 200]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_bit_identical(self, dim):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from litscreen import refine
-from litscreen.corpus import Document, DocumentSet, preprocess_set
+from litscreen.corpus import CorpusError, Document, DocumentSet, preprocess_set
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
     CandidateTable,
@@ -131,6 +131,13 @@ class TestRunRefinement:
         assert len(result.records) == 4
         assert not result.converged
 
+    def test_max_iterations_past_the_corpus_stops_at_exhaustion(self):
+        # 11 documents in batches of 6 are exhausted at t = 2; a third
+        # iteration would retrain the full corpus and move the centroid by 0
+        result = self.run(threshold=1e-15, batch_size=6, max_iterations=6)
+        assert [r.documents_used for r in result.records] == [6, 11]
+        assert not result.converged
+
     def test_records_match_selection_order_vocabulary(self):
         result = self.run(threshold=1e-15, batch_size=2)
         docs = corpus_with_rare_element()
@@ -202,7 +209,8 @@ def test_default_max_iterations_covers_corpus():
 
 def test_embedding_seed_trains_every_model(monkeypatch):
     # the loop has one seed, the embedding config's: the document model and
-    # every per-iteration word model train with it
+    # every per-iteration word model train with it; the leading iterations
+    # that miss a required token train no model
     seeds = []
     for name in ("train_doc2vec", "train_word2vec"):
         def recording(token_lists, config, *args, _trainer=getattr(refine, name), **kwargs):
@@ -211,8 +219,9 @@ def test_embedding_seed_trains_every_model(monkeypatch):
         monkeypatch.setattr(refine, name, recording)
     cfg = RefineConfig(batch_size=3, threshold=1e-15, embedding=replace(EMB, seed=5))
     result = run_refinement(corpus_with_rare_element(), candidates_ag_ti(), cfg)
-    assert seeds == [5] * (1 + len(result.records))
-    assert len(result.records) == 4
+    complete = [r.iteration for r in result.records if r.vocab_complete]
+    assert complete == list(range(complete[0], 5)) and complete[0] > 1
+    assert seeds == [5] * (1 + len(complete))
 
 
 def planted_docs(seed):
@@ -260,6 +269,42 @@ PAIRED_CASES = {
         lambda: zipf_docs(4),
         RefineConfig(batch_size=7, threshold=1e-300, embedding=PAIRED),
         5, False),
+    # t = 1, 2 untrained; the pair (3, 4), then t = 5 converges and its
+    # look-ahead t = 6 is discarded
+    "planted-discards-a-lookahead": (
+        lambda: planted_docs(3), RefineConfig(batch_size=15, threshold=0.1, embedding=PAIRED),
+        5, True),
+    # Ti reaches a count of 2 only at t = 5; at min_count 1 it is in at t = 1
+    "planted-min-count-2": (
+        lambda: planted_docs(0),
+        RefineConfig(batch_size=15, threshold=0.1, embedding=replace(PAIRED, min_count=2)),
+        8, True),
+    # the anchor w124 occurs only in the last batch's two documents
+    "zipf-anchor-in-last-batch": (
+        lambda: zipf_docs(4),
+        RefineConfig(batch_size=7, threshold=1e-300, embedding=PAIRED,
+                     anchors=PropertyAnchors(terms=("conductivity", "w124"))),
+        5, False),
+}
+
+# name: (documents, config, the error both loops raise)
+ERROR_CASES = {
+    # Ti is in at t = 3, past the limit
+    "no-complete-iteration": (
+        lambda: planted_docs(0),
+        RefineConfig(batch_size=15, max_iterations=2, embedding=replace(PAIRED, seed=1)),
+        RefinementError),
+    # every document holds one distinct token, so batch 1 has a one-leaf tree
+    "batch-1-one-token": (
+        lambda: docset([["dielectric"] * 2, ["conductivity"], ["Ag", "Ag"], ["Pt"], ["Ba"], ["Ti"]]),
+        RefineConfig(batch_size=1, embedding=PAIRED),
+        ValueError),
+    # each token occurs once per document, so no count reaches 2 before t = 2
+    "batch-1-below-min-count": (
+        lambda: docset([["dielectric", "conductivity", "Ag", "Pt", "Ba", "Ti", f"w{i}"]
+                        for i in range(4)]),
+        RefineConfig(batch_size=1, embedding=replace(PAIRED, min_count=2)),
+        CorpusError),
 }
 
 
@@ -285,15 +330,26 @@ class InjectedError(RuntimeError):
 
 
 def fail_at(monkeypatch, t_fail, batch_size, n_docs):
-    """Make ``refine.train_word2vec`` raise InjectedError when it trains iteration t_fail."""
+    """Make ``refine.train_word2vec`` raise InjectedError when it trains
+    iteration t_fail; the returned list records each time it does."""
     real = refine.train_word2vec
+    raised = []
 
     def train(token_lists, config):
         if len(token_lists) == min(batch_size * t_fail, n_docs):
+            raised.append(t_fail)
             raise InjectedError(f"t={t_fail}")
         return real(token_lists, config)
 
     monkeypatch.setattr(refine, "train_word2vec", train)
+    return raised
+
+
+def first_trained(name):
+    """The case's first iteration with a complete vocabulary, the first one
+    that run_refinement trains."""
+    result = run_refinement(*paired_case(name)[:3])
+    return next(r.iteration for r in result.records if r.vocab_complete)
 
 
 class TestPairedIterations:
@@ -310,8 +366,25 @@ class TestPairedIterations:
         assert_same_run(result, expected)
         # the case covers what its name says
         assert (len(result.records), result.converged) == (iterations, converged)
-        if "missing" in name:
+        if "missing" in name or "min-count" in name or "discards" in name:
             assert result.records[0].missing and not result.records[-1].missing
+        if "discards" in name:
+            first = next(r.iteration for r in result.records if r.vocab_complete)
+            assert (iterations - first) % 2 == 0  # t converged first in its pair
+        if "last-batch" in name:
+            assert [r.vocab_complete for r in result.records] == [False] * 4 + [True]
+
+    @pytest.mark.parametrize("name", sorted(ERROR_CASES))
+    def test_error_matches_serial_loop(self, name):
+        make_docs, config, error = ERROR_CASES[name]
+        docs = make_docs()
+        with pytest.raises(error) as want:
+            reference_run_refinement(docs, synthetic_candidates(3), config)
+        threads = threading.active_count()
+        with pytest.raises(error) as got:
+            run_refinement(docs, synthetic_candidates(3), config)
+        assert threading.active_count() == threads
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_exhaustion_error_matches_serial_loop(self):
         docs = planted_docs(0)
@@ -325,11 +398,16 @@ class TestPairedIterations:
         assert threading.active_count() == threads
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("t_fail", [1, 2, 3, 4])
-    def test_error_in_a_committed_iteration_surfaces(self, monkeypatch, t_fail):
-        # odd t fails on the calling thread while t+1 trains; even t fails on
-        # the second thread and is raised when t is committed
-        docs, candidates, config, _, _ = paired_case("planted-converges-at-odd-t")
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_error_in_a_committed_iteration_surfaces(self, monkeypatch, k):
+        # the k-th trained iteration fails: training starts at the first
+        # complete t0 and the case converges at t0 + 3, so k = 1, 3 fail on
+        # the calling thread while the next t trains, and k = 2, 4 on the
+        # second thread, raised when the t before is committed
+        name = "planted-converges-at-odd-t"
+        docs, candidates, config, iterations, _ = paired_case(name)
+        t_fail = first_trained(name) + k - 1
+        assert first_trained(name) + 3 == iterations
         fail_at(monkeypatch, t_fail, config.batch_size, len(docs))
         threads = threading.active_count()
         with pytest.raises(InjectedError, match=f"^t={t_fail}$"):
@@ -337,25 +415,29 @@ class TestPairedIterations:
         assert threading.active_count() == threads
 
     def test_error_in_a_discarded_iteration_never_escapes(self, monkeypatch):
-        docs, candidates, config, iterations, _ = paired_case("planted-converges-at-odd-t")
+        docs, candidates, config, iterations, _ = paired_case("planted-discards-a-lookahead")
         expected = reference_run_refinement(docs, candidates, config)
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
-        fail_at(monkeypatch, iterations + 1, config.batch_size, len(docs))
+        raised = fail_at(monkeypatch, iterations + 1, config.batch_size, len(docs))
         threads = threading.active_count()
         result = run_refinement(docs, candidates, config)
         assert threading.active_count() == threads
         assert_same_run(result, expected)
         assert hooked == []
+        assert raised == [iterations + 1]  # the look-ahead did train, and failed
 
     def test_error_in_both_iterations_surfaces_the_earlier(self, monkeypatch):
-        docs, candidates, config, _, _ = paired_case("planted-converges-at-odd-t")
+        # both threads of the first pair, t0 and t0 + 1, fail
+        name = "planted-converges-at-odd-t"
+        docs, candidates, config, _, _ = paired_case(name)
+        documents = config.batch_size * first_trained(name)
 
         def train(token_lists, config):
             raise InjectedError(f"documents={len(token_lists)}")
 
         monkeypatch.setattr(refine, "train_word2vec", train)
         threads = threading.active_count()
-        with pytest.raises(InjectedError, match=f"^documents={config.batch_size}$"):
+        with pytest.raises(InjectedError, match=f"^documents={documents}$"):
             run_refinement(docs, candidates, config)
         assert threading.active_count() == threads
