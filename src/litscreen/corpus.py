@@ -117,44 +117,6 @@ def default_license_patterns() -> tuple[re.Pattern, ...]:
     return tuple(re.compile(p, re.IGNORECASE) for p in _read_data_file("license_patterns.txt"))
 
 
-# one regex token: an escape, a character class or one character
-_REGEX_TOKEN = re.compile(r"\\.|\[\]?(?:\\.|[^\]\\])*\]|.", re.DOTALL)
-_ASCII = "".join(map(chr, range(128)))
-
-
-def _ascii_guard(pattern: re.Pattern) -> str:
-    """Lowercase text that the ``.lower()`` of an ASCII string must hold for
-    ``pattern`` (case-insensitive) to match in it: the pattern's leading
-    literal characters, up to its first metacharacter and less the last of
-    them if a ``*``, ``?`` or ``{`` follows. Empty, so never skipped, when
-    the pattern branches at its top level. It stops before a non-ASCII
-    character that matches some ASCII one, as the Kelvin sign matches
-    ``k``; any other non-ASCII character stays, as no ASCII text holds it."""
-    tokens = _REGEX_TOKEN.findall(pattern.pattern)
-    depth = 0
-    for tok in tokens:
-        depth += (tok == "(") - (tok == ")")
-        if tok == "|" and depth == 0:
-            return ""
-    guard = []
-    for tok in tokens:
-        if len(tok) == 2 and tok[0] == "\\" and not tok[1].isalnum():
-            tok = tok[1]
-        elif len(tok) > 1 or tok in ".^$*+?{}[]()|\\":
-            if tok in ("*", "?", "{") and guard:
-                guard.pop()
-            break
-        if not tok.isascii() and re.search(re.escape(tok), _ASCII, pattern.flags):
-            break
-        guard.append(tok)
-    return "".join(guard).lower()
-
-
-@functools.cache
-def _license_guards() -> tuple[tuple[re.Pattern, str], ...]:
-    return tuple((p, _ascii_guard(p)) for p in default_license_patterns())
-
-
 def not_utf8_message(path: str, exc: UnicodeDecodeError) -> str:
     """An error message naming ``path`` and the line of its first byte that
     is not UTF-8. A text reader decodes ahead of the rows it returns, so
@@ -252,28 +214,6 @@ def load_corpus(
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def _strip_licenses(text: str) -> str:
-    """Replace each license pattern's matches with a space, the patterns in
-    file order, each on the text the ones before it left. In ASCII text a
-    pattern runs only if the lowered text holds its literal prefix, without
-    which it cannot match; the text is lowered again after a pattern that
-    changed it, since that can make a later pattern's match. Other text
-    keeps the plain loop: there neither ``lower`` nor ``casefold`` follows
-    ``re.IGNORECASE``, which matches ``licensed`` in ``'l\\u0130censed'``,
-    whose casefold has no ``licensed``, and ``s`` to ``'\\u017f'``."""
-    if not text.isascii():
-        for pattern in default_license_patterns():
-            text = pattern.sub(" ", text)
-        return text
-    lowered = text.lower()
-    for pattern, guard in _license_guards():
-        if guard in lowered:
-            text, n = pattern.subn(" ", text)
-            if n:
-                lowered = text.lower()
-    return text
-
-
 def preprocess(text: str) -> list[str]:
     """Clean raw abstract text into tokens with the bundled lists.
 
@@ -283,7 +223,8 @@ def preprocess(text: str) -> list[str]:
     is lowercased. Stopwords and single-character non-element tokens are
     dropped.
     """
-    text = _strip_licenses(text)
+    for pattern in default_license_patterns():
+        text = pattern.sub(" ", text)
     elements = element_symbols()
     stopwords = default_stopwords()
     tokens = []

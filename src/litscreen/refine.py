@@ -11,8 +11,8 @@ order and the last word model, which ``litscreen refine`` saves as
 :func:`litscreen.persistence.save_model` names.
 
 Given the selection order, iteration t's vocabulary depends only on t,
-``batch_size`` and ``min_count``, so one pass over the documents in
-selection order finds the first t whose vocabulary holds every required
+``batch_size`` and ``min_count``, so building the vocabularies of the
+leading batches finds the first t whose vocabulary holds every required
 token. The iterations before it cannot define a centroid: they are
 recorded as incomplete without training a model. From that t on, every
 vocabulary is complete, and iteration t's model depends only on t and the
@@ -115,25 +115,6 @@ class _Lookahead(threading.Thread):
         return self._model
 
 
-def _documents_needed(token_lists, indices, required, min_count: int) -> dict[str, int]:
-    """For each required token, the number of documents, taken in the order
-    ``indices``, after which its count first reaches ``min_count``. A token
-    that never does is left out. The pass stops once every token has."""
-    counts = dict.fromkeys(required, 0)
-    pending = set(required)
-    needed = {}
-    for n, i in enumerate(indices, 1):
-        if not pending:
-            break
-        doc = token_lists[i]
-        for tok in pending.intersection(doc):
-            counts[tok] += doc.count(tok)
-            if counts[tok] >= min_count:
-                needed[tok] = n
-                pending.discard(tok)
-    return needed
-
-
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -183,25 +164,24 @@ def run_refinement(
         return [token_lists[i] for i in subset]
 
     # the leading iterations that miss a required token, recorded untrained
-    min_count = config.embedding.min_count
-    needed = _documents_needed(token_lists, order.indices, required, min_count)
-    first_complete = max_iters + 1
-    if len(needed) == len(required):  # required holds at least the two anchor terms
-        first_complete = min(first_complete, -(-max(needed.values()) // config.batch_size))
     records: list[IterationRecord] = []
-    for t in range(1, first_complete):
-        documents_used = min(config.batch_size * t, n_docs)
-        missing = tuple(sorted(tok for tok in required
-                               if needed.get(tok, n_docs + 1) > documents_used))
-        records.append(IterationRecord(iteration=t, documents_used=documents_used,
+    t = 1
+    while t <= max_iters:
+        vocab = build_vocabulary(batch(t), config.embedding.min_count)
+        missing = tuple(sorted(required - vocab.index.keys()))
+        if not missing:
+            break
+        if t == 1:  # raise what training it would; later vocabularies only grow
+            build_huffman(vocab)
+        records.append(IterationRecord(iteration=t, documents_used=min(config.batch_size * t, n_docs),
                                        missing=missing))
-    if records:  # raise what training iteration 1 would; later vocabularies only grow
-        build_huffman(build_vocabulary(batch(1), min_count))
-    if first_complete > max_iters:
+        t += 1
+    if t > max_iters:
         raise RefinementError(
             "corpus exhausted before any centroid was definable; "
             f"required tokens never all present (last missing: {records[-1].missing})"
         )
+    first_complete = t
 
     prev_centroid: np.ndarray | None = None
     converged = False

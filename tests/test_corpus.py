@@ -1,14 +1,12 @@
 import csv
 import os
 import re
-import string
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litscreen import corpus
 from litscreen.corpus import (
     CorpusError,
     build_vocabulary,
@@ -177,64 +175,6 @@ class TestBundledLists:
         patterns = default_license_patterns()
         assert isinstance(patterns, tuple) and patterns
         assert all(p.flags & re.IGNORECASE for p in patterns)
-
-
-def strip_licenses_in_sequence(text):
-    """Every license pattern's ``sub``, in file order, with no prefilter."""
-    for pattern in default_license_patterns():
-        text = pattern.sub(" ", text)
-    return text
-
-
-# the patterns' literal prefixes, whole matches, a match that one pattern's
-# sub makes for a later one, and characters that re.IGNORECASE matches to
-# ASCII letters where str.lower does not
-_LICENSE_PIECES = [
-    "\u00a9", "(c)", "(C) 2017", "copyright", "Copyright \u00a9 2019 Elsevier.",
-    "all rights reserved", "All Rights Reserved.", "all rights(c) 1999.reserved",
-    "this is an open", "This is an open-access article.", "this article is licensed under",
-    "licensed under ", "Licensed under the CC BY license.", "published by ",
-    "Published by Elsevier B.V.", "creative commons attribution", "cc", "CC BY 4.0 license",
-    "cc-by-nc-sa license", "license", "licence", "2019", ".", " ", "a", "the", "Ag films",
-]
-_NON_ASCII_PIECES = ["all rights\u00a9x.reserved", "\u017f", "\u212a", "\u0130",
-                     "l\u0130censed under a x license", "all rights re\u017ferved", "\u212aeep"]
-
-
-class TestLicensePrefilter:
-    def test_bundled_patterns_have_a_prefix(self):
-        guards = [guard for _, guard in corpus._license_guards()]
-        assert len(guards) == len(default_license_patterns()) and all(guards)
-        assert guards[:4] == ["\u00a9", "(c)", "copyright", "all rights reserved"]
-
-    @pytest.mark.parametrize("pattern, guard", [
-        (r"ab|cd", ""),            # a top-level branch
-        (r"a(b|c)d", "a"),
-        (r"abc?d", "ab"),          # the quantified c is not certain
-        (r"ab{0,2}", "a"),
-        (r"ab+", "ab"),
-        (r"\(x\)\d", "(x)"),
-        (r"[ab]c", ""),
-        ("x\u212ay", "x"),         # the Kelvin sign matches k
-        ("\u00a9x", "\u00a9x"),    # no ASCII text holds it
-    ])
-    def test_guard(self, pattern, guard):
-        assert corpus._ascii_guard(re.compile(pattern, re.IGNORECASE)) == guard
-
-    @pytest.mark.parametrize("text", ["Films. All rights(c) 2019 x.reserved. Done",
-                                      "Films. All rights\u00a9 2019 x.reserved. Done"])
-    def test_a_match_made_by_an_earlier_pattern_is_removed(self, text):
-        assert corpus._strip_licenses(text) == strip_licenses_in_sequence(text)
-        assert "reserved" not in corpus._strip_licenses(text)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_matches_sequential_patterns(self, data):
-        pieces = _LICENSE_PIECES + (_NON_ASCII_PIECES if data.draw(st.booleans()) else [])
-        text = "".join(data.draw(st.lists(
-            st.one_of(st.sampled_from(pieces), st.text(string.printable, max_size=4)),
-            max_size=12)))
-        assert corpus._strip_licenses(text) == strip_licenses_in_sequence(text)
 
 
 class TestVocabulary:
