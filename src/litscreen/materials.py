@@ -36,6 +36,7 @@ __all__ = [
 
 SUM_TOLERANCE = 1e-9
 PARSE_TOLERANCE = 1e-6
+_MAX_SIMPLEX_ROWS = 2_000_000
 # Scoring forms the material vectors a block of rows at a time, so memory
 # stays flat however many candidates there are.
 _BLOCK_BYTES = 256 * 1024
@@ -165,12 +166,12 @@ class SimilarityPoint:
         return (self.s_dielectric, self.s_conductivity)
 
 
-def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> CandidateTable:
+def enumerate_simplex(elements, steps: int) -> CandidateTable:
     """All compositions with fractions on the grid {0, 1/steps, ..., 1}.
 
     Produces C(steps + k - 1, k - 1) rows in ascending lexicographic
     fraction order, built as integer arrays with no per-row objects; errors
-    out when that count exceeds ``max_count``. A row's id lists its
+    out when that count exceeds 2,000,000. A row's id lists its
     elements with nonzero fraction, as in ``Ag0.25Pt0.75``.
     """
     elements = tuple(elements)
@@ -180,9 +181,9 @@ def enumerate_simplex(elements, steps: int, max_count: int = 2_000_000) -> Candi
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     expected = math.comb(steps + k - 1, k - 1)
-    if expected > max_count:
+    if expected > _MAX_SIMPLEX_ROWS:
         raise CompositionError(
-            f"simplex grid would hold {expected} compositions, over the cap {max_count}"
+            f"simplex grid would hold {expected} compositions, over the cap {_MAX_SIMPLEX_ROWS}"
         )
 
     # Grow the grid one leading part at a time: each row with `left` grid

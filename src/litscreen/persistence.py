@@ -241,8 +241,8 @@ def _write_kv(path: str, pairs: dict[str, str]):
 def read_kv(path: str, what: str) -> dict[str, str]:
     """Parse ``key = value`` lines, skipping blanks and ``#`` comments; a
     repeated key fails naming the file and the key."""
-    try:
-        f = open(path, "r", encoding="utf-8")
+    try:  # utf-8-sig, so that a byte-order mark does not join the first key
+        f = open(path, "r", encoding="utf-8-sig")
     except FileNotFoundError:
         raise PersistenceError(f"{what} file not found: {path}") from None
     with f, _naming_undecodable(path):

@@ -10,14 +10,15 @@ order and the last word model, which ``litscreen refine`` saves as
 ``iterations.csv``, ``selection.csv`` and the model files that
 :func:`litscreen.persistence.save_model` names.
 
+One loop over t decides, trains, scores and records each iteration.
 Given the selection order, iteration t's vocabulary depends only on t,
-``batch_size`` and ``min_count``, so building the vocabularies of the
-leading batches finds the first t whose vocabulary holds every required
-token. The iterations before it cannot define a centroid: they are
-recorded as incomplete without training a model. From that t on, every
-vocabulary is complete, and iteration t's model depends only on t and the
-seed, so iterations train in pairs on two threads: a second thread trains
-t+1 while the calling thread trains t (ctypes releases the GIL while the
+``batch_size`` and ``min_count``, and it only grows with t. So until the
+first t whose vocabulary holds every required token, the loop builds that
+vocabulary alone and records t as incomplete without training a model;
+from that t on, every vocabulary is complete and is not checked again.
+Iteration t's model depends only on t and the seed, so from there
+iterations train in pairs on two threads: a second thread trains t+1
+while the calling thread trains t (ctypes releases the GIL while the
 kernel runs), and t+1 is committed only if t neither converged nor was
 the last. A model trained for a t+1 that is not committed, and any error
 its training raised, is dropped, so records, artifacts and errors are
@@ -131,14 +132,15 @@ def run_refinement(
     most recent defined centroid. The first defined centroid has
     nothing to compare against. A loop that reaches max_iterations, or
     exhausts the corpus, without converging returns converged=False; never
-    defining a centroid at all is an error.
+    defining a centroid at all is a RefinementError that names which of the
+    two ended the loop, and the documents used.
 
-    Which iterations are incomplete is known from the selection order
-    alone, and the leading ones are recorded without training a model; a
-    vocabulary error that training iteration 1 would raise is still raised.
-    The one difference from training every iteration: a non-finite score
-    that only a skipped iteration's training would have met raises no
-    ValueError.
+    Each pass of the one loop over t records iteration t. Until the first
+    complete t it builds only t's vocabulary, so the leading incomplete
+    iterations train no model; a vocabulary error that training iteration 1
+    would raise is still raised. The one difference from training every
+    iteration: a non-finite score that only such an untrained iteration's
+    training would have met raises no ValueError.
     """
     if len(docs) == 0:
         raise RefinementError("empty corpus")
@@ -163,60 +165,52 @@ def run_refinement(
         subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
         return [token_lists[i] for i in subset]
 
-    # the leading iterations that miss a required token, recorded untrained
     records: list[IterationRecord] = []
-    t = 1
-    while t <= max_iters:
-        vocab = build_vocabulary(batch(t), config.embedding.min_count)
-        missing = tuple(sorted(required - vocab.index.keys()))
-        if not missing:
-            break
-        if t == 1:  # raise what training it would; later vocabularies only grow
-            build_huffman(vocab)
-        records.append(IterationRecord(iteration=t, documents_used=min(config.batch_size * t, n_docs),
-                                       missing=missing))
-        t += 1
-    if t > max_iters:
-        raise RefinementError(
-            "corpus exhausted before any centroid was definable; "
-            f"required tokens never all present (last missing: {records[-1].missing})"
-        )
-    first_complete = t
-
     prev_centroid: np.ndarray | None = None
     converged = False
-    model: WordModel | None = None
+    model: WordModel | None = None  # None until the first complete iteration
     ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
     try:
-        for t in range(first_complete, max_iters + 1):
+        for t in range(1, max_iters + 1):
+            record = IterationRecord(iteration=t, documents_used=min(config.batch_size * t, n_docs))
             if ahead is not None:
                 model, ahead = ahead.result(), None
             else:
-                if t < max_iters:
-                    ahead = _Lookahead(batch(t + 1), config.embedding)
-                    ahead.start()
-                model = train_word2vec(batch(t), config.embedding)
-            c = centroid(similarity_points(model, candidates, config.anchors))
-            displacement = None
-            if prev_centroid is not None:
-                displacement = float(np.linalg.norm(c - prev_centroid))
-            records.append(
-                IterationRecord(
-                    iteration=t,
-                    documents_used=min(config.batch_size * t, n_docs),
-                    centroid=(float(c[0]), float(c[1])),
-                    displacement=displacement,
-                )
-            )
-            prev_centroid = c
-            if displacement is not None and displacement < config.threshold:
+                tokens = batch(t)
+                if model is None:  # vocabularies only grow: once complete, always complete
+                    vocab = build_vocabulary(tokens, config.embedding.min_count)
+                    record.missing = tuple(sorted(required - vocab.index.keys()))
+                    if record.missing and t == 1:  # raise what training it would
+                        build_huffman(vocab)
+                if not record.missing:
+                    if t < max_iters:
+                        ahead = _Lookahead(batch(t + 1), config.embedding)
+                        ahead.start()
+                    model = train_word2vec(tokens, config.embedding)
+            if not record.missing:
+                c = centroid(similarity_points(model, candidates, config.anchors))
+                record.centroid = (float(c[0]), float(c[1]))
+                if prev_centroid is not None:
+                    record.displacement = float(np.linalg.norm(c - prev_centroid))
+                prev_centroid = c
+            records.append(record)
+            if record.displacement is not None and record.displacement < config.threshold:
                 converged = True
                 break
     finally:
         if ahead is not None:  # t converged or raised: drop t+1, and its error with it
             ahead.join()
 
-    assert model is not None
+    if model is None:
+        last = records[-1]
+        cause = "corpus exhausted"
+        if last.documents_used < n_docs:
+            cause = (f"max_iterations {max_iters} reached with {last.documents_used} "
+                     f"of {n_docs} documents used")
+        raise RefinementError(
+            f"{cause} before any centroid was definable; "
+            f"required tokens never all present (last missing: {last.missing})"
+        )
     return RefinementResult(
         records=records,
         converged=converged,

@@ -367,9 +367,14 @@ def reference_run_refinement(docs, candidates, config):
             break
 
     if prev_centroid is None:
+        last = records[-1]
+        cause = "corpus exhausted"
+        if last.documents_used < n_docs:
+            cause = (f"max_iterations {max_iters} reached with {last.documents_used} "
+                     f"of {n_docs} documents used")
         raise RefinementError(
-            "corpus exhausted before any centroid was definable; "
-            f"required tokens never all present (last missing: {records[-1].missing})"
+            f"{cause} before any centroid was definable; "
+            f"required tokens never all present (last missing: {last.missing})"
         )
     return RefinementResult(
         records=records,

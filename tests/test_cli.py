@@ -364,6 +364,24 @@ class TestConfigPrecedence:
         with open(out + ".meta") as f:
             assert "dim = 9" in f.read()
 
+    def test_byte_order_mark_config_gives_the_same_run(self, capsys, tmp_path):
+        # spreadsheet and Windows editors save "UTF-8" text with a leading BOM
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        corpus = os.path.join(data, "corpus.csv")
+        text = "dim = 8\nepochs = 1\nseed = 1\n"
+        runs = []
+        for name, raw in (("plain", text.encode("utf-8")), ("bom", text.encode("utf-8-sig"))):
+            conf = write_bytes(str(tmp_path / f"{name}.conf"), raw)
+            out = tmp_path / name
+            code, printed, err = run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                                     "--out", str(out))
+            assert (code, err) == (0, "")
+            files = [out.with_suffix(ext).read_bytes() for ext in (".npy", ".labels", ".meta")]
+            runs.append([printed.replace(str(out), "OUT"), *files])
+        assert raw.startswith(b"\xef\xbb\xbf")
+        assert runs[0] == runs[1]
+
     def test_misspelled_ingest_key_is_data_error(self, capsys, tmp_path):
         data = str(tmp_path / "data")
         run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")

@@ -145,8 +145,9 @@ class TestEnumerateSimplex:
             assert back.fractions == pytest.approx(comp.fractions, abs=1e-12)
 
     def test_count_guard(self):
-        with pytest.raises(CompositionError):
-            enumerate_simplex(tuple(f"E{i}" for i in range(8)), 60, max_count=1000)
+        # C(67, 7), about 8.7e8 rows, over the 2,000,000 cap
+        with pytest.raises(CompositionError, match="869648208 compositions, over the cap 2000000"):
+            enumerate_simplex(tuple(f"E{i}" for i in range(8)), 60)
 
 
 class TestMaterialVector:

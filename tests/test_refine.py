@@ -287,24 +287,25 @@ PAIRED_CASES = {
         5, False),
 }
 
-# name: (documents, config, the error both loops raise)
+# name: (documents, config, the error both loops raise, a pattern its message matches)
 ERROR_CASES = {
     # Ti is in at t = 3, past the limit
     "no-complete-iteration": (
         lambda: planted_docs(0),
         RefineConfig(batch_size=15, max_iterations=2, embedding=replace(PAIRED, seed=1)),
-        RefinementError),
+        RefinementError,
+        r"^max_iterations 2 reached with 30 of 120 documents used before any centroid"),
     # every document holds one distinct token, so batch 1 has a one-leaf tree
     "batch-1-one-token": (
         lambda: docset([["dielectric"] * 2, ["conductivity"], ["Ag", "Ag"], ["Pt"], ["Ba"], ["Ti"]]),
         RefineConfig(batch_size=1, embedding=PAIRED),
-        ValueError),
+        ValueError, None),
     # each token occurs once per document, so no count reaches 2 before t = 2
     "batch-1-below-min-count": (
         lambda: docset([["dielectric", "conductivity", "Ag", "Pt", "Ba", "Ti", f"w{i}"]
                         for i in range(4)]),
         RefineConfig(batch_size=1, embedding=replace(PAIRED, min_count=2)),
-        CorpusError),
+        CorpusError, None),
 }
 
 
@@ -376,9 +377,9 @@ class TestPairedIterations:
 
     @pytest.mark.parametrize("name", sorted(ERROR_CASES))
     def test_error_matches_serial_loop(self, name):
-        make_docs, config, error = ERROR_CASES[name]
+        make_docs, config, error, pattern = ERROR_CASES[name]
         docs = make_docs()
-        with pytest.raises(error) as want:
+        with pytest.raises(error, match=pattern) as want:
             reference_run_refinement(docs, synthetic_candidates(3), config)
         threads = threading.active_count()
         with pytest.raises(error) as got:
@@ -397,6 +398,7 @@ class TestPairedIterations:
             run_refinement(docs, synthetic_candidates(3), config)
         assert threading.active_count() == threads
         assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("corpus exhausted before any centroid was definable;")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_error_in_a_committed_iteration_surfaces(self, monkeypatch, k):
@@ -441,3 +443,37 @@ class TestPairedIterations:
         with pytest.raises(InjectedError, match=f"^documents={documents}$"):
             run_refinement(docs, candidates, config)
         assert threading.active_count() == threads
+
+
+def random_case(draw):
+    """A seeded draw of corpus, batch size, limit, min_count, seed and threshold."""
+    rng = np.random.default_rng(1700 + draw)
+    if draw % 2:
+        docs, batch_size = planted_docs(int(rng.integers(0, 4))), int(rng.integers(8, 61))
+    else:
+        docs, batch_size = zipf_docs(int(rng.integers(0, 4))), int(rng.integers(1, 16))
+    embedding = replace(PAIRED, min_count=int(rng.integers(1, 3)), seed=int(rng.integers(0, 1000)))
+    config = RefineConfig(
+        batch_size=batch_size,
+        threshold=float(10 ** rng.uniform(-3, 0)),
+        max_iterations=None if rng.random() < 0.3 else int(rng.integers(1, 9)),
+        embedding=embedding,
+    )
+    return docs, synthetic_candidates(3), config
+
+
+@pytest.mark.parametrize("draw", range(32))
+def test_random_runs_match_serial_loop(draw):
+    # the one loop's edges: leading incomplete iterations, odd and even
+    # stops, limits below and past the corpus, errors at t = 1 and at the limit
+    docs, candidates, config = random_case(draw)
+    threads = threading.active_count()
+    try:
+        expected = reference_run_refinement(docs, candidates, config)
+    except (RefinementError, CorpusError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            run_refinement(docs, candidates, config)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert_same_run(run_refinement(docs, candidates, config), expected)
+    assert threading.active_count() == threads
