@@ -3,6 +3,9 @@
 Subcommands: synth, ingest, embed-docs, select, refine, screen, report.
 Options can also come from a flat ``key = value`` config file (--config);
 explicit flags win over config values, config values win over defaults.
+``main`` reads the file once, before the command runs, and checks every key
+in it, also those the command does not read. A missing input file exits 2
+naming its kind and path (``corpus file not found: PATH``).
 
 Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 refinement did not converge under --require-convergence.
@@ -19,7 +22,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusError, load_corpus, preprocess_set
+from .corpus import CorpusError, load_corpus, open_text, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
 from .materials import (
     CompositionError,
@@ -103,75 +106,76 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# Every key some command reads, so one config file can serve them all.
-_CONFIG_KEYS = frozenset(f.name for f in fields(EmbeddingConfig)) | {
-    "text_column", "id_column", "anchors", "batch_size", "threshold",
-    "max_iterations", "preset", "system",
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+# Each option that a flag or --config can set, with the one cast both go
+# through; the embedding keys are cast and checked by ``config_from_pairs``.
+_OPTIONS = {
+    "text_column": str, "id_column": str, "anchors": _anchor_pair,
+    "batch_size": _positive_int, "threshold": _positive_float,
+    "max_iterations": _positive_int, "preset": Objectives.preset, "system": str,
 }
+# Every key some command reads, so one config file can serve them all.
+_CONFIG_KEYS = frozenset(f.name for f in fields(EmbeddingConfig)) | _OPTIONS.keys()
 
 
-class _Settings:
-    """Flag > config-file value > the callee's own default; unknown config
-    keys fail, as do two spellings of one key (``text-column``, ``text_column``)."""
+def _apply_config(args: argparse.Namespace):
+    """Fill each option of ``_OPTIONS`` that no flag set from the --config
+    file, else None, and set ``args.embedding`` from the file with --seed
+    over its seed. Flag > config-file value > the callee's own default.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.path = getattr(args, "config", None)
-        raw = read_kv(self.path, "config") if self.path else {}
-        self.file = {}
-        for key, value in raw.items():
-            name = key.replace("-", "_")
-            if name in self.file:
-                raise ValueError(f"{self.path}: repeated key {name!r}")
-            self.file[name] = value
-        unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
-        if unknown:
-            raise ValueError(f"{self.path}: unknown config key {', '.join(map(repr, unknown))}")
-
-    def get(self, name, cast):
-        """The flag's value, else the config file's cast by ``cast``, else None;
-        a file value that ``cast`` rejects fails naming the file and the key."""
-        value = getattr(self.args, name, None)
-        if value is None and name in self.file:
+    Every key is checked whether or not the command reads it: an unknown
+    key, two spellings of one key (``text-column``, ``text_column``) or a
+    value its cast rejects fails naming the file and the key."""
+    path = args.config
+    raw = read_kv(path, "config") if path else {}
+    pairs = {}
+    for key, value in raw.items():
+        name = key.replace("-", "_")
+        if name in pairs:
+            raise ValueError(f"{path}: repeated key {name!r}")
+        pairs[name] = value
+    unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+    args.embedding = replace(config_from_pairs(pairs, path), **_given(args, "seed"))
+    for name, cast in _OPTIONS.items():
+        value = getattr(args, name, None)
+        if value is None and name in pairs:
             try:
-                return cast(self.file[name])
+                value = cast(pairs[name])
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{self.path}: {name} = {self.file[name]!r}: {exc}") from None
-        return value
-
-    def pick(self, **casts) -> dict:
-        """The values a flag or the config file set, by name; the callee's
-        defaults fill in the rest."""
-        values = {name: self.get(name, cast) for name, cast in casts.items()}
-        return {name: value for name, value in values.items() if value is not None}
-
-    def embedding(self) -> EmbeddingConfig:
-        """The config file's embedding values, with ``--seed`` over its seed."""
-        return replace(config_from_pairs(self.file, self.path), **self.pick(seed=int))
+                raise ValueError(f"{path}: {name} = {pairs[name]!r}: {exc}") from None
+        setattr(args, name, value)
 
 
-def _load_documents(settings: _Settings):
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options that a flag or the config file set; the callee's
+    defaults fill in the rest."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+def _load_documents(args):
     """Read --corpus as either a raw CSV or a saved tokens file."""
-    args = settings.args
-    # compared as bytes, so that a file which is not UTF-8 reaches the loader
-    # whose error names it
-    marker = b"litscreen-tokens/"
-    with open(args.corpus, "rb") as f:
+    marker = "litscreen-tokens/"
+    with open_text(args.corpus, "corpus", CorpusError) as f:
         is_tokens = f.read(len(marker)) == marker
     if is_tokens:
         return load_tokens(args.corpus)
-    docs = load_corpus(
-        args.corpus,
-        strict=getattr(args, "strict", False),
-        **settings.pick(text_column=str, id_column=str),
-    )
+    docs = load_corpus(args.corpus, strict=getattr(args, "strict", False),
+                       **_given(args, "text_column", "id_column"))
     return preprocess_set(docs)
 
 
 def _cmd_synth(args) -> int:
-    settings = _Settings(args)
-    rows = synthetic_corpus(SynthSpec(**settings.pick(n_docs=int, rare_docs=int, seed=int)))
-    comps = synthetic_candidates(**settings.pick(steps=int))
+    rows = synthetic_corpus(SynthSpec(**_given(args, "n_docs", "rare_docs", "seed")))
+    comps = synthetic_candidates(**_given(args, "steps"))
     corpus_path = os.path.join(args.out, "corpus.csv")
     cand_path = os.path.join(args.out, "candidates.csv")
     write_corpus_csv(rows, corpus_path)
@@ -182,8 +186,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    settings = _Settings(args)
-    docs = _load_documents(settings)
+    docs = _load_documents(args)
     save_tokens(docs, args.out)
     n_tokens = sum(len(d.tokens) for d in docs)
     print(f"documents: {len(docs)}")
@@ -195,26 +198,20 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_embed_docs(args) -> int:
-    settings = _Settings(args)
-    config = settings.embedding()
-    docs = _load_documents(settings)
-    model = train_doc2vec(docs.token_lists(), config, ids=docs.ids())
+    docs = _load_documents(args)
+    model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
     paths = save_doc_model(model, args.out)
-    print(f"embedded {len(model.ids)} documents at dim {config.dim}")
+    print(f"embedded {len(model.ids)} documents at dim {args.embedding.dim}")
     print(f"model files: {' '.join(paths)}")
     return 0
 
 
 def _cmd_select(args) -> int:
-    settings = _Settings(args)
     if args.model:
         model = load_doc_model(args.model)
-    elif args.corpus:
-        docs = _load_documents(settings)
-        model = train_doc2vec(docs.token_lists(), settings.embedding(), ids=docs.ids())
     else:
-        print("select: either --model or --corpus is required", file=sys.stderr)
-        return 1
+        docs = _load_documents(args)
+        model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
     projection = pca_project(model.vectors)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, n=len(model.ids))
@@ -225,13 +222,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    settings = _Settings(args)
     config = RefineConfig(
-        embedding=settings.embedding(),
-        **settings.pick(batch_size=_positive_int, threshold=_positive_float,
-                        max_iterations=_positive_int, anchors=_anchor_pair),
+        embedding=args.embedding,
+        **_given(args, "batch_size", "threshold", "max_iterations", "anchors"),
     )
-    docs = _load_documents(settings)
+    docs = _load_documents(args)
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
     result = run_refinement(docs, candidates, config)
 
@@ -288,11 +283,8 @@ def _g17(values: np.ndarray) -> list[str]:
 
 
 def _cmd_screen(args) -> int:
-    settings = _Settings(args)
-    anchors = settings.get("anchors", _anchor_pair)
-    objectives = settings.get("preset", Objectives.preset) or Objectives()
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    scores, front = _front_for(args.model, candidates, anchors, objectives)
+    scores, front = _front_for(args.model, candidates, args.anchors, args.preset or Objectives())
     print(f"Entries (Ori): {len(candidates)}")
     print(f"Entries (Front): {len(front)}")
     for i in front:
@@ -307,9 +299,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    settings = _Settings(args)
-    anchors = settings.get("anchors", _anchor_pair)
-    objectives = settings.get("preset", Objectives.preset) or Objectives()
+    anchors, objectives = args.anchors, args.preset or Objectives()
     candidates, measured, potential = load_compositions(args.candidates, elements=args.elements)
     fronts = {}
     if args.full_model:
@@ -318,8 +308,7 @@ def _cmd_report(args) -> int:
         _, fronts["Selection"] = _front_for(args.model, candidates, anchors, objectives)
     if args.potential is not None:
         potential = args.potential
-    label = settings.get("system", str)
-    sys.stdout.write(format_summary(candidates, fronts, measured, potential, label))
+    sys.stdout.write(format_summary(candidates, fronts, measured, potential, args.system))
     return 0
 
 
@@ -327,10 +316,15 @@ def _add_config(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key = value options file")
 
 
+def _add_option(p: argparse.ArgumentParser, name: str, **kwargs):
+    """The flag for ``name``, cast as a config value of that name is."""
+    p.add_argument("--" + name.replace("_", "-"), type=_OPTIONS[name], **kwargs)
+
+
 def _add_corpus_options(p: argparse.ArgumentParser):
     p.add_argument("--corpus", required=True, help="corpus CSV or saved tokens file")
-    p.add_argument("--text-column", help="abstract column name")
-    p.add_argument("--id-column", help="document id column name")
+    _add_option(p, "text_column", help="abstract column name")
+    _add_option(p, "id_column", help="document id column name")
 
 
 def _add_training_options(p: argparse.ArgumentParser):
@@ -367,10 +361,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="order documents by greedy diversity")
     _add_config(p)
-    p.add_argument("--corpus", help="corpus CSV or tokens file (trains on the fly)")
-    p.add_argument("--text-column")
-    p.add_argument("--id-column")
-    p.add_argument("--model", help="saved document model base path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--corpus", help="corpus CSV or tokens file (trains on the fly)")
+    source.add_argument("--model", help="saved document model base path")
+    _add_option(p, "text_column")
+    _add_option(p, "id_column")
     _add_training_options(p)
     p.add_argument("--out", required=True, help="selection CSV to write")
     p.set_defaults(func=_cmd_select)
@@ -381,11 +376,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--candidates", required=True, help="candidate composition CSV")
     p.add_argument("--elements", type=_element_list,
                    help="comma-separated element columns")
-    p.add_argument("--anchors", type=_anchor_pair,
-                   help="two comma-separated anchor terms")
-    p.add_argument("--threshold", type=_positive_float,
-                   help="convergence displacement threshold")
-    p.add_argument("--batch-size", type=_positive_int)
+    _add_option(p, "anchors", help="two comma-separated anchor terms")
+    _add_option(p, "threshold", help="convergence displacement threshold")
+    _add_option(p, "batch_size")
     _add_training_options(p)
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 when the run does not converge")
@@ -397,8 +390,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="word model base path")
     p.add_argument("--candidates", required=True)
     p.add_argument("--elements", type=_element_list)
-    p.add_argument("--anchors", type=_anchor_pair)
-    p.add_argument("--preset", type=Objectives.preset, help="orr, her or oer")
+    _add_option(p, "anchors")
+    _add_option(p, "preset", help="orr, her or oer")
     p.add_argument("--out", help="similarity table CSV to write")
     p.set_defaults(func=_cmd_screen)
 
@@ -409,9 +402,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="selection-trained word model base path")
     p.add_argument("--full-model", help="full-corpus word model base path")
     p.add_argument("--elements", type=_element_list)
-    p.add_argument("--anchors", type=_anchor_pair)
-    p.add_argument("--preset", type=Objectives.preset, help="orr, her or oer")
-    p.add_argument("--potential", type=float,
+    _add_option(p, "anchors")
+    _add_option(p, "preset", help="orr, her or oer")
+    p.add_argument("--potential", type=_finite_float,
                    help="potential (mV) shown in the header")
     p.set_defaults(func=_cmd_report)
 
@@ -427,6 +420,8 @@ def main(argv=None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if hasattr(args, "config"):
+            _apply_config(args)
         return args.func(args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,13 @@
 Reads abstract corpora from CSV, cleans each abstract into a token
 sequence (stopwords dropped, chemical element symbols preserved
 case-sensitively), and builds the frequency-ranked vocabulary used by
-the embedding trainers.
+the embedding trainers. :func:`open_text` is the one way every text input
+of the package is opened: a missing file names its kind and path, and a
+byte that is not UTF-8 names the file and its line.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import re
@@ -25,7 +28,7 @@ __all__ = [
     "element_symbols",
     "default_stopwords",
     "default_license_patterns",
-    "not_utf8_message",
+    "open_text",
 ]
 
 
@@ -117,7 +120,7 @@ def default_license_patterns() -> tuple[re.Pattern, ...]:
     return tuple(re.compile(p, re.IGNORECASE) for p in _read_data_file("license_patterns.txt"))
 
 
-def not_utf8_message(path: str, exc: UnicodeDecodeError) -> str:
+def _not_utf8_message(path: str, exc: UnicodeDecodeError) -> str:
     """An error message naming ``path`` and the line of its first byte that
     is not UTF-8. A text reader decodes ahead of the rows it returns, so
     ``exc`` cannot place the byte; a second read, as bytes and on this
@@ -130,6 +133,27 @@ def not_utf8_message(path: str, exc: UnicodeDecodeError) -> str:
         line = len((data[:first.start] + b".").splitlines())
         return f"{path} line {line}: not UTF-8 text ({first.reason})"
     return f"{path}: not UTF-8 text ({exc.reason})"  # changed since
+
+
+@contextlib.contextmanager
+def open_text(path: str, what: str, error: type[Exception]):
+    """``path`` open as UTF-8 text for the block, with a leading byte-order
+    mark dropped and line ends passed through untranslated (``newline=""``,
+    as the csv module needs).
+
+    A missing file raises ``error("{what} file not found: {path}")``, and a
+    byte that is not UTF-8, decoded anywhere in the block, raises ``error``
+    naming the file and the line of the first such byte.
+    """
+    try:
+        f = open(path, "r", encoding="utf-8-sig", newline="")
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    with f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise error(_not_utf8_message(path, exc)) from None
 
 
 def load_corpus(
@@ -147,18 +171,12 @@ def load_corpus(
     CorpusError naming the file and the line, and a header the CSV reader
     rejects one naming the file.
     """
-    try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except FileNotFoundError:
-        raise CorpusError(f"corpus file not found: {path}") from None
-    with handle:
+    with open_text(path, "corpus", CorpusError) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise CorpusError(f"corpus file is empty: {path}") from None
-        except UnicodeDecodeError as exc:
-            raise CorpusError(not_utf8_message(path, exc)) from None
         except csv.Error as exc:
             raise CorpusError(f"{path} header: {exc}") from None
         if text_column not in header:
@@ -180,8 +198,6 @@ def load_corpus(
                 row = next(reader)
             except StopIteration:
                 break
-            except UnicodeDecodeError as exc:
-                raise CorpusError(not_utf8_message(path, exc)) from None
             except csv.Error as exc:
                 # the reader resumes at the next line, so later rows still load
                 row_num += 1

@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .corpus import element_symbols, not_utf8_message
+from .corpus import element_symbols, open_text
 from .embedding import WordModel, vector_of
 
 __all__ = [
@@ -276,18 +276,12 @@ def load_compositions(path: str, elements=None):
     away from 1, conflicting potentials, a repeated id and bytes that are
     not UTF-8. Of several faults, the one in the first bad row is reported.
     """
-    try:  # utf-8-sig, so that a byte-order mark does not join the first column's name
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except FileNotFoundError:
-        raise CompositionError(f"composition file not found: {path}") from None
-    with handle:
+    with open_text(path, "composition", CompositionError) as handle:
         reader = csv.reader(handle)
         try:
             return _read_compositions(reader, path, elements)
         except csv.Error as exc:
             raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise CompositionError(not_utf8_message(path, exc)) from None
 
 
 def _read_compositions(reader, path, elements):

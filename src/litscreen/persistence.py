@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 import numpy.lib.format as npy
 
-from .corpus import Document, DocumentSet, Vocabulary, not_utf8_message
+from .corpus import Document, DocumentSet, Vocabulary, open_text
 from .embedding import DocModel, EmbeddingConfig, WordModel
 from .refine import IterationRecord
 from .selection import SelectionOrder
@@ -224,16 +224,6 @@ def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, 
     return [matrix_path, labels_path, meta_path]
 
 
-@contextlib.contextmanager
-def _naming_undecodable(path: str):
-    """Re-raise a UTF-8 decoding error of a text file as one naming ``path``
-    and the line."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise PersistenceError(not_utf8_message(path, exc)) from None
-
-
 def _write_kv(path: str, pairs: dict[str, str]):
     _atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
@@ -241,11 +231,7 @@ def _write_kv(path: str, pairs: dict[str, str]):
 def read_kv(path: str, what: str) -> dict[str, str]:
     """Parse ``key = value`` lines, skipping blanks and ``#`` comments; a
     repeated key fails naming the file and the key."""
-    try:  # utf-8-sig, so that a byte-order mark does not join the first key
-        f = open(path, "r", encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise PersistenceError(f"{what} file not found: {path}") from None
-    with f, _naming_undecodable(path):
+    with open_text(path, what, PersistenceError) as f:
         pairs = {}
         for line in f:
             line = line.strip()
@@ -359,11 +345,7 @@ def save_tokens(docs: DocumentSet, path: str):
 
 
 def load_tokens(path: str) -> DocumentSet:
-    try:
-        f = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise PersistenceError(f"tokens file not found: {path}") from None
-    with f, _naming_undecodable(path):
+    with open_text(path, "tokens", PersistenceError) as f:
         header = f.readline().split()
         if len(header) != 2 or header[0] != TOKENS_FORMAT:
             raise PersistenceError(f"{path}: not a {TOKENS_FORMAT} file")
@@ -375,7 +357,7 @@ def load_tokens(path: str) -> DocumentSet:
             line = f.readline()
             if not line:
                 raise PersistenceError(f"{path}: truncated at document {i + 1} of {n}")
-            doc_id, _, rest = line.rstrip("\n").partition("\t")
+            doc_id, _, rest = line.rstrip("\r\n").partition("\t")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
         _reject_extra_rows(f, path, n, "document")
     _reject_repeats([doc.id for doc in documents], path, "document id")

@@ -152,7 +152,7 @@ def run_refinement(
     required = set(config.anchors.terms) | set(candidates.present())
 
     doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
-    projection = pca_project(doc_model.vectors, 2)
+    projection = pca_project(doc_model.vectors)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, len(docs))
 

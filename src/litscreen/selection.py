@@ -20,12 +20,16 @@ __all__ = [
 ]
 
 
+# The ordering works on a plane: every caller projects onto two components.
+_COMPONENTS = 2
+
+
 @dataclass
 class Projection:
     mean: np.ndarray  # (D,)
-    components: np.ndarray  # (k, D), orthonormal rows
-    explained_variance: np.ndarray  # (k,)
-    points: np.ndarray  # (N, k)
+    components: np.ndarray  # (2, D), orthonormal rows
+    explained_variance: np.ndarray  # (2,)
+    points: np.ndarray  # (N, 2)
 
 
 @dataclass
@@ -37,8 +41,8 @@ class SelectionOrder:
     distances: list[float]
 
 
-def pca_project(vectors: np.ndarray, k: int = 2) -> Projection:
-    """Project row vectors onto the top-k principal components.
+def pca_project(vectors: np.ndarray) -> Projection:
+    """Project row vectors onto the top two principal components.
 
     Columns are mean-centered; components are the top right singular
     directions with a deterministic sign (largest-magnitude entry positive);
@@ -50,8 +54,8 @@ def pca_project(vectors: np.ndarray, k: int = 2) -> Projection:
     n, d = X.shape
     if n < 2:
         raise ValueError(f"PCA needs at least 2 rows, got {n}")
-    if d < k:
-        raise ValueError(f"cannot extract {k} components from dimension {d}")
+    if d < _COMPONENTS:
+        raise ValueError(f"cannot extract {_COMPONENTS} components from dimension {d}")
 
     mean = X.mean(axis=0)
     centered = X - mean
@@ -59,12 +63,12 @@ def pca_project(vectors: np.ndarray, k: int = 2) -> Projection:
     if s[0] == 0.0:
         raise ValueError("degenerate input: all rows identical (zero variance)")
 
-    components = vt[:k].copy()
+    components = vt[:_COMPONENTS].copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    explained = (s[:k] ** 2) / (n - 1)
+    explained = (s[:_COMPONENTS] ** 2) / (n - 1)
     points = centered @ components.T
     return Projection(mean=mean, components=components, explained_variance=explained, points=points)
 

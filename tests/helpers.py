@@ -326,7 +326,7 @@ def reference_run_refinement(docs, candidates, config):
     required = set(config.anchors.terms) | set(candidates.present())
 
     doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
-    projection = pca_project(doc_model.vectors, 2)
+    projection = pca_project(doc_model.vectors)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, len(docs))
 

@@ -175,7 +175,7 @@ def test_criterion_4_pca_matches_dense_eigendecomposition():
     ok = True
     for n, d in [(60, 10), (200, 40), (25, 3)]:
         X = rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
-        proj = pca_project(X, 2)
+        proj = pca_project(X)
 
         centered = X - X.mean(axis=0)
         w, v = np.linalg.eigh(centered.T @ centered / (n - 1))
@@ -186,7 +186,7 @@ def test_criterion_4_pca_matches_dense_eigendecomposition():
         ok &= bool(np.all(np.abs(proj.points.mean(axis=0)) < 1e-10))
         for row in proj.components:
             ok &= row[np.argmax(np.abs(row))] > 0
-        again = pca_project(X, 2)
+        again = pca_project(X)
         ok &= bool(np.array_equal(proj.components, again.components))
     verdict(4, ok,
             "top-2 variances match dense eigendecomposition (1e-8), projections "

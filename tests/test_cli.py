@@ -59,12 +59,12 @@ class TestExitCodes:
         assert code == 1
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "ingest", "--corpus", str(tmp_path / "absent.csv"),
-            "--out", str(tmp_path / "t"),
-        )
-        assert code == 2
-        assert "error" in err
+        corpus = str(tmp_path / "absent.csv")
+        for command, inputs in (("ingest", []), ("refine", ["--candidates", "k.csv"])):
+            code, _, err = run(capsys, command, "--corpus", corpus, *inputs,
+                               "--out", str(tmp_path / "t"))
+            assert code == 2
+            assert err == f"error: corpus file not found: {corpus}\n"
 
     def test_nan_fraction_is_data_error(self, capsys, tmp_path):
         cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,nan,0.5\n")
@@ -104,6 +104,19 @@ class TestExitCodes:
         assert code == 1
         assert "--batch-size" in err
 
+    @pytest.mark.parametrize("sources", [["--corpus", "c.csv", "--model", "m"], []],
+                             ids=["both", "neither"])
+    def test_select_takes_corpus_or_model(self, capsys, tmp_path, sources):
+        code, out, err = run(capsys, "select", *sources, "--out", str(tmp_path / "s.csv"))
+        assert (code, out) == (1, "")
+        assert "--corpus" in err and "--model" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_potential_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "report", "--candidates", "k.csv", f"--potential={value}")
+        assert (code, out) == (1, "")
+        assert f"expected a finite number, got {value}" in err
+
     def test_version_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--version")
         assert code == 0
@@ -138,6 +151,19 @@ class TestUnreadableInputs:
         code, _, err = self.ingest(capsys, tmp_path, corpus)
         assert code == 2
         assert f"{corpus} line {line}: not UTF-8 text" in err
+
+    def test_byte_order_mark_tokens_file_loads_the_same(self, capsys, tmp_path):
+        # read as a corpus CSV, the marked file would lack an abstract column
+        text = "litscreen-tokens/1 2\na\tAg films\nb\tPt films\n"
+        runs = []
+        for name, raw in (("plain", text.encode("utf-8")), ("bom", text.encode("utf-8-sig"))):
+            tokens = write_bytes(str(tmp_path / f"{name}.tokens"), raw)
+            out = tmp_path / f"{name}.out"
+            code, printed, err = run(capsys, "ingest", "--corpus", tokens, "--out", str(out))
+            assert (code, err) == (0, "")
+            runs.append((printed.replace(str(out), "OUT"), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == text.encode("utf-8")
 
     def test_non_utf8_candidates_name_the_line(self, capsys, tmp_path):
         cands = write_bytes(str(tmp_path / "k.csv"),
@@ -411,14 +437,17 @@ class TestConfigPrecedence:
         ("refine", "max_iterations = 0"),
         ("refine", "max_iterations = -2"),
         ("screen", "preset = xyz"),
+        ("ingest", "batch_size = 0"),
     ])
     def test_bad_value_names_file_and_key(self, capsys, tmp_path, command, line):
-        # the config is read before any input file, so none needs to exist
+        # the config is read before any input file, so none needs to exist,
+        # and every key is checked, also one the command does not read
         conf = write(str(tmp_path / "c.conf"), line + "\n")
-        inputs = {"refine": ["--corpus", "c.csv", "--out", str(tmp_path / "run")],
-                  "screen": ["--model", "m"]}[command]
-        code, out, err = run(capsys, command, "--candidates", "k.csv", "--config", conf,
-                             *inputs)
+        inputs = {"refine": ["--candidates", "k.csv", "--corpus", "c.csv",
+                             "--out", str(tmp_path / "run")],
+                  "screen": ["--candidates", "k.csv", "--model", "m"],
+                  "ingest": ["--corpus", "c.csv", "--out", str(tmp_path / "t")]}[command]
+        code, out, err = run(capsys, command, "--config", conf, *inputs)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {conf}: {line.split()[0]} ")

@@ -57,7 +57,7 @@ class TestPCA:
         rng = np.random.default_rng(8)
         for n, d in [(30, 5), (100, 20), (12, 3)]:
             X = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
-            proj = pca_project(X, k=2)
+            proj = pca_project(X)
             w, v = eigh_oracle(X, 2)
             assert np.allclose(proj.explained_variance, w, atol=1e-8)
             for row, eig in zip(proj.components, v):
@@ -110,7 +110,7 @@ class TestPCA:
         with pytest.raises(ValueError):
             pca_project(np.ones((1, 5)))
         with pytest.raises(ValueError):
-            pca_project(np.zeros((4, 1)), k=2)
+            pca_project(np.zeros((4, 1)))
 
 
 class TestCentralDocument:
