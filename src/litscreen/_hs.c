@@ -36,9 +36,14 @@ static double softplus_neg(double sz)
    max(alpha_min, alpha0 - span * (processed / total)).
 
    The results are fixed to the bit, not just to rounding: each score is
-   one node's dot product summed in k order. Four nodes are scored in one
-   pass, but the interleave runs across nodes only, never within one sum,
-   so the adds of four chains overlap while each chain keeps its order.
+   one node's dot product summed in k order, and each center-gradient
+   entry neu1e[k] takes the path's terms z[j] * node_j[k] one add at a
+   time in path (j) order, never pre-summed. Both passes handle four path
+   nodes at a time and the last 1-3 one by one. The score pass interleaves
+   across nodes only, never within one sum, so the adds of four chains
+   overlap while each chain keeps its order; the update pass writes the
+   four node rows in the same pass as their four neu1e adds. The rows
+   never alias, as a Huffman path repeats no node.
    This holds only without FMA contraction (-ffp-contract=off) and without
    reassociation (no -ffast-math).
 
@@ -122,7 +127,27 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                before that row moves */
             for (int64_t k = 0; k < dim; k++)
                 neu1e[k] = 0.0;
-            for (j = 0; j < len; j++) {
+            for (j = 0; j + 4 <= len; j += 4) {
+                double *restrict n0 = nodes + path[j] * dim;
+                double *restrict n1 = nodes + path[j + 1] * dim;
+                double *restrict n2 = nodes + path[j + 2] * dim;
+                double *restrict n3 = nodes + path[j + 3] * dim;
+                const double g0 = z[j], g1 = z[j + 1], g2 = z[j + 2], g3 = z[j + 3];
+                for (int64_t k = 0; k < dim; k++) {
+                    const double o0 = n0[k], o1 = n1[k], o2 = n2[k], o3 = n3[k];
+                    double e = neu1e[k];
+                    e += g0 * o0;
+                    e += g1 * o1;
+                    e += g2 * o2;
+                    e += g3 * o3;
+                    neu1e[k] = e;
+                    n0[k] = o0 + alpha * (g0 * c[k]);
+                    n1[k] = o1 + alpha * (g1 * c[k]);
+                    n2[k] = o2 + alpha * (g2 * c[k]);
+                    n3[k] = o3 + alpha * (g3 * c[k]);
+                }
+            }
+            for (; j < len; j++) {
                 double *restrict nd = nodes + path[j] * dim;
                 const double g = z[j];
                 for (int64_t k = 0; k < dim; k++) {

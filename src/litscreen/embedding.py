@@ -11,7 +11,6 @@ and bit-reproducible for a fixed seed and compiler.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,60 +129,77 @@ class DocModel:
 def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
     """Build the binary Huffman tree over token frequencies.
 
-    Merge order on count ties: lower node index first; leaves carry their
-    vocabulary index, internal nodes are numbered V, V+1, ... in creation
-    order. Fully deterministic.
+    Each merge pops the two nodes of least ``(count, node id)``: leaves
+    carry their vocabulary index, internal nodes are numbered V, V+1, ...
+    in creation order, and the first node popped is the +1 child. Fully
+    deterministic. A heap would pop in the same order as this merge of two
+    queues: the leaves sorted by ``(count, index)``, and the internal nodes
+    in creation order, whose counts never decrease and whose ids are above
+    every leaf's, so a leaf wins every tie with an internal node. So every
+    indexed token needs a count >= 1; ValueError names one that has none.
     """
     if vocab.counts is None:
         raise ValueError("vocabulary has no counts; cannot build a Huffman tree")
     V = len(vocab)
     if V < 2:
         raise ValueError(f"Huffman tree needs at least 2 tokens, got {V}")
+    tokens = vocab.tokens()
+    try:
+        counts = [vocab.counts[t] for t in tokens]
+    except KeyError as exc:
+        raise ValueError(f"token {exc.args[0]!r} is in the vocabulary index "
+                         "but has no count") from None
+    least = min(counts)
+    if least < 1:
+        raise ValueError(f"token {tokens[counts.index(least)]!r} has count {least}; "
+                         "a Huffman tree needs counts >= 1")
 
-    counts = [0] * V
-    for token, i in vocab.index.items():
-        counts[i] = vocab.counts[token]
+    order = sorted(range(V), key=counts.__getitem__)  # stable: ties by index
+    leaf_counts = [counts[i] for i in order]
+    merged: list[int] = []  # internal node counts, in creation order
+    popped: list[int] = []  # node ids in pop order, two per merge
+    leaves = internal = 0  # how many of each queue are popped
+    for _ in range(V - 1):
+        total = 0
+        for _ in range(2):
+            if internal < len(merged) and (leaves == V or merged[internal] < leaf_counts[leaves]):
+                popped.append(V + internal)
+                total += merged[internal]
+                internal += 1
+            else:
+                popped.append(order[leaves])
+                total += leaf_counts[leaves]
+                leaves += 1
+        merged.append(total)
 
-    # heap entries: (count, node_id); children[k] = (first_pop, second_pop)
-    heap = [(counts[i], i) for i in range(V)]
-    heapq.heapify(heap)
-    children: list[tuple[int, int]] = []
-    next_id = V
-    while len(heap) > 1:
-        c1, n1 = heapq.heappop(heap)
-        c2, n2 = heapq.heappop(heap)
-        children.append((n1, n2))
-        heapq.heappush(heap, (c1 + c2, next_id))
-        next_id += 1
+    # parent[n] is node n's parent as an internal index 0..V-2, the root last
+    parent = np.empty(2 * V - 1, dtype=np.int64)
+    branch = np.empty(2 * V - 1)
+    parent[popped] = np.repeat(np.arange(V - 1, dtype=np.int64), 2)
+    branch[popped] = np.tile([1.0, -1.0], V - 1)
 
-    # walk each leaf's parent chain; root is the last internal node
-    parent = [0] * (2 * V - 1)
-    branch = [0.0] * (2 * V - 1)  # +1 for first-popped child, -1 for second
-    for k, (n1, n2) in enumerate(children):
-        parent[n1] = V + k
-        parent[n2] = V + k
-        branch[n1] = 1.0
-        branch[n2] = -1.0
-
-    # a parent is created after its children, so depths fill root-down
-    root = 2 * V - 2
-    depth = [0] * (2 * V - 1)
-    for node in range(root - 1, -1, -1):
-        depth[node] = depth[parent[node]] + 1
-    ends = list(itertools.accumulate(depth[:V]))
-    nodes = [0] * ends[-1]
-    signs = [0.0] * ends[-1]
-    for leaf, end in enumerate(ends):
-        # fill the leaf's slice leaf-up, so it reads root-first
-        node = leaf
-        while node != root:
-            end -= 1
-            nodes[end] = parent[node] - V
-            signs[end] = branch[node]
-            node = parent[node]
-    return HuffmanCoding(offsets=np.array([0] + ends, dtype=np.int64),
-                         nodes=np.array(nodes, dtype=np.int64),
-                         signs=np.array(signs, dtype=np.float64))
+    # walk every leaf up one level per step; step s of a leaf fills the
+    # s-th entry from its slice's end, so the slice reads root-first
+    depth = np.zeros(V, dtype=np.int64)
+    live = np.arange(V)
+    node = live
+    steps = []
+    while live.size:
+        up = parent[node]
+        steps.append((live, up, branch[node]))
+        depth[live] += 1
+        below_root = up != V - 2
+        live = live[below_root]
+        node = up[below_root] + V
+    offsets = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(depth, out=offsets[1:])
+    nodes = np.empty(offsets[-1], dtype=np.int64)
+    signs = np.empty(offsets[-1])
+    for s, (live, up, sign) in enumerate(steps):
+        at = offsets[live + 1] - 1 - s
+        nodes[at] = up
+        signs[at] = sign
+    return HuffmanCoding(offsets=offsets, nodes=nodes, signs=signs)
 
 
 def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):

@@ -8,7 +8,9 @@ which must stay within ``SCORE_BOUND`` of them. ``reference_pareto_front``
 is the dict-grouped sweep the lexsort sweep replaced. ``hs_step`` is one
 hierarchical-softmax SGD step in numpy, the reference for the compiled
 trainer kernel, and ``code_path`` reads one token's path and code out of
-the flat Huffman table that kernel reads. ``parse_composition`` and
+the flat Huffman table that kernel reads. ``reference_build_huffman`` is
+the heap-merged tree builder, the oracle for the two-queue merge in
+``build_huffman``. ``parse_composition`` and
 ``read_manifest`` read formula strings and run manifests, and
 ``cosine_similarity`` scores one pair of vectors; only the tests need them.
 ``reference_load_compositions`` is the candidate CSV reader that checks and
@@ -18,6 +20,8 @@ that trains one iteration at a time on the calling thread, the oracle for
 ``run_refinement``, which trains them in pairs on two threads.
 """
 import csv
+import heapq
+import itertools
 import math
 import re
 from array import array
@@ -26,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from litscreen.corpus import element_symbols
-from litscreen.embedding import train_doc2vec, train_word2vec, vector_of
+from litscreen.embedding import HuffmanCoding, train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
     CandidateTable,
@@ -120,6 +124,58 @@ def code_path(coding, token):
     """Token ``token``'s (internal-node indices root first, +/-1 code) in ``coding``."""
     span = slice(coding.offsets[token], coding.offsets[token + 1])
     return coding.nodes[span], coding.signs[span]
+
+
+def reference_build_huffman(vocab):
+    """``build_huffman`` with a heap: each merge pops the two nodes of least
+    ``(count, node id)``, leaves numbered by vocabulary index and internal
+    nodes V, V+1, ... in creation order; each leaf's path comes from walking
+    its parent chain in Python."""
+    V = len(vocab)
+    counts = [0] * V
+    for token, i in vocab.index.items():
+        counts[i] = vocab.counts[token]
+
+    # heap entries: (count, node_id); children[k] = (first_pop, second_pop)
+    heap = [(counts[i], i) for i in range(V)]
+    heapq.heapify(heap)
+    children = []
+    next_id = V
+    while len(heap) > 1:
+        c1, n1 = heapq.heappop(heap)
+        c2, n2 = heapq.heappop(heap)
+        children.append((n1, n2))
+        heapq.heappush(heap, (c1 + c2, next_id))
+        next_id += 1
+
+    # walk each leaf's parent chain; root is the last internal node
+    parent = [0] * (2 * V - 1)
+    branch = [0.0] * (2 * V - 1)  # +1 for first-popped child, -1 for second
+    for k, (n1, n2) in enumerate(children):
+        parent[n1] = V + k
+        parent[n2] = V + k
+        branch[n1] = 1.0
+        branch[n2] = -1.0
+
+    # a parent is created after its children, so depths fill root-down
+    root = 2 * V - 2
+    depth = [0] * (2 * V - 1)
+    for node in range(root - 1, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    ends = list(itertools.accumulate(depth[:V]))
+    nodes = [0] * ends[-1]
+    signs = [0.0] * ends[-1]
+    for leaf, end in enumerate(ends):
+        # fill the leaf's slice leaf-up, so it reads root-first
+        node = leaf
+        while node != root:
+            end -= 1
+            nodes[end] = parent[node] - V
+            signs[end] = branch[node]
+            node = parent[node]
+    return HuffmanCoding(offsets=np.array([0] + ends, dtype=np.int64),
+                         nodes=np.array(nodes, dtype=np.int64),
+                         signs=np.array(signs, dtype=np.float64))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -6,10 +6,12 @@ import subprocess
 
 import numpy as np
 import pytest
-from helpers import code_path, cosine_similarity, hs_step
+from helpers import code_path, cosine_similarity, hs_step, reference_build_huffman
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litscreen import embedding, kernel
-from litscreen.corpus import build_vocabulary, preprocess
+from litscreen.corpus import Vocabulary, build_vocabulary, preprocess
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
@@ -118,6 +120,64 @@ class TestHuffman:
         assert np.all((tree.nodes >= 0) & (tree.nodes < tree.n_nodes))
         assert np.all(np.abs(tree.signs) == 1.0)
         assert tree.code_lengths() == np.diff(tree.offsets).tolist()
+
+
+def indexed_vocabulary(counts):
+    """Tokens ``w0``, ``w1``, ... indexed in list order with these counts."""
+    tokens = [f"w{i}" for i in range(len(counts))]
+    return Vocabulary(index={t: i for i, t in enumerate(tokens)},
+                      counts={t: int(c) for t, c in zip(tokens, counts)})
+
+
+@st.composite
+def tie_heavy_counts(draw):
+    """Counts from {1, 2, 3} with up to five large ones, V from 2 to 3,000."""
+    v = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, 4, size=v)
+    large = draw(st.lists(st.integers(4, 10**6), max_size=min(5, v)))
+    counts[rng.choice(v, size=len(large), replace=False)] = large
+    return counts.tolist()
+
+
+class TestHuffmanMatchesHeapReference:
+    """The two-queue merge must build the heap's tree exactly: the same
+    offsets, nodes and signs, in the same dtypes, ties included."""
+
+    @staticmethod
+    def check(vocab):
+        got, want = build_huffman(vocab), reference_build_huffman(vocab)
+        for field in ("offsets", "nodes", "signs"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype, field
+            np.testing.assert_array_equal(a, b, err_msg=field)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_counts() | st.lists(st.integers(1, 3) | st.integers(1, 10**6),
+                                         min_size=2, max_size=40))
+    def test_tie_heavy_counts(self, counts):
+        self.check(indexed_vocabulary(counts))
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 64, 100, 1500])
+    def test_all_equal_counts(self, v):
+        self.check(indexed_vocabulary([7] * v))
+
+    def test_zipf_vocabulary(self):
+        counts = np.random.default_rng(1500).zipf(1.3, size=1500)
+        self.check(indexed_vocabulary(counts))
+
+
+class TestHuffmanRejectsCounts:
+    def test_indexed_token_without_count(self):
+        vocab = Vocabulary(index={"a": 0, "b": 1, "c": 2}, counts={"a": 3, "b": 2})
+        with pytest.raises(ValueError, match="'c' is in the vocabulary index but has no count"):
+            build_huffman(vocab)
+
+    @pytest.mark.parametrize("count", [-4, 0])
+    def test_count_below_one(self, count):
+        vocab = indexed_vocabulary([5, count, 2])
+        with pytest.raises(ValueError, match=f"'w1' has count {count}; .* counts >= 1"):
+            build_huffman(vocab)
 
 
 class TestHsStep:
