@@ -276,6 +276,10 @@ def _front_for(model_base: str, candidates, anchors, objectives):
     return scores, pareto_front(scores, objectives)
 
 
+# `screen --out` formats its table this many rows at a time
+_TABLE_BLOCK = 2048
+
+
 def _g17(values: np.ndarray) -> list[str]:
     """Each value as ``%.17g``, the bytes of ``f"{x:.17g}"``, from one ``%`` call."""
     values = values.tolist()
@@ -290,12 +294,21 @@ def _cmd_screen(args) -> int:
     for i in front:
         print(f"{candidates.ids[i]} {scores[i, 0]:.6f} {scores[i, 1]:.6f}")
     if args.out:
-        on_front = np.full(len(candidates), "0")
-        on_front[front] = "1"
         write_csv(args.out, ["id", "s_dielectric", "s_conductivity", "on_front"],
-                  zip(candidates.ids, _g17(scores[:, 0]), _g17(scores[:, 1]), on_front.tolist()))
+                  _score_rows(candidates.ids, scores, front))
         print(f"similarity table: {args.out}")
     return 0
+
+
+def _score_rows(ids, scores: np.ndarray, front):
+    """The rows of the ``screen --out`` table, formatted a block at a time,
+    so that the text of one block is held at a time."""
+    on_front = np.full(len(ids), "0")
+    on_front[front] = "1"
+    for start in range(0, len(ids), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        yield from zip(ids[block], _g17(scores[block, 0]), _g17(scores[block, 1]),
+                       on_front[block].tolist())
 
 
 def _cmd_report(args) -> int:

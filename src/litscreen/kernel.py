@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import tempfile
 
@@ -32,6 +31,8 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 def library_path(source: bytes, cache_dir: str) -> str:
     """Where the library built from ``source`` with ``FLAGS`` lives."""
+    import hashlib  # only a training needs it; loading OpenSSL costs every command
+
     key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
     return os.path.join(cache_dir, f"_hs-{key}.so")
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -268,6 +267,13 @@ def load_compositions(path: str, elements=None):
     potential column when present. An empty element cell counts as 0, a
     blank line is skipped and a leading byte-order mark is ignored.
 
+    The header goes through ``csv.reader``. The data lines are read 2,048 at
+    a time, and a block whose lines hold no ``"`` and none longer than
+    ``csv.field_size_limit()`` is split on commas directly, since that is
+    what the csv module's default dialect makes of such a line. From the
+    first block that holds either, ``csv.reader`` reads the rest of the
+    file, as a quoted field may span lines and blocks.
+
     Every fault raises CompositionError naming the file, and the data row
     (1-based, blank lines not counted) or the line where there is one: no
     data rows, a header repeating a column that is read, a row with more or
@@ -277,50 +283,22 @@ def load_compositions(path: str, elements=None):
     not UTF-8. Of several faults, the one in the first bad row is reported.
     """
     with open_text(path, "composition", CompositionError) as handle:
-        reader = csv.reader(handle)
+        reader, before = csv.reader(handle), 0  # `before`: lines read ahead of `reader`
         try:
-            return _read_compositions(reader, path, elements)
+            table = _CandidateRows(path, next(reader, None), elements)
+            rest, before = table.add_unquoted(handle, reader.line_num)
+            if rest is not None:
+                reader = csv.reader(rest)
+                table.add_rows(reader)
         except csv.Error as exc:
-            raise CompositionError(f"{path} line {reader.line_num}: {exc}") from None
+            raise CompositionError(f"{path} line {before + reader.line_num}: {exc}") from None
+        return table.result()
 
 
-def _read_compositions(reader, path, elements):
-    header = next(reader, None)
-    if header is None:
-        raise CompositionError(f"composition file is empty: {path}")
-    if elements is None:
-        symbols = element_symbols()
-        elements = tuple(c for c in header if c in symbols)
-    else:
-        elements = tuple(elements)
-        missing = [el for el in elements if el not in header]
-        if missing:
-            raise CompositionError(f"{path}: missing element columns {missing}")
-    if not elements:
-        raise CompositionError(f"{path}: no element columns found in {header}")
-    for name in elements + ("id", "current_density", "potential"):
-        if header.count(name) > 1:
-            raise CompositionError(f"{path}: column {name!r} repeats in the header")
-    if len(set(elements)) != len(elements):
-        raise CompositionError(f"{path}: repeated element columns in {header}")
-
-    table = _CandidateRows(path, header, elements)
-    while True:
-        rows, error = [], None
-        try:
-            for row in reader:
-                if row:  # a blank line is skipped
-                    rows.append(row)
-                    if len(rows) == _BLOCK_ROWS:
-                        break
-        except (csv.Error, UnicodeDecodeError) as exc:
-            error = exc  # a fault in the rows read before it comes first
-        if rows:
-            table.add(rows)
-        if error is not None:
-            raise error
-        if len(rows) < _BLOCK_ROWS:
-            return table.result()
+def _raising(error: Exception):
+    """An iterator whose first step raises ``error``."""
+    raise error
+    yield
 
 
 def _number(where: str, cell: str, name: str) -> float | None:
@@ -350,17 +328,36 @@ def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
 class _CandidateRows:
     """The data rows of one candidate CSV, checked and kept a block at a time.
 
-    A block passes a few whole-block checks, each as strict as the row
-    check it stands for. Numbers go through Python's ``float`` (numpy calls
-    it on each ``str`` cell) and row totals through ``math.fsum``, so a
-    value's grammar and every bit read are those of a row-at-a-time reader.
-    Only a block that fails is checked again row by row, which names the
-    fault.
+    A block comes either as the text of its lines, split on commas, or as
+    rows from ``csv.reader``; both become one flat list of cells in row
+    order, and each column is a stride slice of it. A block passes a few
+    whole-block checks, each as strict as the row check it stands for.
+    Numbers go through Python's ``float`` (numpy calls it on each ``str``
+    cell) and row totals through ``math.fsum``, so a value's grammar and
+    every bit read are those of a row-at-a-time reader. Only a block that
+    fails is checked again row by row, which names the fault.
     """
 
-    def __init__(self, path: str, header: list[str], elements: tuple[str, ...]):
+    def __init__(self, path: str, header: list[str] | None, elements):
+        if header is None:
+            raise CompositionError(f"composition file is empty: {path}")
+        if elements is None:
+            symbols = element_symbols()
+            elements = tuple(c for c in header if c in symbols)
+        else:
+            elements = tuple(elements)
+            missing = [el for el in elements if el not in header]
+            if missing:
+                raise CompositionError(f"{path}: missing element columns {missing}")
+        if not elements:
+            raise CompositionError(f"{path}: no element columns found in {header}")
+        for name in elements + ("id", "current_density", "potential"):
+            if header.count(name) > 1:
+                raise CompositionError(f"{path}: column {name!r} repeats in the header")
+        if len(set(elements)) != len(elements):
+            raise CompositionError(f"{path}: repeated element columns in {header}")
         self.path, self.elements, self.width = path, elements, len(header)
-        self.pick = itemgetter(*(header.index(el) for el in elements))  # a str for one element
+        self.element_cols = [header.index(el) for el in elements]
         self.id_col, self.measured_col, self.potential_col = (
             header.index(name) if name in header else None
             for name in ("id", "current_density", "potential"))
@@ -369,9 +366,59 @@ class _CandidateRows:
         self.measured: dict[str, float] = {}
         self.potential: float | None = None
 
+    def add_unquoted(self, handle, read: int):
+        """Keep each block of lines from ``handle`` that needs no csv.reader,
+        or raise the first fault in it. Returns (None, lines read) at the end
+        of the file, else the lines left, from the first block holding a
+        ``"`` or a line over the csv field limit, and the lines read before
+        them; ``read`` counts the lines read before the call."""
+        limit = csv.field_size_limit()
+        while True:
+            block, error = [], None
+            try:
+                block.extend(islice(handle, _BLOCK_ROWS))  # keeps the lines read before an error
+            except UnicodeDecodeError as exc:
+                error = exc  # a fault in the lines read before it comes first
+            if (any(map(str.__contains__, block, repeat('"')))
+                    or max(map(len, block), default=0) > limit):
+                return chain(block, handle if error is None else _raising(error)), read
+            read, full = read + len(block), len(block) == _BLOCK_ROWS
+            # such a line is its text before its line end, split on commas
+            rows = list(map(str.split, filter(None, map(str.rstrip, block, repeat("\r\n"))),
+                            repeat(",")))  # a blank line is skipped
+            # hold one block at a time, in one form, as the csv.reader loop does
+            del block
+            if rows:
+                self.add(rows)
+            del rows
+            if error is not None:
+                raise error
+            if not full:
+                return None, read
+
+    def add_rows(self, reader):
+        """Keep every further data row from ``reader``, a block at a time, or
+        raise the first fault."""
+        while True:
+            rows, error = [], None
+            try:
+                for row in reader:
+                    if row:  # a blank line is skipped
+                        rows.append(row)
+                        if len(rows) == _BLOCK_ROWS:
+                            break
+            except (csv.Error, UnicodeDecodeError) as exc:
+                error = exc  # a fault in the rows read before it comes first
+            if rows:
+                self.add(rows)
+            if error is not None:
+                raise error
+            if len(rows) < _BLOCK_ROWS:
+                return
+
     def add(self, rows: list[list[str]]):
         """Keep the next block of data rows, or raise the first fault in it."""
-        if not self._add(rows):
+        if set(map(len, rows)) != {self.width} or not self._add(list(chain.from_iterable(rows))):
             raise self._fault(rows)
 
     def result(self):
@@ -380,16 +427,19 @@ class _CandidateRows:
         table = CandidateTable(self.elements, tuple(self.ids), np.concatenate(self.blocks))
         return table, self.measured, self.potential
 
-    def _add(self, rows) -> bool:
-        n, k, first = len(rows), len(self.elements), len(self.ids) + 1
-        if set(map(len, rows)) != {self.width}:
-            return False
-        picked = map(self.pick, rows)
-        cells = list(picked if k == 1 else chain.from_iterable(picked))
-        if "" in cells:  # an empty fraction cell counts as 0
-            cells = [c or "0" for c in cells]
+    def _add(self, cells: list[str]) -> bool:
+        """Keep a block of full-width rows, given as its cells in row order,
+        when it passes every check; False when it does not."""
+        w, first = self.width, len(self.ids) + 1
+        n = len(cells) // w
+        columns = []
+        for col in self.element_cols:
+            column = cells[col::w]
+            if "" in column:  # an empty fraction cell counts as 0
+                column = [c or "0" for c in column]
+            columns.append(column)
         try:
-            fractions = np.array(cells, dtype=np.float64).reshape(n, k)
+            fractions = np.array(columns, dtype=np.float64).T
             totals = np.array(list(map(math.fsum, fractions.tolist())))
         except (ValueError, OverflowError):  # not a number; a sum fsum cannot form
             return False
@@ -399,14 +449,14 @@ class _CandidateRows:
         if self.id_col is None:
             ids = list(map(str, range(first, first + n)))
         else:
-            ids = list(map(str.strip, map(itemgetter(self.id_col), rows)))
+            ids = list(map(str.strip, cells[self.id_col::w]))
             if "" in ids:  # a blank id is the row's number
                 ids = [c or str(i) for i, c in enumerate(ids, first)]
         fresh = dict.fromkeys(ids)
         if len(fresh) != n or not fresh.keys().isdisjoint(self.ids.keys()):
             return False
-        measured = self._numbers(rows, self.measured_col)
-        potentials = self._numbers(rows, self.potential_col)
+        measured = self._numbers(cells, self.measured_col)
+        potentials = self._numbers(cells, self.potential_col)
         if measured is None or potentials is None:
             return False
         if potentials:
@@ -420,16 +470,15 @@ class _CandidateRows:
             self.potential = potentials[-1][1]
         return True
 
-    @staticmethod
-    def _numbers(rows, col):
+    def _numbers(self, cells, col):
         """(row offset, value) of each non-blank cell of column ``col``, none
         without the column, or None when a cell is not a finite number."""
         if col is None:
             return []
-        cells = [(j, text) for j, text in enumerate(map(str.strip, map(itemgetter(col), rows)))
+        texts = [(j, text) for j, text in enumerate(map(str.strip, cells[col::self.width]))
                  if text]
         try:
-            values = [(j, float(text)) for j, text in cells]
+            values = [(j, float(text)) for j, text in texts]
         except ValueError:
             return None
         return values if all(math.isfinite(v) for _, v in values) else None
@@ -445,9 +494,8 @@ class _CandidateRows:
             where = f"{path} row {i}"
             if len(row) != width:
                 return CompositionError(f"{where}: {len(row)} fields, the header has {width}")
-            cells = self.pick(row)
             try:
-                vals = [float(c or "0") for c in ((cells,) if len(elements) == 1 else cells)]
+                vals = [float(row[col] or "0") for col in self.element_cols]
             except ValueError as exc:
                 return CompositionError(f"{where}: bad fraction ({exc})")
             try:

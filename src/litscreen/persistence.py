@@ -22,7 +22,6 @@ text file that is not UTF-8 fails naming the file and the line.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import re
 import tempfile
@@ -420,6 +419,8 @@ def save_iteration_log(records: list[IterationRecord], path: str):
 
 
 def file_digest(path: str) -> str:
+    import hashlib  # only `refine` needs it; loading OpenSSL costs every command
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):

@@ -648,11 +648,12 @@ class TestOneProcess:
 
 def test_import_loads_no_needless_modules():
     # each costs startup time on every command; the kernel build imports
-    # subprocess itself, and the refinement loop needs only threading
+    # subprocess itself, the refinement loop needs only threading, and only
+    # the kernel cache key and the refine manifest take a sha256
     src = os.path.dirname(os.path.dirname(litscreen.__file__))
     code = ("import sys, litscreen.cli; "
-            "print(' '.join(m for m in ('concurrent.futures', 'logging', 'subprocess') "
-            "if m in sys.modules))")
+            "print(' '.join(m for m in ('concurrent.futures', 'logging', 'subprocess', "
+            "'hashlib') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.split() == []

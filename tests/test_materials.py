@@ -594,6 +594,27 @@ class TestLoadCompositionsInputHoles:
                            match=rf"cands\.csv line {line}: not UTF-8 text \(invalid continuation"):
             load_compositions(path)
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize("fault, message", [
+        (True, r"row 2100: 4 fields, the header has 3$"),
+        (False, r"line 3000: not UTF-8 text \(invalid continuation"),
+    ], ids=["row_fault_first", "byte_alone"])
+    def test_rows_before_a_non_utf8_byte_are_checked_first(self, tmp_path, quoted, fault,
+                                                           message):
+        # the byte lies in the second block of 2,048 lines, over 8 KB (the
+        # decoder's read-ahead) past the faulty row
+        rows = [b"a%d,0.5,0.5" % i for i in range(1, 3001)]
+        if quoted:
+            rows[2059] = b'"a,2060",0.5,0.5'
+        if fault:
+            rows[2099] += b",x"
+        rows[2998] = b"caf\xe9,1,0"
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "wb") as f:
+            f.write(b"id,Ni,Pt\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(CompositionError, match=r"cands\.csv " + message):
+            load_compositions(path)
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = os.path.join(str(tmp_path), "cands.csv")
         with open(path, "wb") as f:
@@ -657,9 +678,10 @@ def _outcome(load, path):
 
 def _big_candidate_csv(seed, fault):
     """A seeded 6,000-row candidate CSV with blank lines among the rows and
-    the named fault planted, mostly past the first block of 2,048 rows;
-    returns its text and where the fault is, as ``row N`` (a data row) or
-    ``line N``, or None when the file is clean."""
+    the named fault planted, mostly past the first block of 2,048 rows, or
+    the named quoting, blank lines or line ends; returns its text and where
+    the fault is, as ``row N`` (a data row) or ``line N``, or None when the
+    file is clean."""
     rng = np.random.default_rng(seed)
     n = 6000
     x = rng.random((n, 3))
@@ -702,15 +724,42 @@ def _big_candidate_csv(seed, fault):
         r -= 1
     elif fault == "row_before_csv_error":
         row[5] = "900"
-    where = None if fault in ("clean", "csv_error") else f"row {r}"
+    elif fault == "nul_in_fraction":
+        row[2] = row[2][:4] + "\x00" + row[2][4:]
+    elif fault == "trailing_comma":
+        row.append("")
+    elif fault == "blank_block_edges":
+        row[3] = "0.9"
+    row_left_alone = ("clean", "csv_error", "cr_line_ends", "mixed_line_ends",
+                      "quote_in_last_block", "long_line_mid_file", "quote_across_boundary")
+    where = None if fault in row_left_alone else f"row {r}"
     lines = ["id,Ni,Pt,Ru,current_density,potential"]
     for i, cells in enumerate(rows):
         lines.append(",".join(cells))
         if i % 997 == 0:
             lines.append("")
+    # lines[1:2049] are the first block of 2,048 lines after the header
+    if fault == "quote_across_boundary":  # opens on the block's last line, closes on the next
+        first, rest = lines[2048].split(",", 1)
+        lines[2048] = f'"{first}\nq",{rest}'
+        lines[2049] += ",x"
+        where = f"row {int(first[1:]) + 1}"
+    elif fault == "quote_in_last_block":
+        first, rest = lines[-1].split(",", 1)
+        lines[-1] = f'"{first},q",{rest}'
+    elif fault == "blank_block_edges":  # a block's first and last lines, and the next's first
+        lines[2048:2048] = ["", ""]
+        lines.insert(1, "")
+    elif fault == "long_line_mid_file":  # a field over the csv module's limit, rows after it
+        lines.insert(3000, "z," + "1" * (csv.field_size_limit() + 1))
+        where = "line 3001"
     if fault in ("csv_error", "row_before_csv_error"):  # a field over the csv module's limit
         lines.append("z," + "1" * (csv.field_size_limit() + 1))
         where = where or f"line {len(lines)}"
+    if fault == "cr_line_ends":
+        return "\r".join(lines) + "\r", where
+    if fault == "mixed_line_ends":
+        return "".join(line + ("\r\n" if i % 3 else "\n") for i, line in enumerate(lines)), where
     return "\n".join(lines) + "\n", where
 
 
@@ -731,7 +780,9 @@ class TestLoadCompositionsFuzz:
         "clean", "width", "parse", "negative", "sum", "nan", "dup_first_block",
         "dup_across_boundary", "blank_id_as_row_number", "measured", "potential",
         "fraction_before_measured", "duplicate_before_measured", "earlier_row_later_check",
-        "csv_error", "row_before_csv_error",
+        "csv_error", "row_before_csv_error", "cr_line_ends", "mixed_line_ends",
+        "quote_across_boundary", "quote_in_last_block", "nul_in_fraction", "long_line_mid_file",
+        "blank_block_edges", "trailing_comma",
     ])
     def test_many_rows_match_the_row_reader(self, tmp_path, fault):
         text, where = _big_candidate_csv(1301, fault)
