@@ -171,7 +171,9 @@ def enumerate_simplex(elements, steps: int) -> CandidateTable:
     Produces C(steps + k - 1, k - 1) rows in ascending lexicographic
     fraction order, built as integer arrays with no per-row objects; errors
     out when that count exceeds 2,000,000. A row's id lists its
-    elements with nonzero fraction, as in ``Ag0.25Pt0.75``.
+    elements with nonzero fraction, as in ``Ag0.25Pt0.75``, each fraction
+    printed to as many significant digits as ``steps`` has, and at least 6,
+    so that no two rows share an id.
     """
     elements = tuple(elements)
     k = len(elements)
@@ -199,8 +201,10 @@ def enumerate_simplex(elements, steps: int) -> CandidateTable:
     parts = np.column_stack([parts, left])
 
     pieces = []  # per element, each row's id piece: "" or symbol plus fraction
+    digits = max(6, len(str(steps)))  # grid fractions lie over 10**-digits apart
     for j, el in enumerate(elements):
-        labels = np.array([""] + [f"{el}{p / steps:g}" for p in range(1, steps + 1)], dtype=object)
+        labels = np.array([""] + [f"{el}{p / steps:.{digits}g}" for p in range(1, steps + 1)],
+                          dtype=object)
         pieces.append(labels[parts[:, j]].tolist())
     ids = tuple(map("".join, zip(*pieces)))
     return CandidateTable(elements, ids, parts / steps)
@@ -267,12 +271,9 @@ def load_compositions(path: str, elements=None):
     potential column when present. An empty element cell counts as 0, a
     blank line is skipped and a leading byte-order mark is ignored.
 
-    The header goes through ``csv.reader``. The data lines are read 2,048 at
-    a time, and a block whose lines hold no ``"`` and none longer than
-    ``csv.field_size_limit()`` is split on commas directly, since that is
-    what the csv module's default dialect makes of such a line. From the
-    first block that holds either, ``csv.reader`` reads the rest of the
-    file, as a quoted field may span lines and blocks.
+    :func:`_row_blocks` reads the file, 2,048 data rows at a time, and
+    :class:`_CandidateRows` checks and keeps each block before the next is
+    read.
 
     Every fault raises CompositionError naming the file, and the data row
     (1-based, blank lines not counted) or the line where there is one: no
@@ -283,36 +284,65 @@ def load_compositions(path: str, elements=None):
     not UTF-8. Of several faults, the one in the first bad row is reported.
     """
     with open_text(path, "composition", CompositionError) as handle:
-        reader, before = csv.reader(handle), 0  # `before`: lines read ahead of `reader`
-        try:
-            table = _CandidateRows(path, next(reader, None), elements)
-            rest, before = table.add_unquoted(handle, reader.line_num)
-            if rest is not None:
-                reader = csv.reader(rest)
-                table.add_rows(reader)
-        except csv.Error as exc:
-            raise CompositionError(f"{path} line {before + reader.line_num}: {exc}") from None
+        blocks = _row_blocks(path, handle)
+        table = _CandidateRows(path, next(blocks), elements)
+        for rows in blocks:
+            table.add(rows)
+            del rows  # hold one block at a time
         return table.result()
+
+
+def _row_blocks(path: str, handle):
+    """The header row of the candidate CSV open as ``handle`` (None for an
+    empty file), then its data rows in blocks of up to ``_BLOCK_ROWS``,
+    blank lines skipped.
+
+    The header goes through ``csv.reader``. A block of data lines in which
+    no line holds a ``"`` and none is longer than ``csv.field_size_limit()``
+    is split on commas directly, since that is what the csv module's default
+    dialect makes of such a line. From the first block that holds either,
+    ``csv.reader`` reads the rest of the file, as a quoted field may span
+    lines and blocks. The rows read before a byte that is not UTF-8, or
+    before a csv error, are yielded before that error is raised; a csv error
+    is raised as CompositionError naming its line.
+    """
+    reader, read = csv.reader(handle), 0  # `read`: lines read ahead of `reader`
+    try:
+        yield next(reader, None)
+        read, limit, split = reader.line_num, csv.field_size_limit(), True
+        while True:
+            block, error = [], None
+            try:  # extend keeps the rows read before an error
+                block.extend(islice(handle, _BLOCK_ROWS) if split
+                             else islice(filter(None, reader), _BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                error = exc  # a fault in the rows read before it comes first
+            if split and (any(map(str.__contains__, block, repeat('"')))
+                          or max(map(len, block), default=0) > limit):
+                # reading the handle on after a decode error would skip text
+                reader = csv.reader(chain(block, handle if error is None else _raising(error)))
+                split = False
+                continue
+            full = len(block) == _BLOCK_ROWS
+            if split:  # such a line is its text before its line end, split on commas
+                read += len(block)
+                block = list(map(str.split, filter(None, map(str.rstrip, block, repeat("\r\n"))),
+                                 repeat(",")))  # a blank line is skipped
+            if block:
+                yield block
+            del block
+            if error is not None:
+                raise error
+            if not full:
+                return
+    except csv.Error as exc:
+        raise CompositionError(f"{path} line {read + reader.line_num}: {exc}") from None
 
 
 def _raising(error: Exception):
     """An iterator whose first step raises ``error``."""
     raise error
     yield
-
-
-def _number(where: str, cell: str, name: str) -> float | None:
-    """A measured or potential cell's value; None when it is blank."""
-    text = cell.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise CompositionError(f"{where}: {name} {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise CompositionError(f"{where}: non-finite {name} {value}")
-    return value
 
 
 def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
@@ -328,14 +358,13 @@ def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
 class _CandidateRows:
     """The data rows of one candidate CSV, checked and kept a block at a time.
 
-    A block comes either as the text of its lines, split on commas, or as
-    rows from ``csv.reader``; both become one flat list of cells in row
-    order, and each column is a stride slice of it. A block passes a few
-    whole-block checks, each as strict as the row check it stands for.
+    A block is flattened to one list of cells in row order, and each column
+    is a stride slice of it. Each check runs on the whole block at once.
     Numbers go through Python's ``float`` (numpy calls it on each ``str``
     cell) and row totals through ``math.fsum``, so a value's grammar and
-    every bit read are those of a row-at-a-time reader. Only a block that
-    fails is checked again row by row, which names the fault.
+    every bit read are those of a row-at-a-time reader. A block that fails
+    a check is added again as its two halves, first half first, down to
+    single rows, so the fault raised is the first bad row's.
     """
 
     def __init__(self, path: str, header: list[str] | None, elements):
@@ -366,60 +395,16 @@ class _CandidateRows:
         self.measured: dict[str, float] = {}
         self.potential: float | None = None
 
-    def add_unquoted(self, handle, read: int):
-        """Keep each block of lines from ``handle`` that needs no csv.reader,
-        or raise the first fault in it. Returns (None, lines read) at the end
-        of the file, else the lines left, from the first block holding a
-        ``"`` or a line over the csv field limit, and the lines read before
-        them; ``read`` counts the lines read before the call."""
-        limit = csv.field_size_limit()
-        while True:
-            block, error = [], None
-            try:
-                block.extend(islice(handle, _BLOCK_ROWS))  # keeps the lines read before an error
-            except UnicodeDecodeError as exc:
-                error = exc  # a fault in the lines read before it comes first
-            if (any(map(str.__contains__, block, repeat('"')))
-                    or max(map(len, block), default=0) > limit):
-                return chain(block, handle if error is None else _raising(error)), read
-            read, full = read + len(block), len(block) == _BLOCK_ROWS
-            # such a line is its text before its line end, split on commas
-            rows = list(map(str.split, filter(None, map(str.rstrip, block, repeat("\r\n"))),
-                            repeat(",")))  # a blank line is skipped
-            # hold one block at a time, in one form, as the csv.reader loop does
-            del block
-            if rows:
-                self.add(rows)
-            del rows
-            if error is not None:
-                raise error
-            if not full:
-                return None, read
-
-    def add_rows(self, reader):
-        """Keep every further data row from ``reader``, a block at a time, or
-        raise the first fault."""
-        while True:
-            rows, error = [], None
-            try:
-                for row in reader:
-                    if row:  # a blank line is skipped
-                        rows.append(row)
-                        if len(rows) == _BLOCK_ROWS:
-                            break
-            except (csv.Error, UnicodeDecodeError) as exc:
-                error = exc  # a fault in the rows read before it comes first
-            if rows:
-                self.add(rows)
-            if error is not None:
-                raise error
-            if len(rows) < _BLOCK_ROWS:
-                return
-
     def add(self, rows: list[list[str]]):
         """Keep the next block of data rows, or raise the first fault in it."""
-        if set(map(len, rows)) != {self.width} or not self._add(list(chain.from_iterable(rows))):
-            raise self._fault(rows)
+        try:
+            self._add(rows)
+        except CompositionError:
+            if len(rows) == 1:
+                raise
+            half = len(rows) // 2
+            self.add(rows[:half])
+            self.add(rows[half:])
 
     def result(self):
         if not self.ids:
@@ -427,11 +412,16 @@ class _CandidateRows:
         table = CandidateTable(self.elements, tuple(self.ids), np.concatenate(self.blocks))
         return table, self.measured, self.potential
 
-    def _add(self, cells: list[str]) -> bool:
-        """Keep a block of full-width rows, given as its cells in row order,
-        when it passes every check; False when it does not."""
-        w, first = self.width, len(self.ids) + 1
-        n = len(cells) // w
+    def _add(self, rows: list[list[str]]):
+        """Keep a block of data rows when it passes every check, run in the
+        order width, fractions, duplicate id, current_density, potential; else
+        raise the first failed check as CompositionError naming the block's
+        first row, which is the exact fault for a block of one row."""
+        w, first, n = self.width, len(self.ids) + 1, len(rows)
+        where = f"{self.path} row {first}"
+        if set(map(len, rows)) != {w}:
+            raise CompositionError(f"{where}: {len(rows[0])} fields, the header has {w}")
+        cells = list(chain.from_iterable(rows))
         columns = []
         for col in self.element_cols:
             column = cells[col::w]
@@ -440,12 +430,15 @@ class _CandidateRows:
             columns.append(column)
         try:
             fractions = np.array(columns, dtype=np.float64).T
+        except ValueError as exc:
+            raise CompositionError(f"{where}: bad fraction ({exc})") from None
+        try:
             totals = np.array(list(map(math.fsum, fractions.tolist())))
-        except (ValueError, OverflowError):  # not a number; a sum fsum cannot form
-            return False
+        except (ValueError, OverflowError):  # huge or opposite infinite values
+            totals = np.full(n, math.nan)
         # NaN and inf fail the comparisons
         if not ((np.abs(totals - 1.0) <= PARSE_TOLERANCE) & (fractions.min(axis=1) >= 0.0)).all():
-            return False
+            raise _fraction_fault(where, self.elements, fractions[0].tolist(), float(totals[0]))
         if self.id_col is None:
             ids = list(map(str, range(first, first + n)))
         else:
@@ -454,25 +447,23 @@ class _CandidateRows:
                 ids = [c or str(i) for i, c in enumerate(ids, first)]
         fresh = dict.fromkeys(ids)
         if len(fresh) != n or not fresh.keys().isdisjoint(self.ids.keys()):
-            return False
-        measured = self._numbers(cells, self.measured_col)
-        potentials = self._numbers(cells, self.potential_col)
-        if measured is None or potentials is None:
-            return False
+            raise CompositionError(f"{where}: duplicate composition id {ids[0]!r}")
+        measured = self._numbers(where, cells, self.measured_col, "current_density")
+        potentials = self._numbers(where, cells, self.potential_col, "potential")
         if potentials:
             known = potentials[0][1] if self.potential is None else self.potential
             if any(v != known for _, v in potentials):
-                return False
+                raise CompositionError(
+                    f"{where}: conflicting potentials {known} and {potentials[0][1]}")
         self.ids.update(fresh)
         self.blocks.append(fractions / totals[:, None])
         self.measured.update((ids[j], v) for j, v in measured)
         if potentials:
             self.potential = potentials[-1][1]
-        return True
 
-    def _numbers(self, cells, col):
+    def _numbers(self, where: str, cells, col, name: str):
         """(row offset, value) of each non-blank cell of column ``col``, none
-        without the column, or None when a cell is not a finite number."""
+        without the column; a cell that is not a finite number raises."""
         if col is None:
             return []
         texts = [(j, text) for j, text in enumerate(map(str.strip, cells[col::self.width]))
@@ -480,44 +471,7 @@ class _CandidateRows:
         try:
             values = [(j, float(text)) for j, text in texts]
         except ValueError:
-            return None
-        return values if all(math.isfinite(v) for _, v in values) else None
-
-    def _fault(self, rows) -> CompositionError:
-        """The first fault of a block, met by checking it row by row: the first
-        bad row, and within it the first failed check in the order width,
-        fractions, duplicate id, current_density, potential."""
-        path, width, elements = self.path, self.width, self.elements
-        seen = set()
-        potential = self.potential
-        for i, row in enumerate(rows, len(self.ids) + 1):
-            where = f"{path} row {i}"
-            if len(row) != width:
-                return CompositionError(f"{where}: {len(row)} fields, the header has {width}")
-            try:
-                vals = [float(row[col] or "0") for col in self.element_cols]
-            except ValueError as exc:
-                return CompositionError(f"{where}: bad fraction ({exc})")
-            try:
-                total = math.fsum(vals)
-            except (OverflowError, ValueError):  # huge or opposite infinite values
-                total = math.nan
-            if not (abs(total - 1.0) <= PARSE_TOLERANCE and min(vals) >= 0.0):
-                return _fraction_fault(where, elements, vals, total)
-            comp_id = (row[self.id_col].strip() if self.id_col is not None else "") or str(i)
-            if comp_id in self.ids or comp_id in seen:
-                return CompositionError(f"{where}: duplicate composition id {comp_id!r}")
-            seen.add(comp_id)
-            try:
-                if self.measured_col is not None:
-                    _number(where, row[self.measured_col], "current_density")
-                if self.potential_col is not None:
-                    value = _number(where, row[self.potential_col], "potential")
-                    if value is not None:
-                        if potential is not None and value != potential:
-                            return CompositionError(
-                                f"{where}: conflicting potentials {potential} and {value}")
-                        potential = value
-            except CompositionError as exc:
-                return exc
-        raise AssertionError(f"{path}: a block failed a check that no row fails")
+            raise CompositionError(f"{where}: {name} {texts[0][1]!r} is not a number") from None
+        if not all(math.isfinite(v) for _, v in values):
+            raise CompositionError(f"{where}: non-finite {name} {values[0][1]}")
+        return values

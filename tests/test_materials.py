@@ -144,6 +144,11 @@ class TestEnumerateSimplex:
             back = parse_composition(comp.id, ("Ni", "Pt"))
             assert back.fractions == pytest.approx(comp.fractions, abs=1e-12)
 
+    def test_ids_stay_distinct_past_a_million_steps(self):
+        # six significant digits would print 500000/1000001 and 500001/1000001 alike
+        table = enumerate_simplex(("Ag", "Pt"), 1_000_001)
+        assert len(set(table.ids)) == len(table) == 1_000_002
+
     def test_count_guard(self):
         # C(67, 7), about 8.7e8 rows, over the 2,000,000 cap
         with pytest.raises(CompositionError, match="869648208 compositions, over the cap 2000000"):
@@ -613,6 +618,19 @@ class TestLoadCompositionsInputHoles:
         with open(path, "wb") as f:
             f.write(b"id,Ni,Pt\n" + b"\n".join(rows) + b"\n")
         with pytest.raises(CompositionError, match=r"cands\.csv " + message):
+            load_compositions(path)
+
+    def test_quoted_field_open_at_a_non_utf8_byte_names_its_line(self, tmp_path):
+        # the quote opens in the block that csv.reader takes over and is
+        # still open at the bad byte, over 8 KB (the decoder's read-ahead)
+        # further on, so csv.reader needs lines the decoder could not give
+        rows = [b"a%d,0.5,0.5" % i for i in range(1, 601)]
+        rows += [b'"a601', b"x" * 9000, b'\xff",0.5,0.5']
+        path = os.path.join(str(tmp_path), "cands.csv")
+        with open(path, "wb") as f:
+            f.write(b"id,Ni,Pt\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(CompositionError,
+                           match=r"cands\.csv line 604: not UTF-8 text \(invalid start byte\)$"):
             load_compositions(path)
 
     def test_non_utf8_file_rejected(self, tmp_path):
