@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernel
 from .corpus import CorpusError, load_corpus, open_text, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
 from .materials import (
@@ -212,9 +212,10 @@ def _cmd_select(args) -> int:
     else:
         docs = _load_documents(args)
         model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
-    projection = pca_project(model.vectors)
-    start = central_document(projection.points)
-    order = greedy_fps(projection.points, start, n=len(model.ids))
+    with kernel.one_blas_thread():  # as in refine, so both write the same selection.csv
+        projection = pca_project(model.vectors)
+        start = central_document(projection.points)
+        order = greedy_fps(projection.points, start, n=len(model.ids))
     save_selection(order, model.ids, args.out)
     print(f"seed document: {model.ids[start]}")
     print(f"ordered {len(order.indices)} documents into {args.out}")

@@ -1,10 +1,12 @@
-"""The compiled kernel library: ``_hs.c`` built with ``cc`` and loaded with ctypes.
+"""The native code litscreen calls through ctypes: the compiled kernel
+library, and the thread count of the BLAS library numpy already loaded.
 
-It holds the trainers' SGD loop, ``hs_train``, and nothing else: saving
-and loading models never touch it. :func:`library` compiles the source
-the first time it is called, never at import, and caches the result
-under this package's ``__pycache__/``, keyed on the source and the flags,
-so later processes load it without compiling.
+The kernel library is ``_hs.c`` built with ``cc``. It holds the trainers'
+SGD loop, ``hs_train``, and nothing else: saving and loading models never
+touch it. :func:`library` compiles the source the first time it is called,
+never at import, and caches the result under this package's
+``__pycache__/``, keyed on the source and the flags, so later processes
+load it without compiling.
 There is no fallback: a missing or failing compiler raises RuntimeError.
 
 ``FLAGS`` target baseline x86-64, yet on x86-64 Linux the library holds a
@@ -14,9 +16,21 @@ file therefore serves any x86-64 CPU, and its name needs no CPU in the
 key. The two give the same bits: ``-ffp-contract=off`` keeps multiply-adds
 unfused and nothing reassociates, so both do the same IEEE operations in
 the same order.
+
+:func:`one_blas_thread` holds numpy's OpenBLAS to one thread for a block.
+OpenBLAS worker threads that a call wakes spin on for a while after it
+returns, and so take cores from threads that train at the same time. On
+large enough inputs OpenBLAS's results also change in their last bits
+with its thread count; inside the block they are those of one thread on
+any machine. It loads no library: it looks up OpenBLAS's thread-count
+functions, on first use, through the handle of numpy's own linear-algebra
+extension, whose dependencies ``dlsym`` searches too. A numpy built on
+another BLAS has none of them, and the block then runs as it would
+without it.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -24,7 +38,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FLAGS", "library_path", "build", "library", "load"]
+__all__ = ["FLAGS", "library_path", "build", "library", "load", "one_blas_thread"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -108,3 +122,50 @@ def load(path: str):
                          out, optional_loss]
     hs_train.restype = int64
     return hs_train
+
+
+# (get, set) name pairs: numpy 2 wheels' scipy-openblas, then the 64-bit
+# integer and the plain builds of OpenBLAS
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
+    or None when numpy's BLAS is not OpenBLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's BLAS on one thread, and restore the
+    previous thread count when it ends, by return or by error alike.
+
+    The count is process-wide, so blocks on two threads must not overlap;
+    nested on one thread, each restores what it found. A no-op when
+    numpy's BLAS is not OpenBLAS.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

@@ -24,6 +24,14 @@ the last. A model trained for a t+1 that is not committed, and any error
 its training raised, is dropped, so records, artifacts and errors are
 those of a run that trains one iteration at a time. No thread outlives
 the call; while it runs, memory holds two word models.
+
+BLAS runs on one thread for the whole call
+(:func:`litscreen.kernel.one_blas_thread`): the OpenBLAS workers that the
+PCA's SVD would wake spin on after it returns and take a core from the
+two training threads. On one thread the SVD is no slower at 5,000
+documents. It also makes the PCA, and so the selection, the same at any
+BLAS thread count: on more than one thread OpenBLAS's SVD changes its last
+bits from a few hundred documents at dim 200, or about 15,000 at dim 48.
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .corpus import DocumentSet, build_vocabulary
 from .embedding import EmbeddingConfig, WordModel, build_huffman, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
@@ -147,59 +156,62 @@ def run_refinement(
     if not candidates:
         raise RefinementError("empty candidate list")
 
-    token_lists = docs.token_lists()
+    with kernel.one_blas_thread():
+        token_lists = docs.token_lists()
 
-    required = set(config.anchors.terms) | set(candidates.present())
+        required = set(config.anchors.terms) | set(candidates.present())
 
-    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
-    projection = pca_project(doc_model.vectors)
-    start = central_document(projection.points)
-    order = greedy_fps(projection.points, start, len(docs))
+        doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
+        projection = pca_project(doc_model.vectors)
+        start = central_document(projection.points)
+        order = greedy_fps(projection.points, start, len(docs))
 
-    n_docs = len(docs)
-    max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
-    if config.max_iterations is not None:
-        max_iters = min(max_iters, config.max_iterations)
+        n_docs = len(docs)
+        max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
+        if config.max_iterations is not None:
+            max_iters = min(max_iters, config.max_iterations)
 
-    def batch(t):
-        subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
-        return [token_lists[i] for i in subset]
+        def batch(t):
+            # train in corpus order
+            subset = sorted(cumulative_batches(order, t, config.batch_size))
+            return [token_lists[i] for i in subset]
 
-    records: list[IterationRecord] = []
-    prev_centroid: np.ndarray | None = None
-    converged = False
-    model: WordModel | None = None  # None until the first complete iteration
-    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
-    try:
-        for t in range(1, max_iters + 1):
-            record = IterationRecord(iteration=t, documents_used=min(config.batch_size * t, n_docs))
-            if ahead is not None:
-                model, ahead = ahead.result(), None
-            else:
-                tokens = batch(t)
-                if model is None:  # vocabularies only grow: once complete, always complete
-                    vocab = build_vocabulary(tokens, config.embedding.min_count)
-                    record.missing = tuple(sorted(required - vocab.index.keys()))
-                    if record.missing and t == 1:  # raise what training it would
-                        build_huffman(vocab)
+        records: list[IterationRecord] = []
+        prev_centroid: np.ndarray | None = None
+        converged = False
+        model: WordModel | None = None  # None until the first complete iteration
+        ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
+        try:
+            for t in range(1, max_iters + 1):
+                used = min(config.batch_size * t, n_docs)
+                record = IterationRecord(iteration=t, documents_used=used)
+                if ahead is not None:
+                    model, ahead = ahead.result(), None
+                else:
+                    tokens = batch(t)
+                    if model is None:  # vocabularies only grow: once complete, always complete
+                        vocab = build_vocabulary(tokens, config.embedding.min_count)
+                        record.missing = tuple(sorted(required - vocab.index.keys()))
+                        if record.missing and t == 1:  # raise what training it would
+                            build_huffman(vocab)
+                    if not record.missing:
+                        if t < max_iters:
+                            ahead = _Lookahead(batch(t + 1), config.embedding)
+                            ahead.start()
+                        model = train_word2vec(tokens, config.embedding)
                 if not record.missing:
-                    if t < max_iters:
-                        ahead = _Lookahead(batch(t + 1), config.embedding)
-                        ahead.start()
-                    model = train_word2vec(tokens, config.embedding)
-            if not record.missing:
-                c = centroid(similarity_points(model, candidates, config.anchors))
-                record.centroid = (float(c[0]), float(c[1]))
-                if prev_centroid is not None:
-                    record.displacement = float(np.linalg.norm(c - prev_centroid))
-                prev_centroid = c
-            records.append(record)
-            if record.displacement is not None and record.displacement < config.threshold:
-                converged = True
-                break
-    finally:
-        if ahead is not None:  # t converged or raised: drop t+1, and its error with it
-            ahead.join()
+                    c = centroid(similarity_points(model, candidates, config.anchors))
+                    record.centroid = (float(c[0]), float(c[1]))
+                    if prev_centroid is not None:
+                        record.displacement = float(np.linalg.norm(c - prev_centroid))
+                    prev_centroid = c
+                records.append(record)
+                if record.displacement is not None and record.displacement < config.threshold:
+                    converged = True
+                    break
+        finally:
+            if ahead is not None:  # t converged or raised: drop t+1, and its error with it
+                ahead.join()
 
     if model is None:
         last = records[-1]

@@ -6,6 +6,9 @@ resolves to.
 attribute stripped, the source builds one plain ``hs_train`` for whatever
 ISA the flags name: ``kernel.FLAGS`` alone for baseline x86-64, plus
 ``-mavx2`` for AVX2.
+
+``openblas`` sets numpy's OpenBLAS to two threads for a test, so that a
+test of ``kernel.one_blas_thread`` means the same on any core count.
 """
 import functools
 import os
@@ -54,3 +57,18 @@ def single_isa_kernel(single_isa_source, tmp_path_factory):
         return load(isa)
 
     return get
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS (get, set) thread-count functions, the count set to
+    two for the test and restored after it; skips the test where numpy's
+    BLAS is not OpenBLAS, as one_blas_thread then has nothing to do."""
+    threads = kernel._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)

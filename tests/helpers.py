@@ -18,6 +18,8 @@ converts one row at a time, the oracle for the block reader in
 ``load_compositions``. ``reference_run_refinement`` is the refinement loop
 that trains one iteration at a time on the calling thread, the oracle for
 ``run_refinement``, which trains them in pairs on two threads.
+``blas_threads`` reads numpy's BLAS thread count, which ``run_refinement``
+must leave as it found it.
 """
 import csv
 import heapq
@@ -29,6 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from litscreen import kernel
 from litscreen.corpus import element_symbols
 from litscreen.embedding import HuffmanCoding, train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
@@ -438,3 +441,9 @@ def reference_run_refinement(docs, candidates, config):
         final_model=model,
         selection_order=order,
     )
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, or None when its BLAS is not OpenBLAS."""
+    threads = kernel._openblas_threads()
+    return None if threads is None else threads[0]()

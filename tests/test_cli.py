@@ -270,6 +270,25 @@ class TestScreeningNeedsNoKernel:
         assert without[1] == with_library[1] and len(without[1]) == 2
 
 
+class TestSelectMatchesRefine:
+    def test_select_writes_the_selection_refine_writes(self, capsys, tmp_path, openblas):
+        # 300 documents at dim 200: on two threads OpenBLAS's SVD gives
+        # other bits than on one, and refine runs it on one
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "300", "--rare-docs", "3")
+        corpus = os.path.join(data, "corpus.csv")
+        conf = write(str(tmp_path / "c.conf"), "dim = 200\nepochs = 1\nwindow = 2\n")
+        rundir = str(tmp_path / "run")
+        assert run(capsys, "refine", "--corpus", corpus,
+                   "--candidates", os.path.join(data, "candidates.csv"), "--config", conf,
+                   "--batch-size", "150", "--threshold", "5", "--out", rundir)[0] == 0
+        selection = str(tmp_path / "selection.csv")
+        assert run(capsys, "select", "--corpus", corpus, "--config", conf,
+                   "--out", selection)[0] == 0
+        with open(selection, "rb") as a, open(os.path.join(rundir, "selection.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+
 class TestPipeline:
     def test_synth_through_report(self, capsys, tmp_path):
         data = str(tmp_path / "data")

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import os
 import subprocess
 
@@ -6,6 +7,11 @@ import numpy as np
 import pytest
 
 from litscreen import kernel
+from litscreen.corpus import Document, DocumentSet, preprocess_set
+from litscreen.embedding import EmbeddingConfig
+from litscreen.refine import RefineConfig, run_refinement
+from litscreen.selection import Projection, pca_project
+from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -53,3 +59,95 @@ def read_only(a):
 def test_bad_loss_buffer_rejected(loss):
     with pytest.raises(ctypes.ArgumentError, match="argument 17"):
         train_one_pair(np.full(3, 0.5), loss)
+
+
+def seeded_matrix(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    return rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10.0, cols)
+
+
+def assert_same_projection(got, want):
+    for field in dataclasses.fields(Projection):
+        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), field.name
+
+
+# Document matrices (documents x dim) of the sizes the tests and the
+# benchmark workloads project, and 5,000 documents at dim 48: OpenBLAS's
+# SVD of them gives the same bits on one thread as on two
+SAME_BITS = [(3, 2), (40, 3), (120, 12), (100, 200), (500, 48), (5000, 48)]
+# Larger ones, whose SVD gives other bits on two threads than on one
+OTHER_BITS = [(500, 200), (5000, 200), (20000, 48), (20000, 200)]
+
+
+@pytest.mark.parametrize("rows, cols", SAME_BITS)
+def test_pca_keeps_its_bits_on_one_blas_thread(openblas, rows, cols):
+    get, _ = openblas
+    x = seeded_matrix(rows, cols)
+    two = pca_project(x)
+    with kernel.one_blas_thread():
+        assert get() == 1
+        one = pca_project(x)
+    assert_same_projection(one, two)
+
+
+@pytest.mark.parametrize("rows, cols", SAME_BITS + OTHER_BITS)
+def test_pca_on_one_blas_thread_ignores_the_count_outside(openblas, rows, cols):
+    # the cap makes refine's PCA, and so its selection, the same whatever
+    # BLAS thread count the machine or the environment sets
+    _, set_ = openblas
+    x = seeded_matrix(rows, cols)
+    with kernel.one_blas_thread():
+        want = pca_project(x)
+    for outside in (1, 3):
+        set_(outside)
+        with kernel.one_blas_thread():
+            assert_same_projection(pca_project(x), want)
+
+
+class Raised(RuntimeError):
+    pass
+
+
+def test_thread_count_restored_on_return_and_on_error(openblas):
+    get, _ = openblas
+    with kernel.one_blas_thread():
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(Raised):
+        with kernel.one_blas_thread():
+            assert get() == 1
+            raise Raised
+    assert get() == 2
+
+
+def test_nested_or_at_one_thread_leaves_the_count_as_found(openblas):
+    get, set_ = openblas
+    with kernel.one_blas_thread():
+        with kernel.one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    set_(1)
+    with kernel.one_blas_thread():
+        assert get() == 1
+    assert get() == 1
+
+
+def planted_run():
+    rows = synthetic_corpus(SynthSpec(n_docs=120, rare_docs=3, seed=1))
+    docs = preprocess_set(DocumentSet(documents=[Document(id=i, text=t) for i, t in rows]))
+    config = RefineConfig(batch_size=15, threshold=0.1,
+                          embedding=EmbeddingConfig(dim=12, window=3, epochs=1))
+    return run_refinement(docs, synthetic_candidates(3), config)
+
+
+def test_without_openblas_functions_the_block_changes_nothing(openblas, monkeypatch):
+    get, _ = openblas
+    expected = planted_run()
+    monkeypatch.setattr(kernel, "_openblas_threads", lambda: None)
+    with kernel.one_blas_thread():
+        assert get() == 2
+    result = planted_run()
+    assert get() == 2
+    assert result.records == expected.records and result.converged
+    assert result.final_model.vectors.tobytes() == expected.final_model.vectors.tobytes()

@@ -22,7 +22,7 @@ from litscreen.refine import (
 from litscreen.selection import cumulative_batches
 from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus
 
-from helpers import reference_run_refinement
+from helpers import blas_threads, reference_run_refinement
 
 EMB = EmbeddingConfig(dim=12, window=2, epochs=2)
 
@@ -346,6 +346,12 @@ def fail_at(monkeypatch, t_fail, batch_size, n_docs):
     return raised
 
 
+def running_threads():
+    """The live Python threads and numpy's BLAS thread count, both of which
+    run_refinement must leave as it found them, on every return and raise."""
+    return threading.active_count(), blas_threads()
+
+
 def first_trained(name):
     """The case's first iteration with a complete vocabulary, the first one
     that run_refinement trains."""
@@ -361,9 +367,9 @@ class TestPairedIterations:
     def test_matches_serial_loop(self, name):
         docs, candidates, config, iterations, converged = paired_case(name)
         expected = reference_run_refinement(docs, candidates, config)
-        threads = threading.active_count()
+        threads = running_threads()
         result = run_refinement(docs, candidates, config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
         assert_same_run(result, expected)
         # the case covers what its name says
         assert (len(result.records), result.converged) == (iterations, converged)
@@ -381,10 +387,10 @@ class TestPairedIterations:
         docs = make_docs()
         with pytest.raises(error, match=pattern) as want:
             reference_run_refinement(docs, synthetic_candidates(3), config)
-        threads = threading.active_count()
+        threads = running_threads()
         with pytest.raises(error) as got:
             run_refinement(docs, synthetic_candidates(3), config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_exhaustion_error_matches_serial_loop(self):
@@ -393,10 +399,10 @@ class TestPairedIterations:
                               anchors=PropertyAnchors(terms=("dielectric", "unobtainium")))
         with pytest.raises(RefinementError) as want:
             reference_run_refinement(docs, synthetic_candidates(3), config)
-        threads = threading.active_count()
+        threads = running_threads()
         with pytest.raises(RefinementError) as got:
             run_refinement(docs, synthetic_candidates(3), config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("corpus exhausted before any centroid was definable;")
 
@@ -411,10 +417,10 @@ class TestPairedIterations:
         t_fail = first_trained(name) + k - 1
         assert first_trained(name) + 3 == iterations
         fail_at(monkeypatch, t_fail, config.batch_size, len(docs))
-        threads = threading.active_count()
+        threads = running_threads()
         with pytest.raises(InjectedError, match=f"^t={t_fail}$"):
             run_refinement(docs, candidates, config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
 
     def test_error_in_a_discarded_iteration_never_escapes(self, monkeypatch):
         docs, candidates, config, iterations, _ = paired_case("planted-discards-a-lookahead")
@@ -422,9 +428,9 @@ class TestPairedIterations:
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
         raised = fail_at(monkeypatch, iterations + 1, config.batch_size, len(docs))
-        threads = threading.active_count()
+        threads = running_threads()
         result = run_refinement(docs, candidates, config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
         assert_same_run(result, expected)
         assert hooked == []
         assert raised == [iterations + 1]  # the look-ahead did train, and failed
@@ -439,10 +445,10 @@ class TestPairedIterations:
             raise InjectedError(f"documents={len(token_lists)}")
 
         monkeypatch.setattr(refine, "train_word2vec", train)
-        threads = threading.active_count()
+        threads = running_threads()
         with pytest.raises(InjectedError, match=f"^documents={documents}$"):
             run_refinement(docs, candidates, config)
-        assert threading.active_count() == threads
+        assert running_threads() == threads
 
 
 def random_case(draw):
@@ -467,7 +473,7 @@ def test_random_runs_match_serial_loop(draw):
     # the one loop's edges: leading incomplete iterations, odd and even
     # stops, limits below and past the corpus, errors at t = 1 and at the limit
     docs, candidates, config = random_case(draw)
-    threads = threading.active_count()
+    threads = running_threads()
     try:
         expected = reference_run_refinement(docs, candidates, config)
     except (RefinementError, CorpusError, ValueError) as exc:
@@ -476,4 +482,4 @@ def test_random_runs_match_serial_loop(draw):
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
     else:
         assert_same_run(run_refinement(docs, candidates, config), expected)
-    assert threading.active_count() == threads
+    assert running_threads() == threads
