@@ -19,19 +19,11 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
-from . import __version__, kernel
+from . import __version__
 from .corpus import CorpusError, load_corpus, open_text, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
-from .materials import (
-    CompositionError,
-    PropertyAnchors,
-    load_compositions,
-    similarity_points,
-)
+from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
-    PersistenceError,
     config_from_pairs,
     config_pairs,
     file_digest,
@@ -42,14 +34,13 @@ from .persistence import (
     save_doc_model,
     save_iteration_log,
     save_model,
+    save_scores,
     save_selection,
     save_tokens,
-    write_csv,
     write_manifest,
 )
-from .refine import RefineConfig, RefinementError, run_refinement
+from .refine import RefineConfig, RefinementError, run_refinement, selection_order
 from .screen import Objectives, format_summary, pareto_front
-from .selection import central_document, greedy_fps, pca_project
 from .synth import (
     SynthSpec,
     synthetic_candidates,
@@ -58,15 +49,8 @@ from .synth import (
     write_corpus_csv,
 )
 
-_DATA_ERRORS = (
-    CorpusError,
-    CompositionError,
-    PersistenceError,
-    OutOfVocabularyError,
-    RefinementError,
-    OSError,
-    ValueError,
-)
+# CorpusError, CompositionError and PersistenceError are ValueErrors
+_DATA_ERRORS = (OutOfVocabularyError, RefinementError, OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,12 +196,9 @@ def _cmd_select(args) -> int:
     else:
         docs = _load_documents(args)
         model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
-    with kernel.one_blas_thread():  # as in refine, so both write the same selection.csv
-        projection = pca_project(model.vectors)
-        start = central_document(projection.points)
-        order = greedy_fps(projection.points, start, n=len(model.ids))
+    order = selection_order(model.vectors)  # refine's stage, so both write one selection.csv
     save_selection(order, model.ids, args.out)
-    print(f"seed document: {model.ids[start]}")
+    print(f"seed document: {model.ids[order.indices[0]]}")
     print(f"ordered {len(order.indices)} documents into {args.out}")
     return 0
 
@@ -277,16 +258,6 @@ def _front_for(model_base: str, candidates, anchors, objectives):
     return scores, pareto_front(scores, objectives)
 
 
-# `screen --out` formats its table this many rows at a time
-_TABLE_BLOCK = 2048
-
-
-def _g17(values: np.ndarray) -> list[str]:
-    """Each value as ``%.17g``, the bytes of ``f"{x:.17g}"``, from one ``%`` call."""
-    values = values.tolist()
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
-
-
 def _cmd_screen(args) -> int:
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
     scores, front = _front_for(args.model, candidates, args.anchors, args.preset or Objectives())
@@ -295,21 +266,9 @@ def _cmd_screen(args) -> int:
     for i in front:
         print(f"{candidates.ids[i]} {scores[i, 0]:.6f} {scores[i, 1]:.6f}")
     if args.out:
-        write_csv(args.out, ["id", "s_dielectric", "s_conductivity", "on_front"],
-                  _score_rows(candidates.ids, scores, front))
+        save_scores(scores, candidates.ids, front, args.out)
         print(f"similarity table: {args.out}")
     return 0
-
-
-def _score_rows(ids, scores: np.ndarray, front):
-    """The rows of the ``screen --out`` table, formatted a block at a time,
-    so that the text of one block is held at a time."""
-    on_front = np.full(len(ids), "0")
-    on_front[front] = "1"
-    for start in range(0, len(ids), _TABLE_BLOCK):
-        block = slice(start, start + _TABLE_BLOCK)
-        yield from zip(ids[block], _g17(scores[block, 0]), _g17(scores[block, 1]),
-                       on_front[block].tolist())
 
 
 def _cmd_report(args) -> int:

@@ -12,8 +12,8 @@ naming the file. The ``.npy`` header is read and checked with
 the file must hold exactly the values its header declares. A non-finite
 value, a repeated label or a label holding a line break fails naming the
 file and the row, on save before any file is opened and on load. A
-refinement run's per-iteration log is one CSV, ``iterations.csv``. Floats
-in text are written with 17 significant digits, which is exact for 64-bit
+refinement run's log, ``iterations.csv``, and the ``screen --out`` table
+are one CSV each; floats in text are ``%.17g``, exact for 64-bit
 floats. Writers go through a temp file and an atomic rename so readers
 never observe a partial artifact, and a model's ``.meta`` is removed
 first and written last, so a model saved only in part does not load. A
@@ -47,6 +47,7 @@ __all__ = [
     "load_tokens",
     "save_selection",
     "save_iteration_log",
+    "save_scores",
     "write_manifest",
     "file_digest",
     "write_csv",
@@ -66,6 +67,7 @@ MANIFEST_FORMAT = "litscreen-manifest/1"
 _BLOCK_ROWS = 2048
 # What csv.writer quotes (QUOTE_MINIMAL) when its line end is "\r\n".
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
+_FLOAT = "%.17g"  # every float written as text
 
 
 class PersistenceError(ValueError):
@@ -73,7 +75,12 @@ class PersistenceError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """Each value as ``_fmt`` writes it, from one ``%`` call."""
+    return ((_FLOAT + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 @contextlib.contextmanager
@@ -152,7 +159,8 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _read_labels(path: str) -> list[str]:
-    """One label per line of a UTF-8 file, each ended by ``\\n``."""
+    """One label per line of a UTF-8 file, each ended by ``\\n``; read as
+    bytes, since ``open_text``'s ``utf-8-sig`` would drop a leading U+FEFF."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -416,6 +424,18 @@ def save_iteration_log(records: list[IterationRecord], path: str):
         rows.append((str(rec.iteration), str(rec.documents_used), complete, cx, cy, disp))
     write_csv(path, ["t", "documents_used", "vocab_complete", "centroid_x", "centroid_y",
                      "displacement"], rows)
+
+
+def save_scores(scores: np.ndarray, ids, front, path: str):
+    """CSV of each candidate's id, its two similarity scores and whether it
+    is on the Pareto front (1 or 0), formatted a block at a time."""
+    on_front = np.full(len(ids), "0")
+    on_front[front] = "1"
+    blocks = (slice(i, i + _BLOCK_ROWS) for i in range(0, len(ids), _BLOCK_ROWS))
+    write_csv(path, ["id", "s_dielectric", "s_conductivity", "on_front"],
+              (row for b in blocks for row in zip(
+                  ids[b], _fmt_column(scores[b, 0]), _fmt_column(scores[b, 1]),
+                  on_front[b].tolist())))
 
 
 def file_digest(path: str) -> str:

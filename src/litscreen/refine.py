@@ -1,8 +1,9 @@
 """The iterative corpus-refinement loop.
 
 Document vectors trained on the full corpus are projected to 2D and
-ordered by greedy farthest-point sampling from the central document.
-Each iteration retrains a fresh word model on one more batch of selected
+ordered by greedy farthest-point sampling from the central document, in
+:func:`selection_order`, which ``litscreen select`` runs too. Each
+iteration retrains a fresh word model on one more batch of selected
 documents and tracks the Euclidean displacement of the candidate-set
 centroid in similarity space; growth stops once the displacement drops
 below the threshold. A run keeps one record per iteration, the selection
@@ -23,7 +24,8 @@ kernel runs), and t+1 is committed only if t neither converged nor was
 the last. A model trained for a t+1 that is not committed, and any error
 its training raised, is dropped, so records, artifacts and errors are
 those of a run that trains one iteration at a time. No thread outlives
-the call; while it runs, memory holds two word models.
+the call; the committed model is dropped as a pair starts, so memory
+holds at most two word models.
 
 BLAS runs on one thread for the whole call
 (:func:`litscreen.kernel.one_blas_thread`): the OpenBLAS workers that the
@@ -51,6 +53,7 @@ __all__ = [
     "IterationRecord",
     "RefinementResult",
     "RefinementError",
+    "selection_order",
     "run_refinement",
 ]
 
@@ -125,6 +128,15 @@ class _Lookahead(threading.Thread):
         return self._model
 
 
+def selection_order(vectors: np.ndarray) -> SelectionOrder:
+    """The rows of ``vectors`` in greedy farthest-point order over their 2D
+    PCA projection from the central row, computed with BLAS on one thread."""
+    with kernel.one_blas_thread():
+        projection = pca_project(vectors)
+        start = central_document(projection.points)
+        return greedy_fps(projection.points, start, len(vectors))
+
+
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -162,9 +174,7 @@ def run_refinement(
         required = set(config.anchors.terms) | set(candidates.present())
 
         doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
-        projection = pca_project(doc_model.vectors)
-        start = central_document(projection.points)
-        order = greedy_fps(projection.points, start, len(docs))
+        order = selection_order(doc_model.vectors)
 
         n_docs = len(docs)
         max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
@@ -179,7 +189,7 @@ def run_refinement(
         records: list[IterationRecord] = []
         prev_centroid: np.ndarray | None = None
         converged = False
-        model: WordModel | None = None  # None until the first complete iteration
+        model: WordModel | None = None  # the committed model, dropped when a pair starts
         ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
         try:
             for t in range(1, max_iters + 1):
@@ -189,12 +199,13 @@ def run_refinement(
                     model, ahead = ahead.result(), None
                 else:
                     tokens = batch(t)
-                    if model is None:  # vocabularies only grow: once complete, always complete
+                    if prev_centroid is None:  # no complete t yet; vocabularies only grow
                         vocab = build_vocabulary(tokens, config.embedding.min_count)
                         record.missing = tuple(sorted(required - vocab.index.keys()))
                         if record.missing and t == 1:  # raise what training it would
                             build_huffman(vocab)
                     if not record.missing:
+                        model = None  # so memory holds only the pair in training
                         if t < max_iters:
                             ahead = _Lookahead(batch(t + 1), config.embedding)
                             ahead.start()
@@ -213,7 +224,7 @@ def run_refinement(
             if ahead is not None:  # t converged or raised: drop t+1, and its error with it
                 ahead.join()
 
-    if model is None:
+    if prev_centroid is None:
         last = records[-1]
         cause = "corpus exhausted"
         if last.documents_used < n_docs:

@@ -116,9 +116,17 @@ def write_corpus_csv(rows: list[tuple[str, str]], path: str):
 
 def write_candidates_csv(candidates: CandidateTable, path: str):
     """An id column, then one fraction column per element in sorted order,
-    each value written as ``%.17g``."""
+    each value written as ``%.17g``. A repeated id, which ``load_compositions``
+    rejects, raises ValueError naming its row before the file is opened."""
+    ids = candidates.ids
+    if len(set(ids)) < len(ids):  # one set on the happy path, not a Python loop
+        seen = set()
+        for i, comp_id in enumerate(ids):
+            if comp_id in seen:
+                raise ValueError(f"{path} row {i + 1}: duplicate composition id {comp_id!r}")
+            seen.add(comp_id)
     elements = sorted(candidates.elements)
     columns = candidates.fractions[:, [candidates.elements.index(el) for el in elements]]
     write_csv(path, ["id"] + elements,
               ([comp_id] + [f"{x:.17g}" for x in row]
-               for comp_id, row in zip(candidates.ids, columns.tolist())))
+               for comp_id, row in zip(ids, columns.tolist())))

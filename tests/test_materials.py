@@ -833,6 +833,14 @@ class TestLoadCompositionsFuzz:
 
 
 class TestCandidateCsvRoundTrip:
+    def test_repeated_id_refused_before_the_file_is_opened(self, tmp_path):
+        # load_compositions would reject the file: "row 2: duplicate composition id 'x'"
+        table = CandidateTable(("Ag", "Pt"), ("x", "x"), [[1, 0], [0, 1]])
+        path = str(tmp_path / "c.csv")
+        with pytest.raises(ValueError, match=r"c\.csv row 2: duplicate composition id 'x'$"):
+            write_candidates_csv(table, path)
+        assert os.listdir(tmp_path) == []
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(sorted(element_symbols())), min_size=2, max_size=6,
                     unique=True),

@@ -568,6 +568,14 @@ class TestDocModelRoundTrip:
         save_doc_model(model, base)
         assert load_doc_model(base).ids == ["a b c", "x y", "z"]
 
+    def test_id_starting_with_a_byte_order_mark_survives(self, tmp_path):
+        # labels are read as bytes: a utf-8-sig read would drop the first U+FEFF
+        ids = ["\ufeffa", "b", "\ufeffc"]
+        model = train_doc2vec(DOCS[:3], CFG, ids=ids)
+        base = str(tmp_path / "d")
+        save_doc_model(model, base)
+        assert load_doc_model(base).ids == ids
+
     def test_word_meta_rejected(self, tmp_path):
         model = trained_model()
         save_model(model, str(tmp_path / "m"))

@@ -1,5 +1,7 @@
+import gc
 import math
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -434,6 +436,34 @@ class TestPairedIterations:
         assert_same_run(result, expected)
         assert hooked == []
         assert raised == [iterations + 1]  # the look-ahead did train, and failed
+
+    def test_no_earlier_pair_is_held_while_a_pair_trains(self, monkeypatch):
+        # each training is known by its documents; when one starts, no model
+        # returned for an earlier pair may still be reachable, so memory
+        # holds the two models of the pair in training and no third
+        name = "planted-leading-missing-tokens"
+        docs, candidates, config, iterations, _ = paired_case(name)
+        t0 = first_trained(name)
+        real = refine.train_word2vec
+        returned, held = {}, []
+
+        def pair(t):
+            return (t - t0) // 2
+
+        def train(token_lists, config_):
+            t = -(-len(token_lists) // config.batch_size)
+            gc.collect()
+            held.extend((t, s) for s, ref in list(returned.items())
+                        if pair(s) < pair(t) and ref() is not None)
+            model = real(token_lists, config_)
+            returned[t] = weakref.ref(model)
+            return model
+
+        monkeypatch.setattr(refine, "train_word2vec", train)
+        run_refinement(docs, candidates, config)
+        assert sorted(returned) == list(range(t0, iterations + 1))
+        assert pair(iterations) >= 2  # the case has three pairs or more
+        assert held == []
 
     def test_error_in_both_iterations_surfaces_the_earlier(self, monkeypatch):
         # both threads of the first pair, t0 and t0 + 1, fail
