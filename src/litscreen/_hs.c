@@ -35,17 +35,17 @@ static double softplus_neg(double sz)
    where processed counts the items trained before this block:
    max(alpha_min, alpha0 - span * (processed / total)).
 
-   The results are fixed to the bit, not just to rounding: each score is
-   one node's dot product summed in k order, and each center-gradient
+   The results are fixed to the bit, not just to rounding. Each score is
+   one node's dot product in four lanes: lane r sums k = r, r + 4, ... in
+   k order, the lanes add as (a0 + a1) + (a2 + a3), then the dim % 4 tail
+   adds in k order, so four chains of adds overlap. Each center-gradient
    entry neu1e[k] takes the path's terms z[j] * node_j[k] one add at a
-   time in path (j) order, never pre-summed. Both passes handle four path
-   nodes at a time and the last 1-3 one by one. The score pass interleaves
-   across nodes only, never within one sum, so the adds of four chains
-   overlap while each chain keeps its order; the update pass writes the
-   four node rows in the same pass as their four neu1e adds. The rows
-   never alias, as a Huffman path repeats no node.
+   time in path (j) order, never pre-summed. The update pass handles four
+   path nodes at a time and the last 1-3 one by one, writing the four node
+   rows in the same pass as their four neu1e adds. The rows never alias,
+   as a Huffman path repeats no node.
    This holds only without FMA contraction (-ffp-contract=off) and without
-   reassociation (no -ffast-math).
+   reassociation by the compiler (no -ffast-math).
 
    work must hold (longest path + dim) doubles. Only when loss is not
    NULL is each pair's pre-update loss added to *loss in pair order; a
@@ -81,29 +81,20 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
             const int64_t *path = path_nodes + first;
             const double *signs = path_signs + first;
             double *restrict z = work, *restrict neu1e = work + len;
-            int64_t j = 0;
+            int64_t j;
 
-            for (; j + 4 <= len; j += 4) {
-                const double *n0 = nodes + path[j] * dim;
-                const double *n1 = nodes + path[j + 1] * dim;
-                const double *n2 = nodes + path[j + 2] * dim;
-                const double *n3 = nodes + path[j + 3] * dim;
-                double z0 = 0.0, z1 = 0.0, z2 = 0.0, z3 = 0.0;
-                for (int64_t k = 0; k < dim; k++) {
-                    z0 += n0[k] * c[k];
-                    z1 += n1[k] * c[k];
-                    z2 += n2[k] * c[k];
-                    z3 += n3[k] * c[k];
-                }
-                z[j] = z0;
-                z[j + 1] = z1;
-                z[j + 2] = z2;
-                z[j + 3] = z3;
-            }
-            for (; j < len; j++) {
+            for (j = 0; j < len; j++) {
                 const double *nd = nodes + path[j] * dim;
-                double zj = 0.0;
-                for (int64_t k = 0; k < dim; k++)
+                double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+                int64_t k = 0;
+                for (; k + 4 <= dim; k += 4) {
+                    a0 += nd[k] * c[k];
+                    a1 += nd[k + 1] * c[k + 1];
+                    a2 += nd[k + 2] * c[k + 2];
+                    a3 += nd[k + 3] * c[k + 3];
+                }
+                double zj = (a0 + a1) + (a2 + a3);
+                for (; k < dim; k++)
                     zj += nd[k] * c[k];
                 z[j] = zj;
             }

@@ -13,8 +13,10 @@ import contextlib
 import csv
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import chain
 
 __all__ = [
     "CorpusError",
@@ -267,12 +269,10 @@ def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be positive, got {min_count}")
-    counts: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(chain.from_iterable(token_lists))
     kept = {t: c for t, c in counts.items() if c >= min_count}
     if not kept:
         raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
-    ordered = sorted(kept, key=lambda t: (-kept[t], t))
+    # by token, then stably by descending count: the order of (-count, token)
+    ordered = sorted(sorted(kept), key=kept.__getitem__, reverse=True)
     return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)

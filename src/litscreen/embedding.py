@@ -7,7 +7,8 @@ token) items. The per-pair step runs in the compiled kernel library
 (``_hs.c``, built and loaded by :mod:`litscreen.kernel` the first time a
 trainer runs). The same step in numpy, ``hs_step``, lives in the tests
 as the reference the kernel is checked against. Training is sequential
-and bit-reproducible for a fixed seed and compiler.
+and bit-reproducible for a fixed seed and compiler; the kernel sums each
+score in a fixed four-lane order (``_hs.c``), not in k order.
 """
 from __future__ import annotations
 

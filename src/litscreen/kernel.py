@@ -14,8 +14,9 @@ baseline and an AVX2 ``hs_train`` (GCC ``target_clones``), and the
 dynamic loader picks one by CPUID when the library is loaded. One cached
 file therefore serves any x86-64 CPU, and its name needs no CPU in the
 key. The two give the same bits: ``-ffp-contract=off`` keeps multiply-adds
-unfused and nothing reassociates, so both do the same IEEE operations in
-the same order.
+unfused and the compiler reassociates nothing, so both do the same IEEE
+operations in the source's fixed order: each score in four lanes over
+k mod 4, added as (a0 + a1) + (a2 + a3), then the dim % 4 tail in k order.
 
 :func:`one_blas_thread` holds numpy's OpenBLAS to one thread for a block.
 OpenBLAS worker threads that a call wakes spin on for a while after it

@@ -10,7 +10,9 @@ hierarchical-softmax SGD step in numpy, the reference for the compiled
 trainer kernel, and ``code_path`` reads one token's path and code out of
 the flat Huffman table that kernel reads. ``reference_build_huffman`` is
 the heap-merged tree builder, the oracle for the two-queue merge in
-``build_huffman``. ``parse_composition`` and
+``build_huffman``. ``reference_build_vocabulary`` is the dict-counting
+loop with one keyed sort, the oracle for ``build_vocabulary``'s counter
+and two stable sorts. ``parse_composition`` and
 ``read_manifest`` read formula strings and run manifests, and
 ``cosine_similarity`` scores one pair of vectors; only the tests need them.
 ``reference_load_compositions`` is the candidate CSV reader that checks and
@@ -32,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from litscreen import kernel
-from litscreen.corpus import element_symbols
+from litscreen.corpus import CorpusError, Vocabulary, element_symbols
 from litscreen.embedding import HuffmanCoding, train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
@@ -127,6 +129,22 @@ def code_path(coding, token):
     """Token ``token``'s (internal-node indices root first, +/-1 code) in ``coding``."""
     span = slice(coding.offsets[token], coding.offsets[token + 1])
     return coding.nodes[span], coding.signs[span]
+
+
+def reference_build_vocabulary(token_lists, min_count=1):
+    """``build_vocabulary`` counted one token at a time into a dict and
+    ordered by one sort on (-count, token)."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be positive, got {min_count}")
+    counts = {}
+    for tokens in token_lists:
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+    kept = {t: c for t, c in counts.items() if c >= min_count}
+    if not kept:
+        raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
+    ordered = sorted(kept, key=lambda t: (-kept[t], t))
+    return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)
 
 
 def reference_build_huffman(vocab):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_build_vocabulary
 from litscreen.corpus import (
     CorpusError,
     build_vocabulary,
@@ -199,6 +200,26 @@ class TestVocabulary:
         vocab = build_vocabulary([["c", "b", "b", "a", "a", "a"]])
         for i, t in enumerate(vocab.tokens()):
             assert vocab.index[t] == i
+
+    # few short tokens over a small alphabet, so counts tie often; empty
+    # documents, and min_count values that empty the vocabulary
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.text("aAbé°μÅ–", min_size=1, max_size=2), max_size=12),
+                    max_size=6),
+           st.integers(1, 3))
+    def test_matches_reference_loop(self, token_lists, min_count):
+        try:
+            want = reference_build_vocabulary(token_lists, min_count)
+        except CorpusError as exc:
+            with pytest.raises(CorpusError, match=re.escape(str(exc))):
+                build_vocabulary(iter(token_lists), min_count)
+            return
+        got = build_vocabulary(iter(token_lists), min_count)
+        # the same entries in the same insertion order
+        assert list(got.index.items()) == list(want.index.items())
+        assert list(got.counts.items()) == list(want.counts.items())
+        # a Counter would answer 0 for an unknown token instead of raising
+        assert type(got.counts) is dict
 
 
 def test_preprocess_set_fills_tokens(tmp_path):

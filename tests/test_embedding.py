@@ -469,9 +469,11 @@ class TestKernelMatchesReference:
 def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes, path_signs,
                     alpha0, alpha_min, span, processed, total, total_loss):
     """Scalar replica of the kernel's ``hs_train`` on nested lists, updated
-    in place: each score one sequential sum in k order, ``math.exp`` and
-    ``math.log1p``, and the gradient gathered before the node rows move.
-    Returns (total_loss plus each pair's pre-update loss, pairs)."""
+    in place: each score summed in four lanes over k = 0, 1, 2, 3 (mod 4)
+    combined as (a0 + a1) + (a2 + a3), then the ``dim % 4`` tail in k
+    order; ``math.exp`` and ``math.log1p``, and the gradient gathered before
+    the node rows move. Returns (total_loss plus each pair's pre-update
+    loss, pairs)."""
     def softplus_neg(sz):
         if sz == 0.0:
             return math.log(2.0)
@@ -490,9 +492,13 @@ def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes
             signs = path_signs[path_off[t]:path_off[t + 1]]
             g = []
             pair_loss = 0.0
+            body = len(c) - len(c) % 4
             for node, sign in zip(path, signs):
-                z = 0.0
-                for k in range(len(c)):
+                lanes = [0.0] * 4
+                for k in range(body):
+                    lanes[k % 4] += nodes[node][k] * c[k]
+                z = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+                for k in range(body, len(c)):
                     z += nodes[node][k] * c[k]
                 sz = sign * z
                 clipped = -60.0 if sz < -60.0 else (60.0 if sz > 60.0 else sz)
@@ -518,8 +524,10 @@ class TestKernelMatchesScalarReplica:
     scalar replica's exactly, not to a tolerance, whether or not the kernel
     is given a loss buffer; the replica always computes the loss."""
 
-    # dims 13 and 48 run a vector loop's body many times, and 13 its tail
-    DIMS = [1, 3, 8, 13, 48, 200]
+    # dims 1 and 3 are a score's tail alone; 5, 6, 7 and 13 are four-lane
+    # passes followed by each tail length (1, 2, 3, 1), and 48 and 200 run
+    # a vector loop's body many times
+    DIMS = [1, 3, 5, 6, 7, 8, 13, 48, 200]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_bit_identical(self, dim):
@@ -551,7 +559,9 @@ class TestKernelMatchesScalarReplica:
         work = np.empty(9 + dim)
         loss = np.zeros(1)
         want_loss = 0.0
-        n_blocks, n_items = 4, 6
+        # a last-bit change in one score often rounds away in the sigmoid, so
+        # eight blocks give every dim enough scores for the order to show
+        n_blocks, n_items = 8, 6
         processed, total = 0, n_blocks * n_items
         for _ in range(n_blocks):
             rows = rng.integers(0, n_rows, size=n_items)
