@@ -25,15 +25,18 @@ static double softplus_neg(double sz)
 
 /* SGD over hierarchical softmax, shared by skip-gram and PV-DBOW.
 
-   hs_train trains a block of n_items consecutive items. Item i trains
-   row rows[i] of centers (row-major, dim columns) against every target
-   in targets[offsets[i] .. offsets[i+1]). Target t's root-to-leaf path is
+   hs_train trains n_items consecutive items. Item i trains row rows[i]
+   of centers (row-major, dim columns) against every target in
+   targets[lo[i] .. hi[i]), in order; when skip_self is not 0 (skip-gram,
+   where item i is the center at position i of targets) it leaves out
+   targets[i], the item's own position. Target t's root-to-leaf path is
    path_nodes[path_off[t] .. path_off[t+1]) with the matching +/-1 codes
    in path_signs. Per (center, target) pair every score and gradient is
    taken at the incoming values, the node rows move from the old center,
    then the center moves. The learning rate decays linearly per item,
-   where processed counts the items trained before this block:
-   max(alpha_min, alpha0 - span * (processed / total)).
+   where processed counts the items trained before this call:
+   max(alpha_min, alpha0 - span * (processed / total)). Nothing here
+   checks an index: the caller checks rows, lo, hi and targets first.
 
    The results are fixed to the bit, not just to rounding. Each score is
    one node's dot product in four lanes: lane r sums k = r, r + 4, ... in
@@ -58,8 +61,8 @@ __attribute__((target_clones("avx2", "default")))
 #endif
 #endif
 int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
-                 const int64_t *rows, const int64_t *offsets,
-                 const int64_t *targets, int64_t n_items,
+                 const int64_t *rows, const int64_t *lo, const int64_t *hi,
+                 const int64_t *targets, int64_t n_items, int64_t skip_self,
                  const int64_t *path_off, const int64_t *path_nodes,
                  const double *path_signs,
                  double alpha0, double alpha_min, double span,
@@ -75,7 +78,9 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
             alpha = alpha_min;
         double *restrict c = centers + rows[i] * dim;
 
-        for (int64_t p = offsets[i]; p < offsets[i + 1]; p++) {
+        for (int64_t p = lo[i]; p < hi[i]; p++) {
+            if (skip_self && p == i)
+                continue;
             const int64_t first = path_off[targets[p]];
             const int64_t len = path_off[targets[p] + 1] - first;
             const int64_t *path = path_nodes + first;

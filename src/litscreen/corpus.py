@@ -3,9 +3,11 @@
 Reads abstract corpora from CSV, cleans each abstract into a token
 sequence (stopwords dropped, chemical element symbols preserved
 case-sensitively), and builds the frequency-ranked vocabulary used by
-the embedding trainers. :func:`open_text` is the one way every text input
-of the package is opened: a missing file names its kind and path, and a
-byte that is not UTF-8 names the file and its line.
+the embedding trainers. :class:`EncodedCorpus` holds token lists as
+integer type ids, so that a run encodes its corpus once and every batch and
+vocabulary after that is array work. :func:`open_text` is the one way every
+text input of the package is opened: a missing file names its kind and
+path, and a byte that is not UTF-8 names the file and its line.
 """
 from __future__ import annotations
 
@@ -14,15 +16,19 @@ import csv
 import functools
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "CorpusError",
     "Document",
     "DocumentSet",
     "Vocabulary",
+    "EncodedCorpus",
     "load_corpus",
     "preprocess",
     "preprocess_set",
@@ -276,3 +282,80 @@ def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
     # by token, then stably by descending count: the order of (-count, token)
     ordered = sorted(sorted(kept), key=kept.__getitem__, reverse=True)
     return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)
+
+
+class EncodedCorpus(Sequence):
+    """Token lists encoded as integer type ids: ``types`` holds the distinct
+    tokens sorted, ``ids`` every token's index in ``types`` with the
+    documents one after another, and ``lengths`` each document's token
+    count.
+
+    A read-only sequence of documents: ``len()`` counts them, and indexing
+    or iterating yields each one's tokens as a tuple, so it stands in for
+    the token lists it encodes. Build one with :meth:`encode`.
+    """
+
+    def __init__(self, types: tuple[str, ...], ids: np.ndarray, lengths: np.ndarray):
+        self.types = types
+        self.ids = ids
+        self.lengths = lengths
+        self._bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._bounds[1:])
+
+    @classmethod
+    def encode(cls, token_lists) -> EncodedCorpus:
+        """Encode any iterable of token sequences."""
+        lists = [tuple(tokens) for tokens in token_lists]
+        tokens = list(chain.from_iterable(lists))
+        types = tuple(sorted(set(tokens)))
+        index = dict(zip(types, range(len(types))))
+        return cls(types, np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens)),
+                   np.fromiter(map(len, lists), np.int64, len(lists)))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, doc: int) -> tuple[str, ...]:
+        n = len(self.lengths)
+        if not -n <= doc < n:
+            raise IndexError(f"document {doc} out of range for {n} documents")
+        doc %= n
+        ids = self.ids[self._bounds[doc]:self._bounds[doc + 1]].tolist()
+        return tuple(map(self.types.__getitem__, ids))
+
+    def take(self, docs) -> EncodedCorpus:
+        """The documents at indices ``docs``, in that order, with the same types."""
+        docs = np.asarray(docs, dtype=np.int64)
+        if docs.size and not (0 <= docs.min() and docs.max() < len(self.lengths)):
+            raise IndexError(f"document indices out of range for {len(self.lengths)} documents")
+        lengths = self.lengths[docs]
+        # each taken token's position here, less its position in the result
+        shift = np.repeat(self._bounds[docs] - (np.cumsum(lengths) - lengths), lengths)
+        return EncodedCorpus(self.types, self.ids[shift + np.arange(len(shift))], lengths)
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """Each type's token count, counted on first read."""
+        return np.bincount(self.ids, minlength=len(self.types))
+
+    def vocabulary(self, min_count: int = 1) -> tuple[Vocabulary, np.ndarray]:
+        """``build_vocabulary(self, min_count)``, and each type's index in
+        it, -1 for a type it leaves out.
+
+        The order, by descending count then by token, is a stable sort of
+        the counts, as ``types`` is sorted; the vocabulary's ``counts`` dict
+        is in index order.
+        """
+        if min_count < 1:
+            raise ValueError(f"min_count must be positive, got {min_count}")
+        counts = self.counts
+        order = np.argsort(-counts, kind="stable")
+        order = order[counts[order] >= min_count]
+        if not order.size:
+            raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
+        lookup = np.full(len(counts), -1, dtype=np.int64)
+        lookup[order] = np.arange(order.size)
+        tokens = list(map(self.types.__getitem__, order.tolist()))
+        vocab = Vocabulary(index=dict(zip(tokens, range(len(tokens)))),
+                           counts=dict(zip(tokens, counts[order].tolist())))
+        return vocab, lookup

@@ -1,24 +1,28 @@
 """Word and document embeddings: skip-gram and PV-DBOW over hierarchical softmax.
 
 Both trainers run one SGD driver that walks each target token's
-root-to-leaf path through a Huffman tree built from vocabulary counts:
-skip-gram feeds it (token, window context) items and PV-DBOW (document,
-token) items. The per-pair step runs in the compiled kernel library
-(``_hs.c``, built and loaded by :mod:`litscreen.kernel` the first time a
-trainer runs). The same step in numpy, ``hs_step``, lives in the tests
-as the reference the kernel is checked against. Training is sequential
-and bit-reproducible for a fixed seed and compiler; the kernel sums each
-score in a fixed four-lane order (``_hs.c``), not in k order.
+root-to-leaf path through a Huffman tree built from vocabulary counts.
+Each token position is one item whose targets are a range of the
+corpus's flat array of token ids: skip-gram's item is the token and its
+window, the kernel leaving the position itself out, and PV-DBOW's item is
+the document's row and the one token. Both take their corpus as an
+:class:`~litscreen.corpus.EncodedCorpus`, or encode plain token lists
+into one. The compiled kernel library (``_hs.c``, built and loaded by
+:mod:`litscreen.kernel` the first time a trainer runs) walks every item
+of an epoch in one call, with the GIL released. The same step in numpy,
+``hs_step``, lives in the tests as the reference the kernel is checked
+against. Training is sequential and bit-reproducible for a fixed seed and
+compiler; the kernel sums each score in a fixed four-lane order
+(``_hs.c``), not in k order.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import EncodedCorpus, Vocabulary
 from .kernel import library
 
 __all__ = [
@@ -208,22 +212,27 @@ def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):
     the seeded generator, the initial center rows drawn from it (one per
     document if ``doc_rows``, else one per token), and every document's
     in-vocabulary token indices as one flat array plus each document's
-    length; out-of-vocabulary tokens are dropped."""
-    token_lists = [list(t) for t in token_lists]
-    if not token_lists:
+    length; out-of-vocabulary tokens are dropped. ``token_lists`` is
+    encoded first unless it is an :class:`EncodedCorpus` already."""
+    corpus = token_lists
+    if not isinstance(corpus, EncodedCorpus):
+        corpus = EncodedCorpus.encode(token_lists)
+    if not len(corpus):
         raise ValueError("empty corpus")
-    vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    vocab, lookup = corpus.vocabulary(config.min_count)
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
-    rows = len(token_lists) if doc_rows else len(vocab)
+    rows = len(corpus) if doc_rows else len(vocab)
     centers = (rng.random((rows, config.dim)) - 0.5) / config.dim
-    index = vocab.index
-    docs = [[index[t] for t in tokens if t in index] for tokens in token_lists]
-    lengths = np.array([len(d) for d in docs], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64,
-                       count=int(lengths.sum()))
-    if flat.size == 0:
-        raise ValueError("no in-vocabulary tokens to train on")
+    flat = lookup[corpus.ids]
+    kept = flat >= 0
+    flat = flat[kept]
+    # documents' in-vocabulary counts, as differences of kept tokens so far
+    kept_before = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    bounds = np.zeros(len(corpus) + 1, dtype=np.int64)
+    np.cumsum(corpus.lengths, out=bounds[1:])
+    lengths = np.diff(kept_before[bounds])
     return vocab, coding, rng, centers, flat, lengths
 
 
@@ -231,20 +240,21 @@ def _train_hs(
     centers: np.ndarray,
     coding: HuffmanCoding,
     config: EmbeddingConfig,
-    tokens_per_epoch: int,
-    epoch_items,
+    rows: np.ndarray,
+    targets: np.ndarray,
+    epoch_ranges,
+    skip_self: bool,
 ) -> tuple[np.ndarray, float, int]:
     """SGD over hierarchical softmax, updating ``centers`` in place.
 
-    ``epoch_items()`` is called once per epoch and yields that epoch's
-    ``(center row, target ids)`` items, one per in-vocabulary token
-    position, in consecutive CSR blocks ``(rows, offsets, targets)``: item
-    i of a block is ``rows[i]`` with targets
-    ``targets[offsets[i]:offsets[i+1]]``. The compiled kernel trains each
-    block: per pair, one SGD step of the hierarchical-softmax loss
-    ``-sum log sigmoid(sign * <center, node>)`` over the target's path,
-    with both gradients taken at the incoming values. The learning rate
-    decays linearly per item across all epochs. Node vectors start at
+    There is one item per target position i: center row ``rows[i]``
+    predicts ``targets[lo[i]:hi[i]]`` in order, leaving out ``targets[i]``
+    itself when ``skip_self``. ``epoch_ranges()`` is called once per epoch
+    and returns that epoch's ``(lo, hi)``. The compiled kernel trains each
+    epoch in one call: per pair, one SGD step of the hierarchical-softmax
+    loss ``-sum log sigmoid(sign * <center, node>)`` over the target's
+    path, with both gradients taken at the incoming values. The learning
+    rate decays linearly per item across all epochs. Node vectors start at
     zero. The loss is computed in the final epoch only; the epochs before
     it skip it. Returns (node matrix, the final epoch's mean loss per
     pair, pairs trained).
@@ -253,39 +263,29 @@ def _train_hs(
     nodes = np.zeros((coding.n_nodes, config.dim))
     work = np.empty(max(coding.code_lengths()) + config.dim)
     final_loss = np.zeros(1)
-    total = config.epochs * tokens_per_epoch
+    n_items = len(targets)
+    total = config.epochs * n_items
     alpha_span = config.alpha0 - config.alpha_min
-    processed = 0
-    pairs = 0
+    pairs = epoch_pairs = 0
     for epoch in range(config.epochs):
-        loss = final_loss if epoch == config.epochs - 1 else None
-        epoch_pairs = 0
-        for rows, offsets, targets in epoch_items():
-            n_items = len(rows)
-            # the kernel indexes raw memory with these, so check them first
-            if (centers.shape[1] != config.dim or offsets.shape != (n_items + 1,)
-                    or offsets[0] != 0 or offsets[-1] != len(targets)
-                    or np.any(np.diff(offsets) < 0)
-                    or np.any((rows < 0) | (rows >= len(centers)))
-                    or np.any((targets < 0) | (targets >= len(coding.offsets) - 1))):
-                raise ValueError("training items out of range")
-            block_pairs = hs_train(
-                centers, nodes, config.dim, rows, offsets, targets, n_items,
-                coding.offsets, coding.nodes, coding.signs,
-                config.alpha0, config.alpha_min, alpha_span,
-                processed, total, work, loss,
-            )
-            if block_pairs < 0:
-                raise ValueError("non-finite score while training")
-            processed += n_items
-            epoch_pairs += block_pairs
+        lo, hi = epoch_ranges()
+        # the kernel indexes raw memory with these, so check them first
+        if (centers.shape[1] != config.dim or rows.shape != (n_items,)
+                or lo.shape != (n_items,) or hi.shape != (n_items,)
+                or np.any((lo < 0) | (lo > hi) | (hi > n_items))
+                or np.any((rows < 0) | (rows >= len(centers)))
+                or np.any((targets < 0) | (targets >= len(coding.offsets) - 1))):
+            raise ValueError("training items out of range")
+        epoch_pairs = hs_train(
+            centers, nodes, config.dim, rows, lo, hi, targets, n_items, skip_self,
+            coding.offsets, coding.nodes, coding.signs,
+            config.alpha0, config.alpha_min, alpha_span,
+            epoch * n_items, total, work, final_loss if epoch == config.epochs - 1 else None,
+        )
+        if epoch_pairs < 0:
+            raise ValueError("non-finite score while training")
         pairs += epoch_pairs
     return nodes, float(final_loss[0]) / max(1, epoch_pairs), pairs
-
-
-# Skip-gram positions per kernel call: bounds the window arrays at a few
-# hundred kilobytes whatever the corpus size, at a negligible call overhead.
-_BLOCK_POSITIONS = 4096
 
 
 def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
@@ -294,29 +294,22 @@ def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
     For each in-vocabulary position a window radius is drawn uniformly from
     1..window and every context token inside it is predicted from the center
     token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
-    (seeded).
+    (seeded). ``token_lists`` may be an :class:`EncodedCorpus`.
     """
     vocab, coding, rng, vectors, flat, lengths = _setup(token_lists, config, doc_rows=False)
-    doc_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    doc_end = doc_start + np.repeat(lengths, lengths)
+    doc_end = np.cumsum(lengths)
+    doc_start = np.repeat(doc_end - lengths, lengths)
+    doc_end = np.repeat(doc_end, lengths)
+    pos = np.arange(flat.size)
 
     def windows():
-        # the context of position p is flat[lo:p] + flat[p+1:hi], clipped to its document
+        # position p's window is flat[lo:hi] clipped to its document; the
+        # kernel leaves p itself out
         radii = rng.integers(1, config.window + 1, size=flat.size)
-        for start in range(0, flat.size, _BLOCK_POSITIONS):
-            block = slice(start, start + _BLOCK_POSITIONS)
-            pos = np.arange(start, min(start + _BLOCK_POSITIONS, flat.size))
-            lo = np.maximum(doc_start[block], pos - radii[block])
-            hi = np.minimum(doc_end[block], pos + radii[block] + 1)
-            counts = hi - lo - 1
-            offsets = np.zeros(len(pos) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            context = np.repeat(lo - offsets[:-1], counts)
-            context += np.arange(offsets[-1])
-            context += context >= np.repeat(pos, counts)
-            yield flat[block], offsets, flat[context]
+        return np.maximum(doc_start, pos - radii), np.minimum(doc_end, pos + radii + 1)
 
-    nodes, final_loss, pairs = _train_hs(vectors, coding, config, flat.size, windows)
+    nodes, final_loss, pairs = _train_hs(vectors, coding, config, flat, flat, windows,
+                                         skip_self=True)
     return WordModel(
         vocab=vocab,
         vectors=vectors,
@@ -334,17 +327,18 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     Skip-gram whose center row is the document's vector and whose context
     is every in-vocabulary token of that document, predicted through the
     shared Huffman tree; schedule and initialization match
-    :func:`train_word2vec`.
+    :func:`train_word2vec`. ``token_lists`` may be an :class:`EncodedCorpus`.
     """
     _, coding, _, doc_vectors, flat, lengths = _setup(token_lists, config, doc_rows=True)
     ids = [str(i) for i in (range(len(lengths)) if ids is None else ids)]
     if len(ids) != len(lengths):
         raise ValueError(f"{len(ids)} ids for {len(lengths)} documents")
     # one item per token: its document's row and the token itself
-    items = [(np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
-              np.arange(flat.size + 1, dtype=np.int64), flat)]
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    ranges = np.arange(flat.size, dtype=np.int64), np.arange(1, flat.size + 1, dtype=np.int64)
 
-    _, final_loss, _ = _train_hs(doc_vectors, coding, config, flat.size, lambda: items)
+    _, final_loss, _ = _train_hs(doc_vectors, coding, config, rows, flat, lambda: ranges,
+                                 skip_self=False)
     return DocModel(
         ids=ids,
         vectors=doc_vectors,

@@ -98,7 +98,12 @@ def library():
 
 def load(path: str):
     """``hs_train`` from the library at ``path``, with argtypes and restype
-    declared."""
+    declared: ``(centers, nodes, dim, rows, lo, hi, targets, n_items,
+    skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min, span,
+    processed, total, work, loss)``, where item i trains row ``rows[i]``
+    on ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``
+    (``_hs.c`` states the whole contract). ctypes checks each array's dtype
+    and layout, and nothing checks an index."""
     lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -116,7 +121,7 @@ def load(path: str):
 
     hs_train = lib.hs_train
     hs_train.argtypes = [out_matrix, out_matrix, int64,
-                         i64, i64, i64, int64,
+                         i64, i64, i64, i64, int64, int64,
                          i64, i64, f64,
                          double, double, double,
                          int64, int64,

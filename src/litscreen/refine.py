@@ -11,6 +11,11 @@ order and the last word model, which ``litscreen refine`` saves as
 ``iterations.csv``, ``selection.csv`` and the model files that
 :func:`litscreen.persistence.save_model` names.
 
+The corpus is encoded once as integer type ids
+(:class:`litscreen.corpus.EncodedCorpus`); each iteration's documents are
+a gather from it, and their type counts, taken once, serve both the
+completeness check and the training of that batch.
+
 One loop over t decides, trains, scores and records each iteration.
 Given the selection order, iteration t's vocabulary depends only on t,
 ``batch_size`` and ``min_count``, and it only grows with t. So until the
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .corpus import DocumentSet, build_vocabulary
+from .corpus import DocumentSet, EncodedCorpus
 from .embedding import EmbeddingConfig, WordModel, build_huffman, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
 from .selection import SelectionOrder, central_document, cumulative_batches, greedy_fps, pca_project
@@ -169,11 +174,11 @@ def run_refinement(
         raise RefinementError("empty candidate list")
 
     with kernel.one_blas_thread():
-        token_lists = docs.token_lists()
+        corpus = EncodedCorpus.encode(docs.token_lists())
 
         required = set(config.anchors.terms) | set(candidates.present())
 
-        doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
+        doc_model = train_doc2vec(corpus, config.embedding, ids=docs.ids())
         order = selection_order(doc_model.vectors)
 
         n_docs = len(docs)
@@ -183,8 +188,7 @@ def run_refinement(
 
         def batch(t):
             # train in corpus order
-            subset = sorted(cumulative_batches(order, t, config.batch_size))
-            return [token_lists[i] for i in subset]
+            return corpus.take(sorted(cumulative_batches(order, t, config.batch_size)))
 
         records: list[IterationRecord] = []
         prev_centroid: np.ndarray | None = None
@@ -200,7 +204,7 @@ def run_refinement(
                 else:
                     tokens = batch(t)
                     if prev_centroid is None:  # no complete t yet; vocabularies only grow
-                        vocab = build_vocabulary(tokens, config.embedding.min_count)
+                        vocab, _ = tokens.vocabulary(config.embedding.min_count)
                         record.missing = tuple(sorted(required - vocab.index.keys()))
                         if record.missing and t == 1:  # raise what training it would
                             build_huffman(vocab)

@@ -83,23 +83,15 @@ def central_document(points: np.ndarray) -> int:
     return int(np.argmin(dist2))
 
 
-def _cosine_distances_to(points: np.ndarray, norms: np.ndarray, j: int) -> np.ndarray:
-    """Cosine distance from every point to point j; zero-norm rule applied."""
-    if norms[j] == 0.0:
-        return np.zeros(len(points))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (points[:, 0] * points[j, 0] + points[:, 1] * points[j, 1]) / (norms * norms[j])
-    dist = 1.0 - cos
-    dist[norms == 0.0] = 0.0
-    return dist
-
-
 def greedy_fps(points: np.ndarray, start: int, n: int) -> SelectionOrder:
     """Classic greedy farthest-point ordering in cosine distance.
 
     Each pick maximizes the minimum cosine distance to everything selected
     so far; zero-norm points sit at distance 0 from everything so they are
-    never preferred. Ties go to the lowest index.
+    never preferred. Ties go to the lowest index. The distance from every
+    point to point j is ``1 - (x * x[j] + y * y[j]) / (norms * norms[j])``,
+    set to 0 where either norm is 0; each pick computes it into buffers
+    allocated once.
     """
     pts = np.asarray(points, dtype=np.float64)
     N = pts.shape[0]
@@ -108,18 +100,44 @@ def greedy_fps(points: np.ndarray, start: int, n: int) -> SelectionOrder:
     if not (1 <= n <= N):
         raise ValueError(f"cannot select {n} of {N} points")
 
-    norms = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
+    x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    norms = np.sqrt(x ** 2 + y ** 2)
+    zero = norms == 0.0
+    any_zero = bool(zero.any())
+    # the same doubles as Python floats: cheaper to pass than numpy scalars
+    xs, ys, ns, zs = x.tolist(), y.tolist(), norms.tolist(), zero.tolist()
+    dist, tmp = np.empty(N), np.empty(N)
+
+    def distances_to(j):
+        # into dist; a zero norm at j leaves it to the caller
+        np.multiply(x, xs[j], out=dist)
+        np.multiply(y, ys[j], out=tmp)
+        np.add(dist, tmp, out=dist)
+        np.multiply(norms, ns[j], out=tmp)
+        np.divide(dist, tmp, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        if any_zero:
+            dist[zero] = 0.0
 
     indices = [start]
     distances = [float("nan")]
-    mind = _cosine_distances_to(pts, norms, start)
-    mind[start] = -np.inf
-    for _ in range(1, n):
-        nxt = int(np.argmax(mind))
-        indices.append(nxt)
-        distances.append(float(mind[nxt]))
-        mind = np.minimum(mind, _cosine_distances_to(pts, norms, nxt))
-        mind[nxt] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if zs[start]:
+            mind = np.zeros(N)
+        else:
+            distances_to(start)
+            mind = dist.copy()
+        mind[start] = -np.inf
+        for _ in range(1, n):
+            nxt = int(mind.argmax())
+            indices.append(nxt)
+            distances.append(mind.item(nxt))
+            if zs[nxt]:
+                np.minimum(mind, 0.0, out=mind)
+            else:
+                distances_to(nxt)
+                np.minimum(mind, dist, out=mind)
+            mind[nxt] = -np.inf
     return SelectionOrder(indices=indices, distances=distances)
 
 

@@ -21,7 +21,10 @@ converts one row at a time, the oracle for the block reader in
 that trains one iteration at a time on the calling thread, the oracle for
 ``run_refinement``, which trains them in pairs on two threads.
 ``blas_threads`` reads numpy's BLAS thread count, which ``run_refinement``
-must leave as it found it.
+must leave as it found it. ``reference_greedy_fps`` is the farthest-point
+loop that allocates each pick's distances afresh, the oracle for
+``greedy_fps``'s preallocated buffers, which must give the same order and
+distances bit for bit.
 """
 import csv
 import heapq
@@ -48,7 +51,13 @@ from litscreen.materials import (
 )
 from litscreen.persistence import MANIFEST_FORMAT, PersistenceError, read_kv
 from litscreen.refine import IterationRecord, RefinementError, RefinementResult
-from litscreen.selection import central_document, cumulative_batches, greedy_fps, pca_project
+from litscreen.selection import (
+    SelectionOrder,
+    central_document,
+    cumulative_batches,
+    greedy_fps,
+    pca_project,
+)
 
 # Largest |bulk - per-candidate| score difference the bulk path may show.
 SCORE_BOUND = 1e-12
@@ -465,3 +474,39 @@ def blas_threads():
     """numpy's OpenBLAS thread count, or None when its BLAS is not OpenBLAS."""
     threads = kernel._openblas_threads()
     return None if threads is None else threads[0]()
+
+
+def _cosine_distances_to(points, norms, j):
+    """Cosine distance from every point to point j; zero-norm rule applied."""
+    if norms[j] == 0.0:
+        return np.zeros(len(points))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (points[:, 0] * points[j, 0] + points[:, 1] * points[j, 1]) / (norms * norms[j])
+    dist = 1.0 - cos
+    dist[norms == 0.0] = 0.0
+    return dist
+
+
+def reference_greedy_fps(points, start, n):
+    """``greedy_fps`` with a fresh distance array per pick and a fresh
+    running minimum, under ``np.errstate`` for each division."""
+    pts = np.asarray(points, dtype=np.float64)
+    N = pts.shape[0]
+    if not (0 <= start < N):
+        raise ValueError(f"start index {start} out of range for {N} points")
+    if not (1 <= n <= N):
+        raise ValueError(f"cannot select {n} of {N} points")
+
+    norms = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
+
+    indices = [start]
+    distances = [float("nan")]
+    mind = _cosine_distances_to(pts, norms, start)
+    mind[start] = -np.inf
+    for _ in range(1, n):
+        nxt = int(np.argmax(mind))
+        indices.append(nxt)
+        distances.append(float(mind[nxt]))
+        mind = np.minimum(mind, _cosine_distances_to(pts, norms, nxt))
+        mind[nxt] = -np.inf
+    return SelectionOrder(indices=indices, distances=distances)

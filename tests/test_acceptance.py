@@ -37,10 +37,11 @@ def kernel_step(center, nodes, signs, alpha):
     centers = center.reshape(1, dim).copy()
     rows = nodes.copy()
     loss = np.zeros(1)
-    one = np.zeros(1, dtype=np.int64)
-    # processed 0 of total 1: the learning rate is alpha0 = alpha exactly
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    # item 0 predicts target range [0, 1); processed 0 of total 1: the
+    # learning rate is alpha0 = alpha exactly
     pairs = library()(
-        centers, rows, dim, one, np.array([0, 1], dtype=np.int64), one, 1,
+        centers, rows, dim, zero, zero, one, zero, 1, 0,
         np.array([0, n], dtype=np.int64), np.arange(n, dtype=np.int64),
         np.asarray(signs, dtype=np.float64), alpha, alpha / 2, alpha / 2, 0, 1,
         np.empty(n + dim), loss)

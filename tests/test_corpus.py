@@ -3,6 +3,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import reference_build_vocabulary
 from litscreen.corpus import (
     CorpusError,
+    EncodedCorpus,
     build_vocabulary,
     default_license_patterns,
     default_stopwords,
@@ -178,6 +180,12 @@ class TestBundledLists:
         assert all(p.flags & re.IGNORECASE for p in patterns)
 
 
+# few short tokens over a small non-ASCII alphabet, so counts tie often,
+# and empty documents
+TIE_HEAVY_TOKEN_LISTS = st.lists(st.lists(st.text("aAbé°μÅ–", min_size=1, max_size=2),
+                                          max_size=12), max_size=6)
+
+
 class TestVocabulary:
     def test_descending_count_then_lexicographic(self):
         vocab = build_vocabulary([["b", "a", "b", "c", "a", "b"]])
@@ -201,18 +209,19 @@ class TestVocabulary:
         for i, t in enumerate(vocab.tokens()):
             assert vocab.index[t] == i
 
-    # few short tokens over a small alphabet, so counts tie often; empty
-    # documents, and min_count values that empty the vocabulary
+    # build_vocabulary and the encoded corpus's vocabulary against the loop,
+    # with min_count values that empty the vocabulary
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.text("aAbé°μÅ–", min_size=1, max_size=2), max_size=12),
-                    max_size=6),
-           st.integers(1, 3))
+    @given(TIE_HEAVY_TOKEN_LISTS, st.integers(1, 3))
     def test_matches_reference_loop(self, token_lists, min_count):
+        encoded = EncodedCorpus.encode(iter(token_lists))
         try:
             want = reference_build_vocabulary(token_lists, min_count)
         except CorpusError as exc:
             with pytest.raises(CorpusError, match=re.escape(str(exc))):
                 build_vocabulary(iter(token_lists), min_count)
+            with pytest.raises(CorpusError, match=re.escape(str(exc))):
+                encoded.vocabulary(min_count)
             return
         got = build_vocabulary(iter(token_lists), min_count)
         # the same entries in the same insertion order
@@ -220,6 +229,45 @@ class TestVocabulary:
         assert list(got.counts.items()) == list(want.counts.items())
         # a Counter would answer 0 for an unknown token instead of raising
         assert type(got.counts) is dict
+        # the encoded corpus's counts dict is in index order instead
+        encoded_vocab, lookup = encoded.vocabulary(min_count)
+        assert list(encoded_vocab.index.items()) == list(want.index.items())
+        assert encoded_vocab.counts == want.counts and type(encoded_vocab.counts) is dict
+        # the lookup maps each type to its index, or -1 where it is left out
+        assert lookup.tolist() == [want.index.get(t, -1) for t in encoded.types]
+
+
+class TestEncodedCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(TIE_HEAVY_TOKEN_LISTS, st.data())
+    def test_documents_and_batches_decode_to_the_token_lists(self, token_lists, data):
+        encoded = EncodedCorpus.encode(token_lists)
+        assert len(encoded) == len(token_lists)
+        assert list(encoded) == [tuple(t) for t in token_lists]
+        assert encoded.types == tuple(sorted({t for tokens in token_lists for t in tokens}))
+        if token_lists:
+            assert encoded[-1] == tuple(token_lists[-1])
+        docs = data.draw(st.lists(st.integers(0, max(0, len(token_lists) - 1)),
+                                  max_size=len(token_lists)))
+        batch = encoded.take(docs)
+        assert list(batch) == [tuple(token_lists[i]) for i in docs]
+        assert batch.types == encoded.types
+        assert batch.counts.tolist() == [sum(token_lists[i].count(t) for i in docs)
+                                         for t in encoded.types]
+
+    def test_out_of_range_documents_raise(self):
+        encoded = EncodedCorpus.encode([["a"], ["b", "a"]])
+        for doc in (2, -3):
+            with pytest.raises(IndexError):
+                encoded[doc]
+        for docs in ([0, 2], [-1]):
+            with pytest.raises(IndexError):
+                encoded.take(docs)
+        assert encoded.take([]).ids.size == 0 and len(encoded.take(np.array([1]))) == 1
+
+    def test_min_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_count must be positive"):
+            EncodedCorpus.encode([["a"]]).vocabulary(0)
 
 
 def test_preprocess_set_fills_tokens(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litscreen import embedding, kernel
-from litscreen.corpus import Vocabulary, build_vocabulary, preprocess
+from litscreen.corpus import EncodedCorpus, Vocabulary, build_vocabulary, preprocess
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
@@ -419,11 +419,14 @@ class TestKernelMatchesReference:
         assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
 
     @staticmethod
-    def train_two_items(centers, rows, targets):
+    def train_two_items(centers, rows, targets, lo=(0, 1), hi=(1, 2)):
+        """Two PV-DBOW-style items through ``_train_hs``, by default item i
+        on target i."""
         coding = build_huffman(build_vocabulary([["a", "a", "b", "c"]]))
-        items = [(np.array(rows, dtype=np.int64), np.array([0, 1, 2], dtype=np.int64),
-                  np.array(targets, dtype=np.int64))]
-        embedding._train_hs(centers, coding, EmbeddingConfig(dim=4, epochs=1), 2, lambda: items)
+        ranges = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        return embedding._train_hs(
+            centers, coding, EmbeddingConfig(dim=4, epochs=1), np.array(rows, dtype=np.int64),
+            np.array(targets, dtype=np.int64), lambda: ranges, skip_self=False)
 
     def test_non_finite_center_raises(self):
         centers = np.zeros((2, 4))
@@ -431,11 +434,28 @@ class TestKernelMatchesReference:
         with pytest.raises(ValueError, match="non-finite"):
             self.train_two_items(centers, [0, 1], [2, 0])
 
+    def assert_rejected_before_the_kernel_runs(self, monkeypatch, **bad):
+        called = []
+        monkeypatch.setattr(embedding, "library", lambda: lambda *args: called.append(args))
+        centers = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="out of range"):
+            self.train_two_items(centers, **{"rows": [0, 1], "targets": [2, 0], **bad})
+        assert called == [] and not centers.any()
+
     @pytest.mark.parametrize("rows,targets", [([0, 2], [2, 0]), ([0, 1], [3, 0]),
                                               ([-1, 1], [2, 0])])
-    def test_out_of_range_items_rejected(self, rows, targets):
-        with pytest.raises(ValueError, match="out of range"):
-            self.train_two_items(np.zeros((2, 4)), rows, targets)
+    def test_out_of_range_items_rejected(self, rows, targets, monkeypatch):
+        self.assert_rejected_before_the_kernel_runs(monkeypatch, rows=rows, targets=targets)
+
+    # each bad value alone: a negative target, a range starting below 0,
+    # ending past the targets or ending before it starts, and arrays of
+    # the wrong length
+    @pytest.mark.parametrize("bad", [
+        {"targets": [2, -1]}, {"lo": (-1, 1)}, {"hi": (1, 3)}, {"lo": (0, 2), "hi": (1, 1)},
+        {"rows": [0, 1, 1]}, {"lo": (0,)}, {"hi": (1, 2, 2)},
+    ])
+    def test_bad_target_ranges_rejected(self, bad, monkeypatch):
+        self.assert_rejected_before_the_kernel_runs(monkeypatch, **bad)
 
     def test_kernel_built_once_per_source(self, tmp_path, monkeypatch):
         calls = []
@@ -466,14 +486,15 @@ class TestKernelMatchesReference:
         assert os.listdir(tmp_path) == []
 
 
-def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes, path_signs,
-                    alpha0, alpha_min, span, processed, total, total_loss):
+def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, path_nodes,
+                    path_signs, alpha0, alpha_min, span, processed, total, total_loss):
     """Scalar replica of the kernel's ``hs_train`` on nested lists, updated
-    in place: each score summed in four lanes over k = 0, 1, 2, 3 (mod 4)
-    combined as (a0 + a1) + (a2 + a3), then the ``dim % 4`` tail in k
-    order; ``math.exp`` and ``math.log1p``, and the gradient gathered before
-    the node rows move. Returns (total_loss plus each pair's pre-update
-    loss, pairs)."""
+    in place: item i trains targets ``lo[i]`` to ``hi[i]``, leaving out
+    position i when ``skip_self``; each score summed in four lanes over
+    k = 0, 1, 2, 3 (mod 4) combined as (a0 + a1) + (a2 + a3), then the
+    ``dim % 4`` tail in k order; ``math.exp`` and ``math.log1p``, and the
+    gradient gathered before the node rows move. Returns (total_loss plus
+    each pair's pre-update loss, pairs)."""
     def softplus_neg(sz):
         if sz == 0.0:
             return math.log(2.0)
@@ -487,7 +508,7 @@ def scalar_hs_train(centers, nodes, rows, offsets, targets, path_off, path_nodes
         if not alpha > alpha_min:
             alpha = alpha_min
         c = centers[row]
-        for t in targets[offsets[i]:offsets[i + 1]]:
+        for t in [targets[p] for p in range(lo[i], hi[i]) if not (skip_self and p == i)]:
             path = path_nodes[path_off[t]:path_off[t + 1]]
             signs = path_signs[path_off[t]:path_off[t + 1]]
             g = []
@@ -563,21 +584,27 @@ class TestKernelMatchesScalarReplica:
         # eight blocks give every dim enough scores for the order to show
         n_blocks, n_items = 8, 6
         processed, total = 0, n_blocks * n_items
-        for _ in range(n_blocks):
+        for block in range(n_blocks):
             rows = rng.integers(0, n_rows, size=n_items)
-            counts = rng.integers(0, 4, size=n_items)
-            offsets = np.zeros(n_items + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            targets = rng.integers(0, len(paths), size=int(offsets[-1]))
+            targets = rng.integers(0, len(paths), size=n_items + 2)
+            # every other block is skip-gram: windows of radius 0-2 around
+            # each item's own position; the rest take any range of 0-3 targets
+            skip_self = block % 2
+            if skip_self:
+                radii, at = rng.integers(0, 3, size=n_items), np.arange(n_items)
+                lo, hi = np.maximum(0, at - radii), np.minimum(len(targets), at + radii + 1)
+            else:
+                lo = rng.integers(0, len(targets) + 1, size=n_items)
+                hi = np.minimum(len(targets), lo + rng.integers(0, 4, size=n_items))
             want_loss, want_pairs = scalar_hs_train(
-                want_centers, want_nodes, rows.tolist(), offsets.tolist(), targets.tolist(),
-                path_off.tolist(), path_nodes.tolist(), path_signs.tolist(),
-                0.5, 0.01, 0.49, processed, total, want_loss)
+                want_centers, want_nodes, rows.tolist(), lo.tolist(), hi.tolist(),
+                targets.tolist(), skip_self, path_off.tolist(), path_nodes.tolist(),
+                path_signs.tolist(), 0.5, 0.01, 0.49, processed, total, want_loss)
             start_centers, start_nodes = centers, nodes
             # None passes NULL: the kernel skips the loss, not the update
             for buffer in (loss, None):
                 centers, nodes = start_centers.copy(), start_nodes.copy()
-                pairs = hs_train(centers, nodes, dim, rows, offsets, targets, n_items,
+                pairs = hs_train(centers, nodes, dim, rows, lo, hi, targets, n_items, skip_self,
                                  path_off, path_nodes, path_signs,
                                  0.5, 0.01, 0.49, processed, total, work, buffer)
                 assert pairs == want_pairs
@@ -589,9 +616,37 @@ class TestKernelMatchesScalarReplica:
             assert loss[0] == want_loss
 
 
-def trained_bytes(tokens):
+def test_skip_gram_item_never_pairs_with_its_own_position():
+    # at a constant learning rate, skip-gram item i over [lo, hi) must train
+    # exactly what two plain items over [lo, i) and [i + 1, hi) train
+    rng = np.random.default_rng(31)
+    dim, n_items, n_nodes = 6, 40, 7
+    coding = build_huffman(build_vocabulary([["a"] * 5, ["b"] * 3, ["c"] * 2, ["d"], ["e"],
+                                             ["f"], ["g"], ["h"]]))
+    targets = rng.integers(0, len(coding.offsets) - 1, size=n_items)
+    rows = rng.integers(0, 5, size=n_items)
+    radii, at = rng.integers(0, 4, size=n_items), np.arange(n_items)
+    lo, hi = np.maximum(0, at - radii), np.minimum(n_items, at + radii + 1)
+    centers, nodes = rng.normal(size=(5, dim)), np.zeros((n_nodes, dim))
+
+    def train(rows, lo, hi, skip_self):
+        c, n, loss = centers.copy(), nodes.copy(), np.zeros(1)
+        pairs = kernel.library()(c, n, dim, rows, lo, hi, targets, len(rows), skip_self,
+                                 coding.offsets, coding.nodes, coding.signs, 0.05, 0.05, 0.0,
+                                 0, len(rows), np.empty(n_nodes + dim), loss)
+        return pairs, c.tobytes(), n.tobytes(), loss.tobytes()
+
+    skipped = train(rows, lo, hi, 1)
+    split = train(np.repeat(rows, 2), np.column_stack([lo, at + 1]).ravel(),
+                  np.column_stack([at, hi]).ravel(), 0)
+    assert skipped == split
+    assert skipped[0] == np.sum(hi - lo) - n_items  # every item's window holds its own position
+    # a window of the own position alone trains nothing
+    assert train(rows, at, at + 1, 1)[1:3] == (centers.tobytes(), nodes.tobytes())
+
+
+def trained_bytes(tokens, cfg=EmbeddingConfig(dim=48, window=5, epochs=3)):
     """Everything a word and a doc model train, as bytes."""
-    cfg = EmbeddingConfig(dim=48, window=5, epochs=3)
     words, docs = train_word2vec(tokens, cfg), train_doc2vec(tokens, cfg)
     return (words.vectors.tobytes(), words.node_vectors.tobytes(), words.final_loss.hex(),
             words.pairs_trained, docs.vectors.tobytes(), docs.final_loss.hex())
@@ -603,6 +658,19 @@ def test_single_isa_builds_train_the_same_bits(isa, single_isa_kernel, monkeypat
     shipped = trained_bytes(tokens)
     monkeypatch.setattr(embedding, "library", lambda: single_isa_kernel(isa))
     assert trained_bytes(tokens) == shipped
+
+
+@pytest.mark.parametrize("cfg", [EmbeddingConfig(dim=16, window=5, epochs=2),
+                                 EmbeddingConfig(dim=7, window=2, epochs=1, min_count=2, seed=3)])
+def test_encoded_input_trains_the_same_bits_as_token_lists(cfg):
+    tokens = planted_tokens(500)
+    encoded = EncodedCorpus.encode(tokens)
+    assert trained_bytes(encoded, cfg) == trained_bytes(tokens, cfg)
+    # a batch keeps the whole corpus's types, some of them absent from it
+    docs = sorted(np.random.default_rng(2).choice(500, size=60, replace=False).tolist())
+    batch = encoded.take(docs)
+    assert (batch.counts == 0).any()
+    assert trained_bytes(batch, cfg) == trained_bytes([tokens[i] for i in docs], cfg)
 
 
 class TestConfig:

@@ -34,12 +34,13 @@ def test_avx2_build_compiles_without_warnings(single_isa_source, tmp_path):
 
 
 def train_one_pair(center, loss):
-    """One pair through ``hs_train`` on a two-node path; returns its result."""
+    """One pair through ``hs_train``, item 0 on target range [0, 1), on a
+    two-node path; returns its result."""
     dim = len(center)
-    one = np.zeros(1, dtype=np.int64)
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     return kernel.library()(
-        center.reshape(1, dim), np.ones((2, dim)), dim, one, np.array([0, 1], dtype=np.int64),
-        one, 1, np.array([0, 2], dtype=np.int64), np.arange(2, dtype=np.int64),
+        center.reshape(1, dim), np.ones((2, dim)), dim, zero, zero, one, zero, 1, 0,
+        np.array([0, 2], dtype=np.int64), np.arange(2, dtype=np.int64),
         np.array([1.0, -1.0]), 0.1, 0.05, 0.05, 0, 1, np.empty(2 + dim), loss)
 
 
@@ -57,7 +58,7 @@ def read_only(a):
 @pytest.mark.parametrize("loss", [np.zeros(2), np.zeros(1, dtype=np.float32), np.zeros((1, 1)),
                                   read_only(np.zeros(1)), [0.0], 0.0])
 def test_bad_loss_buffer_rejected(loss):
-    with pytest.raises(ctypes.ArgumentError, match="argument 17"):
+    with pytest.raises(ctypes.ArgumentError, match="argument 19"):
         train_one_pair(np.full(3, 0.5), loss)
 
 

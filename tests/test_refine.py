@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from litscreen import refine
-from litscreen.corpus import CorpusError, Document, DocumentSet, preprocess_set
+from litscreen.corpus import CorpusError, Document, DocumentSet, EncodedCorpus, preprocess_set
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
     CandidateTable,
@@ -359,6 +360,30 @@ def first_trained(name):
     that run_refinement trains."""
     result = run_refinement(*paired_case(name)[:3])
     return next(r.iteration for r in result.records if r.vocab_complete)
+
+
+@pytest.mark.parametrize("name", ["planted-leading-missing-tokens", "planted-discards-a-lookahead"])
+def test_each_batch_is_counted_once(monkeypatch, name):
+    # the completeness check and the training of a batch read one count
+    counted = []
+    count = EncodedCorpus.counts.func
+
+    def spy(corpus):
+        counted.append(len(corpus))
+        return count(corpus)
+
+    counts = functools.cached_property(spy)
+    counts.__set_name__(EncodedCorpus, "counts")
+    monkeypatch.setattr(EncodedCorpus, "counts", counts)
+    docs, candidates, config, iterations, converged = paired_case(name)
+    result = run_refinement(docs, candidates, config)
+    used = [r.documents_used for r in result.records]
+    # the document model's corpus, then each iteration's batch, checked or
+    # trained or both; a converged run also trained the look-ahead after it
+    lookahead = [min(len(docs), used[-1] + config.batch_size)] if converged else []
+    assert result.records[0].missing and len(used) == iterations
+    assert counted[0] == len(docs)
+    assert sorted(counted[1:]) == used + lookahead
 
 
 class TestPairedIterations:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import reference_greedy_fps
 
 from litscreen.selection import (
     SelectionOrder,
@@ -177,6 +178,40 @@ class TestGreedyFPS:
         full = greedy_fps(pts, start=2, n=30)
         part = greedy_fps(pts, start=2, n=10)
         assert part.indices == full.indices[:10]
+
+
+def awkward_points(n, seed):
+    """``n`` seeded 2D points, a fifth of them each: zero-norm, repeats of
+    earlier points, antipodes of earlier points, and points on a 16-way
+    grid of angles that tie in distance; the rest normal."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 2))
+    kind = rng.integers(0, 5, size=n)
+    earlier = (rng.random(n) * np.arange(n)).astype(np.int64)
+    angles = rng.integers(0, 16, size=n) * (np.pi / 8)
+    radius = rng.choice([0.5, 1.0, 3.0], size=n)
+    for i in range(n):
+        if kind[i] == 1:
+            pts[i] = 0.0
+        elif kind[i] == 2:
+            pts[i] = pts[earlier[i]]
+        elif kind[i] == 3:
+            pts[i] = -pts[earlier[i]]
+        elif kind[i] == 4:
+            pts[i] = radius[i] * np.cos(angles[i]), radius[i] * np.sin(angles[i])
+    return pts
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (17, 3), (64, 4), (500, 5),
+                                     (2000, 6), (5000, 7)])
+def test_greedy_fps_matches_reference_loop_bit_for_bit(n, seed):
+    pts = awkward_points(n, seed)
+    # a zero-norm start too, where one exists; every order runs to the end,
+    # past the picks where only zero-norm points and repeats are left
+    for start in sorted({n // 2, *np.flatnonzero(~pts.any(axis=1))[:1].tolist()}):
+        got, want = greedy_fps(pts, start, n), reference_greedy_fps(pts, start, n)
+        assert got.indices == want.indices
+        assert np.array(got.distances).tobytes() == np.array(want.distances).tobytes()
 
 
 class TestCumulativeBatches:
