@@ -11,7 +11,6 @@ from .corpus import (
     Document,
     DocumentSet,
     Vocabulary,
-    build_vocabulary,
     load_corpus,
     preprocess,
     preprocess_set,

@@ -24,6 +24,7 @@ from .corpus import CorpusError, load_corpus, open_text, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
 from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
+    TOKENS_FORMAT,
     config_from_pairs,
     config_pairs,
     file_digest,
@@ -147,7 +148,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def _load_documents(args):
     """Read --corpus as either a raw CSV or a saved tokens file."""
-    marker = "litscreen-tokens/"
+    marker = TOKENS_FORMAT.rpartition("/")[0] + "/"
     with open_text(args.corpus, "corpus", CorpusError) as f:
         is_tokens = f.read(len(marker)) == marker
     if is_tokens:

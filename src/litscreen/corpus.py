@@ -2,12 +2,12 @@
 
 Reads abstract corpora from CSV, cleans each abstract into a token
 sequence (stopwords dropped, chemical element symbols preserved
-case-sensitively), and builds the frequency-ranked vocabulary used by
-the embedding trainers. :class:`EncodedCorpus` holds token lists as
-integer type ids, so that a run encodes its corpus once and every batch and
-vocabulary after that is array work. :func:`open_text` is the one way every
-text input of the package is opened: a missing file names its kind and
-path, and a byte that is not UTF-8 names the file and its line.
+case-sensitively). :class:`EncodedCorpus` holds token lists as integer
+type ids, so that a run encodes its corpus once and every batch, and the
+frequency-ranked vocabulary the embedding trainers use, is array work
+after that. :func:`open_text` is the one way every text input of the
+package is opened: a missing file names its kind and path, and a byte
+that is not UTF-8 names the file and its line.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import contextlib
 import csv
 import functools
 import re
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -32,7 +31,6 @@ __all__ = [
     "load_corpus",
     "preprocess",
     "preprocess_set",
-    "build_vocabulary",
     "element_symbols",
     "default_stopwords",
     "default_license_patterns",
@@ -177,7 +175,7 @@ def load_corpus(
     recorded as malformed (or raised when ``strict``) and reading goes on.
     Default ids are 1-based data-row numbers. Text that is not UTF-8 raises
     CorpusError naming the file and the line, and a header the CSV reader
-    rejects one naming the file.
+    rejects, or that repeats the text or id column, one naming the file.
     """
     with open_text(path, "corpus", CorpusError) as handle:
         reader = csv.reader(handle)
@@ -197,6 +195,9 @@ def load_corpus(
             if id_column not in header:
                 raise CorpusError(f"id column {id_column!r} not found in {path}")
             id_idx = header.index(id_column)
+        for name in (text_column, id_column):
+            if name is not None and header.count(name) > 1:
+                raise CorpusError(f"{path}: column {name!r} repeats in the header")
 
         docset = DocumentSet(documents=[])
         seen_ids: set[str] = set()
@@ -268,22 +269,6 @@ def preprocess_set(docs: DocumentSet) -> DocumentSet:
                                     for doc in docs.documents])
 
 
-def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
-    """Index tokens with frequency >= min_count, by descending count then token.
-
-    Accepts any iterable of token sequences (e.g. ``DocumentSet.token_lists()``).
-    """
-    if min_count < 1:
-        raise ValueError(f"min_count must be positive, got {min_count}")
-    counts = Counter(chain.from_iterable(token_lists))
-    kept = {t: c for t, c in counts.items() if c >= min_count}
-    if not kept:
-        raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
-    # by token, then stably by descending count: the order of (-count, token)
-    ordered = sorted(sorted(kept), key=kept.__getitem__, reverse=True)
-    return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)
-
-
 class EncodedCorpus(Sequence):
     """Token lists encoded as integer type ids: ``types`` holds the distinct
     tokens sorted, ``ids`` every token's index in ``types`` with the
@@ -339,12 +324,12 @@ class EncodedCorpus(Sequence):
         return np.bincount(self.ids, minlength=len(self.types))
 
     def vocabulary(self, min_count: int = 1) -> tuple[Vocabulary, np.ndarray]:
-        """``build_vocabulary(self, min_count)``, and each type's index in
-        it, -1 for a type it leaves out.
+        """The vocabulary of the tokens counted at least ``min_count``
+        times, and each type's index in it, -1 for a type it leaves out.
 
-        The order, by descending count then by token, is a stable sort of
-        the counts, as ``types`` is sorted; the vocabulary's ``counts`` dict
-        is in index order.
+        Tokens are indexed by descending count, ties by token: a stable sort
+        of the counts, as ``types`` is sorted. The vocabulary's ``counts``
+        dict is in index order. CorpusError if no token is kept.
         """
         if min_count < 1:
             raise ValueError(f"min_count must be positive, got {min_count}")

@@ -210,10 +210,11 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
 def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):
     """What both trainers start from: the vocabulary, its Huffman coding,
     the seeded generator, the initial center rows drawn from it (one per
-    document if ``doc_rows``, else one per token), and every document's
-    in-vocabulary token indices as one flat array plus each document's
-    length; out-of-vocabulary tokens are dropped. ``token_lists`` is
-    encoded first unless it is an :class:`EncodedCorpus` already."""
+    document if ``doc_rows``, else one per token), every document's
+    in-vocabulary token indices as one flat array, and each of those
+    tokens' document index; out-of-vocabulary tokens are dropped.
+    ``token_lists`` is encoded first unless it is an
+    :class:`EncodedCorpus` already."""
     corpus = token_lists
     if not isinstance(corpus, EncodedCorpus):
         corpus = EncodedCorpus.encode(token_lists)
@@ -227,13 +228,8 @@ def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):
     flat = lookup[corpus.ids]
     kept = flat >= 0
     flat = flat[kept]
-    # documents' in-vocabulary counts, as differences of kept tokens so far
-    kept_before = np.zeros(kept.size + 1, dtype=np.int64)
-    np.cumsum(kept, out=kept_before[1:])
-    bounds = np.zeros(len(corpus) + 1, dtype=np.int64)
-    np.cumsum(corpus.lengths, out=bounds[1:])
-    lengths = np.diff(kept_before[bounds])
-    return vocab, coding, rng, centers, flat, lengths
+    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), corpus.lengths)[kept]
+    return vocab, coding, rng, centers, flat, docs
 
 
 def _train_hs(
@@ -267,14 +263,15 @@ def _train_hs(
     total = config.epochs * n_items
     alpha_span = config.alpha0 - config.alpha_min
     pairs = epoch_pairs = 0
+    # the kernel indexes raw memory with these, so check them first
+    if (centers.shape[1] != config.dim or rows.shape != (n_items,)
+            or np.any((rows < 0) | (rows >= len(centers)))
+            or np.any((targets < 0) | (targets >= len(coding.offsets) - 1))):
+        raise ValueError("training items out of range")
     for epoch in range(config.epochs):
         lo, hi = epoch_ranges()
-        # the kernel indexes raw memory with these, so check them first
-        if (centers.shape[1] != config.dim or rows.shape != (n_items,)
-                or lo.shape != (n_items,) or hi.shape != (n_items,)
-                or np.any((lo < 0) | (lo > hi) | (hi > n_items))
-                or np.any((rows < 0) | (rows >= len(centers)))
-                or np.any((targets < 0) | (targets >= len(coding.offsets) - 1))):
+        if (lo.shape != (n_items,) or hi.shape != (n_items,)
+                or np.any((lo < 0) | (lo > hi) | (hi > n_items))):
             raise ValueError("training items out of range")
         epoch_pairs = hs_train(
             centers, nodes, config.dim, rows, lo, hi, targets, n_items, skip_self,
@@ -296,17 +293,17 @@ def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
     token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
     (seeded). ``token_lists`` may be an :class:`EncodedCorpus`.
     """
-    vocab, coding, rng, vectors, flat, lengths = _setup(token_lists, config, doc_rows=False)
-    doc_end = np.cumsum(lengths)
-    doc_start = np.repeat(doc_end - lengths, lengths)
-    doc_end = np.repeat(doc_end, lengths)
+    vocab, coding, rng, vectors, flat, docs = _setup(token_lists, config, doc_rows=False)
+    # document d's in-vocabulary tokens are flat[bounds[d]:bounds[d + 1]]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(docs))))
+    starts, ends = bounds[:-1], bounds[1:]
     pos = np.arange(flat.size)
 
     def windows():
         # position p's window is flat[lo:hi] clipped to its document; the
         # kernel leaves p itself out
         radii = rng.integers(1, config.window + 1, size=flat.size)
-        return np.maximum(doc_start, pos - radii), np.minimum(doc_end, pos + radii + 1)
+        return np.maximum(starts[docs], pos - radii), np.minimum(ends[docs], pos + radii + 1)
 
     nodes, final_loss, pairs = _train_hs(vectors, coding, config, flat, flat, windows,
                                          skip_self=True)
@@ -329,15 +326,14 @@ def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
     shared Huffman tree; schedule and initialization match
     :func:`train_word2vec`. ``token_lists`` may be an :class:`EncodedCorpus`.
     """
-    _, coding, _, doc_vectors, flat, lengths = _setup(token_lists, config, doc_rows=True)
-    ids = [str(i) for i in (range(len(lengths)) if ids is None else ids)]
-    if len(ids) != len(lengths):
-        raise ValueError(f"{len(ids)} ids for {len(lengths)} documents")
+    _, coding, _, doc_vectors, flat, docs = _setup(token_lists, config, doc_rows=True)
+    ids = [str(i) for i in (range(len(doc_vectors)) if ids is None else ids)]
+    if len(ids) != len(doc_vectors):
+        raise ValueError(f"{len(ids)} ids for {len(doc_vectors)} documents")
     # one item per token: its document's row and the token itself
-    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     ranges = np.arange(flat.size, dtype=np.int64), np.arange(1, flat.size + 1, dtype=np.int64)
 
-    _, final_loss, _ = _train_hs(doc_vectors, coding, config, rows, flat, lambda: ranges,
+    _, final_loss, _ = _train_hs(doc_vectors, coding, config, docs, flat, lambda: ranges,
                                  skip_self=False)
     return DocModel(
         ids=ids,

@@ -364,7 +364,9 @@ def load_tokens(path: str) -> DocumentSet:
             line = f.readline()
             if not line:
                 raise PersistenceError(f"{path}: truncated at document {i + 1} of {n}")
-            doc_id, _, rest = line.rstrip("\r\n").partition("\t")
+            doc_id, tab, rest = line.rstrip("\r\n").partition("\t")
+            if not tab:
+                raise PersistenceError(f"{path} row {i + 1}: no tab after the document id")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
         _reject_extra_rows(f, path, n, "document")
     _reject_repeats([doc.id for doc in documents], path, "document id")

@@ -10,9 +10,10 @@ hierarchical-softmax SGD step in numpy, the reference for the compiled
 trainer kernel, and ``code_path`` reads one token's path and code out of
 the flat Huffman table that kernel reads. ``reference_build_huffman`` is
 the heap-merged tree builder, the oracle for the two-queue merge in
-``build_huffman``. ``reference_build_vocabulary`` is the dict-counting
-loop with one keyed sort, the oracle for ``build_vocabulary``'s counter
-and two stable sorts. ``parse_composition`` and
+``build_huffman``. ``reference_build_vocabulary`` counts tokens with a
+Counter and orders them with two stable sorts, the one vocabulary oracle:
+``EncodedCorpus.vocabulary`` must give its index and counts, and the
+Huffman tests build their vocabularies with it. ``parse_composition`` and
 ``read_manifest`` read formula strings and run manifests, and
 ``cosine_similarity`` scores one pair of vectors; only the tests need them.
 ``reference_load_compositions`` is the candidate CSV reader that checks and
@@ -32,6 +33,7 @@ import itertools
 import math
 import re
 from array import array
+from collections import Counter
 from operator import itemgetter
 
 import numpy as np
@@ -141,18 +143,17 @@ def code_path(coding, token):
 
 
 def reference_build_vocabulary(token_lists, min_count=1):
-    """``build_vocabulary`` counted one token at a time into a dict and
-    ordered by one sort on (-count, token)."""
+    """The tokens of ``token_lists`` counted at least ``min_count`` times,
+    indexed by descending count then token, from a Counter and two stable
+    sorts; ``counts`` is in the order each token first appears."""
     if min_count < 1:
         raise ValueError(f"min_count must be positive, got {min_count}")
-    counts = {}
-    for tokens in token_lists:
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(token_lists))
     kept = {t: c for t, c in counts.items() if c >= min_count}
     if not kept:
         raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
-    ordered = sorted(kept, key=lambda t: (-kept[t], t))
+    # by token, then stably by descending count: the order of (-count, token)
+    ordered = sorted(sorted(kept), key=kept.__getitem__, reverse=True)
     return Vocabulary(index={t: i for i, t in enumerate(ordered)}, counts=kept)
 
 

@@ -165,6 +165,17 @@ class TestUnreadableInputs:
         assert runs[0] == runs[1]
         assert runs[0][1] == text.encode("utf-8")
 
+    @pytest.mark.parametrize("text, message", [
+        ("litscreen-tokens/2 1\na\tAg films\n", "{}: not a litscreen-tokens/1 file"),
+        ("litscreen-tokens/1 2\na\tAg films\nD2 Pt films\n",
+         "{} row 2: no tab after the document id"),
+    ], ids=["other_version", "row_without_tab"])
+    def test_bad_tokens_file_is_data_error(self, capsys, tmp_path, text, message):
+        tokens = write(str(tmp_path / "c.tokens"), text)
+        code, _, err = self.ingest(capsys, tmp_path, tokens)
+        assert code == 2
+        assert message.format(tokens) in err
+
     def test_non_utf8_candidates_name_the_line(self, capsys, tmp_path):
         cands = write_bytes(str(tmp_path / "k.csv"),
                             b"id,Ag,Pt\n" + b"a,1,0\n" * 2 + b"caf\xe9,0,1\n")

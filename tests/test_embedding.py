@@ -6,12 +6,18 @@ import subprocess
 
 import numpy as np
 import pytest
-from helpers import code_path, cosine_similarity, hs_step, reference_build_huffman
+from helpers import (
+    code_path,
+    cosine_similarity,
+    hs_step,
+    reference_build_huffman,
+    reference_build_vocabulary,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litscreen import embedding, kernel
-from litscreen.corpus import EncodedCorpus, Vocabulary, build_vocabulary, preprocess
+from litscreen.corpus import EncodedCorpus, Vocabulary, preprocess
 from litscreen.embedding import (
     EmbeddingConfig,
     OutOfVocabularyError,
@@ -55,17 +61,17 @@ class TestHuffman:
             for _ in range(12):
                 counts = [int(rng.integers(1, 40)) for _ in range(v)]
                 docs = [[f"w{i}"] * c for i, c in enumerate(counts)]
-                vocab = build_vocabulary(docs)
+                vocab = reference_build_vocabulary(docs)
                 assert huffman_cost(vocab) == optimal_tree_cost(counts)
 
     def test_kraft_equality(self):
-        vocab = build_vocabulary([["a"] * 9, ["b"] * 5, ["c"] * 3, ["d"] * 2, ["e"]])
+        vocab = reference_build_vocabulary([["a"] * 9, ["b"] * 5, ["c"] * 3, ["d"] * 2, ["e"]])
         tree = build_huffman(vocab)
         lengths = [len(code_path(tree, i)[0]) for i in range(len(vocab))]
         assert sum(2.0 ** -n for n in lengths) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tokens(self):
-        vocab = build_vocabulary([["a", "a", "b"]])
+        vocab = reference_build_vocabulary([["a", "a", "b"]])
         tree = build_huffman(vocab)
         assert tree.n_nodes == 1
         codes = [code_path(tree, i) for i in range(2)]
@@ -75,7 +81,7 @@ class TestHuffman:
         assert codes[0][1][0] != codes[1][1][0]
 
     def test_paths_are_root_first(self):
-        vocab = build_vocabulary([["a"] * 8, ["b"] * 4, ["c"] * 2, ["d"]])
+        vocab = reference_build_vocabulary([["a"] * 8, ["b"] * 4, ["c"] * 2, ["d"]])
         tree = build_huffman(vocab)
         V = len(vocab)
         root = V - 2  # internal ids are offsets from V; the root is created last
@@ -86,13 +92,13 @@ class TestHuffman:
             assert all(path[k] > path[k + 1] for k in range(len(path) - 1))
 
     def test_frequent_token_gets_short_code(self):
-        vocab = build_vocabulary([["a"] * 100, ["b"] * 2, ["c"] * 2, ["d"]])
+        vocab = reference_build_vocabulary([["a"] * 100, ["b"] * 2, ["c"] * 2, ["d"]])
         tree = build_huffman(vocab)
         lengths = tree.code_lengths()
         assert lengths[0] == min(lengths)
 
     def test_deterministic(self):
-        vocab = build_vocabulary([["a"] * 3, ["b"] * 3, ["c"] * 2, ["d"] * 2])
+        vocab = reference_build_vocabulary([["a"] * 3, ["b"] * 3, ["c"] * 2, ["d"] * 2])
         t1, t2 = build_huffman(vocab), build_huffman(vocab)
         for i in range(len(vocab)):
             (p, s), (q, t) = code_path(t1, i), code_path(t2, i)
@@ -100,7 +106,7 @@ class TestHuffman:
             assert np.array_equal(s, t)
 
     def test_single_token_vocabulary_rejected(self):
-        vocab = build_vocabulary([["only"]])
+        vocab = reference_build_vocabulary([["only"]])
         with pytest.raises(ValueError):
             build_huffman(vocab)
 
@@ -109,7 +115,8 @@ class TestHuffman:
         # hs_train indexes raw memory with this table and checks none of it
         rng = np.random.default_rng(v)
         counts = rng.integers(1, 1000, size=v)
-        tree = build_huffman(build_vocabulary([[f"w{i}"] * c for i, c in enumerate(counts)]))
+        docs = [[f"w{i}"] * c for i, c in enumerate(counts)]
+        tree = build_huffman(reference_build_vocabulary(docs))
         assert tree.offsets.dtype == tree.nodes.dtype == np.int64
         assert tree.signs.dtype == np.float64
         assert all(a.flags.c_contiguous for a in (tree.offsets, tree.nodes, tree.signs))
@@ -343,7 +350,7 @@ def reference_train(token_lists, config, documents=False):
 
     Returns (center vectors, node vectors, per-epoch mean losses, pairs).
     """
-    vocab = build_vocabulary(token_lists, min_count=config.min_count)
+    vocab = reference_build_vocabulary(token_lists, min_count=config.min_count)
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
     n_rows = len(token_lists) if documents else len(vocab)
@@ -422,7 +429,7 @@ class TestKernelMatchesReference:
     def train_two_items(centers, rows, targets, lo=(0, 1), hi=(1, 2)):
         """Two PV-DBOW-style items through ``_train_hs``, by default item i
         on target i."""
-        coding = build_huffman(build_vocabulary([["a", "a", "b", "c"]]))
+        coding = build_huffman(reference_build_vocabulary([["a", "a", "b", "c"]]))
         ranges = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
         return embedding._train_hs(
             centers, coding, EmbeddingConfig(dim=4, epochs=1), np.array(rows, dtype=np.int64),
@@ -621,8 +628,8 @@ def test_skip_gram_item_never_pairs_with_its_own_position():
     # exactly what two plain items over [lo, i) and [i + 1, hi) train
     rng = np.random.default_rng(31)
     dim, n_items, n_nodes = 6, 40, 7
-    coding = build_huffman(build_vocabulary([["a"] * 5, ["b"] * 3, ["c"] * 2, ["d"], ["e"],
-                                             ["f"], ["g"], ["h"]]))
+    coding = build_huffman(reference_build_vocabulary(
+        [["a"] * 5, ["b"] * 3, ["c"] * 2, ["d"], ["e"], ["f"], ["g"], ["h"]]))
     targets = rng.integers(0, len(coding.offsets) - 1, size=n_items)
     rows = rng.integers(0, 5, size=n_items)
     radii, at = rng.integers(0, 4, size=n_items), np.arange(n_items)

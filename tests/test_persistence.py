@@ -646,6 +646,14 @@ class TestTokensRoundTrip:
                            match=r"c\.tokens row 2: duplicate document id 'a'"):
             load_tokens(path)
 
+    @pytest.mark.parametrize("line", ["D2 baz qux\n", "\n"], ids=["spaces", "blank"])
+    def test_line_without_tab_rejected_naming_file_and_row(self, tmp_path, line):
+        path = self.two_docs(tmp_path)
+        rewrite_line(path, 2, line)
+        with pytest.raises(PersistenceError,
+                           match=r"c\.tokens row 2: no tab after the document id"):
+            load_tokens(path)
+
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         path = str(tmp_path / "c.tokens")
         with open(path, "wb") as f:
