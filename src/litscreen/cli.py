@@ -112,7 +112,8 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(EmbeddingConfig)) | _OPTIONS.key
 def _apply_config(args: argparse.Namespace):
     """Fill each option of ``_OPTIONS`` that no flag set from the --config
     file, else None, and set ``args.embedding`` from the file with --seed
-    over its seed. Flag > config-file value > the callee's own default.
+    over its seed, and ``args.flagged`` to the options a flag set.
+    Flag > config-file value > the callee's own default.
 
     Every key is checked whether or not the command reads it: an unknown
     key, two spellings of one key (``text-column``, ``text_column``) or a
@@ -129,6 +130,7 @@ def _apply_config(args: argparse.Namespace):
     if unknown:
         raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
     args.embedding = replace(config_from_pairs(pairs, path), **_given(args, "seed"))
+    args.flagged = frozenset(_given(args, *_OPTIONS))
     for name, cast in _OPTIONS.items():
         value = getattr(args, name, None)
         if value is None and name in pairs:
@@ -147,14 +149,19 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 
 def _load_documents(args):
-    """Read --corpus as either a raw CSV or a saved tokens file."""
+    """Read --corpus as either a raw CSV or a saved tokens file. A tokens
+    file fails a column flag, but not a --config key, which serves any input."""
     marker = TOKENS_FORMAT.rpartition("/")[0] + "/"
     with open_text(args.corpus, "corpus", CorpusError) as f:
         is_tokens = f.read(len(marker)) == marker
     if is_tokens:
+        flags = [f"--{name.replace('_', '-')}" for name in ("text_column", "id_column")
+                 if name in args.flagged]
+        if flags:
+            raise CorpusError(f"{args.corpus} is a tokens file, which has no column for "
+                              f"{' or '.join(flags)}")
         return load_tokens(args.corpus)
-    docs = load_corpus(args.corpus, strict=getattr(args, "strict", False),
-                       **_given(args, "text_column", "id_column"))
+    docs = load_corpus(args.corpus, **_given(args, "text_column", "id_column"))
     return preprocess_set(docs)
 
 
@@ -177,7 +184,6 @@ def _cmd_ingest(args) -> int:
     print(f"documents: {len(docs)}")
     print(f"tokens: {n_tokens}")
     print(f"skipped empty: {docs.skipped_empty}")
-    print(f"skipped malformed: {len(docs.skipped_malformed)}")
     print(f"tokens file: {args.out}")
     return 0
 
@@ -322,7 +328,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse, clean, and tokenize a corpus CSV")
     _add_config(p)
     _add_corpus_options(p)
-    p.add_argument("--strict", action="store_true", help="fail on malformed rows")
     p.add_argument("--out", required=True, help="tokens file to write")
     p.set_defaults(func=_cmd_ingest)
 

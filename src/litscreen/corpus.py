@@ -16,7 +16,7 @@ import csv
 import functools
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain
 
@@ -53,11 +53,10 @@ class Document:
 
 @dataclass
 class DocumentSet:
-    """Ordered collection of documents; iteration order equals file order."""
+    """Documents in file order, and the count of rows with an empty abstract."""
 
     documents: list[Document]
     skipped_empty: int = 0
-    skipped_malformed: list[tuple[int, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -166,16 +165,15 @@ def load_corpus(
     path: str,
     text_column: str = "abstract",
     id_column: str | None = None,
-    strict: bool = False,
 ) -> DocumentSet:
     """Read one Document per non-empty abstract row of a CSV file.
 
-    Rows with an empty abstract are skipped and counted; rows too short to
-    contain the abstract column, or that the CSV reader rejects, are
-    recorded as malformed (or raised when ``strict``) and reading goes on.
-    Default ids are 1-based data-row numbers. Text that is not UTF-8 raises
-    CorpusError naming the file and the line, and a header the CSV reader
-    rejects, or that repeats the text or id column, one naming the file.
+    Rows with an empty abstract are skipped and counted. A row too short to
+    hold the text or id column, one the CSV reader rejects, or a repeated id
+    raises CorpusError naming the file and the data row (1-based, blank
+    lines uncounted, the default ids). So does text that is not UTF-8,
+    naming the line, and a header the CSV reader rejects, or that repeats
+    the text or id column, naming the file.
     """
     with open_text(path, "corpus", CorpusError) as handle:
         reader = csv.reader(handle)
@@ -201,38 +199,24 @@ def load_corpus(
 
         docset = DocumentSet(documents=[])
         seen_ids: set[str] = set()
+        needed = text_idx if id_idx is None else max(text_idx, id_idx)
         row_num = 0
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                # the reader resumes at the next line, so later rows still load
-                row_num += 1
-                if strict:
-                    raise CorpusError(f"{path} row {row_num}: {exc}") from exc
-                docset.skipped_malformed.append((row_num, str(exc)))
-                continue
-            if not row:
-                continue  # fully blank line, not a data row
-            row_num += 1
-            needed = text_idx if id_idx is None else max(text_idx, id_idx)
-            if len(row) <= needed:
-                msg = f"row has {len(row)} fields, need at least {needed + 1}"
-                if strict:
-                    raise CorpusError(f"{path} row {row_num}: {msg}")
-                docset.skipped_malformed.append((row_num, msg))
-                continue
-            text = row[text_idx]
-            if not text.strip():
-                docset.skipped_empty += 1
-                continue
-            doc_id = row[id_idx] if id_idx is not None else str(row_num)
-            if doc_id in seen_ids:
-                raise CorpusError(f"{path} row {row_num}: duplicate document id {doc_id!r}")
-            seen_ids.add(doc_id)
-            docset.documents.append(Document(id=doc_id, text=text))
+        try:
+            for row_num, row in enumerate(filter(None, reader), 1):  # blank lines are not rows
+                if len(row) <= needed:
+                    raise CorpusError(f"{path} row {row_num}: row has {len(row)} fields, "
+                                      f"need at least {needed + 1}")
+                text = row[text_idx]
+                if not text.strip():
+                    docset.skipped_empty += 1
+                    continue
+                doc_id = row[id_idx] if id_idx is not None else str(row_num)
+                if doc_id in seen_ids:
+                    raise CorpusError(f"{path} row {row_num}: duplicate document id {doc_id!r}")
+                seen_ids.add(doc_id)
+                docset.documents.append(Document(id=doc_id, text=text))
+        except csv.Error as exc:
+            raise CorpusError(f"{path} row {row_num + 1}: {exc}") from None
     return docset
 
 

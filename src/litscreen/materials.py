@@ -145,6 +145,8 @@ class PropertyAnchors:
         for t in self.terms:
             if not t or t != t.lower():
                 raise ValueError(f"anchor terms must be nonempty lowercase, got {t!r}")
+        if self.terms[0] == self.terms[1]:
+            raise ValueError(f"the two anchor terms must differ, got {self.terms}")
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,12 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert f"expected a finite number, got {value}" in err
 
+    def test_repeated_anchor_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "screen", "--model", "m", "--candidates", "k.csv",
+                             "--anchors", "dielectric,dielectric", "--preset", "orr")
+        assert (code, out) == (1, "")
+        assert "the two anchor terms must differ" in err
+
     def test_version_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--version")
         assert code == 0
@@ -175,6 +181,50 @@ class TestUnreadableInputs:
         code, _, err = self.ingest(capsys, tmp_path, tokens)
         assert code == 2
         assert message.format(tokens) in err
+
+    @pytest.mark.parametrize("bad, message", [
+        ("onlyone", "row 3: row has 1 fields, need at least 2"),
+        ("x" * (csv.field_size_limit() + 1), "row 3: field larger than field limit"),
+    ], ids=["short_row", "oversized_field"])
+    def test_malformed_corpus_row_fails_every_command(self, capsys, tmp_path, bad, message):
+        # no command reads on past a bad row with the rest of the corpus
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        with open(os.path.join(data, "corpus.csv"), encoding="utf-8") as f:
+            lines = f.read().splitlines(keepends=True)
+        corpus = write(str(tmp_path / "c.csv"), "".join(lines[:3] + [bad + "\n"] + lines[3:]))
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\nmax_iterations = 2\n")
+        out = str(tmp_path / "out")
+        for command, extra in (("ingest", []), ("embed-docs", []), ("select", []),
+                               ("refine", ["--candidates", os.path.join(data, "candidates.csv")])):
+            code, printed, err = run(capsys, command, "--corpus", corpus, "--config", conf,
+                                     *extra, "--out", out)
+            assert (code, printed) == (2, ""), command
+            assert err.startswith(f"error: {corpus} {message}"), command
+            assert not os.path.exists(out)
+
+    def test_column_flag_with_tokens_file_is_data_error(self, capsys, tmp_path):
+        tokens = write(str(tmp_path / "c.tokens"), "litscreen-tokens/1 2\na\tAg films\nb\tPt\n")
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,1,0\n")
+        for command, extra in (("ingest", []), ("embed-docs", []), ("select", []),
+                               ("refine", ["--candidates", cands])):
+            for flag, named in ((["--text-column", "title"], "--text-column"),
+                                (["--id-column", "nope"], "--id-column")):
+                code, printed, err = run(capsys, command, "--corpus", tokens, *flag, *extra,
+                                         "--out", str(tmp_path / "out"))
+                assert (code, printed) == (2, ""), command
+                assert err == (f"error: {tokens} is a tokens file, which has no column "
+                               f"for {named}\n"), command
+
+    def test_column_keys_in_config_pass_over_tokens_file(self, capsys, tmp_path):
+        # one config file serves a CSV ingest and the runs on its tokens file
+        tokens = write(str(tmp_path / "c.tokens"), "litscreen-tokens/1 2\na\tAg films\nb\tPt\n")
+        conf = write(str(tmp_path / "c.conf"), "text_column = title\nid_column = nope\n")
+        out = tmp_path / "out.tokens"
+        code, _, err = run(capsys, "ingest", "--corpus", tokens, "--config", conf,
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == (tmp_path / "c.tokens").read_bytes()
 
     def test_non_utf8_candidates_name_the_line(self, capsys, tmp_path):
         cands = write_bytes(str(tmp_path / "k.csv"),
@@ -467,6 +517,7 @@ class TestConfigPrecedence:
         ("refine", "max_iterations = 0"),
         ("refine", "max_iterations = -2"),
         ("screen", "preset = xyz"),
+        ("screen", "anchors = dielectric,dielectric"),
         ("ingest", "batch_size = 0"),
     ])
     def test_bad_value_names_file_and_key(self, capsys, tmp_path, command, line):

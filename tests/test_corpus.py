@@ -67,26 +67,20 @@ class TestLoadCorpus:
         docs = load_corpus(path)
         assert len(docs) == 2
         assert docs.skipped_empty == 1
-        assert docs.skipped_malformed == []
         assert docs.ids() == ["1", "2"]
 
-    def test_short_rows_recorded_or_strict(self, tmp_path):
+    def test_short_row_rejected_naming_file_and_row(self, tmp_path):
         path = write_csv(str(tmp_path), "id,abstract\na1,x\nonlyone\na3,z\n")
-        docs = load_corpus(path, id_column="id")
-        assert len(docs) == 2
-        assert len(docs.skipped_malformed) == 1
-        assert docs.skipped_malformed[0][0] == 2
-        with pytest.raises(CorpusError):
-            load_corpus(path, id_column="id", strict=True)
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path} row 2: row has 1 fields, need at least 2")):
+            load_corpus(path, id_column="id")
 
-    def test_oversized_field_skips_only_its_row(self, tmp_path):
+    def test_oversized_field_rejected_naming_file_and_row(self, tmp_path):
         big = "x" * (csv.field_size_limit() + 1)
         path = write_csv(str(tmp_path), f"abstract\nfirst\n{big}\nthird\nfourth\n")
-        docs = load_corpus(path)
-        assert docs.ids() == ["1", "3", "4"]
-        assert [row for row, _ in docs.skipped_malformed] == [2]
-        with pytest.raises(CorpusError, match="row 2"):
-            load_corpus(path, strict=True)
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path} row 2: field larger than field limit")):
+            load_corpus(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_csv(str(tmp_path), "id,abstract\na,x\na,y\n")
@@ -302,16 +296,19 @@ def _corpus_bytes(draw):
 
 class TestLoadCorpusFuzz:
     @settings(max_examples=200, deadline=None)
-    @given(_corpus_bytes(), st.booleans(), st.sampled_from([None, "id"]))
-    def test_only_corpus_error_escapes(self, data, strict, id_column):
+    @given(_corpus_bytes(), st.sampled_from([None, "id"]))
+    def test_only_corpus_error_escapes(self, data, id_column):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.csv")
             with open(path, "wb") as f:
                 f.write(data)
             try:
-                docs = load_corpus(path, id_column=id_column, strict=strict)
+                docs = load_corpus(path, id_column=id_column)
             except CorpusError:
                 return
+            with open(path, encoding="utf-8-sig", newline="") as f:
+                rows = sum(1 for row in list(csv.reader(f))[1:] if row)
         assert len(set(docs.ids())) == len(docs)
         assert all(doc.text.strip() for doc in docs)
-        assert not strict or not docs.skipped_malformed
+        # no row is dropped without a count
+        assert len(docs) + docs.skipped_empty == rows

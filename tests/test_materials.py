@@ -259,6 +259,8 @@ class TestAnchors:
             PropertyAnchors(terms=("Upper", "case"))
         with pytest.raises(ValueError):
             PropertyAnchors(terms=("", "x"))
+        with pytest.raises(ValueError, match="the two anchor terms must differ"):
+            PropertyAnchors(terms=("dielectric", "dielectric"))
 
 
 class TestLoadCompositions:
