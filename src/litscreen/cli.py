@@ -74,6 +74,8 @@ def _element_list(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise argparse.ArgumentTypeError("expected comma-separated element symbols")
+    if len(set(parts)) != len(parts):
+        raise argparse.ArgumentTypeError(f"repeated element symbols in {text!r}")
     return parts
 
 
@@ -150,7 +152,8 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def _load_documents(args):
     """Read --corpus as either a raw CSV or a saved tokens file. A tokens
-    file fails a column flag, but not a --config key, which serves any input."""
+    file fails a column flag, but not a --config key, which serves any input
+    and is then unset, as the run does not read it."""
     marker = TOKENS_FORMAT.rpartition("/")[0] + "/"
     with open_text(args.corpus, "corpus", CorpusError) as f:
         is_tokens = f.read(len(marker)) == marker
@@ -160,6 +163,7 @@ def _load_documents(args):
         if flags:
             raise CorpusError(f"{args.corpus} is a tokens file, which has no column for "
                               f"{' or '.join(flags)}")
+        args.text_column = args.id_column = None
         return load_tokens(args.corpus)
     docs = load_corpus(args.corpus, **_given(args, "text_column", "id_column"))
     return preprocess_set(docs)
@@ -198,11 +202,7 @@ def _cmd_embed_docs(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    if args.model:
-        model = load_doc_model(args.model)
-    else:
-        docs = _load_documents(args)
-        model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
+    model = load_doc_model(args.model)
     order = selection_order(model.vectors)  # refine's stage, so both write one selection.csv
     save_selection(order, model.ids, args.out)
     print(f"seed document: {model.ids[order.indices[0]]}")
@@ -232,6 +232,8 @@ def _cmd_refine(args) -> int:
         "anchors": ",".join(config.anchors.terms),
         "batch_size": str(config.batch_size),
         "threshold": f"{config.threshold:.17g}",
+        **{name: ",".join(value) if name == "elements" else str(value) for name, value
+           in _given(args, "max_iterations", "elements", "text_column", "id_column").items()},
         **config_pairs(result.final_model.config),
         "iterations_run": str(len(result.records)),
         "converged": "true" if result.converged else "false",
@@ -307,10 +309,6 @@ def _add_corpus_options(p: argparse.ArgumentParser):
     _add_option(p, "id_column", help="document id column name")
 
 
-def _add_training_options(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, help="RNG seed")
-
-
 @functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="litscreen", description=__doc__.split("\n\n")[0])
@@ -334,18 +332,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("embed-docs", help="train document embeddings")
     _add_config(p)
     _add_corpus_options(p)
-    _add_training_options(p)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--out", required=True, help="model base path")
     p.set_defaults(func=_cmd_embed_docs)
 
-    p = sub.add_parser("select", help="order documents by greedy diversity")
-    _add_config(p)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--corpus", help="corpus CSV or tokens file (trains on the fly)")
-    source.add_argument("--model", help="saved document model base path")
-    _add_option(p, "text_column")
-    _add_option(p, "id_column")
-    _add_training_options(p)
+    p = sub.add_parser("select", help="order a saved document model by greedy diversity")
+    p.add_argument("--model", required=True, help="saved document model base path")
     p.add_argument("--out", required=True, help="selection CSV to write")
     p.set_defaults(func=_cmd_select)
 
@@ -358,7 +350,7 @@ def _build_parser() -> _Parser:
     _add_option(p, "anchors", help="two comma-separated anchor terms")
     _add_option(p, "threshold", help="convergence displacement threshold")
     _add_option(p, "batch_size")
-    _add_training_options(p)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 when the run does not converge")
     p.add_argument("--out", required=True, help="output directory")

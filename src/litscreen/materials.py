@@ -377,6 +377,8 @@ class _CandidateRows:
             elements = tuple(c for c in header if c in symbols)
         else:
             elements = tuple(elements)
+            if len(set(elements)) != len(elements):
+                raise CompositionError(f"{path}: elements {list(elements)} repeat a symbol")
             missing = [el for el in elements if el not in header]
             if missing:
                 raise CompositionError(f"{path}: missing element columns {missing}")
@@ -385,8 +387,6 @@ class _CandidateRows:
         for name in elements + ("id", "current_density", "potential"):
             if header.count(name) > 1:
                 raise CompositionError(f"{path}: column {name!r} repeats in the header")
-        if len(set(elements)) != len(elements):
-            raise CompositionError(f"{path}: repeated element columns in {header}")
         self.path, self.elements, self.width = path, elements, len(header)
         self.element_cols = [header.index(el) for el in elements]
         self.id_col, self.measured_col, self.potential_col = (

@@ -237,16 +237,17 @@ def _write_kv(path: str, pairs: dict[str, str]):
 
 def read_kv(path: str, what: str) -> dict[str, str]:
     """Parse ``key = value`` lines, skipping blanks and ``#`` comments; a
-    repeated key fails naming the file and the key."""
+    line without ``=`` fails naming the file and the line, a repeated key
+    naming the file and the key."""
     with open_text(path, what, PersistenceError) as f:
         pairs = {}
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise PersistenceError(f"{path}: bad line {line!r}")
+                raise PersistenceError(f"{path} line {n}: expected key = value, got {line!r}")
             key = key.strip()
             if key in pairs:
                 raise PersistenceError(f"{path}: repeated key {key!r}")

@@ -317,6 +317,8 @@ def _reference_rows(reader, path, elements):
         elements = tuple(c for c in header if c in symbols)
     else:
         elements = tuple(elements)
+        if len(set(elements)) != len(elements):
+            raise CompositionError(f"{path}: elements {list(elements)} repeat a symbol")
         missing = [el for el in elements if el not in header]
         if missing:
             raise CompositionError(f"{path}: missing element columns {missing}")
@@ -325,8 +327,6 @@ def _reference_rows(reader, path, elements):
     for name in elements + ("id", "current_density", "potential"):
         if header.count(name) > 1:
             raise CompositionError(f"{path}: column {name!r} repeats in the header")
-    if len(set(elements)) != len(elements):
-        raise CompositionError(f"{path}: repeated element columns in {header}")
 
     def column(name):
         return header.index(name) if name in header else None

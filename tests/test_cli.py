@@ -89,6 +89,19 @@ class TestExitCodes:
         assert code == 2
         assert "k.csv row 1: negative fraction -0.5 for Ag" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["screen", "--model", "m", "--candidates", "k.csv", "--elements", "Ag,Ag"],
+         "argument --elements: repeated element symbols in 'Ag,Ag'"),
+        (["screen", "--model", "m", "--candidates", "k.csv", "--elements", ","],
+         "argument --elements: expected comma-separated element symbols"),
+        (["refine", "--corpus", "c.csv", "--candidates", "k.csv", "--threshold", "0",
+          "--out", "o"], "argument --threshold: expected a positive finite number, got 0"),
+    ], ids=["repeated_element", "no_element", "zero_threshold"])
+    def test_bad_flag_value_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"litscreen {argv[0]}: error: {message}\n")
+
     def test_nonpositive_batch_size_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "refine", "--corpus", "c.csv", "--candidates", "k.csv",
@@ -96,20 +109,25 @@ class TestExitCodes:
         )
         assert code == 1
 
-    def test_select_has_no_batch_size(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "select", "--corpus", "c.csv", "--batch-size", "20",
-            "--out", str(tmp_path / "s.csv"),
-        )
-        assert code == 1
-        assert "--batch-size" in err
+    @pytest.mark.parametrize("flag, value", [
+        ("--corpus", "c.csv"), ("--text-column", "x"), ("--id-column", "x"),
+        ("--seed", "1"), ("--config", "c.conf"), ("--batch-size", "20"),
+    ], ids=["corpus", "text_column", "id_column", "seed", "config", "batch_size"])
+    def test_select_reads_only_model_and_out(self, capsys, tmp_path, monkeypatch,
+                                             flag, value):
+        # a saved document model is select's one input; embed-docs trains it
+        monkeypatch.chdir(tmp_path)  # c.conf is the model's own config file
+        base = saved_doc_model(capsys, tmp_path)
+        out = str(tmp_path / "s.csv")
+        code, printed, err = run(capsys, "select", "--model", base, flag, value, "--out", out)
+        assert (code, printed) == (1, "")
+        assert f"unrecognized arguments: {flag} " in err
+        assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("sources", [["--corpus", "c.csv", "--model", "m"], []],
-                             ids=["both", "neither"])
-    def test_select_takes_corpus_or_model(self, capsys, tmp_path, sources):
-        code, out, err = run(capsys, "select", *sources, "--out", str(tmp_path / "s.csv"))
+    def test_select_needs_a_model(self, capsys, tmp_path):
+        code, out, err = run(capsys, "select", "--out", str(tmp_path / "s.csv"))
         assert (code, out) == (1, "")
-        assert "--corpus" in err and "--model" in err
+        assert "the following arguments are required: --model" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_potential_is_usage_error(self, capsys, value):
@@ -132,6 +150,18 @@ def write_bytes(path, data):
     with open(path, "wb") as f:
         f.write(data)
     return path
+
+
+def saved_doc_model(capsys, tmp_path):
+    """Base path of a dim-4 document model of documents a, b and c that
+    ``embed-docs`` saved under ``tmp_path``."""
+    tokens = write(str(tmp_path / "c.tokens"),
+                   "litscreen-tokens/1 3\na\tAg films\nb\tPt films\nc\tAg Pt\n")
+    conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
+    base = str(tmp_path / "d")
+    assert run(capsys, "embed-docs", "--corpus", tokens, "--config", conf,
+               "--out", base)[0] == 0
+    return base
 
 
 class TestUnreadableInputs:
@@ -195,7 +225,7 @@ class TestUnreadableInputs:
         corpus = write(str(tmp_path / "c.csv"), "".join(lines[:3] + [bad + "\n"] + lines[3:]))
         conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\nmax_iterations = 2\n")
         out = str(tmp_path / "out")
-        for command, extra in (("ingest", []), ("embed-docs", []), ("select", []),
+        for command, extra in (("ingest", []), ("embed-docs", []),
                                ("refine", ["--candidates", os.path.join(data, "candidates.csv")])):
             code, printed, err = run(capsys, command, "--corpus", corpus, "--config", conf,
                                      *extra, "--out", out)
@@ -206,7 +236,7 @@ class TestUnreadableInputs:
     def test_column_flag_with_tokens_file_is_data_error(self, capsys, tmp_path):
         tokens = write(str(tmp_path / "c.tokens"), "litscreen-tokens/1 2\na\tAg films\nb\tPt\n")
         cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,1,0\n")
-        for command, extra in (("ingest", []), ("embed-docs", []), ("select", []),
+        for command, extra in (("ingest", []), ("embed-docs", []),
                                ("refine", ["--candidates", cands])):
             for flag, named in ((["--text-column", "title"], "--text-column"),
                                 (["--id-column", "nope"], "--id-column")):
@@ -256,19 +286,14 @@ class TestRepeatedLabels:
     def test_tokens_file_id(self, capsys, tmp_path):
         tokens = write(str(tmp_path / "c.tokens"),
                        "litscreen-tokens/1 2\na\tAg films\na\tPt films\n")
-        out = str(tmp_path / "sel.csv")
-        code, _, err = run(capsys, "select", "--corpus", tokens, "--out", out)
+        base = str(tmp_path / "d")
+        code, _, err = run(capsys, "embed-docs", "--corpus", tokens, "--out", base)
         assert code == 2
         assert f"{tokens} row 2: duplicate document id 'a'" in err
-        assert not os.path.exists(out)
+        assert os.listdir(tmp_path) == ["c.tokens"]
 
     def test_dvec_id(self, capsys, tmp_path):
-        tokens = write(str(tmp_path / "c.tokens"),
-                       "litscreen-tokens/1 3\na\tAg films\nb\tPt films\nc\tAg Pt\n")
-        base = str(tmp_path / "d")
-        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
-        assert run(capsys, "embed-docs", "--corpus", tokens, "--config", conf,
-                   "--out", base)[0] == 0
+        base = saved_doc_model(capsys, tmp_path)
         with open(base + ".labels") as f:
             assert f.read() == "a\nb\nc\n"
         write(base + ".labels", "a\nb\na\n")
@@ -343,9 +368,10 @@ class TestSelectMatchesRefine:
         assert run(capsys, "refine", "--corpus", corpus,
                    "--candidates", os.path.join(data, "candidates.csv"), "--config", conf,
                    "--batch-size", "150", "--threshold", "5", "--out", rundir)[0] == 0
-        selection = str(tmp_path / "selection.csv")
-        assert run(capsys, "select", "--corpus", corpus, "--config", conf,
-                   "--out", selection)[0] == 0
+        docs, selection = str(tmp_path / "docs"), str(tmp_path / "selection.csv")
+        assert run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                   "--out", docs)[0] == 0
+        assert run(capsys, "select", "--model", docs, "--out", selection)[0] == 0
         with open(selection, "rb") as a, open(os.path.join(rundir, "selection.csv"), "rb") as b:
             assert a.read() == b.read()
 
@@ -428,6 +454,16 @@ class TestPipeline:
                          "--threshold", "1e-12", "--require-convergence",
                          "--out", str(tmp_path / "run"))
         assert code == 3
+
+    @pytest.mark.parametrize("counts, message", [
+        (["--n-docs", "3"], "n_docs must be at least 4"),
+        (["--n-docs", "10", "--rare-docs", "6"], "rare_docs must fit inside the dielectric half"),
+    ], ids=["n_docs", "rare_docs"])
+    def test_synth_bounds_are_data_errors(self, capsys, tmp_path, counts, message):
+        out = str(tmp_path / "data")
+        code, printed, err = run(capsys, "synth", "--out", out, *counts)
+        assert (code, printed, err) == (2, "", f"error: {message}\n")
+        assert not os.path.exists(out)
 
     def test_synth_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -546,6 +582,13 @@ class TestConfigPrecedence:
         assert out == ""
         assert err == f"error: {conf}: repeated key {key!r}\n"
 
+    def test_line_without_equals_names_file_and_line(self, capsys, tmp_path):
+        conf = write(str(tmp_path / "c.conf"), "# run settings\n\ndim = 8\nbogus line\n")
+        code, out, err = run(capsys, "ingest", "--config", conf, "--corpus", "c.csv",
+                             "--out", str(tmp_path / "t"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {conf} line 4: expected key = value, got 'bogus line'\n"
+
     def test_defaults_are_the_config_classes_defaults(self, capsys, tmp_path):
         data = str(tmp_path / "data")
         run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
@@ -558,6 +601,32 @@ class TestConfigPrecedence:
         assert {key: manifest[key] for key in embedding} == embedding
         assert manifest["batch_size"] == str(RefineConfig().batch_size)
         assert manifest["threshold"] == f"{RefineConfig().threshold:.17g}"
+
+    def test_manifest_records_the_settings_the_run_set(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
+        conf = write(str(tmp_path / "c.conf"),
+                     "dim = 8\nepochs = 1\nmax_iterations = 2\ntext_column = abstract\n")
+        rundir = str(tmp_path / "run")
+        code, _, _ = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
+                         "--candidates", os.path.join(data, "candidates.csv"),
+                         "--config", conf, "--elements", "Ag,Pt,Ba,Ti", "--id-column", "id",
+                         "--out", rundir)
+        assert code == 0
+        manifest = read_manifest(os.path.join(rundir, "manifest.txt"))
+        keys = ("max_iterations", "elements", "text_column", "id_column")
+        assert {key: manifest.get(key) for key in keys} == {
+            "max_iterations": "2", "elements": "Ag,Pt,Ba,Ti",
+            "text_column": "abstract", "id_column": "id"}
+        # a tokens file has no columns, so the run reads neither config key
+        tokens = str(tmp_path / "c.tokens")
+        assert run(capsys, "ingest", "--corpus", os.path.join(data, "corpus.csv"),
+                   "--id-column", "id", "--out", tokens)[0] == 0
+        assert run(capsys, "refine", "--corpus", tokens,
+                   "--candidates", os.path.join(data, "candidates.csv"),
+                   "--config", conf, "--out", rundir)[0] == 0
+        manifest = read_manifest(os.path.join(rundir, "manifest.txt"))
+        assert [key for key in keys if key in manifest] == ["max_iterations"]
 
     def test_benchmark_refine_keys_accepted(self, capsys, tmp_path):
         data = str(tmp_path / "data")
@@ -683,6 +752,16 @@ class TestReportMeasuredExtremes:
         assert "Max (Ori): 6.90" in lines
         assert "Max (Selection): 6.90" in lines
         assert "Min (Selection): 0.82" in lines
+
+    def test_potential_flag_overrides_the_csv(self, capsys, tmp_path):
+        base = planted_model(str(tmp_path / "m"))
+        cands = write(str(tmp_path / "cands.csv"),
+                      "id,Ni,Pd,current_density,potential\nNi1,1,0,0.82,700\nPd1,0,1,6.9,700\n")
+        code, out, _ = run(capsys, "report", "--candidates", cands, "--model", base,
+                           "--potential", "850")
+        assert code == 0
+        assert out.splitlines()[0] == "Potential (mV): 850"
+        assert "700" not in out
 
     def test_round_trip_model_keeps_geometry(self, tmp_path):
         base = planted_model(str(tmp_path / "m"))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from helpers import reference_build_vocabulary
 from litscreen.corpus import (
     CorpusError,
+    Document,
+    DocumentSet,
     EncodedCorpus,
     default_license_patterns,
     default_stopwords,
@@ -275,6 +277,12 @@ def test_preprocess_set_fills_tokens(tmp_path):
     docs = preprocess_set(load_corpus(path))
     assert docs.documents[0].tokens == ("Ag", "study", "films")
     assert docs.token_lists() == [("Ag", "study", "films")]
+
+
+def test_token_lists_of_unprocessed_document_rejected():
+    docs = DocumentSet([Document("a", "Ag films", ("Ag", "films")), Document("b", "Pt")])
+    with pytest.raises(CorpusError, match="^document 'b' has not been preprocessed$"):
+        docs.token_lists()
 
 
 _CORPUS_PIECES = st.sampled_from([

@@ -314,6 +314,10 @@ class TestTrainWord2vec:
         assert model.vectors.shape == (V, 16)
         assert model.node_vectors.shape == (V - 1, 16)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="^empty corpus$"):
+            train_word2vec([], self.CFG)
+
 
 class TestTrainDoc2vec:
     CFG = EmbeddingConfig(dim=12, window=2, epochs=40, alpha0=0.05, seed=4)

@@ -112,6 +112,11 @@ class TestComposition:
         with pytest.raises(CompositionError, match="non-finite"):
             Composition(elements=("A", "B"), fractions=(bad, 0.5))
 
+    def test_fraction_of_undeclared_element_rejected(self):
+        comp = Composition(elements=("A", "B"), fractions=(0.5, 0.5))
+        with pytest.raises(CompositionError, match="^element 'C' not declared$"):
+            comp.fraction("C")
+
     def test_exact_grid_sums_pass(self):
         # thirds do not sum to exactly 1.0 in floats; fsum tolerance absorbs it
         third = 1.0 / 3.0
@@ -148,6 +153,14 @@ class TestEnumerateSimplex:
         # six significant digits would print 500000/1000001 and 500001/1000001 alike
         table = enumerate_simplex(("Ag", "Pt"), 1_000_001)
         assert len(set(table.ids)) == len(table) == 1_000_002
+
+    @pytest.mark.parametrize("elements, steps, message", [
+        ((), 4, "need at least one element"),
+        (("A", "B"), 0, "steps must be >= 1, got 0"),
+    ], ids=["no_elements", "no_steps"])
+    def test_empty_grid_rejected(self, elements, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_simplex(elements, steps)
 
     def test_count_guard(self):
         # C(67, 7), about 8.7e8 rows, over the 2,000,000 cap
@@ -558,6 +571,11 @@ class TestLoadCompositionsInputHoles:
         table, _, _ = load_compositions(path)
         assert table.ids == ("alpha",)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = self.write(tmp_path, "")
+        with pytest.raises(CompositionError, match=f"^composition file is empty: {path}$"):
+            load_compositions(path)
+
     def test_header_only_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "id,Ni,Pt\n\n")
         with pytest.raises(CompositionError, match=r"cands\.csv: no candidate rows"):
@@ -587,6 +605,13 @@ class TestLoadCompositionsInputHoles:
         with pytest.raises(CompositionError,
                            match=rf"cands\.csv: column '{column}' repeats in the header$"):
             load_compositions(path, elements=elements)
+
+    @pytest.mark.parametrize("load", [load_compositions, reference_load_compositions])
+    def test_repeated_element_names_the_elements(self, tmp_path, load):
+        path = self.write(tmp_path, "id,Ag,Ba,Pt,Ti\na,1,0,0,0\n")
+        with pytest.raises(CompositionError) as caught:
+            load(path, elements=("Ag", "Ag"))
+        assert str(caught.value) == f"{path}: elements ['Ag', 'Ag'] repeat a symbol"
 
     @pytest.mark.parametrize("lines, end, line", [
         (500, b"\n", 501), (500, b"\r\n", 501), (500, b"\r", 501), (1, b"\n", 2),

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from litscreen.corpus import Document, DocumentSet, Vocabulary
-from litscreen.embedding import DocModel, EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
+from litscreen.embedding import (
+    DocModel,
+    EmbeddingConfig,
+    WordModel,
+    build_huffman,
+    train_doc2vec,
+    train_word2vec,
+)
 from litscreen.persistence import (
     PersistenceError,
     file_digest,
@@ -378,6 +385,20 @@ def test_repeated_label_refused_on_save(tmp_path, save):
 
 
 @pytest.mark.parametrize("save", [save_model, save_doc_model])
+@pytest.mark.parametrize("shape, message", [
+    ((2, 2), "m.labels: 3 labels for 2 rows"),
+    ((3, 0), "m.npy: a matrix without columns cannot be saved"),
+], ids=["label_count", "no_columns"])
+def test_unsavable_matrix_refused_on_save(tmp_path, save, shape, message):
+    model = model_with_labels(save, ["a", "b", "c"])
+    model.vectors = np.zeros(shape)
+    with pytest.raises(PersistenceError) as caught:
+        save(model, str(tmp_path / "m"))
+    assert str(caught.value) == str(tmp_path / message)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("save", [save_model, save_doc_model])
 @pytest.mark.parametrize("label", ["b\nc", "b\r", "\r\n"])
 def test_label_with_line_break_refused_on_save(tmp_path, save, label):
     with pytest.raises(PersistenceError,
@@ -440,6 +461,14 @@ class TestWordModelRoundTrip:
         assert sorted(os.listdir(tmp_path)) == ["m.labels", "m.meta", "m.npy"]
         with open(tmp_path / "m.meta") as f:
             assert f.readline() == "format = litscreen-wordmodel/3\n"
+
+    def test_loaded_vocabulary_builds_no_coding_tree(self, tmp_path):
+        # nothing trains from a loaded model: its vocabulary has no counts
+        base = str(tmp_path / "m")
+        save_model(trained_model(), base)
+        with pytest.raises(ValueError) as caught:
+            build_huffman(load_model(base).vocab)
+        assert str(caught.value) == "vocabulary has no counts; cannot build a Huffman tree"
 
     def test_second_save_byte_identical(self, tmp_path):
         model = trained_model()
@@ -711,6 +740,25 @@ class TestMetaFaults:
             f.write("dim = 6\n")
         with pytest.raises(PersistenceError, match=r"m\.meta: repeated key 'dim'"):
             load(base)
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    def test_line_without_equals_names_file_and_line(self, tmp_path, kind):
+        base, load = self.saved(tmp_path, kind)
+        rewrite_line(base + ".meta", 2, "bogus line\n")
+        with pytest.raises(PersistenceError) as caught:
+            load(base)
+        assert str(caught.value) == f"{base}.meta line 3: expected key = value, got 'bogus line'"
+
+    @pytest.mark.parametrize("kind", ["word", "doc"])
+    def test_missing_config_key_names_file_and_key(self, tmp_path, kind):
+        base, load = self.saved(tmp_path, kind)
+        with open(base + ".meta") as f:
+            lines = [ln for ln in f if not ln.startswith("window ")]
+        with open(base + ".meta", "w") as f:
+            f.writelines(lines)
+        with pytest.raises(PersistenceError) as caught:
+            load(base)
+        assert str(caught.value) == f"{base}.meta: missing config key 'window'"
 
     @pytest.mark.parametrize("kind", ["word", "doc"])
     def test_repeated_label_names_file_and_row(self, tmp_path, kind):

@@ -112,9 +112,15 @@ class TestPCA:
             pca_project(np.ones((1, 5)))
         with pytest.raises(ValueError):
             pca_project(np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"^expected a 2D array, got shape \(5,\)$"):
+            pca_project(np.arange(5.0))
 
 
 class TestCentralDocument:
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="^central_document needs a nonempty N x k array$"):
+            central_document(np.empty((0, 2)))
+
     def test_closest_to_mean(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.1, 0.1], [-10.0, 0.0]])
         # mean is (0.025, 0.025); nearest is (0, 0)
