@@ -4,8 +4,9 @@ Subcommands: synth, ingest, embed-docs, select, refine, screen, report.
 Options can also come from a flat ``key = value`` config file (--config);
 explicit flags win over config values, config values win over defaults.
 ``main`` reads the file once, before the command runs, and checks every key
-in it, also those the command does not read. A missing input file exits 2
-naming its kind and path (``corpus file not found: PATH``).
+in it as written (``text_column``, not ``text-column``), also those the
+command does not read. A missing input file exits 2 naming its kind and
+path (``corpus file not found: PATH``).
 
 Exit codes: 0 success, 1 usage error, 2 data or file error,
 3 refinement did not converge under --require-convergence.
@@ -71,33 +72,31 @@ def _anchor_pair(text: str) -> PropertyAnchors:
 
 
 def _element_list(text: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not parts:
+    parts = tuple(p.strip() for p in text.split(","))
+    if not any(parts):
         raise argparse.ArgumentTypeError("expected comma-separated element symbols")
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"empty element symbol in {text!r}")
     if len(set(parts)) != len(parts):
         raise argparse.ArgumentTypeError(f"repeated element symbols in {text!r}")
     return parts
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _bounded(cast, ok, expected: str):
+    """An argparse type: ``cast`` of the text, which ``ok`` must accept."""
+    def check(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    check.__name__ = cast.__name__  # argparse names it in "invalid int value: 'x'"
+    return check
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _bounded(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_float = _bounded(float, math.isfinite, "a finite number")
 
 
 # Each option that a flag or --config can set, with the one cast both go
@@ -117,18 +116,13 @@ def _apply_config(args: argparse.Namespace):
     over its seed, and ``args.flagged`` to the options a flag set.
     Flag > config-file value > the callee's own default.
 
-    Every key is checked whether or not the command reads it: an unknown
-    key, two spellings of one key (``text-column``, ``text_column``) or a
-    value its cast rejects fails naming the file and the key."""
+    Each key is looked up, checked and named as the file spells it, whether
+    or not the command reads it: a key not in ``_CONFIG_KEYS`` (such as
+    ``text-column``) or a value its cast rejects fails naming the file and
+    the key."""
     path = args.config
-    raw = read_kv(path, "config") if path else {}
-    pairs = {}
-    for key, value in raw.items():
-        name = key.replace("-", "_")
-        if name in pairs:
-            raise ValueError(f"{path}: repeated key {name!r}")
-        pairs[name] = value
-    unknown = [k for k in raw if k.replace("-", "_") not in _CONFIG_KEYS]
+    pairs = read_kv(path, "config") if path else {}
+    unknown = [k for k in pairs if k not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
     args.embedding = replace(config_from_pairs(pairs, path), **_given(args, "seed"))
@@ -169,8 +163,12 @@ def _load_documents(args):
     return preprocess_set(docs)
 
 
-def _cmd_synth(args) -> int:
-    rows = synthetic_corpus(SynthSpec(**_given(args, "n_docs", "rare_docs", "seed")))
+def _cmd_synth(usage_error, args) -> int:
+    try:
+        spec = SynthSpec(**_given(args, "n_docs", "rare_docs", "seed"))
+    except ValueError as exc:  # each SynthSpec bound message starts with its field
+        usage_error(f"argument --{str(exc).split()[0].replace('_', '-')}: {exc}")
+    rows = synthetic_corpus(spec)
     comps = synthetic_candidates(**_given(args, "steps"))
     corpus_path = os.path.join(args.out, "corpus.csv")
     cand_path = os.path.join(args.out, "candidates.csv")
@@ -320,8 +318,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-docs", type=_positive_int)
     p.add_argument("--rare-docs", type=_positive_int)
     p.add_argument("--steps", type=_positive_int, help="composition grid resolution")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_synth)
+    p.add_argument("--seed", type=_nonnegative_int)
+    p.set_defaults(func=functools.partial(_cmd_synth, p.error))
 
     p = sub.add_parser("ingest", help="parse, clean, and tokenize a corpus CSV")
     _add_config(p)
@@ -332,7 +330,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("embed-docs", help="train document embeddings")
     _add_config(p)
     _add_corpus_options(p)
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--seed", type=_nonnegative_int, help="RNG seed")
     p.add_argument("--out", required=True, help="model base path")
     p.set_defaults(func=_cmd_embed_docs)
 
@@ -350,7 +348,7 @@ def _build_parser() -> _Parser:
     _add_option(p, "anchors", help="two comma-separated anchor terms")
     _add_option(p, "threshold", help="convergence displacement threshold")
     _add_option(p, "batch_size")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--seed", type=_nonnegative_int, help="RNG seed")
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 when the run does not converge")
     p.add_argument("--out", required=True, help="output directory")
@@ -386,14 +384,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (None, 0):
-            return 0
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
         if hasattr(args, "config"):
             _apply_config(args)
         return args.func(args)
+    except SystemExit as exc:  # 0 from --help or --version, 1 from _Parser.error
+        return exc.code
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

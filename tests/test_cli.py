@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import functools
 import io
 import os
 import shutil
@@ -96,11 +98,28 @@ class TestExitCodes:
          "argument --elements: expected comma-separated element symbols"),
         (["refine", "--corpus", "c.csv", "--candidates", "k.csv", "--threshold", "0",
           "--out", "o"], "argument --threshold: expected a positive finite number, got 0"),
-    ], ids=["repeated_element", "no_element", "zero_threshold"])
-    def test_bad_flag_value_is_usage_error(self, capsys, argv, message):
+        (["screen", "--model", "m", "--candidates", "k.csv", "--elements", "Ag,Pt,Ba,,Ti"],
+         "argument --elements: empty element symbol in 'Ag,Pt,Ba,,Ti'"),
+        (["report", "--candidates", "k.csv", "--elements", "Ag,Pt,"],
+         "argument --elements: empty element symbol in 'Ag,Pt,'"),
+        (["refine", "--corpus", "c.csv", "--candidates", "k.csv", "--seed", "-1",
+          "--out", "o"], "argument --seed: expected a non-negative integer, got -1"),
+        (["embed-docs", "--corpus", "c.csv", "--seed", "-1", "--out", "o"],
+         "argument --seed: expected a non-negative integer, got -1"),
+        (["synth", "--out", "o", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got -1"),
+        (["synth", "--out", "o", "--n-docs", "3"], "argument --n-docs: n_docs must be at least 4"),
+        (["synth", "--out", "o", "--n-docs", "10", "--rare-docs", "6"],
+         "argument --rare-docs: rare_docs must fit inside the dielectric half"),
+    ], ids=["repeated_element", "no_element", "zero_threshold", "empty_element",
+            "trailing_comma", "refine_seed", "embed_docs_seed", "synth_seed", "n_docs",
+            "rare_docs"])
+    def test_bad_flag_value_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.endswith(f"litscreen {argv[0]}: error: {message}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_nonpositive_batch_size_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -455,16 +474,6 @@ class TestPipeline:
                          "--out", str(tmp_path / "run"))
         assert code == 3
 
-    @pytest.mark.parametrize("counts, message", [
-        (["--n-docs", "3"], "n_docs must be at least 4"),
-        (["--n-docs", "10", "--rare-docs", "6"], "rare_docs must fit inside the dielectric half"),
-    ], ids=["n_docs", "rare_docs"])
-    def test_synth_bounds_are_data_errors(self, capsys, tmp_path, counts, message):
-        out = str(tmp_path / "data")
-        code, printed, err = run(capsys, "synth", "--out", out, *counts)
-        assert (code, printed, err) == (2, "", f"error: {message}\n")
-        assert not os.path.exists(out)
-
     def test_synth_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run(capsys, "synth", "--out", a, "--seed", "5", "--n-docs", "30", "--rare-docs", "2")
@@ -537,12 +546,23 @@ class TestConfigPrecedence:
     def test_misspelled_refine_key_is_data_error(self, capsys, tmp_path):
         data = str(tmp_path / "data")
         run(capsys, "synth", "--out", data, "--n-docs", "30", "--rare-docs", "2")
-        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepoch = 3\n")
-        code, _, err = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
-                           "--candidates", os.path.join(data, "candidates.csv"),
-                           "--config", conf, "--out", str(tmp_path / "run"))
-        assert code == 2
-        assert f"{conf}: unknown config key 'epoch'" in err
+        # a key has one spelling: each hyphenated one is unknown, even next to
+        # the spelling it resembles
+        for text, key in [("dim = 8\nepoch = 3\n", "epoch"),
+                          ("text-column = abstract\n", "text-column"),
+                          ("id-column = id\n", "id-column"),
+                          ("batch-size = 10\n", "batch-size"),
+                          ("max-iterations = 2\n", "max-iterations"),
+                          ("alpha-min = 0.001\n", "alpha-min"),
+                          ("min-count = 1\n", "min-count"),
+                          ("text-column = abstract\ntext_column = abstract\n", "text-column")]:
+            conf = write(str(tmp_path / "c.conf"), text)
+            code, out, err = run(capsys, "refine", "--corpus",
+                                 os.path.join(data, "corpus.csv"),
+                                 "--candidates", os.path.join(data, "candidates.csv"),
+                                 "--config", conf, "--out", str(tmp_path / "run"))
+            assert (code, out, err) == (2, "", f"error: {conf}: unknown config key {key!r}\n")
+            assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize("command, line", [
         ("refine", "dim = abc"),
@@ -571,7 +591,6 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("text, key", [
         ("dim = 8\ndim = 16\n", "dim"),
-        ("text-column = abstract\ntext_column = summary\n", "text_column"),
     ])
     def test_repeated_key_names_file_and_key(self, capsys, tmp_path, text, key):
         conf = write(str(tmp_path / "c.conf"), text)
@@ -640,6 +659,65 @@ class TestConfigPrecedence:
         assert code == 0
         assert "t=2 documents=30 " in out
         assert "no convergence within 2 iterations" in out
+
+    @pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+    def test_every_key_is_read(self, command_output, key):
+        # a key that no command reads leaves every output as it is
+        command, value = KEY_READERS[key]
+        base = "dim = 8\nepochs = 1\n" if command == "refine" else ""
+        assert command_output(command, f"{base}{key} = {value}\n") != command_output(command, base)
+
+
+# For each config key, a command that reads it and a valid value other than
+# its default.
+KEY_READERS = {
+    **{key: ("embed-docs", value) for key, value in [
+        ("dim", "4"), ("window", "2"), ("epochs", "2"), ("alpha0", "0.05"),
+        ("alpha_min", "0.001"), ("min_count", "2"), ("seed", "1")]},
+    "text_column": ("ingest", "title"), "id_column": ("ingest", "doc"),
+    "anchors": ("refine", "conductivity,dielectric"), "batch_size": ("refine", "10"),
+    "threshold": ("refine", "3"), "max_iterations": ("refine", "1"),
+    "preset": ("screen", "oer"), "system": ("report", "NiPdPtRu"),
+}
+
+
+@pytest.fixture(scope="module")
+def command_output(tmp_path_factory):
+    """``(command, config text) -> output``: the ``.meta`` of ``embed-docs``,
+    the tokens file of ``ingest``, or what ``refine``, ``screen`` or
+    ``report`` prints, each run on the same small inputs, once per config
+    text. It takes ``refine``'s printed lines, not its manifest, which
+    records ``max_iterations`` whether or not the run obeyed it."""
+    root = tmp_path_factory.mktemp("keys")
+    data = str(root / "data")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", data, "--n-docs", "60", "--rare-docs", "3"]) == 0
+    corpus, cands = os.path.join(data, "corpus.csv"), os.path.join(data, "candidates.csv")
+    columns = write(str(root / "columns.csv"),
+                    "doc,abstract,title\nd1,Ag films,Pt oxide\nd2,Pt films,Ag oxide\n")
+    model = planted_model(str(root / "m"))
+    measured = write(str(root / "k.csv"), "id,Ni,Pd,Pt,Ru,current_density\n"
+                     "Ni1,1,0,0,0,0.82\nPd1,0,1,0,0,6.9\nPt1,0,0,1,0,3.0\nRu1,0,0,0,1,6.44\n")
+    docs, tokens = str(root / "docs"), str(root / "c.tokens")
+    inputs = {"embed-docs": ["--corpus", corpus, "--out", docs],
+              "ingest": ["--corpus", columns, "--out", tokens],
+              "refine": ["--corpus", corpus, "--candidates", cands, "--out", str(root / "run")],
+              "screen": ["--model", model, "--candidates", measured],
+              "report": ["--model", model, "--candidates", measured]}
+    written = {"embed-docs": docs + ".meta", "ingest": tokens}
+
+    @functools.cache
+    def output(command, text):
+        conf = write(str(root / "c.conf"), text)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main([command, "--config", conf, *inputs[command]]) == 0
+        if command not in written:
+            return printed.getvalue()
+        with open(written[command], encoding="utf-8") as f:
+            return f.read()
+
+    return output
 
 
 class TestScreenTable:
