@@ -554,8 +554,7 @@ class TestConfigPrecedence:
                           ("batch-size = 10\n", "batch-size"),
                           ("max-iterations = 2\n", "max-iterations"),
                           ("alpha-min = 0.001\n", "alpha-min"),
-                          ("min-count = 1\n", "min-count"),
-                          ("text-column = abstract\ntext_column = abstract\n", "text-column")]:
+                          ("min-count = 1\n", "min-count")]:
             conf = write(str(tmp_path / "c.conf"), text)
             code, out, err = run(capsys, "refine", "--corpus",
                                  os.path.join(data, "corpus.csv"),
@@ -589,17 +588,22 @@ class TestConfigPrecedence:
         assert out == ""
         assert err.startswith(f"error: {conf}: {line.split()[0]} ")
 
-    @pytest.mark.parametrize("text, key", [
-        ("dim = 8\ndim = 16\n", "dim"),
+    @pytest.mark.parametrize("text, error", [
+        pytest.param("dim = 8\ndim = 16\n", "repeated key 'dim'", id="dim = 8\ndim = 16\n-dim"),
+        # a key has one spelling, so text-column beside text_column is no
+        # repeat: the hyphenated one is an unknown key
+        pytest.param("text-column = abstract\ntext_column = summary\n",
+                     "unknown config key 'text-column'",
+                     id="text-column = abstract\ntext_column = summary\n-text_column"),
     ])
-    def test_repeated_key_names_file_and_key(self, capsys, tmp_path, text, key):
+    def test_repeated_key_names_file_and_key(self, capsys, tmp_path, text, error):
         conf = write(str(tmp_path / "c.conf"), text)
         corpus = write(str(tmp_path / "c.csv"), "abstract,summary\nAg films,Pt films\n")
         code, out, err = run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
                              "--out", str(tmp_path / "m"))
         assert code == 2
         assert out == ""
-        assert err == f"error: {conf}: repeated key {key!r}\n"
+        assert err == f"error: {conf}: {error}\n"
 
     def test_line_without_equals_names_file_and_line(self, capsys, tmp_path):
         conf = write(str(tmp_path / "c.conf"), "# run settings\n\ndim = 8\nbogus line\n")
