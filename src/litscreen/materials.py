@@ -64,14 +64,12 @@ class Composition:
             )
         if len(set(self.elements)) != len(self.elements):
             raise CompositionError(f"duplicate element in {self.elements}")
-        for el, f in zip(self.elements, self.fractions):
-            if not math.isfinite(f):
-                raise CompositionError(f"non-finite fraction {f} for {el}")
-            if f < 0:
-                raise CompositionError(f"negative fraction {f} for {el}")
-        total = math.fsum(self.fractions)
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise CompositionError(f"fractions sum to {total}, expected 1")
+        try:
+            total = math.fsum(self.fractions)
+        except (ValueError, OverflowError):  # huge or opposite infinite values
+            total = math.nan
+        if not (abs(total - 1.0) <= SUM_TOLERANCE and min(self.fractions, default=0) >= 0):
+            raise CompositionError(_fraction_fault(self.elements, self.fractions, total))
 
     def fraction(self, element: str) -> float:
         try:
@@ -105,7 +103,7 @@ class CandidateTable:
             )
         if len(set(elements)) != len(elements):
             raise CompositionError(f"duplicate element in {elements}")
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             bad = (~np.isfinite(fractions).all(axis=1) | (fractions < 0).any(axis=1)
                    | (np.abs(fractions.sum(axis=1) - 1.0) > SUM_TOLERANCE))
         if bad.any():
@@ -347,14 +345,14 @@ def _raising(error: Exception):
     yield
 
 
-def _fraction_fault(where: str, elements, vals, total) -> CompositionError:
+def _fraction_fault(elements, vals, total) -> str:
     """The first non-finite or negative fraction of a row, else its bad sum."""
     for el, v in zip(elements, vals):
         if not math.isfinite(v):
-            return CompositionError(f"{where}: non-finite fraction {v} for {el}")
+            return f"non-finite fraction {v} for {el}"
         if v < 0:
-            return CompositionError(f"{where}: negative fraction {v} for {el}")
-    return CompositionError(f"{where}: fractions sum to {total}, expected 1")
+            return f"negative fraction {v} for {el}"
+    return f"fractions sum to {total}, expected 1"
 
 
 class _CandidateRows:
@@ -440,7 +438,8 @@ class _CandidateRows:
             totals = np.full(n, math.nan)
         # NaN and inf fail the comparisons
         if not ((np.abs(totals - 1.0) <= PARSE_TOLERANCE) & (fractions.min(axis=1) >= 0.0)).all():
-            raise _fraction_fault(where, self.elements, fractions[0].tolist(), float(totals[0]))
+            fault = _fraction_fault(self.elements, fractions[0].tolist(), float(totals[0]))
+            raise CompositionError(f"{where}: {fault}")
         if self.id_col is None:
             ids = list(map(str, range(first, first + n)))
         else:

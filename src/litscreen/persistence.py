@@ -9,14 +9,14 @@ not written. Only the current ``litscreen-wordmodel/3`` and
 ``litscreen-docmodel/2`` formats load; any other ``.meta`` format fails
 naming the file. The ``.npy`` header is read and checked with
 ``numpy.lib.format`` before any value is, so nothing is ever unpickled, and
-the file must hold exactly the values its header declares. A non-finite
-value, a repeated label or a label holding a line break fails naming the
-file and the row, on save before any file is opened and on load. A
-refinement run's log, ``iterations.csv``, and the ``screen --out`` table
-are one CSV each; floats in text are ``%.17g``, exact for 64-bit
-floats. Writers go through a temp file and an atomic rename so readers
-never observe a partial artifact, and a model's ``.meta`` is removed
-first and written last, so a model saved only in part does not load. A
+the file must hold exactly the values its header declares. A non-finite value,
+and a label that holds a line break or repeats an earlier one (a ``.labels``
+row or a tokens file's id), fail naming the file and the row, on save before
+any file is opened and on load. A refinement run's log, ``iterations.csv``,
+and the ``screen --out`` table are one CSV each; floats in text are ``%.17g``,
+exact for 64-bit floats. Writers go through a temp file and an atomic rename
+so readers never observe a partial artifact, and a model's ``.meta`` is
+removed first and written last, so a model saved only in part does not load. A
 text file that is not UTF-8 fails naming the file and the line.
 """
 from __future__ import annotations
@@ -171,29 +171,22 @@ def _read_labels(path: str) -> list[str]:
     except UnicodeDecodeError as exc:
         row = data.count(b"\n", 0, exc.start) + 1
         raise PersistenceError(f"{path} row {row}: label is not UTF-8") from None
-    if "\r" in text:
-        row = text.count("\n", 0, text.index("\r")) + 1
-        raise PersistenceError(f"{path} row {row}: label holds a line break")
     if text and not text.endswith("\n"):
         raise PersistenceError(f"{path}: truncated, the last label has no line end")
     labels = text[:-1].split("\n") if text else []
-    _reject_repeats(labels, path, "label")
+    _check_labels(labels, path, "label")
     return labels
 
 
-def _reject_repeats(labels, path: str, what: str):
-    """Fail naming the file and the row of the first label seen before."""
+def _check_labels(labels, path: str, what: str):
+    """Fail naming the file and the row of the first label holding a line break or seen before."""
     seen = set()
-    for i, label in enumerate(labels):
+    for row, label in enumerate(labels, 1):
+        if "\n" in label or "\r" in label:
+            raise PersistenceError(f"{path} row {row}: {what} holds a line break")
         if label in seen:
-            raise PersistenceError(f"{path} row {i + 1}: duplicate {what} {label!r}")
+            raise PersistenceError(f"{path} row {row}: duplicate {what} {label!r}")
         seen.add(label)
-
-
-def _reject_extra_rows(f, path: str, n: int, what: str):
-    """Fail on any non-blank line after the n rows a header declared."""
-    if any(line.strip() for line in f):
-        raise PersistenceError(f"{path}: more than the {n} {what}s its header declares")
 
 
 def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, str]) -> list[str]:
@@ -201,19 +194,15 @@ def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, 
     return their paths in that order. An existing ``{base}.meta`` is
     removed first.
 
-    Every check runs before a file is opened: one label per row, none
-    holding a line break and none repeated, at least one column, and only
-    finite values.
+    Every check runs before a file is opened: one label per row, each
+    passing ``_check_labels``, at least one column, and only finite values.
     """
     matrix_path, labels_path, meta_path = base + ".npy", base + ".labels", base + ".meta"
     matrix = np.ascontiguousarray(matrix, dtype=_F8)
     n, dim = matrix.shape
     if len(labels) != n:
         raise PersistenceError(f"{labels_path}: {len(labels)} labels for {n} rows")
-    for i, label in enumerate(labels):
-        if "\n" in label or "\r" in label:
-            raise PersistenceError(f"{labels_path} row {i + 1}: label holds a line break")
-    _reject_repeats(labels, labels_path, "label")
+    _check_labels(labels, labels_path, "label")
     if dim < 1:
         raise PersistenceError(f"{matrix_path}: a matrix without columns cannot be saved")
     _reject_non_finite(matrix, matrix_path)
@@ -341,14 +330,23 @@ def load_doc_model(base: str) -> DocModel:
 
 
 def save_tokens(docs: DocumentSet, path: str):
-    """One line per preprocessed document: id, tab, space-joined tokens."""
-    lines = [f"{TOKENS_FORMAT} {len(docs)}\n"]
-    for doc in docs:
+    """One line per preprocessed document: id, tab, space-joined tokens. The
+    first row ``load_tokens`` would not read back as written (an id holding a
+    tab or refused by ``_check_labels``, or a token that is empty or holds
+    whitespace) fails naming the file and the row, before the file is opened."""
+    ids, lines = [doc.id for doc in docs], [f"{TOKENS_FORMAT} {len(docs)}\n"]
+    for row, doc in enumerate(docs, 1):
         if doc.tokens is None:
             raise PersistenceError(f"document {doc.id!r} has no tokens to save")
-        if "\t" in doc.id or "\n" in doc.id or "\r" in doc.id:
-            raise PersistenceError(f"document id {doc.id!r} contains a tab or line break")
-        lines.append(doc.id + "\t" + " ".join(doc.tokens) + "\n")
+        body = " ".join(doc.tokens)
+        if "\t" in doc.id or body.split() != list(doc.tokens):  # load_tokens would change it
+            _check_labels(ids[:row], path, "document id")  # an earlier row's fault comes first
+            bad = [t for t in doc.tokens if t.split() != [t]]
+            raise PersistenceError(f"{path} row {row}: " + (
+                "document id holds a tab" if "\t" in doc.id
+                else f"token {bad[0]!r} is empty or holds whitespace"))
+        lines.append(doc.id + "\t" + body + "\n")
+    _check_labels(ids, path, "document id")
     _atomic_write(path, "".join(lines))
 
 
@@ -369,8 +367,9 @@ def load_tokens(path: str) -> DocumentSet:
             if not tab:
                 raise PersistenceError(f"{path} row {i + 1}: no tab after the document id")
             documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
-        _reject_extra_rows(f, path, n, "document")
-    _reject_repeats([doc.id for doc in documents], path, "document id")
+        if any(line.strip() for line in f):
+            raise PersistenceError(f"{path}: more than the {n} documents its header declares")
+    _check_labels([doc.id for doc in documents], path, "document id")
     return DocumentSet(documents=documents)
 
 

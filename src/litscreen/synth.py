@@ -116,14 +116,16 @@ def write_corpus_csv(rows: list[tuple[str, str]], path: str):
 
 def write_candidates_csv(candidates: CandidateTable, path: str):
     """An id column, then one fraction column per element in sorted order,
-    each value written as ``%.17g``. A repeated id, which ``load_compositions``
-    rejects, raises ValueError naming its row before the file is opened."""
+    each value written as ``%.17g``. An id that ``load_compositions`` would
+    reject or change, a repeated, blank or whitespace-padded one, raises
+    ValueError naming its row before the file is opened."""
     ids = candidates.ids
-    if len(set(ids)) < len(ids):  # one set on the happy path, not a Python loop
+    if len(set(ids)) < len(ids) or "" in ids or tuple(map(str.strip, ids)) != ids:  # C loops only
         seen = set()
-        for i, comp_id in enumerate(ids):
-            if comp_id in seen:
-                raise ValueError(f"{path} row {i + 1}: duplicate composition id {comp_id!r}")
+        for i, comp_id in enumerate(ids, 1):
+            if comp_id in seen or not comp_id or comp_id != comp_id.strip():
+                fault = "duplicate" if comp_id in seen else "blank or whitespace-padded"
+                raise ValueError(f"{path} row {i}: {fault} composition id {comp_id!r}")
             seen.add(comp_id)
     elements = sorted(candidates.elements)
     columns = candidates.fractions[:, [candidates.elements.index(el) for el in elements]]

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import tempfile
 
 import mpmath
@@ -34,6 +35,7 @@ from litscreen.materials import (
     load_compositions,
     similarity_points,
 )
+from litscreen.persistence import write_csv
 from litscreen.synth import (
     SynthSpec,
     synthetic_candidates,
@@ -121,6 +123,14 @@ class TestComposition:
         # thirds do not sum to exactly 1.0 in floats; fsum tolerance absorbs it
         third = 1.0 / 3.0
         Composition(elements=("A", "B", "C"), fractions=(third, third, third))
+
+    def test_sum_fsum_cannot_add_fails_as_the_reader_says(self):
+        # the candidate reader's words for such a row, without its file and row
+        for fractions, fault in [((1e308, 1e308), "fractions sum to nan, expected 1"),
+                                 ((math.inf, -math.inf), "non-finite fraction inf for Ag")]:
+            with pytest.raises(CompositionError) as caught:
+                Composition(elements=("Ag", "Pt"), fractions=fractions)
+            assert str(caught.value) == fault
 
 
 class TestEnumerateSimplex:
@@ -377,6 +387,11 @@ class TestCandidateTable:
     def test_invalid_rows_rejected_naming_the_row(self, row):
         with pytest.raises(CompositionError, match=r"candidate 'b' \(row 2\)"):
             CandidateTable(self.ELEMENTS, ("a", "b"), np.array([[0.5, 0.5], row]))
+
+    def test_overflowing_row_sum_is_a_composition_error(self):
+        # numpy's overflow warning, an error under the test settings, must not escape
+        with pytest.raises(CompositionError, match=r"candidate 'x' \(row 1\)"):
+            CandidateTable(("A", "B"), ("x",), np.array([[1e308, 1e308]]))
 
     def test_shape_and_element_checks(self):
         with pytest.raises(CompositionError, match="shape"):
@@ -867,6 +882,51 @@ class TestCandidateCsvRoundTrip:
         with pytest.raises(ValueError, match=r"c\.csv row 2: duplicate composition id 'x'$"):
             write_candidates_csv(table, path)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("ids, row", [((" a ", "b"), 1), (("a", ""), 2), (("a", "\n"), 2)],
+                             ids=["padded", "blank", "line_feed"])
+    def test_id_the_reader_would_change_refused(self, tmp_path, ids, row):
+        # load_compositions strips an id and numbers a blank one: ' a ' would read as 'a'
+        table = CandidateTable(("Ag",), ids, [[1], [1]])
+        path = str(tmp_path / "c.csv")
+        with pytest.raises(ValueError) as caught:
+            write_candidates_csv(table, path)
+        assert str(caught.value) == (f"{path} row {row}: blank or whitespace-padded "
+                                     f"composition id {ids[row - 1]!r}")
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["a", "1", "2", " ", ",", '"', "\n", "\r", "\xa0"]),
+                            max_size=2), min_size=1, max_size=4))
+    def test_drawn_ids_read_back_or_are_refused_at_the_first_changed_row(self, ids):
+        # write_csv with one "1" per row is what write_candidates_csv writes for
+        # a one-element table, minus its checks
+        def reader_verdict(prefix):
+            """None when the reader returns ``prefix`` as written, else the row
+            its error names, or 0 when it names none or returns other ids."""
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "raw.csv")
+                write_csv(path, ["id", "Ag"], [[comp_id, "1"] for comp_id in prefix])
+                try:
+                    loaded = load_compositions(path)[0].ids
+                except CompositionError as exc:
+                    found = re.search(r" row (\d+): ", str(exc))
+                    return int(found.group(1)) if found else 0
+            return None if loaded == tuple(prefix) else 0
+
+        table = CandidateTable(("Ag",), ids, np.ones((len(ids), 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.csv")
+            try:
+                write_candidates_csv(table, path)
+            except ValueError as exc:
+                assert os.listdir(tmp) == []
+                row = int(re.search(r"c\.csv row (\d+): ", str(exc)).group(1))
+            else:
+                assert load_compositions(path)[0].ids == tuple(ids)
+                return
+        assert row == 1 or reader_verdict(ids[:row - 1]) is None
+        assert reader_verdict(ids[:row]) in (0, row)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(sorted(element_symbols())), min_size=2, max_size=6,

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import pickle
+import re
 import tempfile
 from types import SimpleNamespace
 
@@ -258,6 +259,14 @@ class TestMalformedRows:
         with pytest.raises(PersistenceError, match=message):
             load_model(base)
 
+    def test_missing_last_line_end_reported_before_an_earlier_carriage_return(self, tmp_path):
+        # one pass over the rows once the file is known to be whole
+        base = saved_pair(tmp_path)
+        write_bytes(base + ".labels", b"a\r\nb")
+        with pytest.raises(PersistenceError,
+                           match=r"m\.labels: truncated, the last label has no line end$"):
+            load_model(base)
+
     def test_crlf_labels_refused(self, tmp_path):
         # a file edited with CRLF line ends cannot load tokens ending in \r
         base = saved_pair(tmp_path)
@@ -433,6 +442,98 @@ def test_label_with_tab_round_trips(tmp_path, save, load):
     loaded = load(base)
     labels = loaded.vocab.tokens() if save is save_model else loaded.ids
     assert labels == ["a\tb", "\t"]
+
+
+# Short texts over plain characters, both line breaks, a tab and whitespace
+# that str.split() splits on but readline does not, so that repeats and
+# every fault of a one-label-per-row file come up often.
+ROW_TEXT = st.text(st.sampled_from(["a", "b", "é", " ", "\t", "\n", "\r", "\x0b", "\u2028"]),
+                   max_size=2)
+
+
+def write_raw_tokens(path, rows):
+    """What ``save_tokens`` writes for (id, tokens) ``rows``, minus its checks."""
+    write_bytes(path, (f"litscreen-tokens/1 {len(rows)}\n" + "".join(
+        doc_id + "\t" + " ".join(tokens) + "\n" for doc_id, tokens in rows)).encode())
+
+
+def load_token_rows(path):
+    docs = load_tokens(path)
+    return list(zip(docs.ids(), docs.token_lists()))
+
+
+def write_raw_labels(base, labels):
+    """What ``save_model`` writes for a dim-2 zero model with ``labels``, minus its checks."""
+    save_model(model_with_labels(save_model, [str(i) for i in range(len(labels))]), base)
+    write_bytes(base + ".labels", reference_labels(labels))
+
+
+def load_labels(base):
+    return load_model(base).vocab.tokens()
+
+
+def named_row(exc):
+    """The row an error names, or 0 when it names none."""
+    found = re.search(r" row (\d+): ", str(exc))
+    return int(found.group(1)) if found else 0
+
+
+def reader_verdict(rows, write_raw, load):
+    """None when ``load`` returns ``rows`` from the bytes ``write_raw`` writes
+    for them, else the row its error names, or 0 when it names none or
+    returns other rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f")
+        write_raw(path, rows)
+        try:
+            return None if load(path) == rows else 0
+        except PersistenceError as exc:
+            return named_row(exc)
+
+
+def check_writer_against_reader(save, rows, write_raw, load, main_file):
+    """``save`` either writes what ``load`` returns as ``rows``, the same bytes
+    as ``write_raw``, or writes nothing and names the first row that the
+    reader does not return as written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f")
+        try:
+            save(path)
+        except PersistenceError as exc:
+            assert os.listdir(tmp) == []
+            row = named_row(exc)
+        else:
+            assert load(path) == rows
+            write_raw(os.path.join(tmp, "raw"), rows)
+            assert read_bytes(path + main_file) == read_bytes(os.path.join(tmp, "raw") + main_file)
+            return
+    assert row >= 1 and reader_verdict(rows[:row - 1], write_raw, load) is None
+    return row, reader_verdict(rows[:row], write_raw, load)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(ROW_TEXT, st.lists(ROW_TEXT, max_size=3).map(tuple)), max_size=4))
+def test_drawn_tokens_read_back_or_are_refused_at_the_first_changed_row(rows):
+    docs = DocumentSet(documents=[Document(id=i, text="", tokens=t) for i, t in rows])
+    refused = check_writer_against_reader(lambda path: save_tokens(docs, path), rows,
+                                          write_raw_tokens, load_token_rows, "")
+    if refused:
+        row, verdict = refused
+        assert verdict in (0, row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ROW_TEXT, max_size=5))
+@example(["a", "a", "b\n"])  # two faults: the repeat in row 2 comes first
+def test_drawn_labels_read_back_or_are_refused_at_the_first_changed_row(labels):
+    refused = check_writer_against_reader(
+        lambda base: save_model(model_with_labels(save_model, labels), base), labels,
+        write_raw_labels, load_labels, ".labels")
+    if refused:
+        row, verdict = refused
+        # a label holding a line feed is more than one row of the file, so the
+        # reader may count a later one
+        assert verdict in (0, row) or ("\n" in labels[row - 1] and verdict > row)
 
 
 def rewrite_line(path, index, text):
@@ -630,9 +731,42 @@ class TestTokensRoundTrip:
         docs = DocumentSet(documents=[Document(id=bad_id, text="", tokens=("x",)),
                                       Document(id="c", text="", tokens=("y",))])
         path = str(tmp_path / "c.tokens")
-        with pytest.raises(PersistenceError, match="contains a tab or line break"):
+        with pytest.raises(PersistenceError,
+                           match=r"c\.tokens row 1: document id holds a (tab|line break)$"):
             save_tokens(docs, path)
         assert not os.path.exists(path)
+
+    def test_repeated_id_refused_before_the_file_is_opened(self, tmp_path):
+        # load_tokens would reject the file: "row 2: duplicate document id 'a'"
+        docs = DocumentSet(documents=[Document(id="a", text="", tokens=("x",)),
+                                      Document(id="a", text="", tokens=("y",))])
+        path = str(tmp_path / "c.tokens")
+        with pytest.raises(PersistenceError) as caught:
+            save_tokens(docs, path)
+        assert str(caught.value) == f"{path} row 2: duplicate document id 'a'"
+        assert os.listdir(tmp_path) == []
+
+    def test_token_the_reader_would_split_or_drop_refused(self, tmp_path):
+        # load_tokens splits on whitespace: these tokens would read back as ('x', 'y', 'z')
+        docs = DocumentSet(documents=[Document(id="a", text="", tokens=("w",)),
+                                      Document(id="b", text="", tokens=("x y", "", "z"))])
+        path = str(tmp_path / "c.tokens")
+        with pytest.raises(PersistenceError) as caught:
+            save_tokens(docs, path)
+        assert str(caught.value) == f"{path} row 2: token 'x y' is empty or holds whitespace"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("a", ()), ("b", ("",)), ("a", ())], "row 2: token '' is empty or holds whitespace"),
+        ([("a", ()), ("a", ()), ("b\tc", ())], "row 2: duplicate document id 'a'"),
+        ([("a\nb", ()), ("c\td", ())], "row 1: document id holds a line break"),
+    ], ids=["token_before_repeat", "repeat_before_tab", "line_break_before_tab"])
+    def test_first_faulty_row_reported(self, tmp_path, rows, message):
+        docs = DocumentSet(documents=[Document(id=i, text="", tokens=t) for i, t in rows])
+        path = str(tmp_path / "c.tokens")
+        with pytest.raises(PersistenceError) as caught:
+            save_tokens(docs, path)
+        assert str(caught.value) == f"{path} {message}"
 
     def test_unprocessed_document_rejected(self, tmp_path):
         docs = DocumentSet(documents=[Document(id="a", text="x")])
