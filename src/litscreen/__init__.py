@@ -8,7 +8,7 @@ Pareto fronts over property-similarity axes.
 
 from .corpus import (
     CorpusError,
-    Document,
+    CorpusRows,
     DocumentSet,
     Vocabulary,
     load_corpus,

@@ -6,14 +6,19 @@ explicit flags win over config values, config values win over defaults.
 ``main`` reads the file once, before the command runs, and checks every key
 in it as written (``text_column``, not ``text-column``), also those the
 command does not read. A missing input file exits 2 naming its kind and
-path (``corpus file not found: PATH``).
+path (``corpus file not found: PATH``), and so does bad data in an input:
+a corpus with fewer than two documents, or one whose vocabulary is empty,
+names the corpus; a token missing from a model names the model, and
+--anchors when the token is an anchor term.
 
-Exit codes: 0 success, 1 usage error, 2 data or file error,
+Exit codes: 0 success, 1 usage error, 2 data or file error, or a kernel
+library that could not be compiled (no ``cc`` on the PATH, say),
 3 refinement did not converge under --require-convergence.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -23,6 +28,7 @@ from dataclasses import fields, replace
 from . import __version__
 from .corpus import CorpusError, load_corpus, open_text, preprocess_set
 from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
+from .kernel import KernelBuildError
 from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
     TOKENS_FORMAT,
@@ -52,7 +58,7 @@ from .synth import (
 )
 
 # CorpusError, CompositionError and PersistenceError are ValueErrors
-_DATA_ERRORS = (OutOfVocabularyError, RefinementError, OSError, ValueError)
+_DATA_ERRORS = (OutOfVocabularyError, RefinementError, KernelBuildError, OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,10 +150,21 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
             if getattr(args, name, None) is not None}
 
 
+@contextlib.contextmanager
+def _naming(path: str, error: type[Exception]):
+    """Put ``path``, the input at fault, before the message of an ``error``
+    that the block raises."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def _load_documents(args):
     """Read --corpus as either a raw CSV or a saved tokens file. A tokens
     file fails a column flag, but not a --config key, which serves any input
-    and is then unset, as the run does not read it."""
+    and is then unset, as the run does not read it. Fewer than two documents
+    fail naming the file: no command that reads a corpus can order one."""
     marker = TOKENS_FORMAT.rpartition("/")[0] + "/"
     with open_text(args.corpus, "corpus", CorpusError) as f:
         is_tokens = f.read(len(marker)) == marker
@@ -158,9 +175,12 @@ def _load_documents(args):
             raise CorpusError(f"{args.corpus} is a tokens file, which has no column for "
                               f"{' or '.join(flags)}")
         args.text_column = args.id_column = None
-        return load_tokens(args.corpus)
-    docs = load_corpus(args.corpus, **_given(args, "text_column", "id_column"))
-    return preprocess_set(docs)
+        docs = load_tokens(args.corpus)
+    else:
+        docs = preprocess_set(load_corpus(args.corpus, **_given(args, "text_column", "id_column")))
+    if len(docs) < 2:
+        raise CorpusError(f"{args.corpus}: {len(docs)} documents, but at least 2 are needed")
+    return docs
 
 
 def _cmd_synth(usage_error, args) -> int:
@@ -182,9 +202,8 @@ def _cmd_synth(usage_error, args) -> int:
 def _cmd_ingest(args) -> int:
     docs = _load_documents(args)
     save_tokens(docs, args.out)
-    n_tokens = sum(len(d.tokens) for d in docs)
     print(f"documents: {len(docs)}")
-    print(f"tokens: {n_tokens}")
+    print(f"tokens: {len(docs.corpus.ids)}")
     print(f"skipped empty: {docs.skipped_empty}")
     print(f"tokens file: {args.out}")
     return 0
@@ -192,7 +211,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_embed_docs(args) -> int:
     docs = _load_documents(args)
-    model = train_doc2vec(docs.token_lists(), args.embedding, ids=docs.ids())
+    with _naming(args.corpus, CorpusError):  # an empty vocabulary
+        model = train_doc2vec(docs.corpus, args.embedding, ids=docs.ids)
     paths = save_doc_model(model, args.out)
     print(f"embedded {len(model.ids)} documents at dim {args.embedding.dim}")
     print(f"model files: {' '.join(paths)}")
@@ -215,12 +235,13 @@ def _cmd_refine(args) -> int:
     )
     docs = _load_documents(args)
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    result = run_refinement(docs, candidates, config)
+    with _naming(args.corpus, CorpusError):  # an empty vocabulary
+        result = run_refinement(docs, candidates, config)
 
     os.makedirs(args.out, exist_ok=True)
     save_iteration_log(result.records, os.path.join(args.out, "iterations.csv"))
     model_paths = save_model(result.final_model, os.path.join(args.out, "model"))
-    save_selection(result.selection_order, docs.ids(), os.path.join(args.out, "selection.csv"))
+    save_selection(result.selection_order, docs.ids, os.path.join(args.out, "selection.csv"))
     manifest = {
         "tool": f"litscreen/{__version__}",
         "corpus": os.path.basename(args.corpus),
@@ -261,7 +282,13 @@ def _cmd_refine(args) -> int:
 
 def _front_for(model_base: str, candidates, anchors, objectives):
     model = load_model(model_base)
-    scores = similarity_points(model, candidates, anchors)
+    anchors = anchors or PropertyAnchors()
+    missing = [term for term in anchors.terms if term not in model.vocab]
+    with _naming(model_base, OutOfVocabularyError):
+        if missing:
+            raise OutOfVocabularyError(
+                f"anchor term {missing[0]!r} (--anchors) is not in the vocabulary")
+        scores = similarity_points(model, candidates, anchors)
     return scores, pareto_front(scores, objectives)
 
 

@@ -1,13 +1,13 @@
 """Corpus ingestion and text preprocessing.
 
-Reads abstract corpora from CSV, cleans each abstract into a token
-sequence (stopwords dropped, chemical element symbols preserved
-case-sensitively). :class:`EncodedCorpus` holds token lists as integer
-type ids, so that a run encodes its corpus once and every batch, and the
-frequency-ranked vocabulary the embedding trainers use, is array work
-after that. :func:`open_text` is the one way every text input of the
-package is opened: a missing file names its kind and path, and a byte
-that is not UTF-8 names the file and its line.
+Reads abstract corpora from CSV as :class:`CorpusRows`, and cleans each
+abstract into a token sequence (stopwords dropped, chemical element symbols
+preserved case-sensitively). A preprocessed :class:`DocumentSet` holds its
+tokens once, as an :class:`EncodedCorpus` of integer type ids, and no
+abstract text: every batch, and the frequency-ranked vocabulary the
+trainers use, is array work on it. :func:`open_text` is the one way every
+text input of the package is opened: a missing file names its kind and
+path, and a byte that is not UTF-8 names the file and its line.
 """
 from __future__ import annotations
 
@@ -15,16 +15,16 @@ import contextlib
 import csv
 import functools
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 
 import numpy as np
 
 __all__ = [
     "CorpusError",
-    "Document",
+    "CorpusRows",
     "DocumentSet",
     "Vocabulary",
     "EncodedCorpus",
@@ -43,37 +43,31 @@ class CorpusError(ValueError):
 
 
 @dataclass
-class Document:
-    """One abstract: stable id, raw text, and (after preprocessing) tokens."""
+class CorpusRows:
+    """A corpus file's kept ids and abstracts, in file order, and its empty-abstract count."""
 
-    id: str
-    text: str
-    tokens: tuple[str, ...] | None = None
+    ids: list[str]
+    texts: list[str]
+    skipped_empty: int = 0
 
 
-@dataclass
+_DocumentView = namedtuple("Document", ["id", "tokens"])
+
+
+@dataclass(frozen=True)
 class DocumentSet:
-    """Documents in file order, and the count of rows with an empty abstract."""
+    """A preprocessed corpus: ids in file order, their tokens as one :class:`EncodedCorpus`
+    and the empty-abstract count. Iterating decodes read-only ``(id, tokens)`` views."""
 
-    documents: list[Document]
+    ids: list[str]
+    corpus: EncodedCorpus
     skipped_empty: int = 0
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.documents)
-
-    def token_lists(self) -> list[tuple[str, ...]]:
-        out = []
-        for doc in self.documents:
-            if doc.tokens is None:
-                raise CorpusError(f"document {doc.id!r} has not been preprocessed")
-            out.append(doc.tokens)
-        return out
-
-    def ids(self) -> list[str]:
-        return [doc.id for doc in self.documents]
+        return map(_DocumentView, self.ids, self.corpus)
 
 
 @dataclass
@@ -165,8 +159,8 @@ def load_corpus(
     path: str,
     text_column: str = "abstract",
     id_column: str | None = None,
-) -> DocumentSet:
-    """Read one Document per non-empty abstract row of a CSV file.
+) -> CorpusRows:
+    """Read the id and abstract of each non-empty abstract row of a CSV file.
 
     Rows with an empty abstract are skipped and counted. A row too short to
     hold the text or id column, one the CSV reader rejects, or a repeated id
@@ -197,7 +191,7 @@ def load_corpus(
             if name is not None and header.count(name) > 1:
                 raise CorpusError(f"{path}: column {name!r} repeats in the header")
 
-        docset = DocumentSet(documents=[])
+        rows = CorpusRows([], [])
         seen_ids: set[str] = set()
         needed = text_idx if id_idx is None else max(text_idx, id_idx)
         row_num = 0
@@ -208,16 +202,17 @@ def load_corpus(
                                       f"need at least {needed + 1}")
                 text = row[text_idx]
                 if not text.strip():
-                    docset.skipped_empty += 1
+                    rows.skipped_empty += 1
                     continue
                 doc_id = row[id_idx] if id_idx is not None else str(row_num)
                 if doc_id in seen_ids:
                     raise CorpusError(f"{path} row {row_num}: duplicate document id {doc_id!r}")
                 seen_ids.add(doc_id)
-                docset.documents.append(Document(id=doc_id, text=text))
+                rows.ids.append(doc_id)
+                rows.texts.append(text)
         except csv.Error as exc:
             raise CorpusError(f"{path} row {row_num + 1}: {exc}") from None
-    return docset
+    return rows
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -247,10 +242,11 @@ def preprocess(text: str) -> list[str]:
     return tokens
 
 
-def preprocess_set(docs: DocumentSet) -> DocumentSet:
-    """Return a copy of ``docs`` with tokens filled for every document."""
-    return replace(docs, documents=[replace(doc, tokens=tuple(preprocess(doc.text)))
-                                    for doc in docs.documents])
+def preprocess_set(rows: CorpusRows) -> DocumentSet:
+    """Each abstract of ``rows`` cleaned by :func:`preprocess`, held as one
+    encoding; the set keeps no abstract text."""
+    return DocumentSet(rows.ids, EncodedCorpus.encode(map(preprocess, rows.texts)),
+                       rows.skipped_empty)
 
 
 class EncodedCorpus(Sequence):
@@ -273,13 +269,16 @@ class EncodedCorpus(Sequence):
 
     @classmethod
     def encode(cls, token_lists) -> EncodedCorpus:
-        """Encode any iterable of token sequences."""
-        lists = [tuple(tokens) for tokens in token_lists]
-        tokens = list(chain.from_iterable(lists))
-        types = tuple(sorted(set(tokens)))
-        index = dict(zip(types, range(len(types))))
-        return cls(types, np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens)),
-                   np.fromiter(map(len, lists), np.int64, len(lists)))
+        """Encode any iterable of token sequences, numbering tokens as first seen, then sorted."""
+        first_seen: dict[str, int] = {}
+        ids, ends = [], [0]
+        for tokens in token_lists:  # one at a time, so only the types stay as strings
+            ids += [first_seen.setdefault(t, len(first_seen)) for t in tokens]
+            ends.append(len(ids))
+        types = tuple(sorted(first_seen))
+        rank = np.empty(len(types), dtype=np.int64)
+        rank[[first_seen[t] for t in types]] = np.arange(len(types))
+        return cls(types, rank[np.array(ids, dtype=np.int64)], np.diff(ends))
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -7,7 +7,8 @@ touch it. :func:`library` compiles the source the first time it is called,
 never at import, and caches the result under this package's
 ``__pycache__/``, keyed on the source and the flags, so later processes
 load it without compiling.
-There is no fallback: a missing or failing compiler raises RuntimeError.
+There is no fallback: a missing or failing compiler raises
+:class:`KernelBuildError`, a RuntimeError.
 
 ``FLAGS`` target baseline x86-64, yet on x86-64 Linux the library holds a
 baseline and an AVX2 ``hs_train`` (GCC ``target_clones``), and the
@@ -39,9 +40,14 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["FLAGS", "library_path", "build", "library", "load", "one_blas_thread"]
+__all__ = ["FLAGS", "KernelBuildError", "library_path", "build", "library", "load",
+           "one_blas_thread"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+class KernelBuildError(RuntimeError):
+    """The kernel library could not be compiled: no ``cc``, or it failed."""
 
 
 def library_path(source: bytes, cache_dir: str) -> str:
@@ -56,8 +62,9 @@ def build(source: bytes, cache_dir: str) -> str:
     """Compile ``source`` with ``cc`` unless ``cache_dir`` already holds it.
 
     The library is written to a temporary file and renamed into place, so
-    concurrent builds never expose a partial file. Raises RuntimeError with
-    the compiler's stderr when the compile fails.
+    concurrent builds never expose a partial file. Raises KernelBuildError
+    when ``cc`` cannot run, and with the compiler's stderr when the compile
+    fails.
     """
     path = library_path(source, cache_dir)
     if os.path.exists(path):
@@ -74,9 +81,10 @@ def build(source: bytes, cache_dir: str) -> str:
                 input=source, capture_output=True,
             )
         except OSError as exc:
-            raise RuntimeError(f"cannot run the C compiler cc to build the kernel library: {exc}") from exc
+            raise KernelBuildError(
+                f"cannot run the C compiler cc to build the kernel library: {exc}") from exc
         if proc.returncode != 0:
-            raise RuntimeError(
+            raise KernelBuildError(
                 f"compiling the kernel library failed:\n{proc.stderr.decode(errors='replace')}"
             )
         os.replace(tmp, path)

@@ -17,6 +17,10 @@ and the ``screen --out`` table are one CSV each; floats in text are ``%.17g``,
 exact for 64-bit floats. Writers go through a temp file and an atomic rename
 so readers never observe a partial artifact, and a model's ``.meta`` is
 removed first and written last, so a model saved only in part does not load. A
+tokens file is a preprocessed corpus: a ``litscreen-tokens/1 N`` header, then
+one line per document, its id, a tab and its space-joined tokens.
+``load_tokens`` returns it as the same kind of
+:class:`~litscreen.corpus.DocumentSet` that ``preprocess_set`` returns. A
 text file that is not UTF-8 fails naming the file and the line.
 """
 from __future__ import annotations
@@ -32,7 +36,7 @@ from itertools import islice
 import numpy as np
 import numpy.lib.format as npy
 
-from .corpus import Document, DocumentSet, Vocabulary, open_text
+from .corpus import DocumentSet, EncodedCorpus, Vocabulary, open_text
 from .embedding import DocModel, EmbeddingConfig, WordModel
 from .refine import IterationRecord
 from .selection import SelectionOrder
@@ -334,20 +338,21 @@ def save_tokens(docs: DocumentSet, path: str):
     first row ``load_tokens`` would not read back as written (an id holding a
     tab or refused by ``_check_labels``, or a token that is empty or holds
     whitespace) fails naming the file and the row, before the file is opened."""
-    ids, lines = [doc.id for doc in docs], [f"{TOKENS_FORMAT} {len(docs)}\n"]
-    for row, doc in enumerate(docs, 1):
-        if doc.tokens is None:
-            raise PersistenceError(f"document {doc.id!r} has no tokens to save")
-        body = " ".join(doc.tokens)
-        if "\t" in doc.id or body.split() != list(doc.tokens):  # load_tokens would change it
-            _check_labels(ids[:row], path, "document id")  # an earlier row's fault comes first
-            bad = [t for t in doc.tokens if t.split() != [t]]
-            raise PersistenceError(f"{path} row {row}: " + (
-                "document id holds a tab" if "\t" in doc.id
-                else f"token {bad[0]!r} is empty or holds whitespace"))
-        lines.append(doc.id + "\t" + body + "\n")
+    ids, corpus = docs.ids, docs.corpus
+    # tokens load_tokens would split, drop or strip; each distinct one is checked once
+    spoilt = np.flatnonzero(np.array([t.split() != [t] for t in corpus.types], bool)[corpus.ids])
+    faults = [row for row, doc_id in enumerate(ids, 1) if "\t" in doc_id][:1]
+    if spoilt.size:
+        faults.append(int(np.searchsorted(np.cumsum(corpus.lengths), spoilt[0], "right")) + 1)
+    if faults:
+        row = min(faults)
+        _check_labels(ids[:row], path, "document id")  # an earlier row's fault comes first
+        raise PersistenceError(f"{path} row {row}: " + (
+            "document id holds a tab" if "\t" in ids[row - 1]
+            else f"token {corpus.types[corpus.ids[spoilt[0]]]!r} is empty or holds whitespace"))
     _check_labels(ids, path, "document id")
-    _atomic_write(path, "".join(lines))
+    _atomic_write(path, f"{TOKENS_FORMAT} {len(ids)}\n" + "".join(
+        doc_id + "\t" + " ".join(tokens) + "\n" for doc_id, tokens in zip(ids, corpus)))
 
 
 def load_tokens(path: str) -> DocumentSet:
@@ -358,7 +363,7 @@ def load_tokens(path: str) -> DocumentSet:
         if not (header[1].isascii() and header[1].isdigit()):
             raise PersistenceError(f"{path}: bad document count {header[1]!r}")
         n = int(header[1])
-        documents = []
+        ids, token_lists = [], []
         for i in range(n):
             line = f.readline()
             if not line:
@@ -366,11 +371,12 @@ def load_tokens(path: str) -> DocumentSet:
             doc_id, tab, rest = line.rstrip("\r\n").partition("\t")
             if not tab:
                 raise PersistenceError(f"{path} row {i + 1}: no tab after the document id")
-            documents.append(Document(id=doc_id, text="", tokens=tuple(rest.split())))
+            ids.append(doc_id)
+            token_lists.append(rest.split())
         if any(line.strip() for line in f):
             raise PersistenceError(f"{path}: more than the {n} documents its header declares")
-    _check_labels([doc.id for doc in documents], path, "document id")
-    return DocumentSet(documents=documents)
+    _check_labels(ids, path, "document id")
+    return DocumentSet(ids, EncodedCorpus.encode(token_lists))
 
 
 def write_csv(path: str, header, rows):

@@ -11,8 +11,9 @@ order and the last word model, which ``litscreen refine`` saves as
 ``iterations.csv``, ``selection.csv`` and the model files that
 :func:`litscreen.persistence.save_model` names.
 
-The corpus is encoded once as integer type ids
-(:class:`litscreen.corpus.EncodedCorpus`); each iteration's documents are
+The loop trains on the corpus as the preprocessed set holds it, encoded
+as integer type ids (``DocumentSet.corpus``, an
+:class:`litscreen.corpus.EncodedCorpus`); each iteration's documents are
 a gather from it, and their type counts, taken once, serve both the
 completeness check and the training of that batch.
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .corpus import DocumentSet, EncodedCorpus
+from .corpus import DocumentSet
 from .embedding import EmbeddingConfig, WordModel, build_huffman, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
 from .selection import SelectionOrder, central_document, cumulative_batches, greedy_fps, pca_project
@@ -174,11 +175,9 @@ def run_refinement(
         raise RefinementError("empty candidate list")
 
     with kernel.one_blas_thread():
-        corpus = EncodedCorpus.encode(docs.token_lists())
-
         required = set(config.anchors.terms) | set(candidates.present())
 
-        doc_model = train_doc2vec(corpus, config.embedding, ids=docs.ids())
+        doc_model = train_doc2vec(docs.corpus, config.embedding, ids=docs.ids)
         order = selection_order(doc_model.vectors)
 
         n_docs = len(docs)
@@ -188,7 +187,7 @@ def run_refinement(
 
         def batch(t):
             # train in corpus order
-            return corpus.take(sorted(cumulative_batches(order, t, config.batch_size)))
+            return docs.corpus.take(sorted(cumulative_batches(order, t, config.batch_size)))
 
         records: list[IterationRecord] = []
         prev_centroid: np.ndarray | None = None

@@ -118,8 +118,11 @@ def write_candidates_csv(candidates: CandidateTable, path: str):
     """An id column, then one fraction column per element in sorted order,
     each value written as ``%.17g``. An id that ``load_compositions`` would
     reject or change, a repeated, blank or whitespace-padded one, raises
-    ValueError naming its row before the file is opened."""
+    ValueError naming its row before the file is opened, and so does an
+    empty table, naming the file."""
     ids = candidates.ids
+    if not ids:
+        raise ValueError(f"{path}: no candidate rows to write")
     if len(set(ids)) < len(ids) or "" in ids or tuple(map(str.strip, ids)) != ids:  # C loops only
         seen = set()
         for i, comp_id in enumerate(ids, 1):

@@ -408,11 +408,11 @@ def reference_run_refinement(docs, candidates, config):
     if not candidates:
         raise RefinementError("empty candidate list")
 
-    token_lists = docs.token_lists()
+    token_lists = list(docs.corpus)
 
     required = set(config.anchors.terms) | set(candidates.present())
 
-    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids())
+    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids)
     projection = pca_project(doc_model.vectors)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, len(docs))

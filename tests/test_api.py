@@ -24,7 +24,7 @@ import litscreen
 
 # A change that adds or removes a public parameter or dataclass field
 # moves this figure, and says so.
-SETTABLE_VALUES = 154
+SETTABLE_VALUES = 155
 
 
 def _parameters(fn, bound: bool) -> int:

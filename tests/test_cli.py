@@ -12,7 +12,7 @@ import pytest
 from helpers import read_manifest
 
 import litscreen
-from litscreen import cli
+from litscreen import cli, embedding, kernel
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import EmbeddingConfig, WordModel
@@ -373,6 +373,72 @@ class TestScreeningNeedsNoKernel:
         assert [code for code, _, _ in without[0]] == [0, 0, 0]
         assert without[0] == with_library[0]
         assert without[1] == with_library[1] and len(without[1]) == 2
+
+
+class TestInputAtFaultIsNamed:
+    """Data that every reader accepts, but that a command cannot use, exits 2
+    naming the input; no output is written."""
+
+    def corpus_commands(self, tmp_path, corpus):
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Pt\na,1,0\n")
+        return [("ingest", "--corpus", corpus), ("embed-docs", "--corpus", corpus),
+                ("refine", "--corpus", corpus, "--candidates", cands)]
+
+    @pytest.mark.parametrize("name, text", [
+        ("c.csv", "abstract\nAg films\n  \n"),
+        ("c.tokens", "litscreen-tokens/1 1\na\tAg films\n"),
+    ], ids=["corpus_csv", "tokens_file"])
+    def test_fewer_than_two_documents_fail_where_the_corpus_is_read(self, capsys, tmp_path,
+                                                                    name, text):
+        # one document has no diversity order: PCA needs two rows
+        corpus = write(str(tmp_path / name), text)
+        out = str(tmp_path / "out")
+        for argv in self.corpus_commands(tmp_path, corpus):
+            code, printed, err = run(capsys, *argv, "--out", out)
+            assert (code, printed) == (2, ""), argv[0]
+            assert err == f"error: {corpus}: 1 documents, but at least 2 are needed\n"
+            assert not os.path.exists(out)
+
+    def test_empty_vocabulary_names_the_corpus(self, capsys, tmp_path):
+        corpus = write(str(tmp_path / "c.csv"), "abstract\nThe film is of it.\nAnd it was.\n")
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\nmin_count = 2\n")
+        out = str(tmp_path / "out")
+        for argv in self.corpus_commands(tmp_path, corpus)[1:]:
+            code, printed, err = run(capsys, *argv, "--config", conf, "--out", out)
+            assert (code, printed) == (2, ""), argv[0]
+            assert err == (f"error: {corpus}: no token reaches min_count=2; "
+                           "vocabulary is empty\n")
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["screen", "report"])
+    def test_missing_token_names_the_model_and_the_anchors(self, capsys, tmp_path, command):
+        base = planted_model(str(tmp_path / "m"))
+        model = ["--model", base] if command == "screen" else ["--full-model", base]
+        cands = write(str(tmp_path / "k.csv"), "id,Ni,Pd\na,1,0\n")
+        code, printed, err = run(capsys, command, *model, "--candidates", cands,
+                                 "--anchors", "dielectric,zzz")
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}: anchor term 'zzz' (--anchors) is not in the vocabulary\n"
+        cands = write(str(tmp_path / "k.csv"), "id,Ni,Ag\na,0.5,0.5\n")
+        code, printed, err = run(capsys, command, *model, "--candidates", cands)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}: token 'Ag' is not in the vocabulary\n"
+
+    def test_missing_compiler_exits_2_without_a_traceback(self, capsys, tmp_path, monkeypatch):
+        def no_compiler():
+            raise kernel.KernelBuildError(
+                "cannot run the C compiler cc to build the kernel library: no cc")
+
+        monkeypatch.setattr(embedding, "library", no_compiler)
+        data, out = str(tmp_path / "data"), str(tmp_path / "out")
+        run(capsys, "synth", "--out", data, "--n-docs", "20", "--rare-docs", "2")
+        code, printed, err = run(capsys, "refine", "--corpus", os.path.join(data, "corpus.csv"),
+                                 "--candidates", os.path.join(data, "candidates.csv"),
+                                 "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == ("error: cannot run the C compiler cc to build the kernel library: "
+                       "no cc\n")
+        assert not os.path.exists(out)
 
 
 class TestSelectMatchesRefine:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 import tempfile
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from helpers import reference_build_vocabulary
 from litscreen.corpus import (
     CorpusError,
-    Document,
-    DocumentSet,
+    CorpusRows,
     EncodedCorpus,
     default_license_patterns,
     default_stopwords,
@@ -33,22 +33,19 @@ def write_csv(tmp_path, text, name="c.csv"):
 class TestLoadCorpus:
     def test_basic_load_and_default_ids(self, tmp_path):
         path = write_csv(str(tmp_path), "abstract\nfirst doc\nsecond doc\n")
-        docs = load_corpus(path)
-        assert [d.id for d in docs] == ["1", "2"]
-        assert [d.text for d in docs] == ["first doc", "second doc"]
+        rows = load_corpus(path)
+        assert rows == CorpusRows(["1", "2"], ["first doc", "second doc"], 0)
 
     def test_id_column(self, tmp_path):
         path = write_csv(str(tmp_path), "id,abstract\na1,x\na2,y\n")
-        docs = load_corpus(path, id_column="id")
-        assert docs.ids() == ["a1", "a2"]
+        assert load_corpus(path, id_column="id").ids == ["a1", "a2"]
 
     def test_byte_order_mark_not_part_of_first_column(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         path = write_csv(str(tmp_path), "\ufeffid,abstract\na1,x\na2,y\n")
-        assert load_corpus(path, id_column="id").ids() == ["a1", "a2"]
+        assert load_corpus(path, id_column="id").ids == ["a1", "a2"]
         path = write_csv(str(tmp_path), "\ufeffabstract,id\nfirst doc,a1\n", name="d.csv")
-        docs = load_corpus(path)
-        assert [d.text for d in docs] == ["first doc"]
+        assert load_corpus(path).texts == ["first doc"]
 
     def test_missing_text_column(self, tmp_path):
         path = write_csv(str(tmp_path), "title\nfoo\n")
@@ -66,10 +63,9 @@ class TestLoadCorpus:
     def test_empty_abstracts_skipped_and_counted(self, tmp_path):
         # blank lines are not data rows; whitespace-only abstracts are
         path = write_csv(str(tmp_path), "abstract\nx\n\ny\n   \n")
-        docs = load_corpus(path)
-        assert len(docs) == 2
-        assert docs.skipped_empty == 1
-        assert docs.ids() == ["1", "2"]
+        rows = load_corpus(path)
+        assert rows.skipped_empty == 1
+        assert rows.ids == ["1", "2"]
 
     def test_short_row_rejected_naming_file_and_row(self, tmp_path):
         path = write_csv(str(tmp_path), "id,abstract\na1,x\nonlyone\na3,z\n")
@@ -108,9 +104,9 @@ class TestLoadCorpus:
 
     def test_quoted_multiline_field(self, tmp_path):
         path = write_csv(str(tmp_path), 'abstract\n"line one\nline two"\nplain\n')
-        docs = load_corpus(path)
-        assert len(docs) == 2
-        assert "line two" in docs.documents[0].text
+        rows = load_corpus(path)
+        assert len(rows.texts) == 2
+        assert "line two" in rows.texts[0]
 
 
 class TestPreprocess:
@@ -273,16 +269,41 @@ class TestEncodedCorpus:
 
 
 def test_preprocess_set_fills_tokens(tmp_path):
-    path = write_csv(str(tmp_path), "abstract\nThe Ag study of films\n")
+    path = write_csv(str(tmp_path), "abstract\nThe Ag study of films\n  \nPt\n")
     docs = preprocess_set(load_corpus(path))
-    assert docs.documents[0].tokens == ("Ag", "study", "films")
-    assert docs.token_lists() == [("Ag", "study", "films")]
+    # the set holds the ids, one encoding and the count, and no text
+    assert [f.name for f in dataclasses.fields(docs)] == ["ids", "corpus", "skipped_empty"]
+    assert (docs.ids, docs.skipped_empty) == (["1", "3"], 1)
+    assert docs.corpus.types == ("Ag", "Pt", "films", "study")
+    assert docs.corpus.ids.tolist() == [0, 3, 2, 1]
+    assert docs.corpus.lengths.tolist() == [3, 1]
+    # iterating decodes read-only (id, tokens) views
+    assert list(docs) == [("1", ("Ag", "study", "films")), ("3", ("Pt",))]
+    assert [d.tokens for d in docs] == list(docs.corpus)
+    with pytest.raises(AttributeError):
+        next(iter(docs)).tokens = ()
 
 
-def test_token_lists_of_unprocessed_document_rejected():
-    docs = DocumentSet([Document("a", "Ag films", ("Ag", "films")), Document("b", "Pt")])
-    with pytest.raises(CorpusError, match="^document 'b' has not been preprocessed$"):
-        docs.token_lists()
+# words that preprocess keeps, lowercases or drops, license phrases it
+# strips, and characters that IGNORECASE folds (ſ, ı) or that split tokens
+ABSTRACT_PIECES = st.sampled_from([
+    "Ag", "AG", "ag", "Pt", "B", "b", "the", "of", "Films", "films", "x1", "2020", "μm", "Å",
+    "°C", "ſ", "ı", "Ω", "_", "-", ",", ".", " ", "\n", "©", "(c) 2021 Elsevier.",
+    "All rights reserved.", "Published by Elsevier B.V.", "licenſe", "CC BY 4.0 license"])
+ABSTRACTS = st.lists(st.one_of(st.lists(ABSTRACT_PIECES, max_size=12).map("".join),
+                               st.text(max_size=12)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ABSTRACTS, st.integers(0, 3))
+def test_each_encoded_document_decodes_to_its_cleaned_abstract(texts, skipped):
+    ids = [f"d{i}" for i in range(len(texts))]
+    docs = preprocess_set(CorpusRows(ids, texts, skipped))
+    want = [tuple(preprocess(text)) for text in texts]
+    assert (docs.ids, len(docs), docs.skipped_empty) == (ids, len(texts), skipped)
+    assert list(docs.corpus) == want
+    assert docs.corpus.types == tuple(sorted({t for tokens in want for t in tokens}))
+    assert docs.corpus.lengths.tolist() == list(map(len, want))
 
 
 _CORPUS_PIECES = st.sampled_from([
@@ -316,7 +337,7 @@ class TestLoadCorpusFuzz:
                 return
             with open(path, encoding="utf-8-sig", newline="") as f:
                 rows = sum(1 for row in list(csv.reader(f))[1:] if row)
-        assert len(set(docs.ids())) == len(docs)
-        assert all(doc.text.strip() for doc in docs)
+        assert len(set(docs.ids)) == len(docs.ids) == len(docs.texts)
+        assert all(text.strip() for text in docs.texts)
         # no row is dropped without a count
-        assert len(docs) + docs.skipped_empty == rows
+        assert len(docs.ids) + docs.skipped_empty == rows

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from litscreen import kernel
-from litscreen.corpus import Document, DocumentSet, preprocess_set
+from litscreen.corpus import CorpusRows, preprocess_set
 from litscreen.embedding import EmbeddingConfig
 from litscreen.refine import RefineConfig, run_refinement
 from litscreen.selection import Projection, pca_project
@@ -22,6 +22,18 @@ def test_source_compiles_without_warnings(tmp_path):
                            source, "-o", str(tmp_path / "hs.so"), "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_build_without_a_compiler_raises_its_own_error(tmp_path, monkeypatch):
+    # the CLI exits 2 on exactly this class, with this message
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    cache = tmp_path / "cache"
+    with pytest.raises(kernel.KernelBuildError,
+                       match="^cannot run the C compiler cc to build the kernel library: "):
+        kernel.build(b"int x;\n", str(cache))
+    assert os.listdir(cache) == []  # no partial library is left
 
 
 def test_avx2_build_compiles_without_warnings(single_isa_source, tmp_path):
@@ -136,7 +148,7 @@ def test_nested_or_at_one_thread_leaves_the_count_as_found(openblas):
 
 def planted_run():
     rows = synthetic_corpus(SynthSpec(n_docs=120, rare_docs=3, seed=1))
-    docs = preprocess_set(DocumentSet(documents=[Document(id=i, text=t) for i, t in rows]))
+    docs = preprocess_set(CorpusRows([i for i, _ in rows], [t for _, t in rows]))
     config = RefineConfig(batch_size=15, threshold=0.1,
                           embedding=EmbeddingConfig(dim=12, window=3, epochs=1))
     return run_refinement(docs, synthetic_candidates(3), config)

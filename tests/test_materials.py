@@ -446,7 +446,7 @@ class TestBulkScoresMatchPerCandidateOracle:
         path = str(tmp_path / "corpus.csv")
         write_corpus_csv(synthetic_corpus(SynthSpec(n_docs=120, rare_docs=6, seed=3)), path)
         docs = preprocess_set(load_corpus(path, id_column="id"))
-        model = train_word2vec(docs.token_lists(), EmbeddingConfig(dim=24, epochs=2, seed=1))
+        model = train_word2vec(docs.corpus, EmbeddingConfig(dim=24, epochs=2, seed=1))
         table = synthetic_candidates()
         assert len(table) == 35
         assert self.drift(model, table) <= SCORE_BOUND
@@ -897,7 +897,7 @@ class TestCandidateCsvRoundTrip:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(st.sampled_from(["a", "1", "2", " ", ",", '"', "\n", "\r", "\xa0"]),
-                            max_size=2), min_size=1, max_size=4))
+                            max_size=2), max_size=4))
     def test_drawn_ids_read_back_or_are_refused_at_the_first_changed_row(self, ids):
         # write_csv with one "1" per row is what write_candidates_csv writes for
         # a one-element table, minus its checks
@@ -921,6 +921,9 @@ class TestCandidateCsvRoundTrip:
                 write_candidates_csv(table, path)
             except ValueError as exc:
                 assert os.listdir(tmp) == []
+                if not ids:  # load_compositions rejects a file without rows
+                    assert str(exc) == f"{path}: no candidate rows to write"
+                    return
                 row = int(re.search(r"c\.csv row (\d+): ", str(exc)).group(1))
             else:
                 assert load_compositions(path)[0].ids == tuple(ids)

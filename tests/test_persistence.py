@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from litscreen.corpus import Document, DocumentSet, Vocabulary
+from litscreen.corpus import DocumentSet, EncodedCorpus, Vocabulary
 from litscreen.embedding import (
     DocModel,
     EmbeddingConfig,
@@ -457,9 +457,14 @@ def write_raw_tokens(path, rows):
         doc_id + "\t" + " ".join(tokens) + "\n" for doc_id, tokens in rows)).encode())
 
 
+def document_set(rows):
+    """The preprocessed set of (id, tokens) ``rows``."""
+    return DocumentSet([doc_id for doc_id, _ in rows], EncodedCorpus.encode(t for _, t in rows))
+
+
 def load_token_rows(path):
     docs = load_tokens(path)
-    return list(zip(docs.ids(), docs.token_lists()))
+    return list(zip(docs.ids, docs.corpus))
 
 
 def write_raw_labels(base, labels):
@@ -514,12 +519,35 @@ def check_writer_against_reader(save, rows, write_raw, load, main_file):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(ROW_TEXT, st.lists(ROW_TEXT, max_size=3).map(tuple)), max_size=4))
 def test_drawn_tokens_read_back_or_are_refused_at_the_first_changed_row(rows):
-    docs = DocumentSet(documents=[Document(id=i, text="", tokens=t) for i, t in rows])
+    docs = document_set(rows)
     refused = check_writer_against_reader(lambda path: save_tokens(docs, path), rows,
                                           write_raw_tokens, load_token_rows, "")
     if refused:
         row, verdict = refused
         assert verdict in (0, row)
+
+
+# tokens load_tokens reads back as written, and ids it reads back once each
+SAVED_TOKEN = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                      max_size=3).filter(lambda t: t.split() == [t])
+SAVED_ID = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(SAVED_ID, st.lists(SAVED_TOKEN, max_size=5)), max_size=5,
+                unique_by=lambda row: row[0]))
+def test_saved_tokens_load_as_the_same_encoding(rows):
+    docs = document_set(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.tokens")
+        save_tokens(docs, path)
+        loaded = load_tokens(path)
+    assert loaded.ids == docs.ids and loaded.skipped_empty == 0
+    got, want = loaded.corpus, docs.corpus
+    assert got.types == want.types
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.lengths.tolist() == want.lengths.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -715,21 +743,16 @@ class TestDocModelRoundTrip:
 
 class TestTokensRoundTrip:
     def test_round_trip(self, tmp_path):
-        docs = DocumentSet(documents=[
-            Document(id="a", text="x", tokens=("alpha", "beta")),
-            Document(id="b", text="y", tokens=()),
-            Document(id="c", text="z", tokens=("Ag",)),
-        ])
+        docs = document_set([("a", ("alpha", "beta")), ("b", ()), ("c", ("Ag",))])
         path = str(tmp_path / "c.tokens")
         save_tokens(docs, path)
         loaded = load_tokens(path)
-        assert loaded.ids() == ["a", "b", "c"]
-        assert loaded.token_lists() == [("alpha", "beta"), (), ("Ag",)]
+        assert loaded.ids == ["a", "b", "c"]
+        assert list(loaded.corpus) == [("alpha", "beta"), (), ("Ag",)]
 
     @pytest.mark.parametrize("bad_id", ["a\tb", "a\nb", "a\rb", "a\r"])
     def test_id_with_tab_or_line_break_rejected(self, tmp_path, bad_id):
-        docs = DocumentSet(documents=[Document(id=bad_id, text="", tokens=("x",)),
-                                      Document(id="c", text="", tokens=("y",))])
+        docs = document_set([(bad_id, ("x",)), ("c", ("y",))])
         path = str(tmp_path / "c.tokens")
         with pytest.raises(PersistenceError,
                            match=r"c\.tokens row 1: document id holds a (tab|line break)$"):
@@ -738,8 +761,7 @@ class TestTokensRoundTrip:
 
     def test_repeated_id_refused_before_the_file_is_opened(self, tmp_path):
         # load_tokens would reject the file: "row 2: duplicate document id 'a'"
-        docs = DocumentSet(documents=[Document(id="a", text="", tokens=("x",)),
-                                      Document(id="a", text="", tokens=("y",))])
+        docs = document_set([("a", ("x",)), ("a", ("y",))])
         path = str(tmp_path / "c.tokens")
         with pytest.raises(PersistenceError) as caught:
             save_tokens(docs, path)
@@ -748,8 +770,7 @@ class TestTokensRoundTrip:
 
     def test_token_the_reader_would_split_or_drop_refused(self, tmp_path):
         # load_tokens splits on whitespace: these tokens would read back as ('x', 'y', 'z')
-        docs = DocumentSet(documents=[Document(id="a", text="", tokens=("w",)),
-                                      Document(id="b", text="", tokens=("x y", "", "z"))])
+        docs = document_set([("a", ("w",)), ("b", ("x y", "", "z"))])
         path = str(tmp_path / "c.tokens")
         with pytest.raises(PersistenceError) as caught:
             save_tokens(docs, path)
@@ -762,24 +783,14 @@ class TestTokensRoundTrip:
         ([("a\nb", ()), ("c\td", ())], "row 1: document id holds a line break"),
     ], ids=["token_before_repeat", "repeat_before_tab", "line_break_before_tab"])
     def test_first_faulty_row_reported(self, tmp_path, rows, message):
-        docs = DocumentSet(documents=[Document(id=i, text="", tokens=t) for i, t in rows])
+        docs = document_set(rows)
         path = str(tmp_path / "c.tokens")
         with pytest.raises(PersistenceError) as caught:
             save_tokens(docs, path)
         assert str(caught.value) == f"{path} {message}"
 
-    def test_unprocessed_document_rejected(self, tmp_path):
-        docs = DocumentSet(documents=[Document(id="a", text="x")])
-        with pytest.raises(PersistenceError):
-            save_tokens(docs, str(tmp_path / "c.tokens"))
-
     def test_truncation_detected(self, tmp_path):
-        docs = DocumentSet(documents=[
-            Document(id="a", text="", tokens=("x",)),
-            Document(id="b", text="", tokens=("y",)),
-        ])
-        path = str(tmp_path / "c.tokens")
-        save_tokens(docs, path)
+        path = self.two_docs(tmp_path)
         with open(path) as f:
             lines = f.readlines()
         with open(path, "w") as f:
@@ -789,10 +800,7 @@ class TestTokensRoundTrip:
 
     def two_docs(self, tmp_path):
         path = str(tmp_path / "c.tokens")
-        save_tokens(DocumentSet(documents=[
-            Document(id="a", text="", tokens=("x",)),
-            Document(id="b", text="", tokens=("y",)),
-        ]), path)
+        save_tokens(document_set([("a", ("x",)), ("b", ("y",))]), path)
         return path
 
     @pytest.mark.parametrize("count", ["abc", "-1"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from litscreen import refine
-from litscreen.corpus import CorpusError, Document, DocumentSet, EncodedCorpus, preprocess_set
+from litscreen.corpus import CorpusError, CorpusRows, DocumentSet, EncodedCorpus, preprocess_set
 from litscreen.embedding import EmbeddingConfig, train_word2vec
 from litscreen.materials import (
     CandidateTable,
@@ -31,11 +31,8 @@ EMB = EmbeddingConfig(dim=12, window=2, epochs=2)
 
 
 def docset(token_lists):
-    docs = [
-        Document(id=f"d{i}", text="", tokens=tuple(toks))
-        for i, toks in enumerate(token_lists)
-    ]
-    return DocumentSet(documents=docs)
+    return DocumentSet([f"d{i}" for i in range(len(token_lists))],
+                       EncodedCorpus.encode(token_lists))
 
 
 def corpus_with_rare_element(n_common=10):
@@ -144,7 +141,7 @@ class TestRunRefinement:
     def test_records_match_selection_order_vocabulary(self):
         result = self.run(threshold=1e-15, batch_size=2)
         docs = corpus_with_rare_element()
-        token_lists = docs.token_lists()
+        token_lists = list(docs.corpus)
         required = {"dielectric", "conductivity", "Ag", "Ti"}
         for rec in result.records:
             subset = cumulative_batches(result.selection_order, rec.iteration, 2)
@@ -158,7 +155,7 @@ class TestRunRefinement:
     def test_centroid_reproducible_from_subset_training(self):
         result = self.run(threshold=1e-15, batch_size=3, seed=9)
         docs = corpus_with_rare_element()
-        token_lists = docs.token_lists()
+        token_lists = list(docs.corpus)
         cfg = EmbeddingConfig(
             dim=EMB.dim, window=EMB.window, epochs=EMB.epochs, seed=9
         )
@@ -229,7 +226,7 @@ def test_embedding_seed_trains_every_model(monkeypatch):
 
 def planted_docs(seed):
     rows = synthetic_corpus(SynthSpec(n_docs=120, rare_docs=3, seed=seed))
-    return preprocess_set(DocumentSet(documents=[Document(id=i, text=t) for i, t in rows]))
+    return preprocess_set(CorpusRows([i for i, _ in rows], [t for _, t in rows]))
 
 
 def zipf_docs(seed, n_docs=30, types=400):
