@@ -26,7 +26,6 @@ from .embedding import (
 )
 from .materials import (
     CandidateTable,
-    Composition,
     CompositionError,
     PropertyAnchors,
     SimilarityPoint,

@@ -8,8 +8,11 @@ in it as written (``text_column``, not ``text-column``), also those the
 command does not read. A missing input file exits 2 naming its kind and
 path (``corpus file not found: PATH``), and so does bad data in an input:
 a corpus with fewer than two documents, or one whose vocabulary is empty,
-names the corpus; a token missing from a model names the model, and
---anchors when the token is an anchor term.
+names the corpus; a document model with fewer than two documents names the
+model; a token missing from a model names the model, and --anchors when the
+token is an anchor term. ``refine`` removes the ``manifest.txt`` of an
+earlier run in its --out directory before it writes anything there, and
+writes its own last, so a directory without one holds an unfinished run.
 
 Exit codes: 0 success, 1 usage error, 2 data or file error, or a kernel
 library that could not be compiled (no ``cc`` on the PATH, say),
@@ -32,6 +35,7 @@ from .kernel import KernelBuildError
 from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
     TOKENS_FORMAT,
+    PersistenceError,
     config_from_pairs,
     config_pairs,
     file_digest,
@@ -221,6 +225,9 @@ def _cmd_embed_docs(args) -> int:
 
 def _cmd_select(args) -> int:
     model = load_doc_model(args.model)
+    if len(model.ids) < 2:  # PCA needs two rows
+        raise PersistenceError(f"{args.model}: {len(model.ids)} documents, "
+                               "but at least 2 are needed")
     order = selection_order(model.vectors)  # refine's stage, so both write one selection.csv
     save_selection(order, model.ids, args.out)
     print(f"seed document: {model.ids[order.indices[0]]}")
@@ -239,6 +246,9 @@ def _cmd_refine(args) -> int:
         result = run_refinement(docs, candidates, config)
 
     os.makedirs(args.out, exist_ok=True)
+    manifest_path = os.path.join(args.out, "manifest.txt")
+    with contextlib.suppress(FileNotFoundError):  # written last, so none marks an unfinished run
+        os.remove(manifest_path)
     save_iteration_log(result.records, os.path.join(args.out, "iterations.csv"))
     model_paths = save_model(result.final_model, os.path.join(args.out, "model"))
     save_selection(result.selection_order, docs.ids, os.path.join(args.out, "selection.csv"))
@@ -259,7 +269,7 @@ def _cmd_refine(args) -> int:
         "outputs": " ".join(["iterations.csv", "selection.csv",
                              *(os.path.basename(p) for p in model_paths)]),
     }
-    write_manifest(manifest, os.path.join(args.out, "manifest.txt"))
+    write_manifest(manifest, manifest_path)
 
     for rec in result.records:
         line = (

@@ -5,9 +5,9 @@ root-to-leaf path through a Huffman tree built from vocabulary counts.
 Each token position is one item whose targets are a range of the
 corpus's flat array of token ids: skip-gram's item is the token and its
 window, the kernel leaving the position itself out, and PV-DBOW's item is
-the document's row and the one token. Both take their corpus as an
-:class:`~litscreen.corpus.EncodedCorpus`, or encode plain token lists
-into one. The compiled kernel library (``_hs.c``, built and loaded by
+the document's row and the one token. Both take their corpus only as an
+:class:`~litscreen.corpus.EncodedCorpus`, whose flat id array the items
+index. The compiled kernel library (``_hs.c``, built and loaded by
 :mod:`litscreen.kernel` the first time a trainer runs) walks every item
 of an epoch in one call, with the GIL released. The same step in numpy,
 ``hs_step``, lives in the tests as the reference the kernel is checked
@@ -207,17 +207,12 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
     return HuffmanCoding(offsets=offsets, nodes=nodes, signs=signs)
 
 
-def _setup(token_lists, config: EmbeddingConfig, doc_rows: bool):
+def _setup(corpus: EncodedCorpus, config: EmbeddingConfig, doc_rows: bool):
     """What both trainers start from: the vocabulary, its Huffman coding,
     the seeded generator, the initial center rows drawn from it (one per
     document if ``doc_rows``, else one per token), every document's
     in-vocabulary token indices as one flat array, and each of those
-    tokens' document index; out-of-vocabulary tokens are dropped.
-    ``token_lists`` is encoded first unless it is an
-    :class:`EncodedCorpus` already."""
-    corpus = token_lists
-    if not isinstance(corpus, EncodedCorpus):
-        corpus = EncodedCorpus.encode(token_lists)
+    tokens' document index; out-of-vocabulary tokens are dropped."""
     if not len(corpus):
         raise ValueError("empty corpus")
     vocab, lookup = corpus.vocabulary(config.min_count)
@@ -285,13 +280,14 @@ def _train_hs(
     return nodes, float(final_loss[0]) / max(1, epoch_pairs), pairs
 
 
-def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
-    """Train skip-gram token vectors with hierarchical softmax.
+def train_word2vec(token_lists: EncodedCorpus, config: EmbeddingConfig) -> WordModel:
+    """Train skip-gram token vectors with hierarchical softmax on the
+    documents of ``token_lists``.
 
     For each in-vocabulary position a window radius is drawn uniformly from
     1..window and every context token inside it is predicted from the center
     token's vector. Token vectors start uniform in [-0.5/dim, 0.5/dim]
-    (seeded). ``token_lists`` may be an :class:`EncodedCorpus`.
+    (seeded).
     """
     vocab, coding, rng, vectors, flat, docs = _setup(token_lists, config, doc_rows=False)
     # document d's in-vocabulary tokens are flat[bounds[d]:bounds[d + 1]]
@@ -318,13 +314,13 @@ def train_word2vec(token_lists, config: EmbeddingConfig) -> WordModel:
     )
 
 
-def train_doc2vec(token_lists, config: EmbeddingConfig, ids=None) -> DocModel:
-    """Train PV-DBOW document vectors.
+def train_doc2vec(token_lists: EncodedCorpus, config: EmbeddingConfig, ids=None) -> DocModel:
+    """Train PV-DBOW vectors for the documents of ``token_lists``.
 
     Skip-gram whose center row is the document's vector and whose context
     is every in-vocabulary token of that document, predicted through the
     shared Huffman tree; schedule and initialization match
-    :func:`train_word2vec`. ``token_lists`` may be an :class:`EncodedCorpus`.
+    :func:`train_word2vec`.
     """
     _, coding, _, doc_vectors, flat, docs = _setup(token_lists, config, doc_rows=True)
     ids = [str(i) for i in (range(len(doc_vectors)) if ids is None else ids)]

@@ -7,12 +7,17 @@ elements' word vectors, and its coordinates are the cosine similarities
 of that vector to the two anchor property terms. :func:`similarity_points`
 computes those coordinates for the whole table at once, as an (N, 2)
 score array, and the centroid of a candidate set is the column mean of
-that array.
+that array. A row's fractions must be finite, non-negative and sum to 1:
+:class:`CandidateTable` checks every row at once, and
+:func:`load_compositions` checks each row as it reads it, naming the row.
+No candidate is held as an object of its own: indexing or iterating a
+table yields read-only row views, built on demand.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -23,7 +28,6 @@ from .embedding import WordModel, vector_of
 
 __all__ = [
     "CompositionError",
-    "Composition",
     "CandidateTable",
     "SimilarityPoint",
     "PropertyAnchors",
@@ -49,33 +53,14 @@ class CompositionError(ValueError):
     """Invalid composition specification."""
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Atomic fractions over a declared element set; fractions sum to 1."""
+class _CandidateView(namedtuple("Candidate", ["id", "elements", "fractions"])):
+    """One row of a :class:`CandidateTable`: its id, the table's elements
+    and the row's fractions as a tuple of floats."""
 
-    elements: tuple[str, ...]
-    fractions: tuple[float, ...]
-    id: str = ""
-
-    def __post_init__(self):
-        if len(self.elements) != len(self.fractions):
-            raise CompositionError(
-                f"{len(self.elements)} elements but {len(self.fractions)} fractions"
-            )
-        if len(set(self.elements)) != len(self.elements):
-            raise CompositionError(f"duplicate element in {self.elements}")
-        try:
-            total = math.fsum(self.fractions)
-        except (ValueError, OverflowError):  # huge or opposite infinite values
-            total = math.nan
-        if not (abs(total - 1.0) <= SUM_TOLERANCE and min(self.fractions, default=0) >= 0):
-            raise CompositionError(_fraction_fault(self.elements, self.fractions, total))
+    __slots__ = ()
 
     def fraction(self, element: str) -> float:
-        try:
-            return self.fractions[self.elements.index(element)]
-        except ValueError:
-            raise CompositionError(f"element {element!r} not declared") from None
+        return self.fractions[self.elements.index(element)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +70,8 @@ class CandidateTable:
     Row ``i`` of the (N, k) float64 ``fractions`` array holds the atomic
     fractions of candidate ``ids[i]`` in ``elements`` order; every row is
     finite, non-negative and sums to 1. The array is read-only. Indexing
-    or iterating yields :class:`Composition` views built on demand.
+    or iterating yields read-only ``(id, elements, fractions)`` row views,
+    built on demand, whose ``fraction(element)`` reads one cell.
     """
 
     elements: tuple[str, ...]
@@ -119,8 +105,8 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i: int) -> Composition:
-        return Composition(self.elements, tuple(self.fractions[i].tolist()), self.ids[i])
+    def __getitem__(self, i: int) -> _CandidateView:
+        return _CandidateView(self.ids[i], self.elements, tuple(self.fractions[i].tolist()))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -155,14 +141,12 @@ class SimilarityPoint:
     points one at a time (see :func:`litscreen.screen.dominates`). The axis
     names follow the default anchor pair; with custom anchors the first
     anchor maps to ``s_dielectric`` and the second to ``s_conductivity``.
+    ``composition`` is a :class:`CandidateTable` row, or None.
     """
 
     s_dielectric: float
     s_conductivity: float
-    composition: Composition | None
-
-    def coords(self) -> tuple[float, float]:
-        return (self.s_dielectric, self.s_conductivity)
+    composition: _CandidateView | None
 
 
 def enumerate_simplex(elements, steps: int) -> CandidateTable:

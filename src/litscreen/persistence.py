@@ -363,20 +363,24 @@ def load_tokens(path: str) -> DocumentSet:
         if not (header[1].isascii() and header[1].isdigit()):
             raise PersistenceError(f"{path}: bad document count {header[1]!r}")
         n = int(header[1])
-        ids, token_lists = [], []
-        for i in range(n):
-            line = f.readline()
-            if not line:
-                raise PersistenceError(f"{path}: truncated at document {i + 1} of {n}")
-            doc_id, tab, rest = line.rstrip("\r\n").partition("\t")
-            if not tab:
-                raise PersistenceError(f"{path} row {i + 1}: no tab after the document id")
-            ids.append(doc_id)
-            token_lists.append(rest.split())
+        ids = []
+
+        def documents():  # encoded as read, so no document's token strings are kept
+            for i in range(n):
+                line = f.readline()
+                if not line:
+                    raise PersistenceError(f"{path}: truncated at document {i + 1} of {n}")
+                doc_id, tab, rest = line.rstrip("\r\n").partition("\t")
+                if not tab:
+                    raise PersistenceError(f"{path} row {i + 1}: no tab after the document id")
+                ids.append(doc_id)
+                yield rest.split()
+
+        corpus = EncodedCorpus.encode(documents())
         if any(line.strip() for line in f):
             raise PersistenceError(f"{path}: more than the {n} documents its header declares")
     _check_labels(ids, path, "document id")
-    return DocumentSet(ids, EncodedCorpus.encode(token_lists))
+    return DocumentSet(ids, corpus)
 
 
 def write_csv(path: str, header, rows):

@@ -1,11 +1,14 @@
 """Reference implementations and small readers the tests share.
 
-``material_vector`` and ``similarity_point`` are the per-candidate scoring
-path the bulk ``similarity_points`` replaced: one Composition at a time,
-summing element vectors in declared order and calling
-``cosine_similarity`` per anchor. They are the oracle for the bulk path,
-which must stay within ``SCORE_BOUND`` of them. ``reference_pareto_front``
-is the dict-grouped sweep the lexsort sweep replaced. ``hs_step`` is one
+``Composition`` is one candidate as an object, its fractions checked
+one row at a time with ``math.fsum``: the oracle for the whole-array row
+check of ``CandidateTable``. ``material_vector`` and ``similarity_point``
+are the per-candidate scoring path the bulk ``similarity_points``
+replaced: one Composition at a time, summing element vectors in declared
+order and calling ``cosine_similarity`` per anchor. They are the oracle
+for the bulk path, which must stay within ``SCORE_BOUND`` of them.
+``reference_pareto_front`` is the dict-grouped sweep the lexsort sweep
+replaced. ``hs_step`` is one
 hierarchical-softmax SGD step in numpy, the reference for the compiled
 trainer kernel, and ``code_path`` reads one token's path and code out of
 the flat Huffman table that kernel reads. ``reference_build_huffman`` is
@@ -34,17 +37,18 @@ import math
 import re
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from litscreen import kernel
-from litscreen.corpus import CorpusError, Vocabulary, element_symbols
+from litscreen.corpus import CorpusError, EncodedCorpus, Vocabulary, element_symbols
 from litscreen.embedding import HuffmanCoding, train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
     PARSE_TOLERANCE,
+    SUM_TOLERANCE,
     CandidateTable,
-    Composition,
     CompositionError,
     PropertyAnchors,
     SimilarityPoint,
@@ -76,6 +80,38 @@ def cosine_similarity(a, b):
     return float(a @ b) / (na * nb)
 
 
+@dataclass(frozen=True)
+class Composition:
+    """Atomic fractions over a declared element set; fractions sum to 1.
+
+    A fault is worded as the candidate reader words it, with the
+    composition's id in place of the file and row."""
+
+    elements: tuple[str, ...]
+    fractions: tuple[float, ...]
+    id: str = ""
+
+    def __post_init__(self):
+        where = f"composition {self.id!r}"
+        if len(self.elements) != len(self.fractions):
+            raise CompositionError(
+                f"{where}: {len(self.elements)} elements but {len(self.fractions)} fractions")
+        if len(set(self.elements)) != len(self.elements):
+            raise CompositionError(f"{where}: duplicate element in {self.elements}")
+        try:
+            total = math.fsum(self.fractions)
+        except (ValueError, OverflowError):  # huge or opposite infinite values
+            total = math.nan
+        if not (abs(total - 1.0) <= SUM_TOLERANCE and min(self.fractions, default=0) >= 0):
+            raise _reference_fraction_fault(where, self.elements, self.fractions, total)
+
+    def fraction(self, element):
+        try:
+            return self.fractions[self.elements.index(element)]
+        except ValueError:
+            raise CompositionError(f"element {element!r} not declared") from None
+
+
 def material_vector(model, comp):
     """Fraction-weighted sum of element vectors (unnormalized).
 
@@ -103,8 +139,11 @@ def similarity_point(model, comp, anchors=None):
 
 
 def reference_scores(model, candidates, anchors=None):
-    """(N, 2) scores from the per-candidate path."""
-    return np.array([similarity_point(model, c, anchors).coords() for c in candidates])
+    """(N, 2) scores from the per-candidate path, one Composition per table row."""
+    points = (similarity_point(model, Composition(candidates.elements, tuple(row), comp_id),
+                               anchors)
+              for comp_id, row in zip(candidates.ids, candidates.fractions.tolist()))
+    return np.array([(p.s_dielectric, p.s_conductivity) for p in points])
 
 
 def reference_pareto_front(coords, obj):
@@ -412,7 +451,7 @@ def reference_run_refinement(docs, candidates, config):
 
     required = set(config.anchors.terms) | set(candidates.present())
 
-    doc_model = train_doc2vec(token_lists, config.embedding, ids=docs.ids)
+    doc_model = train_doc2vec(docs.corpus, config.embedding, ids=docs.ids)
     projection = pca_project(doc_model.vectors)
     start = central_document(projection.points)
     order = greedy_fps(projection.points, start, len(docs))
@@ -428,8 +467,9 @@ def reference_run_refinement(docs, candidates, config):
     model = None
     for t in range(1, max_iters + 1):
         subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
-        subset_tokens = [token_lists[i] for i in subset]
-        model = train_word2vec(subset_tokens, config.embedding)
+        # encoded afresh, not gathered with EncodedCorpus.take
+        model = train_word2vec(EncodedCorpus.encode(token_lists[i] for i in subset),
+                               config.embedding)
 
         missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
         if missing:

@@ -15,14 +15,14 @@ import litscreen
 from litscreen import cli, embedding, kernel
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
-from litscreen.embedding import EmbeddingConfig, WordModel
+from litscreen.embedding import DocModel, EmbeddingConfig, WordModel
 from litscreen.materials import (
     CandidateTable,
     enumerate_simplex,
     load_compositions,
     similarity_points,
 )
-from litscreen.persistence import config_pairs, load_model, save_model
+from litscreen.persistence import config_pairs, load_model, save_doc_model, save_model
 from litscreen.refine import RefineConfig
 from litscreen.screen import Objectives, pareto_front
 from litscreen.synth import write_candidates_csv
@@ -424,6 +424,16 @@ class TestInputAtFaultIsNamed:
         assert (code, printed) == (2, "")
         assert err == f"error: {base}: token 'Ag' is not in the vocabulary\n"
 
+    def test_select_of_a_one_document_model_names_the_model(self, capsys, tmp_path):
+        # embed-docs refuses to write one, but the library or an older version can
+        base = str(tmp_path / "one")
+        save_doc_model(DocModel(["a"], np.ones((1, 4)), EmbeddingConfig(dim=4)), base)
+        out = str(tmp_path / "s.csv")
+        code, printed, err = run(capsys, "select", "--model", base, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}: 1 documents, but at least 2 are needed\n"
+        assert not os.path.exists(out)
+
     def test_missing_compiler_exits_2_without_a_traceback(self, capsys, tmp_path, monkeypatch):
         def no_compiler():
             raise kernel.KernelBuildError(
@@ -539,6 +549,29 @@ class TestPipeline:
                          "--threshold", "1e-12", "--require-convergence",
                          "--out", str(tmp_path / "run"))
         assert code == 3
+
+    @pytest.mark.parametrize("failing", ["save_iteration_log", "save_model", "save_selection",
+                                         "write_manifest"])
+    def test_failed_rerun_leaves_no_manifest(self, capsys, tmp_path, monkeypatch, failing):
+        # a rerun into an earlier run's directory that fails at one write
+        # must not leave the earlier run's manifest beside its own files
+        data, rundir = str(tmp_path / "data"), str(tmp_path / "run")
+        run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
+        argv = ["refine", "--corpus", os.path.join(data, "corpus.csv"),
+                "--candidates", os.path.join(data, "candidates.csv"), "--config", conf,
+                "--batch-size", "20", "--threshold", "5", "--out", rundir]
+        assert run(capsys, *argv, "--seed", "9")[0] == 0
+        manifest = os.path.join(rundir, "manifest.txt")
+        assert read_manifest(manifest)["seed"] == "9"
+
+        def fail(*args):
+            raise OSError(f"injected failure in {failing}")
+
+        monkeypatch.setattr(cli, failing, fail)
+        code, printed, err = run(capsys, *argv, "--seed", "4")
+        assert (code, printed, err) == (2, "", f"error: injected failure in {failing}\n")
+        assert not os.path.exists(manifest)
 
     def test_synth_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

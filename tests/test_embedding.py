@@ -260,11 +260,14 @@ class TestHsStep:
         assert np.allclose(new_center, center, atol=1e-8)
 
 
+TINY_TOKENS = [["a", "b", "a", "b", "a", "b"],
+               ["c", "d", "c", "d", "c", "d"],
+               ["a", "b", "a", "b"],
+               ["c", "d", "c", "d"]] * 4
+
+
 def tiny_corpus():
-    return [["a", "b", "a", "b", "a", "b"],
-            ["c", "d", "c", "d", "c", "d"],
-            ["a", "b", "a", "b"],
-            ["c", "d", "c", "d"]] * 4
+    return EncodedCorpus.encode(TINY_TOKENS)
 
 
 class TestTrainWord2vec:
@@ -296,7 +299,7 @@ class TestTrainWord2vec:
         assert cosine_similarity(va, vb) > cosine_similarity(va, vc)
 
     def test_min_count_filters_rare_tokens(self):
-        docs = tiny_corpus() + [["rare", "a"]]
+        docs = EncodedCorpus.encode(TINY_TOKENS + [["rare", "a"]])
         cfg = EmbeddingConfig(dim=8, window=2, epochs=1, seed=0, min_count=2)
         model = train_word2vec(docs, cfg)
         assert "rare" not in model.vocab
@@ -316,7 +319,7 @@ class TestTrainWord2vec:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="^empty corpus$"):
-            train_word2vec([], self.CFG)
+            train_word2vec(EncodedCorpus.encode([]), self.CFG)
 
 
 class TestTrainDoc2vec:
@@ -330,7 +333,7 @@ class TestTrainDoc2vec:
         assert m1.ids == [str(i) for i in range(len(docs))]
 
     def test_explicit_ids_and_lookup(self):
-        docs = [["a", "b"], ["c", "d"]]
+        docs = EncodedCorpus.encode([["a", "b"], ["c", "d"]])
         model = train_doc2vec(docs, EmbeddingConfig(dim=4, epochs=1, seed=0), ids=["x", "y"])
         assert model.ids == ["x", "y"]
         assert model.vectors.shape == (2, 4)
@@ -345,7 +348,8 @@ class TestTrainDoc2vec:
 
     def test_id_count_mismatch(self):
         with pytest.raises(ValueError):
-            train_doc2vec([["a", "b"]], EmbeddingConfig(dim=4, epochs=1), ids=["p", "q"])
+            train_doc2vec(EncodedCorpus.encode([["a", "b"]]), EmbeddingConfig(dim=4, epochs=1),
+                          ids=["p", "q"])
 
 
 def reference_train(token_lists, config, documents=False):
@@ -415,7 +419,7 @@ class TestKernelMatchesReference:
     def test_word2vec(self, n_docs, cfg):
         tokens = planted_tokens(n_docs)
         vectors, nodes, losses, pairs = reference_train(tokens, cfg)
-        model = train_word2vec(tokens, cfg)
+        model = train_word2vec(EncodedCorpus.encode(tokens), cfg)
         assert model.pairs_trained == pairs
         assert model.final_loss == pytest.approx(losses[-1], rel=1e-9, abs=0)
         assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
@@ -425,7 +429,7 @@ class TestKernelMatchesReference:
     def test_doc2vec(self, n_docs, cfg):
         tokens = planted_tokens(n_docs)
         vectors, _, losses, _ = reference_train(tokens, cfg, documents=True)
-        model = train_doc2vec(tokens, cfg)
+        model = train_doc2vec(EncodedCorpus.encode(tokens), cfg)
         assert model.final_loss == pytest.approx(losses[-1], rel=1e-9, abs=0)
         assert np.max(np.abs(model.vectors - vectors)) <= 1e-12
 
@@ -656,32 +660,31 @@ def test_skip_gram_item_never_pairs_with_its_own_position():
     assert train(rows, at, at + 1, 1)[1:3] == (centers.tobytes(), nodes.tobytes())
 
 
-def trained_bytes(tokens, cfg=EmbeddingConfig(dim=48, window=5, epochs=3)):
-    """Everything a word and a doc model train, as bytes."""
-    words, docs = train_word2vec(tokens, cfg), train_doc2vec(tokens, cfg)
+def trained_bytes(corpus, cfg=EmbeddingConfig(dim=48, window=5, epochs=3)):
+    """Everything a word and a doc model train on ``corpus``, as bytes."""
+    words, docs = train_word2vec(corpus, cfg), train_doc2vec(corpus, cfg)
     return (words.vectors.tobytes(), words.node_vectors.tobytes(), words.final_loss.hex(),
             words.pairs_trained, docs.vectors.tobytes(), docs.final_loss.hex())
 
 
 @pytest.mark.parametrize("isa", ["baseline", "avx2"])
 def test_single_isa_builds_train_the_same_bits(isa, single_isa_kernel, monkeypatch):
-    tokens = planted_tokens(500)
-    shipped = trained_bytes(tokens)
+    corpus = EncodedCorpus.encode(planted_tokens(500))
+    shipped = trained_bytes(corpus)
     monkeypatch.setattr(embedding, "library", lambda: single_isa_kernel(isa))
-    assert trained_bytes(tokens) == shipped
+    assert trained_bytes(corpus) == shipped
 
 
 @pytest.mark.parametrize("cfg", [EmbeddingConfig(dim=16, window=5, epochs=2),
                                  EmbeddingConfig(dim=7, window=2, epochs=1, min_count=2, seed=3)])
-def test_encoded_input_trains_the_same_bits_as_token_lists(cfg):
+def test_a_batch_trains_the_same_bits_as_its_documents_encoded_alone(cfg):
     tokens = planted_tokens(500)
-    encoded = EncodedCorpus.encode(tokens)
-    assert trained_bytes(encoded, cfg) == trained_bytes(tokens, cfg)
     # a batch keeps the whole corpus's types, some of them absent from it
     docs = sorted(np.random.default_rng(2).choice(500, size=60, replace=False).tolist())
-    batch = encoded.take(docs)
+    batch = EncodedCorpus.encode(tokens).take(docs)
     assert (batch.counts == 0).any()
-    assert trained_bytes(batch, cfg) == trained_bytes([tokens[i] for i in docs], cfg)
+    alone = EncodedCorpus.encode([tokens[i] for i in docs])
+    assert trained_bytes(batch, cfg) == trained_bytes(alone, cfg)
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     SCORE_BOUND,
+    Composition,
     material_vector,
     parse_composition,
     reference_load_compositions,
@@ -27,7 +28,6 @@ from litscreen.embedding import (
 )
 from litscreen.materials import (
     CandidateTable,
-    Composition,
     CompositionError,
     PropertyAnchors,
     centroid,
@@ -125,12 +125,12 @@ class TestComposition:
         Composition(elements=("A", "B", "C"), fractions=(third, third, third))
 
     def test_sum_fsum_cannot_add_fails_as_the_reader_says(self):
-        # the candidate reader's words for such a row, without its file and row
+        # the candidate reader's words for such a row, its id in place of its file and row
         for fractions, fault in [((1e308, 1e308), "fractions sum to nan, expected 1"),
                                  ((math.inf, -math.inf), "non-finite fraction inf for Ag")]:
             with pytest.raises(CompositionError) as caught:
-                Composition(elements=("Ag", "Pt"), fractions=fractions)
-            assert str(caught.value) == fault
+                Composition(elements=("Ag", "Pt"), fractions=fractions, id="x")
+            assert str(caught.value) == f"composition 'x': {fault}"
 
 
 class TestEnumerateSimplex:
@@ -366,15 +366,35 @@ def random_model(tokens, dim, seed):
 class TestCandidateTable:
     ELEMENTS = ("Ni", "Pt")
 
-    def table(self):
-        return CandidateTable(self.ELEMENTS, ("a", "b"), np.array([[0.25, 0.75], [1.0, 0.0]]))
-
     def test_rows_are_composition_views(self):
-        table = self.table()
-        assert len(table) == 2
-        assert table[1] == Composition(self.ELEMENTS, (1.0, 0.0), "b")
-        assert [c.id for c in table] == ["a", "b"]
-        assert table[0].fraction("Pt") == 0.75
+        # the one per-row read a caller makes: each row's id and fraction(el)
+        table = enumerate_simplex(("Ag", "Pt", "Ba"), 7)
+        rows = list(table)
+        assert len(rows) == len(table) == 36
+        for i, row in enumerate(rows):
+            assert row == table[i] and row.id == table.ids[i]
+            assert row.elements == table.elements
+            for j, el in enumerate(table.elements):
+                assert row.fraction(el).hex() == float(table.fractions[i, j]).hex()
+        with pytest.raises(AttributeError):
+            rows[0].id = "x"  # read-only
+
+    # rows the table must keep or refuse as the per-row oracle does
+    ORACLE_ROWS = [(0.25, 0.75), (1.0, 0.0), (0.1, 0.9), (0.5, 0.6), (-0.5, 1.5),
+                   (math.nan, 1.0), (math.inf, 0.0), (1e308, 1e308), (0.5, 0.5 + 2e-9)]
+
+    @pytest.mark.parametrize("row", ORACLE_ROWS)
+    def test_row_check_agrees_with_the_composition_oracle(self, row):
+        try:
+            Composition(self.ELEMENTS, row)
+            kept = True
+        except CompositionError:
+            kept = False
+        if kept:
+            CandidateTable(self.ELEMENTS, ("a",), np.array([row]))
+        else:
+            with pytest.raises(CompositionError):
+                CandidateTable(self.ELEMENTS, ("a",), np.array([row]))
 
     def test_fractions_read_only_without_touching_the_caller_array(self):
         source = np.array([[0.5, 0.5]])

@@ -42,7 +42,8 @@ from litscreen.persistence import (
 from litscreen.refine import IterationRecord
 from litscreen.selection import SelectionOrder
 
-DOCS = [["alpha", "beta", "alpha"], ["beta", "gamma", "delta"], ["alpha", "gamma"]] * 3
+DOCS = EncodedCorpus.encode(
+    [["alpha", "beta", "alpha"], ["beta", "gamma", "delta"], ["alpha", "gamma"]] * 3)
 CFG = EmbeddingConfig(dim=6, window=2, epochs=2, seed=13)
 
 def trained_model():
@@ -721,7 +722,7 @@ class TestDocModelRoundTrip:
         assert loaded.config == model.config
 
     def test_ids_with_spaces_survive(self, tmp_path):
-        model = train_doc2vec(DOCS[:3], CFG, ids=["a b c", "x y", "z"])
+        model = train_doc2vec(DOCS.take(range(3)), CFG, ids=["a b c", "x y", "z"])
         base = str(tmp_path / "d")
         save_doc_model(model, base)
         assert load_doc_model(base).ids == ["a b c", "x y", "z"]
@@ -729,7 +730,7 @@ class TestDocModelRoundTrip:
     def test_id_starting_with_a_byte_order_mark_survives(self, tmp_path):
         # labels are read as bytes: a utf-8-sig read would drop the first U+FEFF
         ids = ["\ufeffa", "b", "\ufeffc"]
-        model = train_doc2vec(DOCS[:3], CFG, ids=ids)
+        model = train_doc2vec(DOCS.take(range(3)), CFG, ids=ids)
         base = str(tmp_path / "d")
         save_doc_model(model, base)
         assert load_doc_model(base).ids == ids

@@ -161,7 +161,7 @@ class TestRunRefinement:
         )
         rec = next(r for r in result.records if r.centroid is not None)
         subset = sorted(cumulative_batches(result.selection_order, rec.iteration, 3))
-        model = train_word2vec([token_lists[i] for i in subset], cfg)
+        model = train_word2vec(EncodedCorpus.encode(token_lists[i] for i in subset), cfg)
         points = similarity_points(model, candidates_ag_ti(), PropertyAnchors())
         c = centroid(points)
         assert rec.centroid == (c[0], c[1])

@@ -4,7 +4,7 @@ from helpers import reference_pareto_front
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litscreen.materials import CandidateTable, Composition, SimilarityPoint
+from litscreen.materials import CandidateTable, SimilarityPoint, enumerate_simplex
 from litscreen.screen import (
     Objectives,
     dominates,
@@ -12,7 +12,7 @@ from litscreen.screen import (
     pareto_front,
 )
 
-COMP = Composition(elements=("Ni",), fractions=(1.0,))
+COMP = enumerate_simplex(("Ni",), 1)[0]
 
 
 def pts(pairs):
