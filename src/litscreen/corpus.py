@@ -16,9 +16,9 @@ import csv
 import functools
 import re
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
+from itertools import pairwise
 
 import numpy as np
 
@@ -249,15 +249,15 @@ def preprocess_set(rows: CorpusRows) -> DocumentSet:
                        rows.skipped_empty)
 
 
-class EncodedCorpus(Sequence):
+class EncodedCorpus:
     """Token lists encoded as integer type ids: ``types`` holds the distinct
     tokens sorted, ``ids`` every token's index in ``types`` with the
     documents one after another, and ``lengths`` each document's token
     count.
 
-    A read-only sequence of documents: ``len()`` counts them, and indexing
-    or iterating yields each one's tokens as a tuple, so it stands in for
-    the token lists it encodes. Build one with :meth:`encode`.
+    ``len()`` counts the documents, and iterating decodes each one's tokens
+    as a tuple, one document at a time; :meth:`take` selects documents.
+    Build one with :meth:`encode`.
     """
 
     def __init__(self, types: tuple[str, ...], ids: np.ndarray, lengths: np.ndarray):
@@ -283,17 +283,17 @@ class EncodedCorpus(Sequence):
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, doc: int) -> tuple[str, ...]:
-        n = len(self.lengths)
-        if not -n <= doc < n:
-            raise IndexError(f"document {doc} out of range for {n} documents")
-        doc %= n
-        ids = self.ids[self._bounds[doc]:self._bounds[doc + 1]].tolist()
-        return tuple(map(self.types.__getitem__, ids))
+    def __iter__(self):
+        types = self.types
+        for lo, hi in pairwise(self._bounds.tolist()):
+            yield tuple([types[i] for i in self.ids[lo:hi].tolist()])
 
     def take(self, docs) -> EncodedCorpus:
-        """The documents at indices ``docs``, in that order, with the same types."""
-        docs = np.asarray(docs, dtype=np.int64)
+        """The documents at integer indices ``docs``, in that order, with the same types."""
+        docs = np.asarray(docs)
+        if docs.size and docs.dtype.kind not in "iu":
+            raise IndexError(f"document indices must be integers, got dtype {docs.dtype}")
+        docs = docs.astype(np.int64, copy=False)
         if docs.size and not (0 <= docs.min() and docs.max() < len(self.lengths)):
             raise IndexError(f"document indices out of range for {len(self.lengths)} documents")
         lengths = self.lengths[docs]
@@ -323,7 +323,7 @@ class EncodedCorpus(Sequence):
             raise CorpusError(f"no token reaches min_count={min_count}; vocabulary is empty")
         lookup = np.full(len(counts), -1, dtype=np.int64)
         lookup[order] = np.arange(order.size)
-        tokens = list(map(self.types.__getitem__, order.tolist()))
+        tokens = [self.types[i] for i in order.tolist()]
         vocab = Vocabulary(index=dict(zip(tokens, range(len(tokens)))),
                            counts=dict(zip(tokens, counts[order].tolist())))
         return vocab, lookup

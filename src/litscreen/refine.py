@@ -17,12 +17,12 @@ as integer type ids (``DocumentSet.corpus``, an
 a gather from it, and their type counts, taken once, serve both the
 completeness check and the training of that batch.
 
-One loop over t decides, trains, scores and records each iteration.
-Given the selection order, iteration t's vocabulary depends only on t,
-``batch_size`` and ``min_count``, and it only grows with t. So until the
-first t whose vocabulary holds every required token, the loop builds that
-vocabulary alone and records t as incomplete without training a model;
-from that t on, every vocabulary is complete and is not checked again.
+One loop over t decides, trains, scores and records each iteration. An
+iteration whose batch holds some required token fewer than ``min_count``
+times is recorded without a model and never trained. Given the selection
+order, the batch depends only on t and ``batch_size``, and its counts only
+grow with t; so from the first complete t on, every iteration is complete
+and is not checked again.
 Iteration t's model depends only on t and the seed, so from there
 iterations train in pairs on two threads: a second thread trains t+1
 while the calling thread trains t (ctypes releases the GIL while the
@@ -45,12 +45,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import kernel
-from .corpus import DocumentSet
-from .embedding import EmbeddingConfig, WordModel, build_huffman, train_doc2vec, train_word2vec
+from .corpus import DocumentSet, EncodedCorpus
+from .embedding import EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
 from .selection import SelectionOrder, central_document, cumulative_batches, greedy_fps, pca_project
 
@@ -143,6 +144,12 @@ def selection_order(vectors: np.ndarray) -> SelectionOrder:
         return greedy_fps(projection.points, start, len(vectors))
 
 
+def _missing(tokens: EncodedCorpus, required: set[str], min_count: int) -> tuple[str, ...]:
+    """The required tokens that ``tokens`` holds fewer than ``min_count`` times, sorted."""
+    kept = compress(tokens.types, (tokens.counts >= min_count).tolist())
+    return tuple(sorted(required.difference(kept)))
+
+
 def run_refinement(
     docs: DocumentSet,
     candidates: CandidateTable,
@@ -162,12 +169,8 @@ def run_refinement(
     defining a centroid at all is a RefinementError that names which of the
     two ended the loop, and the documents used.
 
-    Each pass of the one loop over t records iteration t. Until the first
-    complete t it builds only t's vocabulary, so the leading incomplete
-    iterations train no model; a vocabulary error that training iteration 1
-    would raise is still raised. The one difference from training every
-    iteration: a non-finite score that only such an untrained iteration's
-    training would have met raises no ValueError.
+    An iteration whose batch holds some required token fewer than
+    ``min_count`` times is recorded without a model and never trained.
     """
     if len(docs) == 0:
         raise RefinementError("empty corpus")
@@ -202,11 +205,8 @@ def run_refinement(
                     model, ahead = ahead.result(), None
                 else:
                     tokens = batch(t)
-                    if prev_centroid is None:  # no complete t yet; vocabularies only grow
-                        vocab, _ = tokens.vocabulary(config.embedding.min_count)
-                        record.missing = tuple(sorted(required - vocab.index.keys()))
-                        if record.missing and t == 1:  # raise what training it would
-                            build_huffman(vocab)
+                    if prev_centroid is None:  # no complete t yet; counts only grow
+                        record.missing = _missing(tokens, required, config.embedding.min_count)
                     if not record.missing:
                         model = None  # so memory holds only the pair in training
                         if t < max_iters:

@@ -146,5 +146,7 @@ def cumulative_batches(order: SelectionOrder, t: int, batch_size: int) -> list[i
     entries of the ordering, in selection order."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     stop = min(batch_size * t, len(order.indices))
     return order.indices[:stop]

@@ -441,7 +441,10 @@ def _reference_rows(reader, path, elements):
 
 def reference_run_refinement(docs, candidates, config):
     """``run_refinement`` training one iteration at a time, on the calling
-    thread: each word model is trained only once the one before it is scored."""
+    thread: each word model is trained only once the one before it is scored.
+    An iteration whose documents hold some required token fewer than
+    ``min_count`` times, by a ``Counter`` over their token lists, is recorded
+    without a model and never trained."""
     if len(docs) == 0:
         raise RefinementError("empty corpus")
     if not candidates:
@@ -467,14 +470,14 @@ def reference_run_refinement(docs, candidates, config):
     model = None
     for t in range(1, max_iters + 1):
         subset = sorted(cumulative_batches(order, t, config.batch_size))  # train in corpus order
-        # encoded afresh, not gathered with EncodedCorpus.take
-        model = train_word2vec(EncodedCorpus.encode(token_lists[i] for i in subset),
-                               config.embedding)
-
-        missing = tuple(sorted(tok for tok in required if tok not in model.vocab))
+        counts = Counter(tok for i in subset for tok in token_lists[i])
+        missing = tuple(sorted(tok for tok in required if counts[tok] < config.embedding.min_count))
         if missing:
             records.append(IterationRecord(iteration=t, documents_used=len(subset), missing=missing))
             continue
+        # encoded afresh, not gathered with EncodedCorpus.take
+        model = train_word2vec(EncodedCorpus.encode(token_lists[i] for i in subset),
+                               config.embedding)
 
         c = centroid(similarity_points(model, candidates, config.anchors))
         displacement = None

@@ -243,8 +243,8 @@ class TestEncodedCorpus:
         assert len(encoded) == len(token_lists)
         assert list(encoded) == [tuple(t) for t in token_lists]
         assert encoded.types == tuple(sorted({t for tokens in token_lists for t in tokens}))
-        if token_lists:
-            assert encoded[-1] == tuple(token_lists[-1])
+        # documents are selected only with take()
+        assert not hasattr(encoded, "__getitem__")
         docs = data.draw(st.lists(st.integers(0, max(0, len(token_lists) - 1)),
                                   max_size=len(token_lists)))
         batch = encoded.take(docs)
@@ -255,13 +255,15 @@ class TestEncodedCorpus:
 
     def test_out_of_range_documents_raise(self):
         encoded = EncodedCorpus.encode([["a"], ["b", "a"]])
-        for doc in (2, -3):
-            with pytest.raises(IndexError):
-                encoded[doc]
-        for docs in ([0, 2], [-1]):
-            with pytest.raises(IndexError):
+        for docs in ([0, 2], [-1], np.array([2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(IndexError, match="out of range for 2 documents"):
+                encoded.take(docs)
+        # a mask or fractional positions would gather other documents silently
+        for docs, dtype in (([True, False, True], "bool"), ([1.9], "float64")):
+            with pytest.raises(IndexError, match=f"must be integers, got dtype {dtype}$"):
                 encoded.take(docs)
         assert encoded.take([]).ids.size == 0 and len(encoded.take(np.array([1]))) == 1
+        assert list(encoded.take(np.array([1, 0], dtype=np.uint8))) == [("b", "a"), ("a",)]
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_count must be positive"):

@@ -10,7 +10,7 @@ import pytest
 
 from litscreen import refine
 from litscreen.corpus import CorpusError, CorpusRows, DocumentSet, EncodedCorpus, preprocess_set
-from litscreen.embedding import EmbeddingConfig, train_word2vec
+from litscreen.embedding import EmbeddingConfig, train_doc2vec, train_word2vec
 from litscreen.materials import (
     CandidateTable,
     PropertyAnchors,
@@ -285,6 +285,18 @@ PAIRED_CASES = {
         RefineConfig(batch_size=7, threshold=1e-300, embedding=PAIRED,
                      anchors=PropertyAnchors(terms=("conductivity", "w124"))),
         5, False),
+    # every document holds one distinct token, so batch 1's vocabulary has
+    # one type; like any incomplete start, it is recorded and not trained
+    "batch-1-one-token": (
+        lambda: docset([["dielectric"] * 2, ["conductivity"], ["Ag", "Ag"], ["Pt"], ["Ba"], ["Ti"]]),
+        RefineConfig(batch_size=1, embedding=PAIRED),
+        6, False),
+    # each token occurs once per document, so no count reaches 2 before t = 2
+    "batch-1-below-min-count": (
+        lambda: docset([["dielectric", "conductivity", "Ag", "Pt", "Ba", "Ti", f"w{i}"]
+                        for i in range(4)]),
+        RefineConfig(batch_size=1, embedding=replace(PAIRED, min_count=2)),
+        3, True),
 }
 
 # name: (documents, config, the error both loops raise, a pattern its message matches)
@@ -295,17 +307,6 @@ ERROR_CASES = {
         RefineConfig(batch_size=15, max_iterations=2, embedding=replace(PAIRED, seed=1)),
         RefinementError,
         r"^max_iterations 2 reached with 30 of 120 documents used before any centroid"),
-    # every document holds one distinct token, so batch 1 has a one-leaf tree
-    "batch-1-one-token": (
-        lambda: docset([["dielectric"] * 2, ["conductivity"], ["Ag", "Ag"], ["Pt"], ["Ba"], ["Ti"]]),
-        RefineConfig(batch_size=1, embedding=PAIRED),
-        ValueError, None),
-    # each token occurs once per document, so no count reaches 2 before t = 2
-    "batch-1-below-min-count": (
-        lambda: docset([["dielectric", "conductivity", "Ag", "Pt", "Ba", "Ti", f"w{i}"]
-                        for i in range(4)]),
-        RefineConfig(batch_size=1, embedding=replace(PAIRED, min_count=2)),
-        CorpusError, None),
 }
 
 
@@ -359,6 +360,32 @@ def first_trained(name):
     return next(r.iteration for r in result.records if r.vocab_complete)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_counts_rule_matches_the_vocabulary(seed):
+    # the loop's completeness rule reads the batch's counts; it must name
+    # the required tokens that the batch's vocabulary would leave out, and
+    # all of them where no token reaches min_count
+    docs = planted_docs(seed)
+    order = refine.selection_order(train_doc2vec(docs.corpus, PAIRED, ids=docs.ids).vectors)
+    rng = np.random.default_rng(seed)
+    required = (set(PropertyAnchors().terms) | set(synthetic_candidates(3).present())
+                | set(rng.choice(docs.corpus.types, size=2, replace=False).tolist()))
+    empty = 0
+    for k in range(1, len(docs) + 1):
+        batch = docs.corpus.take(sorted(order.indices[:k]))
+        for min_count in (1, 2, 3):
+            got = refine._missing(batch, required, min_count)
+            try:
+                vocab, _ = batch.vocabulary(min_count)
+            except CorpusError as exc:
+                assert "vocabulary is empty" in str(exc)
+                assert got == tuple(sorted(required))
+                empty += 1
+            else:
+                assert got == tuple(sorted(required - vocab.index.keys()))
+    assert 0 < empty < 3 * len(docs)  # both sides of the rule are met
+
+
 @pytest.mark.parametrize("name", ["planted-leading-missing-tokens", "planted-discards-a-lookahead"])
 def test_each_batch_is_counted_once(monkeypatch, name):
     # the completeness check and the training of a batch read one count
@@ -397,7 +424,7 @@ class TestPairedIterations:
         assert_same_run(result, expected)
         # the case covers what its name says
         assert (len(result.records), result.converged) == (iterations, converged)
-        if "missing" in name or "min-count" in name or "discards" in name:
+        if any(part in name for part in ("missing", "min-count", "discards", "batch-1")):
             assert result.records[0].missing and not result.records[-1].missing
         if "discards" in name:
             first = next(r.iteration for r in result.records if r.vocab_complete)
@@ -523,12 +550,12 @@ def random_case(draw):
 @pytest.mark.parametrize("draw", range(32))
 def test_random_runs_match_serial_loop(draw):
     # the one loop's edges: leading incomplete iterations, odd and even
-    # stops, limits below and past the corpus, errors at t = 1 and at the limit
+    # stops, limits below and past the corpus, an error at the limit
     docs, candidates, config = random_case(draw)
     threads = running_threads()
     try:
         expected = reference_run_refinement(docs, candidates, config)
-    except (RefinementError, CorpusError, ValueError) as exc:
+    except RefinementError as exc:
         with pytest.raises(type(exc)) as got:
             run_refinement(docs, candidates, config)
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))

@@ -239,3 +239,9 @@ class TestCumulativeBatches:
     def test_bad_iteration_index(self):
         with pytest.raises(ValueError):
             cumulative_batches(self.order(10), 0, 5)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_bad_batch_size(self, batch_size):
+        # a negative size would count from the end, and 0 would select nothing
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            cumulative_batches(self.order(10), 1, batch_size)
