@@ -8,11 +8,12 @@ in it as written (``text_column``, not ``text-column``), also those the
 command does not read. A missing input file exits 2 naming its kind and
 path (``corpus file not found: PATH``), and so does bad data in an input:
 a corpus with fewer than two documents, or one whose vocabulary is empty,
-names the corpus; a document model with fewer than two documents names the
-model; a token missing from a model names the model, and --anchors when the
-token is an anchor term. ``refine`` removes the ``manifest.txt`` of an
-earlier run in its --out directory before it writes anything there, and
-writes its own last, so a directory without one holds an unfinished run.
+names the corpus; a document model that ``select`` cannot order (fewer than
+two documents, or all alike) names the model; a token missing from a model
+names the model, and --anchors when the token is an anchor term. ``refine``
+removes the ``manifest.txt`` of an earlier run in its --out directory
+before it writes anything there, and writes its own last, so a directory
+without one holds an unfinished run.
 
 Exit codes: 0 success, 1 usage error, 2 data or file error, or a kernel
 library that could not be compiled (no ``cc`` on the PATH, say),
@@ -26,7 +27,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .corpus import CorpusError, load_corpus, open_text, preprocess_set
@@ -35,9 +36,7 @@ from .kernel import KernelBuildError
 from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
     TOKENS_FORMAT,
-    PersistenceError,
     config_from_pairs,
-    config_pairs,
     file_digest,
     load_doc_model,
     load_model,
@@ -225,10 +224,8 @@ def _cmd_embed_docs(args) -> int:
 
 def _cmd_select(args) -> int:
     model = load_doc_model(args.model)
-    if len(model.ids) < 2:  # PCA needs two rows
-        raise PersistenceError(f"{args.model}: {len(model.ids)} documents, "
-                               "but at least 2 are needed")
-    order = selection_order(model.vectors)  # refine's stage, so both write one selection.csv
+    with _naming(args.model, ValueError):  # too few documents, or no spread to order
+        order = selection_order(model.vectors)  # refine's stage, so both write one selection.csv
     save_selection(order, model.ids, args.out)
     print(f"seed document: {model.ids[order.indices[0]]}")
     print(f"ordered {len(order.indices)} documents into {args.out}")
@@ -258,14 +255,13 @@ def _cmd_refine(args) -> int:
         "corpus_sha256": file_digest(args.corpus),
         "candidates": os.path.basename(args.candidates),
         "candidates_sha256": file_digest(args.candidates),
-        "anchors": ",".join(config.anchors.terms),
-        "batch_size": str(config.batch_size),
-        "threshold": f"{config.threshold:.17g}",
-        **{name: ",".join(value) if name == "elements" else str(value) for name, value
-           in _given(args, "max_iterations", "elements", "text_column", "id_column").items()},
-        **config_pairs(result.final_model.config),
-        "iterations_run": str(len(result.records)),
-        "converged": "true" if result.converged else "false",
+        "anchors": config.anchors.terms,
+        "batch_size": config.batch_size,
+        "threshold": config.threshold,
+        **_given(args, "max_iterations", "elements", "text_column", "id_column"),
+        **asdict(result.final_model.config),
+        "iterations_run": len(result.records),
+        "converged": result.converged,
         "outputs": " ".join(["iterations.csv", "selection.csv",
                              *(os.path.basename(p) for p in model_paths)]),
     }

@@ -289,8 +289,11 @@ class EncodedCorpus:
             yield tuple([types[i] for i in self.ids[lo:hi].tolist()])
 
     def take(self, docs) -> EncodedCorpus:
-        """The documents at integer indices ``docs``, in that order, with the same types."""
+        """The documents at the 1-D integer indices ``docs``, in that order,
+        with the same types."""
         docs = np.asarray(docs)
+        if docs.ndim != 1:
+            raise IndexError(f"document indices must be a 1-D array, got shape {docs.shape}")
         if docs.size and docs.dtype.kind not in "iu":
             raise IndexError(f"document indices must be integers, got dtype {docs.dtype}")
         docs = docs.astype(np.int64, copy=False)

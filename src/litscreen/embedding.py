@@ -59,8 +59,8 @@ class EmbeddingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.dim < 2:  # the document projection and the anchors' plane have two axes
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < 1:

@@ -347,8 +347,8 @@ class _CandidateRows:
     Numbers go through Python's ``float`` (numpy calls it on each ``str``
     cell) and row totals through ``math.fsum``, so a value's grammar and
     every bit read are those of a row-at-a-time reader. A block that fails
-    a check is added again as its two halves, first half first, down to
-    single rows, so the fault raised is the first bad row's.
+    a check is added again one row at a time, so the fault raised is the
+    first bad row's.
     """
 
     def __init__(self, path: str, header: list[str] | None, elements):
@@ -384,11 +384,9 @@ class _CandidateRows:
         try:
             self._add(rows)
         except CompositionError:
-            if len(rows) == 1:
-                raise
-            half = len(rows) // 2
-            self.add(rows[:half])
-            self.add(rows[half:])
+            for row in rows:  # the first bad row raises, checked against the rows kept
+                self._add([row])
+            raise
 
     def result(self):
         if not self.ids:

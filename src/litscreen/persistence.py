@@ -13,11 +13,14 @@ the file must hold exactly the values its header declares. A non-finite value,
 and a label that holds a line break or repeats an earlier one (a ``.labels``
 row or a tokens file's id), fail naming the file and the row, on save before
 any file is opened and on load. A refinement run's log, ``iterations.csv``,
-and the ``screen --out`` table are one CSV each; floats in text are ``%.17g``,
-exact for 64-bit floats. Writers go through a temp file and an atomic rename
-so readers never observe a partial artifact, and a model's ``.meta`` is
-removed first and written last, so a model saved only in part does not load. A
-tokens file is a preprocessed corpus: a ``litscreen-tokens/1 N`` header, then
+and the ``screen --out`` table are one CSV each. Writers take typed values
+and spell each field and ``.meta`` or manifest value by one rule: None or
+nan is empty, a bool ``true`` or ``false``, a float ``%.17g`` (exact for
+64-bit floats), a tuple or list its items joined by commas, else ``str``.
+Writers go through a temp file and an atomic rename so readers never
+observe a partial artifact, and a model's ``.meta`` is removed first and
+written last, so a model saved only in part does not load. A tokens file
+is a preprocessed corpus: a ``litscreen-tokens/1 N`` header, then
 one line per document, its id, a tab and its space-joined tokens.
 ``load_tokens`` returns it as the same kind of
 :class:`~litscreen.corpus.DocumentSet` that ``preprocess_set`` returns. A
@@ -30,7 +33,7 @@ import os
 import re
 import tempfile
 import tokenize
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import islice
 
 import numpy as np
@@ -38,8 +41,6 @@ import numpy.lib.format as npy
 
 from .corpus import DocumentSet, EncodedCorpus, Vocabulary, open_text
 from .embedding import DocModel, EmbeddingConfig, WordModel
-from .refine import IterationRecord
-from .selection import SelectionOrder
 
 __all__ = [
     "PersistenceError",
@@ -56,8 +57,8 @@ __all__ = [
     "file_digest",
     "write_csv",
     "read_kv",
-    "config_pairs",
     "config_from_pairs",
+    "format_floats",
 ]
 
 WORD_FORMAT = "litscreen-wordmodel/3"
@@ -78,12 +79,19 @@ class PersistenceError(ValueError):
     """Artifact file is missing, truncated, or malformed."""
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % x
+def _text(value) -> str:
+    """A value as every artifact writes it, by the rule the module docstring gives."""
+    if isinstance(value, float):
+        return _FLOAT % value if value == value else ""  # nan is unequal to itself
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(_text, value))
+    return "" if value is None else str(value)
 
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """Each value as ``_fmt`` writes it, from one ``%`` call."""
+def format_floats(values: np.ndarray) -> list[str]:
+    """Each value of a 1-D array as ``%.17g``, from one ``%`` call (a nan as ``nan``)."""
     return ((_FLOAT + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
@@ -193,7 +201,7 @@ def _check_labels(labels, path: str, what: str):
         seen.add(label)
 
 
-def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, str]) -> list[str]:
+def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict) -> list[str]:
     """Write ``{base}.npy``, ``{base}.labels`` and then ``{base}.meta``, and
     return their paths in that order. An existing ``{base}.meta`` is
     removed first.
@@ -224,8 +232,8 @@ def _save_labeled_matrix(base: str, labels, matrix: np.ndarray, meta: dict[str, 
     return [matrix_path, labels_path, meta_path]
 
 
-def _write_kv(path: str, pairs: dict[str, str]):
-    _atomic_write(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+def _write_kv(path: str, pairs: dict):
+    _atomic_write(path, "".join(f"{k} = {_text(v)}\n" for k, v in pairs.items()))
 
 
 def read_kv(path: str, what: str) -> dict[str, str]:
@@ -246,13 +254,6 @@ def read_kv(path: str, what: str) -> dict[str, str]:
                 raise PersistenceError(f"{path}: repeated key {key!r}")
             pairs[key] = value.strip()
     return pairs
-
-
-def config_pairs(config: EmbeddingConfig) -> dict[str, str]:
-    """An embedding config as the ``key = value`` strings every artifact
-    writes, in field order."""
-    values = {f.name: getattr(config, f.name) for f in fields(EmbeddingConfig)}
-    return {k: _fmt(v) if isinstance(v, float) else str(v) for k, v in values.items()}
 
 
 def config_from_pairs(pairs: dict[str, str], path: str) -> EmbeddingConfig:
@@ -305,7 +306,7 @@ def save_model(model: WordModel, base: str) -> list[str]:
     """Write the token vectors, the tokens and the format and config of a
     word model under ``base``; returns the paths written, in write order."""
     return _save_labeled_matrix(base, model.vocab.tokens(), model.vectors,
-                                {"format": WORD_FORMAT, **config_pairs(model.config)})
+                                {"format": WORD_FORMAT, **asdict(model.config)})
 
 
 def load_model(base: str) -> WordModel:
@@ -325,7 +326,7 @@ def save_doc_model(model: DocModel, base: str) -> list[str]:
     """Write the document vectors, the ids and the format and config of a
     document model under ``base``; returns the paths written, in write order."""
     return _save_labeled_matrix(base, model.ids, model.vectors,
-                                {"format": DOC_FORMAT, **config_pairs(model.config)})
+                                {"format": DOC_FORMAT, **asdict(model.config)})
 
 
 def load_doc_model(base: str) -> DocModel:
@@ -416,26 +417,20 @@ def _csv_line(row) -> str:
                     for f in row) + "\n"
 
 
-def save_selection(order: SelectionOrder, ids, path: str):
-    """CSV of rank, document id, maximin distance at selection time."""
+def save_selection(order, ids, path: str):
+    """CSV of a selection order: rank, document id, maximin distance at selection time."""
     write_csv(path, ["rank", "doc_id", "min_distance"],
-              ((str(rank), ids[idx], "" if np.isnan(dist) else _fmt(dist))
+              ((_text(rank), ids[idx], _text(dist))  # an id is already text
                for rank, (idx, dist) in enumerate(zip(order.indices, order.distances))))
 
 
-def save_iteration_log(records: list[IterationRecord], path: str):
-    """CSV iteration log: t, documents_used, vocab_complete, centroid, displacement."""
-    rows = []
-    for rec in records:
-        cx = cy = disp = ""
-        if rec.centroid is not None:
-            cx, cy = _fmt(rec.centroid[0]), _fmt(rec.centroid[1])
-        if rec.displacement is not None:
-            disp = _fmt(rec.displacement)
-        complete = "true" if rec.vocab_complete else "false"
-        rows.append((str(rec.iteration), str(rec.documents_used), complete, cx, cy, disp))
+def save_iteration_log(records, path: str):
+    """CSV log of refinement records: t, documents_used, vocab_complete, centroid, displacement."""
     write_csv(path, ["t", "documents_used", "vocab_complete", "centroid_x", "centroid_y",
-                     "displacement"], rows)
+                     "displacement"],
+              (list(map(_text, (rec.iteration, rec.documents_used, rec.vocab_complete,
+                                *(rec.centroid or (None, None)), rec.displacement)))
+               for rec in records))
 
 
 def save_scores(scores: np.ndarray, ids, front, path: str):
@@ -446,7 +441,7 @@ def save_scores(scores: np.ndarray, ids, front, path: str):
     blocks = (slice(i, i + _BLOCK_ROWS) for i in range(0, len(ids), _BLOCK_ROWS))
     write_csv(path, ["id", "s_dielectric", "s_conductivity", "on_front"],
               (row for b in blocks for row in zip(
-                  ids[b], _fmt_column(scores[b, 0]), _fmt_column(scores[b, 1]),
+                  ids[b], format_floats(scores[b, 0]), format_floats(scores[b, 1]),
                   on_front[b].tolist())))
 
 
@@ -460,7 +455,8 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(pairs: dict[str, str], path: str):
+def write_manifest(pairs: dict, path: str):
+    """The format line, then ``pairs``' typed values, each as ``key = value``."""
     ordered = {"format": MANIFEST_FORMAT}
     ordered.update(pairs)
     _write_kv(path, ordered)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import CandidateTable, enumerate_simplex
-from .persistence import write_csv
+from .persistence import format_floats, write_csv
 
 __all__ = ["SynthSpec", "synthetic_corpus", "synthetic_candidates",
            "write_corpus_csv", "write_candidates_csv"]
@@ -116,7 +116,7 @@ def write_corpus_csv(rows: list[tuple[str, str]], path: str):
 
 def write_candidates_csv(candidates: CandidateTable, path: str):
     """An id column, then one fraction column per element in sorted order,
-    each value written as ``%.17g``. An id that ``load_compositions`` would
+    each value as ``format_floats`` spells it. An id that ``load_compositions`` would
     reject or change, a repeated, blank or whitespace-padded one, raises
     ValueError naming its row before the file is opened, and so does an
     empty table, naming the file."""
@@ -132,6 +132,6 @@ def write_candidates_csv(candidates: CandidateTable, path: str):
             seen.add(comp_id)
     elements = sorted(candidates.elements)
     columns = candidates.fractions[:, [candidates.elements.index(el) for el in elements]]
-    write_csv(path, ["id"] + elements,
-              ([comp_id] + [f"{x:.17g}" for x in row]
-               for comp_id, row in zip(ids, columns.tolist())))
+    cells = iter(format_floats(columns.ravel()))
+    # each id, then the next len(elements) cells: its row's fractions
+    write_csv(path, ["id"] + elements, zip(ids, *[cells] * len(elements)))

@@ -1,5 +1,6 @@
 """The public API's settable values, counted one way, and the module
-boundaries inside the package.
+boundaries inside the package: no private name reached across modules, and
+no import of a module from the same or a higher layer.
 
 A settable value is a dataclass init field, or a parameter of a function
 or of a public method (``self`` and ``cls`` excluded), over the names in
@@ -107,6 +108,63 @@ def test_no_module_reaches_another_modules_private_names():
         if reaches:
             found[os.path.basename(path)] = reaches
     assert found == {}
+
+
+# The package's modules from the lowest layer up: each imports only modules
+# of lower layers, so none depends on a pipeline stage it does not run.
+LAYERS = (
+    ("corpus", "kernel", "selection"),
+    ("embedding",),
+    ("materials", "persistence"),
+    ("screen", "refine", "synth"),
+    ("cli",),
+)
+
+
+def package_imports(source: str) -> set[str]:
+    """The litscreen modules that ``source`` imports, anywhere in it."""
+    submodules = {info.name for info in pkgutil.iter_modules(litscreen.__path__)}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "litscreen":
+                    continue
+                module = module.removeprefix("litscreen").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from the package itself: its modules, not its attributes
+                found.update(alias.name for alias in node.names if alias.name in submodules)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("litscreen."))
+    return found
+
+
+def test_each_module_imports_only_lower_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    assert {info.name for info in pkgutil.iter_modules(litscreen.__path__)} == layer.keys()
+    upward = {}
+    for name in sorted(layer):
+        with open(os.path.join(os.path.dirname(litscreen.__file__), name + ".py"),
+                  encoding="utf-8") as f:
+            imports = package_imports(f.read())
+        if any(layer[m] >= layer[name] for m in imports):
+            upward[name] = sorted(m for m in imports if layer[m] >= layer[name])
+    assert upward == {}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import kernel, __version__\nfrom .corpus import load_corpus\n",
+     {"kernel", "corpus"}),
+    ("import litscreen.embedding\nfrom litscreen.materials import centroid\n"
+     "from litscreen import refine\nimport numpy\nfrom numpy import linalg\n",
+     {"embedding", "materials", "refine"}),
+    ("def f():\n    from .refine import run_refinement\n", {"refine"}),
+])
+def test_package_imports_are_found(source, found):
+    assert package_imports(source) == found
 
 
 @pytest.mark.parametrize("source, found", [

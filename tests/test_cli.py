@@ -22,7 +22,7 @@ from litscreen.materials import (
     load_compositions,
     similarity_points,
 )
-from litscreen.persistence import config_pairs, load_model, save_doc_model, save_model
+from litscreen.persistence import load_model, save_doc_model, save_model
 from litscreen.refine import RefineConfig
 from litscreen.screen import Objectives, pareto_front
 from litscreen.synth import write_candidates_csv
@@ -431,7 +431,37 @@ class TestInputAtFaultIsNamed:
         out = str(tmp_path / "s.csv")
         code, printed, err = run(capsys, "select", "--model", base, "--out", out)
         assert (code, printed) == (2, "")
-        assert err == f"error: {base}: 1 documents, but at least 2 are needed\n"
+        assert err == f"error: {base}: PCA needs at least 2 rows, got 1\n"
+        assert not os.path.exists(out)
+
+    def test_select_of_a_zero_variance_model_names_the_model(self, capsys, tmp_path):
+        base = str(tmp_path / "flat")
+        save_doc_model(DocModel(["a", "b", "c"], np.ones((3, 4)), EmbeddingConfig(dim=4)), base)
+        out = str(tmp_path / "s.csv")
+        code, printed, err = run(capsys, "select", "--model", base, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}: degenerate input: all rows identical (zero variance)\n"
+        assert not os.path.exists(out)
+
+    def test_one_dimension_config_fails_before_training_naming_the_file(self, capsys, tmp_path):
+        # the document projection and the anchors' plane both need two axes
+        corpus = write(str(tmp_path / "c.csv"), "abstract\nAg films\nPt films\n")
+        conf = write(str(tmp_path / "c.conf"), "dim = 1\nepochs = 1\n")
+        out = str(tmp_path / "out")
+        for argv in self.corpus_commands(tmp_path, corpus)[1:]:
+            code, printed, err = run(capsys, *argv, "--config", conf, "--out", out)
+            assert (code, printed) == (2, ""), argv[0]
+            assert err == f"error: {conf}: dim must be >= 2, got 1\n"
+            assert not os.path.exists(out)
+        # a model saved at dim 1 by an older version fails naming its .meta
+        base = str(tmp_path / "old")
+        save_doc_model(DocModel(["a", "b"], np.eye(2), EmbeddingConfig(dim=2)), base)
+        with open(base + ".meta", encoding="utf-8") as f:
+            meta = f.read().replace("dim = 2\n", "dim = 1\n")
+        write(base + ".meta", meta)
+        code, printed, err = run(capsys, "select", "--model", base, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}.meta: dim must be >= 2, got 1\n"
         assert not os.path.exists(out)
 
     def test_missing_compiler_exits_2_without_a_traceback(self, capsys, tmp_path, monkeypatch):
@@ -719,8 +749,12 @@ class TestConfigPrecedence:
                          "--out", str(tmp_path / "run"))
         assert code == 0
         manifest = read_manifest(str(tmp_path / "run" / "manifest.txt"))
-        embedding = config_pairs(EmbeddingConfig())
+        embedding = {"dim": "200", "window": "5", "epochs": "5",
+                     "alpha0": "0.025000000000000001", "alpha_min": "0.0001",
+                     "min_count": "1", "seed": "0"}
         assert {key: manifest[key] for key in embedding} == embedding
+        assert EmbeddingConfig() == EmbeddingConfig(dim=200, window=5, epochs=5, alpha0=0.025,
+                                                    alpha_min=0.0001, min_count=1, seed=0)
         assert manifest["batch_size"] == str(RefineConfig().batch_size)
         assert manifest["threshold"] == f"{RefineConfig().threshold:.17g}"
 

@@ -262,6 +262,10 @@ class TestEncodedCorpus:
         for docs, dtype in (([True, False, True], "bool"), ([1.9], "float64")):
             with pytest.raises(IndexError, match=f"must be integers, got dtype {dtype}$"):
                 encoded.take(docs)
+        # an index array of another shape would gather rows of documents
+        for docs, shape in ((np.array([[0]]), r"\(1, 1\)"), (np.int64(0), r"\(\)")):
+            with pytest.raises(IndexError, match=f"must be a 1-D array, got shape {shape}$"):
+                encoded.take(docs)
         assert encoded.take([]).ids.size == 0 and len(encoded.take(np.array([1]))) == 1
         assert list(encoded.take(np.array([1, 0], dtype=np.uint8))) == [("b", "a"), ("a",)]
 

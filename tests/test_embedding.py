@@ -691,6 +691,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(dim=0)
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            EmbeddingConfig(dim=1)
         with pytest.raises(ValueError):
             EmbeddingConfig(window=0)
         with pytest.raises(ValueError):

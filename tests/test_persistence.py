@@ -105,7 +105,7 @@ LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
 @st.composite
 def labeled_matrices(draw):
     n = draw(st.integers(0, 5))
-    dim = draw(st.integers(1, 6))
+    dim = draw(st.integers(2, 6))  # EmbeddingConfig's least dim
     labels = draw(st.lists(LABEL, min_size=n, max_size=n, unique=True))
     return labels, draw(arrays(np.float64, (n, dim), elements=FINITE))
 
@@ -113,7 +113,7 @@ def labeled_matrices(draw):
 class TestMatrixCodec:
     @settings(max_examples=80, deadline=None)
     @given(labeled_matrices())
-    @example((["a\tb", "\t", ""], np.array([[0.0], [-0.0], [5e-324]])))
+    @example((["a\tb", "\t", ""], np.array([[0.0, -0.0], [-0.0, 5e-324], [5e-324, 0.0]])))
     def test_save_load_save_matches_reference(self, labeled):
         labels, matrix = labeled
         with tempfile.TemporaryDirectory() as tmp:
