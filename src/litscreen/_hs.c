@@ -11,13 +11,9 @@
 #include <math.h>
 #include <stdint.h>
 
-#define LOGE2 0.693147180559945309417232121458176568
-
-/* numpy's logaddexp(0, -sz) */
+/* numpy's logaddexp(0, -sz), for the clipped scores |sz| > 60 */
 static double softplus_neg(double sz)
 {
-    if (sz == 0.0)
-        return LOGE2;
     if (sz > 0.0)
         return log1p(exp(-sz));
     return -sz + log1p(exp(sz));
@@ -51,8 +47,16 @@ static double softplus_neg(double sz)
    reassociation by the compiler (no -ffast-math).
 
    work must hold (longest path + dim) doubles. Only when loss is not
-   NULL is each pair's pre-update loss added to *loss in pair order; a
-   NULL loss skips the log1p and leaves the vectors bit for bit the same.
+   NULL is the call's pre-update loss, the sum of log1p(exp(-sz)) over
+   every path node of every pair, added to *loss; a NULL loss skips it
+   and leaves the vectors bit for bit the same. A clipped node
+   (|sz| > 60) adds softplus_neg(sz) directly; the rest go into one
+   running product per call, 1 + y = prod (1 + e), as y = y + e + y * e.
+   Its terms are all positive, so y stays within about 3 eps per node,
+   and it never forms 1 + e, which would round a loss below eps away.
+   Whenever y > 1e250, log1p(y) goes into the sum and y back to 0, so
+   y * e <= 1e250 * e^60 cannot overflow; the last log1p(y) is taken at
+   the end.
    Returns the pair count, or -1 on the first non-finite score, with the
    pairs before it already applied. */
 #if defined(__x86_64__) && defined(__gnu_linux__) && defined(__has_attribute)
@@ -70,6 +74,7 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
                  double *restrict work, double *loss)
 {
     double total_loss = loss ? *loss : 0.0;
+    double y = 0.0; /* 1 + y: the product of the unclipped nodes' 1 + e since the last fold */
     int64_t pairs = 0;
 
     for (int64_t i = 0; i < n_items; i++, processed++) {
@@ -105,17 +110,25 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
             }
 
             /* z[j] becomes node j's gradient; exp(-clipped) serves both it
-               and the loss log1p(exp(-sz)), which is softplus_neg(sz)
-               exactly for 0 < sz <= 60 and within rounding for -60 <= sz < 0 */
-            double pair_loss = 0.0;
+               and the loss: an unclipped node's log1p(e) goes into y as the
+               factor 1 + e, a clipped one's softplus_neg(sz) into the sum */
             for (j = 0; j < len; j++) {
                 if (!isfinite(z[j]))
                     return -1;
                 double sz = signs[j] * z[j];
                 double clipped = sz < -60.0 ? -60.0 : (sz > 60.0 ? 60.0 : sz);
                 double e = exp(-clipped);
-                if (loss)
-                    pair_loss += (sz == clipped && sz != 0.0) ? log1p(e) : softplus_neg(sz);
+                if (loss) {
+                    if (sz == clipped) {
+                        y = y + e + y * e;
+                        if (y > 1e250) {
+                            total_loss += log1p(y);
+                            y = 0.0;
+                        }
+                    } else {
+                        total_loss += softplus_neg(sz);
+                    }
+                }
                 z[j] = signs[j] * (1.0 - 1.0 / (1.0 + e));
             }
 
@@ -154,11 +167,10 @@ int64_t hs_train(double *restrict centers, double *restrict nodes, int64_t dim,
             }
             for (int64_t k = 0; k < dim; k++)
                 c[k] += alpha * neu1e[k];
-            total_loss += pair_loss;
             pairs++;
         }
     }
     if (loss)
-        *loss = total_loss;
+        *loss = total_loss + log1p(y);
     return pairs;
 }

@@ -104,8 +104,8 @@ class HuffmanCoding:
 class WordModel:
     """Token vectors; the internal-node matrix only on freshly trained models.
 
-    ``final_loss`` is the final epoch's mean loss per pair, None when
-    loaded from disk.
+    ``final_loss`` is the final epoch's mean loss per pair, nan when that
+    epoch trained no pair, None when loaded from disk.
     """
 
     vocab: Vocabulary
@@ -121,8 +121,8 @@ class WordModel:
 class DocModel:
     """One trained vector per document, keyed by document id.
 
-    ``final_loss`` is the final epoch's mean loss per pair, None when
-    loaded from disk.
+    ``final_loss`` is the final epoch's mean loss per pair, nan when that
+    epoch trained no pair, None when loaded from disk.
     """
 
     ids: list[str]
@@ -247,12 +247,14 @@ def _train_hs(
     path, with both gradients taken at the incoming values. The learning
     rate decays linearly per item across all epochs. Node vectors start at
     zero. The loss is computed in the final epoch only; the epochs before
-    it skip it. Returns (node matrix, the final epoch's mean loss per
+    it skip it; the kernel takes it through one running product per call,
+    not a ``log1p`` per path node (``_hs.c``). Returns (node matrix, the
+    final epoch's mean loss per pair or nan when that epoch trained no
     pair, pairs trained).
     """
     hs_train = library()
     nodes = np.zeros((coding.n_nodes, config.dim))
-    work = np.empty(max(coding.code_lengths()) + config.dim)
+    work = np.empty(int(np.diff(coding.offsets).max()) + config.dim)
     final_loss = np.zeros(1)
     n_items = len(targets)
     total = config.epochs * n_items
@@ -277,7 +279,7 @@ def _train_hs(
         if epoch_pairs < 0:
             raise ValueError("non-finite score while training")
         pairs += epoch_pairs
-    return nodes, float(final_loss[0]) / max(1, epoch_pairs), pairs
+    return nodes, float(final_loss[0]) / epoch_pairs if epoch_pairs else math.nan, pairs
 
 
 def train_word2vec(token_lists: EncodedCorpus, config: EmbeddingConfig) -> WordModel:

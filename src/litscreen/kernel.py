@@ -109,9 +109,12 @@ def load(path: str):
     declared: ``(centers, nodes, dim, rows, lo, hi, targets, n_items,
     skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min, span,
     processed, total, work, loss)``, where item i trains row ``rows[i]``
-    on ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``
-    (``_hs.c`` states the whole contract). ctypes checks each array's dtype
-    and layout, and nothing checks an index."""
+    on ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``.
+    ``loss`` is a one-element buffer that the call's pre-update loss is
+    added to, taken through one running product per call, not a
+    ``log1p`` per path node, or None to skip the loss (``_hs.c`` states the
+    whole contract). ctypes checks each array's dtype and layout, and
+    nothing checks an index."""
     lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")

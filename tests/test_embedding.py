@@ -311,6 +311,16 @@ class TestTrainWord2vec:
         assert model.pairs_trained > 0
         assert math.isfinite(model.final_loss) and model.final_loss > 0
 
+    def test_no_pair_trained_reports_nan_loss(self):
+        # one-token documents give skip-gram no pair: a loss of 0.0 would
+        # read as a perfect fit for vectors that never moved
+        corpus = EncodedCorpus.encode([["ag"], ["pt"], ["ag"]])
+        model = train_word2vec(corpus, EmbeddingConfig(dim=4, epochs=2))
+        assert model.pairs_trained == 0
+        assert math.isnan(model.final_loss)
+        # PV-DBOW trains every token, so it has pairs and a finite loss
+        assert math.isfinite(train_doc2vec(corpus, EmbeddingConfig(dim=4, epochs=2)).final_loss)
+
     def test_shapes(self):
         model = train_word2vec(tiny_corpus(), self.CFG)
         V = len(model.vocab)
@@ -508,16 +518,18 @@ def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, 
     position i when ``skip_self``; each score summed in four lanes over
     k = 0, 1, 2, 3 (mod 4) combined as (a0 + a1) + (a2 + a3), then the
     ``dim % 4`` tail in k order; ``math.exp`` and ``math.log1p``, and the
-    gradient gathered before the node rows move. Returns (total_loss plus
-    each pair's pre-update loss, pairs)."""
+    gradient gathered before the node rows move. The loss takes the nodes
+    with ``|sz| <= 60`` through one running product for the call,
+    ``1 + y = prod(1 + e)``, folded into the sum by ``log1p`` whenever
+    ``y > 1e250`` and once at the end, and adds the clipped nodes' softplus
+    directly. Returns (total_loss plus the call's pre-update loss, pairs)."""
     def softplus_neg(sz):
-        if sz == 0.0:
-            return math.log(2.0)
         if sz > 0.0:
             return math.log1p(math.exp(-sz))
         return -sz + math.log1p(math.exp(sz))
 
     pairs = 0
+    y = 0.0
     for i, row in enumerate(rows):
         alpha = alpha0 - span * ((processed + i) / total)
         if not alpha > alpha_min:
@@ -527,7 +539,6 @@ def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, 
             path = path_nodes[path_off[t]:path_off[t + 1]]
             signs = path_signs[path_off[t]:path_off[t + 1]]
             g = []
-            pair_loss = 0.0
             body = len(c) - len(c) % 4
             for node, sign in zip(path, signs):
                 lanes = [0.0] * 4
@@ -539,7 +550,13 @@ def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, 
                 sz = sign * z
                 clipped = -60.0 if sz < -60.0 else (60.0 if sz > 60.0 else sz)
                 e = math.exp(-clipped)
-                pair_loss += math.log1p(e) if sz == clipped and sz != 0.0 else softplus_neg(sz)
+                if sz == clipped:
+                    y = y + e + y * e
+                    if y > 1e250:
+                        total_loss += math.log1p(y)
+                        y = 0.0
+                else:
+                    total_loss += softplus_neg(sz)
                 g.append(sign * (1.0 - 1.0 / (1.0 + e)))
             neu1e = [0.0] * len(c)
             for node, gj in zip(path, g):
@@ -550,9 +567,8 @@ def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, 
                     nodes[node][k] += alpha * (gj * c[k])
             for k in range(len(c)):
                 c[k] += alpha * neu1e[k]
-            total_loss += pair_loss
             pairs += 1
-    return total_loss, pairs
+    return total_loss + math.log1p(y), pairs
 
 
 class TestKernelMatchesScalarReplica:

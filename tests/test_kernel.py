@@ -1,8 +1,10 @@
 import ctypes
 import dataclasses
+import math
 import os
 import subprocess
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +62,59 @@ def test_loss_buffer_may_be_none():
     assert train_one_pair(np.full(3, 0.5), None) == 1
     # the non-finite check does not depend on the loss buffer
     assert train_one_pair(np.array([0.5, np.nan, 0.5]), None) == -1
+
+
+def path_loss(hs_train, scores, start=0.0):
+    """The loss buffer, starting at ``start``, after one ``hs_train`` call
+    whose path nodes score exactly ``scores`` (sz = sign * z), at learning
+    rate 0 so no row moves. One item of dim 1, center 1.0, trains each
+    node as a path of its own, then all of them as one path, then as
+    four-node paths, so the running product spans pairs and path shapes
+    and each score's loss is taken three times."""
+    n = len(scores)
+    z = np.abs(scores)  # sign * z == score
+    signs = np.where(np.asarray(scores) < 0, -1.0, 1.0)
+    whole = (n + 3) // 4  # four-node paths of the nodes, the last one shorter
+    path_off = np.concatenate([np.arange(n + 1), [2 * n],
+                               2 * n + np.minimum(4 * np.arange(1, whole + 1), n)])
+    path_nodes = np.concatenate([np.arange(n)] * 3).astype(np.int64)
+    path_signs = np.concatenate([signs] * 3)
+    # targets: every single-node path, the whole path, every four-node path
+    targets = np.arange(n + 1 + whole, dtype=np.int64)
+    loss = np.array([start])
+    zero = np.zeros(1, dtype=np.int64)
+    pairs = hs_train(np.ones((1, 1)), z.reshape(n, 1).copy(), 1, zero, zero,
+                     np.array([len(targets)], dtype=np.int64), targets, 1, 0,
+                     path_off.astype(np.int64), path_nodes, path_signs,
+                     0.0, 0.0, 0.0, 0, 1, np.empty(n + 1), loss)
+    assert pairs == len(targets)
+    return loss[0]
+
+
+LOSS_EXTREMES = {
+    # e up to exp(60) per node: without its fold at 1e250 the running product
+    # overflows after about ten of these
+    "fold": [-60.0] + np.linspace(-59.9, -52.0, 13).tolist(),
+    # clipped nodes of both signs add their softplus directly; 745 gives a
+    # subnormal loss
+    "clipped": [60.5, 61.0, 100.0, 745.0, -60.5, -61.0, -100.0, -800.0, 3.0, -3.0],
+    # 1 + e rounds to 1 here, so a product of sigmoids loses the whole loss
+    "tiny": np.linspace(35.0, 45.0, 11).tolist(),
+    "mixed": [0.0, 1e-300, -0.5, 2.0, 40.0, -59.0, 59.0, 70.0, -70.0, -1e-3] * 3,
+}
+
+
+@pytest.mark.parametrize("build", ["shipped", "baseline", "avx2"])
+@pytest.mark.parametrize("case", sorted(LOSS_EXTREMES))
+@pytest.mark.parametrize("start", [0.0, 1.5])
+def test_loss_matches_an_exact_sum_at_the_extremes(build, case, start, single_isa_kernel):
+    hs_train = kernel.library() if build == "shipped" else single_isa_kernel(build)
+    scores = LOSS_EXTREMES[case]
+    with mpmath.workdps(50):
+        want = start + 3 * mpmath.fsum(mpmath.log1p(mpmath.exp(-mpmath.mpf(s))) for s in scores)
+    got = path_loss(hs_train, scores, start)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def read_only(a):
