@@ -19,12 +19,11 @@ unfused and the compiler reassociates nothing, so both do the same IEEE
 operations in the source's fixed order: each score in four lanes over
 k mod 4, added as (a0 + a1) + (a2 + a3), then the dim % 4 tail in k order.
 
-:func:`one_blas_thread` holds numpy's OpenBLAS to one thread for a block.
-OpenBLAS worker threads that a call wakes spin on for a while after it
-returns, and so take cores from threads that train at the same time. On
-large enough inputs OpenBLAS's results also change in their last bits
-with its thread count; inside the block they are those of one thread on
-any machine. It loads no library: it looks up OpenBLAS's thread-count
+:func:`one_blas_thread` holds numpy's OpenBLAS to one thread for the one
+BLAS caller, the PCA of :func:`litscreen.refine.selection_order`. OpenBLAS
+workers that a call wakes spin on after it returns, taking cores from threads
+that train meanwhile, and its last bits change with its thread count on
+large enough inputs. It loads no library: it looks up OpenBLAS's thread-count
 functions, on first use, through the handle of numpy's own linear-algebra
 extension, whose dependencies ``dlsym`` searches too. A numpy built on
 another BLAS has none of them, and the block then runs as it would

@@ -6,10 +6,11 @@ composition's material vector is the fraction-weighted sum of its
 elements' word vectors, and its coordinates are the cosine similarities
 of that vector to the two anchor property terms. :func:`similarity_points`
 computes those coordinates for the whole table at once, as an (N, 2)
-score array, and the centroid of a candidate set is the column mean of
-that array. A row's fractions must be finite, non-negative and sum to 1:
-:class:`CandidateTable` checks every row at once, and
-:func:`load_compositions` checks each row as it reads it, naming the row.
+score array, from the elements' dot products with no BLAS call, and the
+centroid of a candidate set is the column mean of that array. A row's
+fractions must be finite, non-negative and sum to 1: :class:`CandidateTable`
+checks every row at once, and :func:`load_compositions` checks each row as
+it reads it, naming the row.
 No candidate is held as an object of its own: indexing or iterating a
 table yields read-only row views, built on demand.
 """
@@ -23,7 +24,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import element_symbols, open_text
+from .corpus import element_symbols, open_text, preprocess
 from .embedding import WordModel, vector_of
 
 __all__ = [
@@ -40,9 +41,6 @@ __all__ = [
 SUM_TOLERANCE = 1e-9
 PARSE_TOLERANCE = 1e-6
 _MAX_SIMPLEX_ROWS = 2_000_000
-# Scoring forms the material vectors a block of rows at a time, so memory
-# stays flat however many candidates there are.
-_BLOCK_BYTES = 256 * 1024
 # The candidate reader checks and converts this many data rows per step:
 # enough that its whole-block calls outweigh their set-up, few enough that
 # memory stays flat.
@@ -119,7 +117,8 @@ class CandidateTable:
 
 @dataclass(frozen=True)
 class PropertyAnchors:
-    """Ordered anchor terms spanning the 2D similarity space."""
+    """Ordered anchor terms spanning the 2D similarity space, each a
+    lowercase token that :func:`litscreen.corpus.preprocess` emits as it is."""
 
     terms: tuple[str, ...] = ("dielectric", "conductivity")
 
@@ -127,8 +126,9 @@ class PropertyAnchors:
         if len(self.terms) != 2:
             raise ValueError(f"exactly two anchor terms required, got {self.terms}")
         for t in self.terms:
-            if not t or t != t.lower():
-                raise ValueError(f"anchor terms must be nonempty lowercase, got {t!r}")
+            if t != t.lower() or preprocess(t) != [t]:
+                raise ValueError(f"anchor term {t!r} is not a lowercase token that "
+                                 f"preprocessing keeps as it is (it gives {preprocess(t)})")
         if self.terms[0] == self.terms[1]:
             raise ValueError(f"the two anchor terms must differ, got {self.terms}")
 
@@ -204,33 +204,34 @@ def similarity_points(
     fraction in some row need a vector; an absent one, or an absent anchor,
     raises OutOfVocabularyError. A material or anchor vector of zero norm raises
     ValueError, since its cosine is undefined.
+
+    Anchor dots are ``F·(E·Aᵀ)`` and squared norms ``rowsum((F·(E·Eᵀ)) ∘ F)``
+    for fractions F, element vectors E and anchor vectors A, all by einsum.
     """
     if anchors is None:
         anchors = PropertyAnchors()
     if not len(table):
         return np.empty((0, 2))
-    dim = model.vectors.shape[1]
-    element_vectors = np.zeros((len(table.elements), dim))
+    element_vectors = np.zeros((len(table.elements), model.vectors.shape[1]))
     for el in table.present():
         element_vectors[table.elements.index(el)] = vector_of(model, el)
     anchor_vectors = np.array([vector_of(model, t) for t in anchors.terms])
-    anchor_norms = np.sqrt(np.einsum("ij,ij->i", anchor_vectors, anchor_vectors))
+    anchor_norms = np.sqrt(np.einsum("jd,jd->j", anchor_vectors, anchor_vectors))
     if not anchor_norms.all():
         raise ValueError("cosine similarity undefined for a zero-norm anchor vector")
 
-    scores = np.empty((len(table), 2))
-    block = max(1, _BLOCK_BYTES // (8 * dim))
-    for start in range(0, len(table), block):
-        vectors = table.fractions[start:start + block] @ element_vectors
-        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-        if not norms.all():
-            row = start + int(np.argmin(norms))
-            raise ValueError(
-                f"cosine similarity undefined: candidate {table.ids[row]!r} "
-                "has a zero-norm material vector"
-            )
-        scores[start:start + block] = (vectors @ anchor_vectors.T) / (norms[:, None] * anchor_norms)
-    return scores
+    fractions = table.fractions
+    gram = np.einsum("kd,ld->kl", element_vectors, element_vectors)
+    squared = np.einsum("nl,nl->n", np.einsum("nk,kl->nl", fractions, gram), fractions)
+    if not (squared > 0).all():
+        row = int(np.argmin(squared > 0))
+        raise ValueError(
+            f"cosine similarity undefined: candidate {table.ids[row]!r} "
+            "has a zero-norm material vector"
+        )
+    dots = np.einsum("nk,kj->nj", fractions,
+                     np.einsum("kd,jd->kj", element_vectors, anchor_vectors))
+    return dots / (np.sqrt(squared)[:, None] * anchor_norms)
 
 
 def centroid(points) -> np.ndarray:

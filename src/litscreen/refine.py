@@ -32,17 +32,10 @@ its training raised, is dropped, so records, artifacts and errors are
 those of a run that trains one iteration at a time. No thread outlives
 the call; the committed model is dropped as a pair starts, so memory
 holds at most two word models.
-
-BLAS runs on one thread for the whole call
-(:func:`litscreen.kernel.one_blas_thread`): the OpenBLAS workers that the
-PCA's SVD would wake spin on after it returns and take a core from the
-two training threads. On one thread the SVD is no slower at 5,000
-documents. It also makes the PCA, and so the selection, the same at any
-BLAS thread count: on more than one thread OpenBLAS's SVD changes its last
-bits from a few hundred documents at dim 200, or about 15,000 at dim 48.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from itertools import compress
@@ -137,7 +130,10 @@ class _Lookahead(threading.Thread):
 
 def selection_order(vectors: np.ndarray) -> SelectionOrder:
     """The rows of ``vectors`` in greedy farthest-point order over their 2D
-    PCA projection from the central row, computed with BLAS on one thread."""
+    PCA projection from the central row. The PCA, refine's one BLAS caller,
+    runs on one BLAS thread: workers that its SVD wakes spin on after it
+    returns and take a core from the two training threads, and on more
+    threads its last bits change (from a few hundred documents at dim 200)."""
     with kernel.one_blas_thread():
         projection = pca_project(vectors)
         start = central_document(projection.points)
@@ -177,55 +173,55 @@ def run_refinement(
     if not candidates:
         raise RefinementError("empty candidate list")
 
-    with kernel.one_blas_thread():
-        required = set(config.anchors.terms) | set(candidates.present())
+    required = set(config.anchors.terms) | set(candidates.present())
 
-        doc_model = train_doc2vec(docs.corpus, config.embedding, ids=docs.ids)
-        order = selection_order(doc_model.vectors)
+    doc_model = train_doc2vec(docs.corpus, config.embedding, ids=docs.ids)
+    order = selection_order(doc_model.vectors)
 
-        n_docs = len(docs)
-        max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
-        if config.max_iterations is not None:
-            max_iters = min(max_iters, config.max_iterations)
+    n_docs = len(docs)
+    max_iters = -(-n_docs // config.batch_size)  # ceil: the corpus is exhausted there
+    if config.max_iterations is not None:
+        max_iters = min(max_iters, config.max_iterations)
 
-        def batch(t):
-            # train in corpus order
-            return docs.corpus.take(sorted(cumulative_batches(order, t, config.batch_size)))
+    def batch(t):
+        # train in corpus order
+        return docs.corpus.take(sorted(cumulative_batches(order, t, config.batch_size)))
 
-        records: list[IterationRecord] = []
-        prev_centroid: np.ndarray | None = None
-        converged = False
-        model: WordModel | None = None  # the committed model, dropped when a pair starts
-        ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
-        try:
-            for t in range(1, max_iters + 1):
-                used = min(config.batch_size * t, n_docs)
-                record = IterationRecord(iteration=t, documents_used=used)
-                if ahead is not None:
-                    model, ahead = ahead.result(), None
-                else:
-                    tokens = batch(t)
-                    if prev_centroid is None:  # no complete t yet; counts only grow
-                        record.missing = _missing(tokens, required, config.embedding.min_count)
-                    if not record.missing:
-                        model = None  # so memory holds only the pair in training
-                        if t < max_iters:
-                            ahead = _Lookahead(batch(t + 1), config.embedding)
-                            ahead.start()
-                        model = train_word2vec(tokens, config.embedding)
+    records: list[IterationRecord] = []
+    prev_centroid: np.ndarray | None = None
+    converged = False
+    model: WordModel | None = None  # the committed model, dropped when a pair starts
+    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
+    try:
+        for t in range(1, max_iters + 1):
+            used = min(config.batch_size * t, n_docs)
+            record = IterationRecord(iteration=t, documents_used=used)
+            if ahead is not None:
+                model, ahead = ahead.result(), None
+            else:
+                tokens = batch(t)
+                if prev_centroid is None:  # no complete t yet; counts only grow
+                    record.missing = _missing(tokens, required, config.embedding.min_count)
                 if not record.missing:
-                    c = centroid(similarity_points(model, candidates, config.anchors))
-                    record.centroid = (float(c[0]), float(c[1]))
-                    if prev_centroid is not None:
-                        record.displacement = float(np.linalg.norm(c - prev_centroid))
-                    prev_centroid = c
-                records.append(record)
-                if record.displacement is not None and record.displacement < config.threshold:
-                    converged = True
-                    break
-        finally:
-            if ahead is not None:  # t converged or raised: drop t+1, and its error with it
-                ahead.join()
+                    model = None  # so memory holds only the pair in training
+                    if t < max_iters:
+                        ahead = _Lookahead(batch(t + 1), config.embedding)
+                        ahead.start()
+                    model = train_word2vec(tokens, config.embedding)
+            if not record.missing:
+                c = centroid(similarity_points(model, candidates, config.anchors))
+                record.centroid = (float(c[0]), float(c[1]))
+                if prev_centroid is not None:
+                    dx, dy = c - prev_centroid
+                    record.displacement = math.sqrt(dx * dx + dy * dy)
+                prev_centroid = c
+            records.append(record)
+            if record.displacement is not None and record.displacement < config.threshold:
+                converged = True
+                break
+    finally:
+        if ahead is not None:  # t converged or raised: drop t+1, and its error with it
+            ahead.join()
 
     if prev_centroid is None:
         last = records[-1]

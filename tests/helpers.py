@@ -482,7 +482,8 @@ def reference_run_refinement(docs, candidates, config):
         c = centroid(similarity_points(model, candidates, config.anchors))
         displacement = None
         if prev_centroid is not None:
-            displacement = float(np.linalg.norm(c - prev_centroid))
+            dx, dy = c - prev_centroid
+            displacement = math.sqrt(dx * dx + dy * dy)
         records.append(
             IterationRecord(
                 iteration=t,

@@ -234,7 +234,7 @@ def test_criterion_5_centroid_mean_and_cumulative_document_counts():
 # moves one re-pins it here and says why in CHANGES.md; the check is never
 # relaxed to a tolerance.
 GOLDEN_REFINE_DIGESTS = {
-    "iterations.csv": "563c46e4a2a3c6fa84dadd36c7687054713d085bfce825ff03626186fd05a8ba",
+    "iterations.csv": "afa8b0e165b589702f0da7ec5e492c15033fe11894baed8c5b8f7648fbbb66ec",
     "selection.csv": "7fcf204ef9fb155cd08db729d38ee8a6f11d9150389a6b88365fc6746850f7bf",
     "model.npy": "371e28ee88f5f5a18914bed34501a6a44afac504b7654222a7d46b20af0747bb",
     "model.labels": "8d578e2136813e16e00a4735640d44e5260b249acac74ab6e2ae8ffbaa278d87",

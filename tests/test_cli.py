@@ -12,7 +12,7 @@ import pytest
 from helpers import read_manifest
 
 import litscreen
-from litscreen import cli, embedding, kernel
+from litscreen import cli, embedding, kernel, refine
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import DocModel, EmbeddingConfig, WordModel
@@ -716,6 +716,31 @@ class TestConfigPrecedence:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {conf}: {line.split()[0]} ")
+
+    @pytest.mark.parametrize("term", ["the", "x", "band-gap"])
+    def test_anchor_no_corpus_can_hold_fails_before_training(self, capsys, tmp_path,
+                                                              monkeypatch, term):
+        # preprocessing never emits a stopword, a single character or two
+        # tokens as one, so the anchor is refused as the flag or the config
+        # value is read, naming it, and nothing is trained or written
+        data, out = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")[0] == 0
+
+        def trained(*args, **kwargs):
+            raise AssertionError("a document model was trained")
+
+        monkeypatch.setattr(refine, "train_doc2vec", trained)
+        inputs = ["refine", "--corpus", os.path.join(data, "corpus.csv"),
+                  "--candidates", os.path.join(data, "candidates.csv"), "--out", out]
+        refused = f"anchor term {term!r} is not a lowercase token"
+        code, printed, err = run(capsys, *inputs, "--anchors", f"{term},dielectric")
+        assert (code, printed) == (1, "")
+        assert f"argument --anchors: {refused}" in err
+        conf = write(str(tmp_path / "c.conf"), f"anchors = {term},dielectric\n")
+        code, printed, err = run(capsys, *inputs, "--config", conf)
+        assert (code, printed) == (2, "")
+        assert err.startswith(f"error: {conf}: anchors = '{term},dielectric': {refused}")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("text, error", [
         pytest.param("dim = 8\ndim = 16\n", "repeated key 'dim'", id="dim = 8\ndim = 16\n-dim"),

@@ -285,6 +285,11 @@ class TestAnchors:
         with pytest.raises(ValueError, match="the two anchor terms must differ"):
             PropertyAnchors(terms=("dielectric", "dielectric"))
 
+    @pytest.mark.parametrize("term", ["the", "x", "band-gap", "Dielectric", " dielectric", "Ni"])
+    def test_refuses_a_term_preprocessing_never_emits(self, term):
+        with pytest.raises(ValueError, match=f"anchor term {term!r} is not a lowercase token"):
+            PropertyAnchors(terms=(term, "conductivity"))
+
 
 class TestLoadCompositions:
     def write(self, tmp_path, text):
@@ -527,14 +532,6 @@ class TestBulkScoring:
         model = toy_model({"Ni": [1.0, 0.0]})
         table = CandidateTable(("Ni",), (), np.zeros((0, 1)))
         assert similarity_points(model, table).shape == (0, 2)
-
-    def test_rows_past_one_block_score_like_the_first(self):
-        # at dim 2048 a 256 KB block holds 16 rows; 40 copies span three blocks
-        model = random_model(("Ni", "Pt", "dielectric", "conductivity"), 2048, seed=8)
-        table = CandidateTable(("Ni", "Pt"), tuple(map(str, range(40))),
-                               np.tile([[0.25, 0.75]], (40, 1)))
-        scores = similarity_points(model, table)
-        assert (scores == scores[0]).all()
 
 
 class TestCentroidInput:
