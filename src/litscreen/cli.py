@@ -10,10 +10,12 @@ path (``corpus file not found: PATH``), and so does bad data in an input:
 a corpus with fewer than two documents, or one whose vocabulary is empty,
 names the corpus; a document model that ``select`` cannot order (fewer than
 two documents, or all alike) names the model; a token missing from a model
-names the model, and --anchors when the token is an anchor term. ``refine``
-removes the ``manifest.txt`` of an earlier run in its --out directory
-before it writes anything there, and writes its own last, so a directory
-without one holds an unfinished run.
+names the model, and --anchors when the token is an anchor term. A
+``refine`` failure names the corpus and candidates files, and each token
+that refuses the run its source; a non-finite training score names the
+config's alpha0, else the corpus. ``refine`` removes the ``manifest.txt``
+of an earlier run in its --out directory before it writes anything there,
+and writes its own last, so a directory without one holds an unfinished run.
 
 Exit codes: 0 success, 1 usage error, 2 data or file error, or a kernel
 library that could not be compiled (no ``cc`` on the PATH, say),
@@ -31,7 +33,7 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .corpus import CorpusError, load_corpus, open_text, preprocess_set
-from .embedding import EmbeddingConfig, OutOfVocabularyError, train_doc2vec
+from .embedding import DivergenceError, EmbeddingConfig, OutOfVocabularyError, train_doc2vec
 from .kernel import KernelBuildError
 from .materials import PropertyAnchors, load_compositions, similarity_points
 from .persistence import (
@@ -60,7 +62,7 @@ from .synth import (
     write_corpus_csv,
 )
 
-# CorpusError, CompositionError and PersistenceError are ValueErrors
+# CorpusError, CompositionError, DivergenceError and PersistenceError are ValueErrors
 _DATA_ERRORS = (OutOfVocabularyError, RefinementError, KernelBuildError, OSError, ValueError)
 
 
@@ -239,8 +241,14 @@ def _cmd_refine(args) -> int:
     )
     docs = _load_documents(args)
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    with _naming(args.corpus, CorpusError):  # an empty vocabulary
+    try:
         result = run_refinement(docs, candidates, config)
+    except RefinementError as exc:
+        anchors = ("--anchors" if "anchors" in args.flagged
+                   else f"{args.config}: anchors" if args.anchors else "the default anchors")
+        source = dict.fromkeys(config.anchors.terms, anchors)
+        sources = "".join(f"; {t!r} is from {source.get(t, args.candidates)}" for t in exc.missing)
+        raise RefinementError(f"{args.corpus}, {args.candidates}: {exc}{sources}") from None
 
     os.makedirs(args.out, exist_ok=True)
     manifest_path = os.path.join(args.out, "manifest.txt")
@@ -423,6 +431,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # 0 from --help or --version, 1 from _Parser.error
         return exc.code
     except _DATA_ERRORS as exc:
+        if isinstance(exc, DivergenceError):  # only embed-docs and refine train
+            moved = args.embedding.alpha0 != EmbeddingConfig.alpha0
+            at = f"{args.config}: alpha0 = {args.embedding.alpha0!r}" if moved else args.corpus
+            exc = f"{at}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

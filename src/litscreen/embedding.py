@@ -31,6 +31,7 @@ __all__ = [
     "WordModel",
     "DocModel",
     "OutOfVocabularyError",
+    "DivergenceError",
     "build_huffman",
     "train_word2vec",
     "train_doc2vec",
@@ -40,6 +41,10 @@ __all__ = [
 
 class OutOfVocabularyError(LookupError):
     """Token has no vector in the model."""
+
+
+class DivergenceError(ValueError):
+    """Training met a non-finite score, as an ``alpha0`` too large for the corpus gives."""
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,7 @@ def _train_hs(
             epoch * n_items, total, work, final_loss if epoch == config.epochs - 1 else None,
         )
         if epoch_pairs < 0:
-            raise ValueError("non-finite score while training")
+            raise DivergenceError("non-finite score while training")
         pairs += epoch_pairs
     return nodes, float(final_loss[0]) / epoch_pairs if epoch_pairs else math.nan, pairs
 

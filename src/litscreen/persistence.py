@@ -91,8 +91,9 @@ def _text(value) -> str:
 
 
 def format_floats(values: np.ndarray) -> list[str]:
-    """Each value of a 1-D array as ``%.17g``, from one ``%`` call (a nan as ``nan``)."""
-    return ((_FLOAT + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    """Each value of a 1-D array as ``_text`` spells it, from one ``%`` call."""
+    text = (_FLOAT + "\n") * len(values) % tuple(values.tolist())
+    return text.replace("nan", "").split("\n")[:-1]  # only a nan's field holds "nan"
 
 
 @contextlib.contextmanager
@@ -448,11 +449,8 @@ def save_scores(scores: np.ndarray, ids, front, path: str):
 def file_digest(path: str) -> str:
     import hashlib  # only `refine` needs it; loading OpenSSL costs every command
 
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def write_manifest(pairs: dict, path: str):

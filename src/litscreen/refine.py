@@ -22,21 +22,21 @@ iteration whose batch holds some required token fewer than ``min_count``
 times is recorded without a model and never trained. Given the selection
 order, the batch depends only on t and ``batch_size``, and its counts only
 grow with t; so from the first complete t on, every iteration is complete
-and is not checked again.
-Iteration t's model depends only on t and the seed, so from there
-iterations train in pairs on two threads: a second thread trains t+1
-while the calling thread trains t (ctypes releases the GIL while the
-kernel runs), and t+1 is committed only if t neither converged nor was
-the last. A model trained for a t+1 that is not committed, and any error
-its training raised, is dropped, so records, artifacts and errors are
-those of a run that trains one iteration at a time. No thread outlives
-the call; the committed model is dropped as a pair starts, so memory
-holds at most two word models.
+and is not checked again, and a run the whole corpus leaves incomplete is
+refused before any training. Iteration t's model depends only on t and
+the seed, so from there iterations train in pairs: a one-worker executor
+trains t+1 while the calling thread trains t (ctypes releases the GIL
+while the kernel runs), and t+1 is committed only if t neither converged
+nor was the last. A model trained for a t+1 that is not committed, and
+any error its training raised, is dropped, so records, artifacts and
+errors are those of a run that trains one iteration at a time. The
+executor's worker is joined before the call returns or raises; the
+committed model is dropped as a pair starts, so memory holds at most two
+word models.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -59,7 +59,11 @@ __all__ = [
 
 
 class RefinementError(RuntimeError):
-    """The refinement loop could not produce a defined centroid."""
+    """The loop could not define a centroid; ``missing`` holds the tokens that refused it."""
+
+    def __init__(self, message: str, missing: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.missing = missing
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,6 @@ class RefinementResult:
     selection_order: SelectionOrder
 
 
-class _Lookahead(threading.Thread):
-    """One iteration's word model, trained on a second thread; ``result()``
-    joins it and returns the model or raises what training raised."""
-
-    def __init__(self, token_lists, config: EmbeddingConfig):
-        super().__init__(name="litscreen-lookahead")
-        self._args = (token_lists, config)
-        self._model = self._error = None
-
-    def run(self):
-        try:
-            self._model = train_word2vec(*self._args)
-        except BaseException as exc:  # raised again on the calling thread, if committed
-            self._error = exc
-
-    def result(self) -> WordModel:
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._model
-
-
 def selection_order(vectors: np.ndarray) -> SelectionOrder:
     """The rows of ``vectors`` in greedy farthest-point order over their 2D
     PCA projection from the central row. The PCA, refine's one BLAS caller,
@@ -161,19 +143,28 @@ def run_refinement(
     and can never trigger convergence; displacements compare against the
     most recent defined centroid. The first defined centroid has
     nothing to compare against. A loop that reaches max_iterations, or
-    exhausts the corpus, without converging returns converged=False; never
-    defining a centroid at all is a RefinementError that names which of the
-    two ended the loop, and the documents used.
+    exhausts the corpus, without converging returns converged=False; one
+    that reaches max_iterations with no centroid defined is a RefinementError
+    naming the documents used.
 
     An iteration whose batch holds some required token fewer than
-    ``min_count`` times is recorded without a model and never trained.
+    ``min_count`` times is recorded without a model and never trained; a
+    token that the whole corpus holds that rarely is a RefinementError
+    before any training, naming it as an anchor term or candidate element.
     """
-    if len(docs) == 0:
-        raise RefinementError("empty corpus")
+    from concurrent.futures import ThreadPoolExecutor  # importing it costs every command
+
     if not candidates:
         raise RefinementError("empty candidate list")
 
     required = set(config.anchors.terms) | set(candidates.present())
+    never = _missing(docs.corpus, required, config.embedding.min_count)
+    if never:  # counts only grow with t, so no iteration could be complete
+        named = ", ".join(f"anchor term {token!r}" if token in config.anchors.terms
+                          else f"candidate element {token!r}" for token in never)
+        raise RefinementError(
+            f"the corpus holds {named} fewer than min_count="
+            f"{config.embedding.min_count} times, so no iteration can be complete", never)
 
     doc_model = train_doc2vec(docs.corpus, config.embedding, ids=docs.ids)
     order = selection_order(doc_model.vectors)
@@ -191,8 +182,9 @@ def run_refinement(
     prev_centroid: np.ndarray | None = None
     converged = False
     model: WordModel | None = None  # the committed model, dropped when a pair starts
-    ahead: _Lookahead | None = None  # iteration t+1 in training, while t is committed
-    try:
+    ahead = None  # the future of iteration t+1 in training, while t is committed
+    # leaving the block waits for a t+1 dropped by t's stop or error, and drops its error
+    with ThreadPoolExecutor(1, thread_name_prefix="litscreen-lookahead") as pool:
         for t in range(1, max_iters + 1):
             used = min(config.batch_size * t, n_docs)
             record = IterationRecord(iteration=t, documents_used=used)
@@ -205,8 +197,7 @@ def run_refinement(
                 if not record.missing:
                     model = None  # so memory holds only the pair in training
                     if t < max_iters:
-                        ahead = _Lookahead(batch(t + 1), config.embedding)
-                        ahead.start()
+                        ahead = pool.submit(train_word2vec, batch(t + 1), config.embedding)
                     model = train_word2vec(tokens, config.embedding)
             if not record.missing:
                 c = centroid(similarity_points(model, candidates, config.anchors))
@@ -219,20 +210,13 @@ def run_refinement(
             if record.displacement is not None and record.displacement < config.threshold:
                 converged = True
                 break
-    finally:
-        if ahead is not None:  # t converged or raised: drop t+1, and its error with it
-            ahead.join()
 
-    if prev_centroid is None:
+    if prev_centroid is None:  # the whole corpus is complete, so the limit cut the run
         last = records[-1]
-        cause = "corpus exhausted"
-        if last.documents_used < n_docs:
-            cause = (f"max_iterations {max_iters} reached with {last.documents_used} "
-                     f"of {n_docs} documents used")
         raise RefinementError(
-            f"{cause} before any centroid was definable; "
-            f"required tokens never all present (last missing: {last.missing})"
-        )
+            f"max_iterations {max_iters} reached with {last.documents_used} of {n_docs} "
+            "documents used before any centroid was definable; "
+            f"required tokens never all present (last missing: {last.missing})")
     return RefinementResult(
         records=records,
         converged=converged,

@@ -400,15 +400,86 @@ class TestInputAtFaultIsNamed:
             assert not os.path.exists(out)
 
     def test_empty_vocabulary_names_the_corpus(self, capsys, tmp_path):
+        # refine refuses the run before PV-DBOW, as no required token reaches
+        # min_count either, naming the candidates file too
         corpus = write(str(tmp_path / "c.csv"), "abstract\nThe film is of it.\nAnd it was.\n")
         conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\nmin_count = 2\n")
-        out = str(tmp_path / "out")
+        out, cands = str(tmp_path / "out"), str(tmp_path / "k.csv")
+        refused = (f"{corpus}, {cands}: the corpus holds candidate element 'Ag', anchor term "
+                   "'conductivity', anchor term 'dielectric' fewer than min_count=2 times, so "
+                   f"no iteration can be complete; 'Ag' is from {cands}; 'conductivity' "
+                   "is from the default anchors; 'dielectric' is from the default anchors")
+        expected = {"embed-docs": f"{corpus}: no token reaches min_count=2; vocabulary is empty",
+                    "refine": refused}
         for argv in self.corpus_commands(tmp_path, corpus)[1:]:
             code, printed, err = run(capsys, *argv, "--config", conf, "--out", out)
             assert (code, printed) == (2, ""), argv[0]
-            assert err == (f"error: {corpus}: no token reaches min_count=2; "
-                           "vocabulary is empty\n")
+            assert err == f"error: {expected[argv[0]]}\n"
             assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_unfinishable_refine_names_each_token_and_its_source(self, capsys, tmp_path,
+                                                                 monkeypatch, given):
+        # the corpus holds no Zr and no zzz, so no iteration can be complete:
+        # refine fails before any training, with nothing written
+        data, out = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")[0] == 0
+        corpus = os.path.join(data, "corpus.csv")
+        cands = write(str(tmp_path / "k.csv"), "id,Ag,Zr\na,0.5,0.5\n")
+        conf = write(str(tmp_path / "c.conf"), "anchors = dielectric,zzz\n")
+        anchors = {"flag": (["--anchors", "dielectric,zzz"], "--anchors"),
+                   "config": (["--config", conf], f"{conf}: anchors")}
+        argv, source = anchors[given]
+
+        def trained(*args, **kwargs):
+            raise AssertionError("a document model was trained")
+
+        monkeypatch.setattr(refine, "train_doc2vec", trained)
+        code, printed, err = run(capsys, "refine", "--corpus", corpus, "--candidates", cands,
+                                 *argv, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {corpus}, {cands}: the corpus holds candidate element 'Zr', "
+                       "anchor term 'zzz' fewer than min_count=1 times, so no iteration can "
+                       f"be complete; 'Zr' is from {cands}; 'zzz' is from {source}\n")
+        assert not os.path.exists(out)
+
+    def test_refine_limit_error_names_the_corpus_and_candidates(self, capsys, tmp_path):
+        # the rare documents that hold Ti are not among the first two
+        data, out = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")[0] == 0
+        corpus, cands = os.path.join(data, "corpus.csv"), os.path.join(data, "candidates.csv")
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\nmax_iterations = 1\n")
+        code, printed, err = run(capsys, "refine", "--config", conf, "--batch-size", "2",
+                                 "--corpus", corpus, "--candidates", cands, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {corpus}, {cands}: max_iterations 1 reached with 2 of 40 "
+                       "documents used before any centroid was definable; required tokens "
+                       "never all present (last missing: ('Ti',))\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["embed-docs", "refine"])
+    def test_non_finite_score_names_alpha0_or_the_corpus(self, capsys, tmp_path, monkeypatch,
+                                                          command):
+        data, out = str(tmp_path / "data"), str(tmp_path / "out")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")[0] == 0
+        corpus = os.path.join(data, "corpus.csv")
+        argv = {argv[0]: argv for argv in self.corpus_commands(tmp_path, corpus)}[command]
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\nalpha0 = 1e200\n")
+        code, printed, err = run(capsys, *argv, "--config", conf, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {conf}: alpha0 = 1e+200: non-finite score while training\n"
+        assert not os.path.exists(out)
+
+        # a config that leaves alpha0 at its default names the corpus
+        def diverged(*args, **kwargs):
+            raise embedding.DivergenceError("non-finite score while training")
+
+        monkeypatch.setattr(refine if command == "refine" else cli, "train_doc2vec", diverged)
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
+        code, printed, err = run(capsys, *argv, "--config", conf, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {corpus}: non-finite score while training\n"
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["screen", "report"])
     def test_missing_token_names_the_model_and_the_anchors(self, capsys, tmp_path, command):
@@ -1048,8 +1119,8 @@ class TestOneProcess:
 
 def test_import_loads_no_needless_modules():
     # each costs startup time on every command; the kernel build imports
-    # subprocess itself, the refinement loop needs only threading, and only
-    # the kernel cache key and the refine manifest take a sha256
+    # subprocess itself, the refinement loop imports its executor when it
+    # runs, and only the kernel cache key and the refine manifest take a sha256
     src = os.path.dirname(os.path.dirname(litscreen.__file__))
     code = ("import sys, litscreen.cli; "
             "print(' '.join(m for m in ('concurrent.futures', 'logging', 'subprocess', "

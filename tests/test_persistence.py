@@ -27,6 +27,7 @@ from litscreen.embedding import (
 from litscreen.persistence import (
     PersistenceError,
     file_digest,
+    format_floats,
     load_doc_model,
     load_model,
     load_tokens,
@@ -1047,6 +1048,12 @@ class TestManifest:
         assert file_digest(path) == (
             "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
         )
+
+
+def test_format_floats_spells_values_as_every_artifact_does():
+    # the module's one rule: nan is an empty field, any other float %.17g
+    values = np.array([0.5, np.nan, np.inf, -np.inf, -0.0, 5e-324])
+    assert format_floats(values) == ["0.5", "", "inf", "-inf", "-0", "4.9406564584124654e-324"]
 
 
 def test_atomic_write_creates_parent_dirs(tmp_path):

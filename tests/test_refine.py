@@ -353,6 +353,10 @@ def running_threads():
     return threading.active_count(), blas_threads()
 
 
+def untrainable(*args, **kwargs):
+    raise AssertionError("a document model was trained")
+
+
 def first_trained(name):
     """The case's first iteration with a complete vocabulary, the first one
     that run_refinement trains."""
@@ -444,18 +448,22 @@ class TestPairedIterations:
         assert running_threads() == threads
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
-    def test_exhaustion_error_matches_serial_loop(self):
+    def test_unfinishable_run_is_refused_before_training(self, monkeypatch):
+        # the serial loop learns at exhaustion what the corpus's counts show
+        # up front; run_refinement refuses the run before PV-DBOW
         docs = planted_docs(0)
         config = RefineConfig(batch_size=15, embedding=PAIRED,
                               anchors=PropertyAnchors(terms=("dielectric", "unobtainium")))
-        with pytest.raises(RefinementError) as want:
+        with pytest.raises(RefinementError, match="^corpus exhausted .*never all present"):
             reference_run_refinement(docs, synthetic_candidates(3), config)
+        monkeypatch.setattr(refine, "train_doc2vec", untrainable)
         threads = running_threads()
         with pytest.raises(RefinementError) as got:
             run_refinement(docs, synthetic_candidates(3), config)
         assert running_threads() == threads
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("corpus exhausted before any centroid was definable;")
+        assert str(got.value) == ("the corpus holds anchor term 'unobtainium' fewer than "
+                                  "min_count=1 times, so no iteration can be complete")
+        assert got.value.missing == ("unobtainium",)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_error_in_a_committed_iteration_surfaces(self, monkeypatch, k):
@@ -562,3 +570,41 @@ def test_random_runs_match_serial_loop(draw):
     else:
         assert_same_run(run_refinement(docs, candidates, config), expected)
     assert running_threads() == threads
+
+
+def unfinishable_case(draw):
+    """A draw in the style of random_case, with no limit, whose anchor term
+    or candidate element the corpus lacks, holds once, or holds enough."""
+    docs, candidates, config = random_case(draw)
+    rng = np.random.default_rng(2900 + draw)
+    token_lists, anchors = list(docs.corpus), config.anchors
+    if draw % 3 != 1:
+        once = [t for t, n in zip(docs.corpus.types, docs.corpus.counts.tolist())
+                if n == 1 and t.islower()]
+        term = rng.choice(["unobtainium", anchors.terms[1], *once[:1]])
+        anchors = PropertyAnchors(terms=(anchors.terms[0], str(term)))
+    if draw % 3 != 0:  # a Zr column, and a document holding Zr once or twice or none
+        token_lists += [["Zr", "oxide"]] * int(rng.integers(0, 3))
+        candidates = CandidateTable(
+            (*candidates.elements, "Zr"), (*candidates.ids, "Zr1"),
+            np.eye(len(candidates.elements) + 1)[
+                [*np.argmax(candidates.fractions, axis=1), len(candidates.elements)]])
+    return (docset(token_lists), candidates,
+            replace(config, max_iterations=None, anchors=anchors))
+
+
+@pytest.mark.parametrize("draw", range(24))
+def test_refusal_matches_what_the_serial_loop_finds_at_exhaustion(monkeypatch, draw):
+    # counts only grow with t, so the serial loop's last iteration, the
+    # whole corpus, misses what the up-front check refuses
+    docs, candidates, config = unfinishable_case(draw)
+    try:
+        expected = reference_run_refinement(docs, candidates, config)
+    except RefinementError as exc:
+        assert "never all present" in str(exc)
+        monkeypatch.setattr(refine, "train_doc2vec", untrainable)
+        with pytest.raises(RefinementError) as got:
+            run_refinement(docs, candidates, config)
+        assert got.value.missing and str(exc).endswith(f"(last missing: {got.value.missing})")
+    else:
+        assert_same_run(run_refinement(docs, candidates, config), expected)
