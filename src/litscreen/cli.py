@@ -7,10 +7,11 @@ explicit flags win over config values, config values win over defaults.
 in it as written (``text_column``, not ``text-column``), also those the
 command does not read. A missing input file exits 2 naming its kind and
 path (``corpus file not found: PATH``), and so does bad data in an input:
-a corpus with fewer than two documents, or one whose vocabulary is empty,
-names the corpus; a document model that ``select`` cannot order (fewer than
-two documents, or all alike) names the model; a token missing from a model
-names the model, and --anchors when the token is an anchor term. A
+a corpus with fewer than two documents, or one whose vocabulary holds fewer
+than two tokens, names the corpus; a document model that ``select`` cannot
+order (fewer than two documents, or all alike) names the model; a token
+missing from a model names the model, and when the token is an anchor term,
+where the anchors came from: --anchors, the config file or the defaults. A
 ``refine`` failure names the corpus and candidates files, and each token
 that refuses the run its source; a non-finite training score names the
 config's alpha0, else the corpus. ``refine`` removes the ``manifest.txt``
@@ -216,7 +217,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_embed_docs(args) -> int:
     docs = _load_documents(args)
-    with _naming(args.corpus, CorpusError):  # an empty vocabulary
+    with _naming(args.corpus, CorpusError):  # a vocabulary of fewer than two tokens
         model = train_doc2vec(docs.corpus, args.embedding, ids=docs.ids)
     paths = save_doc_model(model, args.out)
     print(f"embedded {len(model.ids)} documents at dim {args.embedding.dim}")
@@ -244,9 +245,7 @@ def _cmd_refine(args) -> int:
     try:
         result = run_refinement(docs, candidates, config)
     except RefinementError as exc:
-        anchors = ("--anchors" if "anchors" in args.flagged
-                   else f"{args.config}: anchors" if args.anchors else "the default anchors")
-        source = dict.fromkeys(config.anchors.terms, anchors)
+        source = dict.fromkeys(config.anchors.terms, _anchor_source(args))
         sources = "".join(f"; {t!r} is from {source.get(t, args.candidates)}" for t in exc.missing)
         raise RefinementError(f"{args.corpus}, {args.candidates}: {exc}{sources}") from None
 
@@ -294,21 +293,28 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _front_for(model_base: str, candidates, anchors, objectives):
+def _anchor_source(args) -> str:
+    """Where the command's anchor terms came from, as an error names them."""
+    if "anchors" in args.flagged:
+        return "--anchors"
+    return f"{args.config}: anchors" if args.anchors else "the default anchors"
+
+
+def _front_for(model_base: str, candidates, args):
     model = load_model(model_base)
-    anchors = anchors or PropertyAnchors()
+    anchors = args.anchors or PropertyAnchors()
     missing = [term for term in anchors.terms if term not in model.vocab]
     with _naming(model_base, OutOfVocabularyError):
         if missing:
-            raise OutOfVocabularyError(
-                f"anchor term {missing[0]!r} (--anchors) is not in the vocabulary")
+            raise OutOfVocabularyError(f"anchor term {missing[0]!r} ({_anchor_source(args)}) "
+                                       "is not in the vocabulary")
         scores = similarity_points(model, candidates, anchors)
-    return scores, pareto_front(scores, objectives)
+    return scores, pareto_front(scores, args.preset or Objectives())
 
 
 def _cmd_screen(args) -> int:
     candidates, _, _ = load_compositions(args.candidates, elements=args.elements)
-    scores, front = _front_for(args.model, candidates, args.anchors, args.preset or Objectives())
+    scores, front = _front_for(args.model, candidates, args)
     print(f"Entries (Ori): {len(candidates)}")
     print(f"Entries (Front): {len(front)}")
     for i in front:
@@ -320,13 +326,12 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    anchors, objectives = args.anchors, args.preset or Objectives()
     candidates, measured, potential = load_compositions(args.candidates, elements=args.elements)
     fronts = {}
     if args.full_model:
-        _, fronts["Full"] = _front_for(args.full_model, candidates, anchors, objectives)
+        _, fronts["Full"] = _front_for(args.full_model, candidates, args)
     if args.model:
-        _, fronts["Selection"] = _front_for(args.model, candidates, anchors, objectives)
+        _, fronts["Selection"] = _front_for(args.model, candidates, args)
     if args.potential is not None:
         potential = args.potential
     sys.stdout.write(format_summary(candidates, fronts, measured, potential, args.system))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EncodedCorpus, Vocabulary
+from .corpus import CorpusError, EncodedCorpus, Vocabulary
 from .kernel import library
 
 __all__ = [
@@ -217,10 +217,14 @@ def _setup(corpus: EncodedCorpus, config: EmbeddingConfig, doc_rows: bool):
     the seeded generator, the initial center rows drawn from it (one per
     document if ``doc_rows``, else one per token), every document's
     in-vocabulary token indices as one flat array, and each of those
-    tokens' document index; out-of-vocabulary tokens are dropped."""
+    tokens' document index; out-of-vocabulary tokens are dropped. A
+    vocabulary of fewer than two tokens is a CorpusError."""
     if not len(corpus):
         raise ValueError("empty corpus")
     vocab, lookup = corpus.vocabulary(config.min_count)
+    if len(vocab) < 2:  # a Huffman tree needs two leaves
+        raise CorpusError(f"{len(vocab)} token reaches min_count={config.min_count}, "
+                          "but training needs at least 2")
     coding = build_huffman(vocab)
     rng = np.random.default_rng(config.seed)
     rows = len(corpus) if doc_rows else len(vocab)
@@ -257,7 +261,7 @@ def _train_hs(
     final epoch's mean loss per pair or nan when that epoch trained no
     pair, pairs trained).
     """
-    hs_train = library()
+    hs_train = library().hs_train
     nodes = np.zeros((coding.n_nodes, config.dim))
     work = np.empty(int(np.diff(coding.offsets).max()) + config.dim)
     final_loss = np.zeros(1)

@@ -1,46 +1,40 @@
-"""The native code litscreen calls through ctypes: the compiled kernel
-library, and the thread count of the BLAS library numpy already loaded.
+"""The compiled kernel library litscreen calls through ctypes.
 
 The kernel library is ``_hs.c`` built with ``cc``. It holds the trainers'
-SGD loop, ``hs_train``, and nothing else: saving and loading models never
-touch it. :func:`library` compiles the source the first time it is called,
-never at import, and caches the result under this package's
-``__pycache__/``, keyed on the source and the flags, so later processes
-load it without compiling.
+SGD loop, ``hs_train``, and the selection stage: a top-2 PCA,
+``pca_top2``, and the farthest-point order, ``fps_order``. Saving and
+loading models never touch it. :func:`library` compiles the source the
+first time it is called, never at import, and caches the result under this
+package's ``__pycache__/``, keyed on the source and the flags, so later
+processes load it without compiling.
 There is no fallback: a missing or failing compiler raises
 :class:`KernelBuildError`, a RuntimeError.
 
 ``FLAGS`` target baseline x86-64, yet on x86-64 Linux the library holds a
-baseline and an AVX2 ``hs_train`` (GCC ``target_clones``), and the
-dynamic loader picks one by CPUID when the library is loaded. One cached
-file therefore serves any x86-64 CPU, and its name needs no CPU in the
-key. The two give the same bits: ``-ffp-contract=off`` keeps multiply-adds
-unfused and the compiler reassociates nothing, so both do the same IEEE
-operations in the source's fixed order: each score in four lanes over
-k mod 4, added as (a0 + a1) + (a2 + a3), then the dim % 4 tail in k order.
-
-:func:`one_blas_thread` holds numpy's OpenBLAS to one thread for the one
-BLAS caller, the PCA of :func:`litscreen.refine.selection_order`. OpenBLAS
-workers that a call wakes spin on after it returns, taking cores from threads
-that train meanwhile, and its last bits change with its thread count on
-large enough inputs. It loads no library: it looks up OpenBLAS's thread-count
-functions, on first use, through the handle of numpy's own linear-algebra
-extension, whose dependencies ``dlsym`` searches too. A numpy built on
-another BLAS has none of them, and the block then runs as it would
-without it.
+baseline and an AVX2 ``hs_train`` and ``fps_order`` (GCC
+``target_clones``), and the dynamic loader picks one by CPUID when the
+library is loaded. One cached file therefore serves any x86-64 CPU, and
+its name needs no CPU in the key. The two give the same bits:
+``-ffp-contract=off`` keeps multiply-adds unfused and the compiler
+reassociates nothing, so both do the same IEEE operations in the source's
+fixed order: each score in four lanes over k mod 4, added as
+(a0 + a1) + (a2 + a3), then the dim % 4 tail in k order.
+The selection functions call no BLAS: ``pca_top2`` sums in index order,
+and ``fps_order`` does numpy's operations for each point, so their bits
+depend neither on the ISA a build targets nor on numpy's BLAS.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
 import tempfile
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FLAGS", "KernelBuildError", "library_path", "build", "library", "load",
-           "one_blas_thread"]
+__all__ = ["FLAGS", "KernelBuildError", "Kernel", "library_path", "build", "library", "load"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -93,9 +87,17 @@ def build(source: bytes, cache_dir: str) -> str:
     return path
 
 
+class Kernel(NamedTuple):
+    """The library's functions, each with argtypes and restype declared."""
+
+    hs_train: Callable[..., int]
+    pca_top2: Callable[..., int]
+    fps_order: Callable[..., None]
+
+
 @functools.cache
-def library():
-    """``hs_train`` from ``_hs.c``, compiled into ``__pycache__`` on first
+def library() -> Kernel:
+    """The functions of ``_hs.c``, compiled into ``__pycache__`` on first
     use and loaded with :func:`load`."""
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "_hs.c"), "rb") as f:
@@ -103,22 +105,34 @@ def library():
     return load(build(source, os.path.join(here, "__pycache__")))
 
 
-def load(path: str):
-    """``hs_train`` from the library at ``path``, with argtypes and restype
-    declared: ``(centers, nodes, dim, rows, lo, hi, targets, n_items,
-    skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min, span,
-    processed, total, work, loss)``, where item i trains row ``rows[i]``
-    on ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``.
-    ``loss`` is a one-element buffer that the call's pre-update loss is
-    added to, taken through one running product per call, not a
-    ``log1p`` per path node, or None to skip the loss (``_hs.c`` states the
-    whole contract). ctypes checks each array's dtype and layout, and
-    nothing checks an index."""
+def load(path: str) -> Kernel:
+    """Every function of the library at ``path``, bound with ctypes, which
+    checks each array's dtype and layout; nothing checks an index or a
+    size, and ``_hs.c`` states each whole contract.
+
+    - ``hs_train(centers, nodes, dim, rows, lo, hi, targets, n_items,
+      skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min, span,
+      processed, total, work, loss)``: item i trains row ``rows[i]`` on
+      ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``.
+      ``loss`` is a one-element buffer that the call's pre-update loss is
+      added to, taken through one running product per call, not a
+      ``log1p`` per path node, or None to skip the loss.
+    - ``pca_top2(x, mean, n, d, components, variance, points, work)``: the
+      top two principal components of the (n, d) ``x`` into ``components``
+      (2, d), ``variance`` (2,) and ``points`` (n, 2); ``work`` holds
+      ``m * m + 3 * m`` doubles for m = min(n, d). Returns 0, or 1 for no
+      variance, 2 for a non-finite Gram matrix, 3 for no convergence.
+    - ``fps_order(x, y, n_points, start, n, indices, distances, work)``:
+      the first ``n`` picks of the farthest-point order from ``start``;
+      ``work`` holds ``2 * n_points`` doubles.
+    """
     lib = ctypes.CDLL(path)
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     out_matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    out_i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     int64, double = ctypes.c_int64, ctypes.c_double
 
     class optional_loss(np.ctypeslib.ndpointer(np.float64, ndim=1, shape=(1,),
@@ -129,59 +143,21 @@ def load(path: str):
         def from_param(cls, obj):
             return None if obj is None else super().from_param(obj)
 
-    hs_train = lib.hs_train
-    hs_train.argtypes = [out_matrix, out_matrix, int64,
-                         i64, i64, i64, i64, int64, int64,
-                         i64, i64, f64,
-                         double, double, double,
-                         int64, int64,
-                         out, optional_loss]
-    hs_train.restype = int64
-    return hs_train
+    def bind(name, restype, *argtypes):
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = list(argtypes), restype
+        return fn
 
-
-# (get, set) name pairs: numpy 2 wheels' scipy-openblas, then the 64-bit
-# integer and the plain builds of OpenBLAS
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
-    or None when numpy's BLAS is not OpenBLAS."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-        try:
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with numpy's BLAS on one thread, and restore the
-    previous thread count when it ends, by return or by error alike.
-
-    The count is process-wide, so blocks on two threads must not overlap;
-    nested on one thread, each restores what it found. A no-op when
-    numpy's BLAS is not OpenBLAS.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    return Kernel(
+        hs_train=bind("hs_train", int64,
+                      out_matrix, out_matrix, int64,
+                      i64, i64, i64, i64, int64, int64,
+                      i64, i64, f64,
+                      double, double, double,
+                      int64, int64,
+                      out, optional_loss),
+        pca_top2=bind("pca_top2", int64,
+                      matrix, f64, int64, int64, out_matrix, out, out_matrix, out),
+        fps_order=bind("fps_order", None,
+                       f64, f64, int64, int64, int64, out_i64, out, out),
+    )

@@ -42,7 +42,6 @@ from itertools import compress
 
 import numpy as np
 
-from . import kernel
 from .corpus import DocumentSet, EncodedCorpus
 from .embedding import EmbeddingConfig, WordModel, train_doc2vec, train_word2vec
 from .materials import CandidateTable, PropertyAnchors, centroid, similarity_points
@@ -112,14 +111,13 @@ class RefinementResult:
 
 def selection_order(vectors: np.ndarray) -> SelectionOrder:
     """The rows of ``vectors`` in greedy farthest-point order over their 2D
-    PCA projection from the central row. The PCA, refine's one BLAS caller,
-    runs on one BLAS thread: workers that its SVD wakes spin on after it
-    returns and take a core from the two training threads, and on more
-    threads its last bits change (from a few hundred documents at dim 200)."""
-    with kernel.one_blas_thread():
-        projection = pca_project(vectors)
-        start = central_document(projection.points)
-        return greedy_fps(projection.points, start, len(vectors))
+    PCA projection from the central row. The PCA and the order run in the
+    kernel library and call no BLAS, so the order and its distances have
+    the same bits on any CPU, whatever BLAS numpy loaded and however many
+    threads it runs."""
+    projection = pca_project(vectors)
+    start = central_document(projection.points)
+    return greedy_fps(projection.points, start, len(vectors))
 
 
 def _missing(tokens: EncodedCorpus, required: set[str], min_count: int) -> tuple[str, ...]:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import library
+
 __all__ = [
     "Projection",
     "SelectionOrder",
@@ -22,6 +24,12 @@ __all__ = [
 
 # The ordering works on a plane: every caller projects onto two components.
 _COMPONENTS = 2
+# pca_top2's failing return codes
+_PCA_FAILURES = {
+    1: "degenerate input: all rows identical (zero variance)",
+    2: "PCA needs finite values",
+    3: "PCA did not converge",
+}
 
 
 @dataclass
@@ -44,11 +52,15 @@ class SelectionOrder:
 def pca_project(vectors: np.ndarray) -> Projection:
     """Project row vectors onto the top two principal components.
 
-    Columns are mean-centered; components are the top right singular
-    directions with a deterministic sign (largest-magnitude entry positive);
-    explained variances are the corresponding sample-covariance eigenvalues.
+    Columns are mean-centered; components are the top two eigenvectors of
+    the sample covariance with a deterministic sign (largest-magnitude
+    entry positive); explained variances are their eigenvalues. The kernel
+    library's ``pca_top2`` takes them from the Gram matrix of the centred
+    rows on its smaller side, by Householder tridiagonalisation and
+    implicit QL, with no BLAS call, so the bits are the same on any build
+    and with any BLAS.
     """
-    X = np.asarray(vectors, dtype=np.float64)
+    X = np.ascontiguousarray(vectors, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2D array, got shape {X.shape}")
     n, d = X.shape
@@ -58,18 +70,13 @@ def pca_project(vectors: np.ndarray) -> Projection:
         raise ValueError(f"cannot extract {_COMPONENTS} components from dimension {d}")
 
     mean = X.mean(axis=0)
-    centered = X - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[0] == 0.0:
-        raise ValueError("degenerate input: all rows identical (zero variance)")
-
-    components = vt[:_COMPONENTS].copy()
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    explained = (s[:_COMPONENTS] ** 2) / (n - 1)
-    points = centered @ components.T
+    components, explained = np.empty((_COMPONENTS, d)), np.empty(_COMPONENTS)
+    points = np.empty((n, _COMPONENTS))
+    m = min(n, d)
+    status = library().pca_top2(X, mean, n, d, components, explained, points,
+                                np.empty(m * m + 3 * m))
+    if status:
+        raise ValueError(_PCA_FAILURES[status])
     return Projection(mean=mean, components=components, explained_variance=explained, points=points)
 
 
@@ -90,8 +97,9 @@ def greedy_fps(points: np.ndarray, start: int, n: int) -> SelectionOrder:
     so far; zero-norm points sit at distance 0 from everything so they are
     never preferred. Ties go to the lowest index. The distance from every
     point to point j is ``1 - (x * x[j] + y * y[j]) / (norms * norms[j])``,
-    set to 0 where either norm is 0; each pick computes it into buffers
-    allocated once.
+    set to 0 where either norm is 0. The kernel library's ``fps_order``
+    runs the loop, with the IEEE operations numpy would do in this order
+    and numpy's NaN rules for the running minimum and the argmax.
     """
     pts = np.asarray(points, dtype=np.float64)
     N = pts.shape[0]
@@ -100,45 +108,10 @@ def greedy_fps(points: np.ndarray, start: int, n: int) -> SelectionOrder:
     if not (1 <= n <= N):
         raise ValueError(f"cannot select {n} of {N} points")
 
-    x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
-    norms = np.sqrt(x ** 2 + y ** 2)
-    zero = norms == 0.0
-    any_zero = bool(zero.any())
-    # the same doubles as Python floats: cheaper to pass than numpy scalars
-    xs, ys, ns, zs = x.tolist(), y.tolist(), norms.tolist(), zero.tolist()
-    dist, tmp = np.empty(N), np.empty(N)
-
-    def distances_to(j):
-        # into dist; a zero norm at j leaves it to the caller
-        np.multiply(x, xs[j], out=dist)
-        np.multiply(y, ys[j], out=tmp)
-        np.add(dist, tmp, out=dist)
-        np.multiply(norms, ns[j], out=tmp)
-        np.divide(dist, tmp, out=dist)
-        np.subtract(1.0, dist, out=dist)
-        if any_zero:
-            dist[zero] = 0.0
-
-    indices = [start]
-    distances = [float("nan")]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if zs[start]:
-            mind = np.zeros(N)
-        else:
-            distances_to(start)
-            mind = dist.copy()
-        mind[start] = -np.inf
-        for _ in range(1, n):
-            nxt = int(mind.argmax())
-            indices.append(nxt)
-            distances.append(mind.item(nxt))
-            if zs[nxt]:
-                np.minimum(mind, 0.0, out=mind)
-            else:
-                distances_to(nxt)
-                np.minimum(mind, dist, out=mind)
-            mind[nxt] = -np.inf
-    return SelectionOrder(indices=indices, distances=distances)
+    indices, distances = np.empty(n, dtype=np.int64), np.empty(n)
+    library().fps_order(np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1]),
+                        N, start, n, indices, distances, np.empty(2 * N))
+    return SelectionOrder(indices=indices.tolist(), distances=distances.tolist())
 
 
 def cumulative_batches(order: SelectionOrder, t: int, batch_size: int) -> list[int]:

@@ -1,14 +1,12 @@
-"""Single-ISA builds of the kernel, so the tests check both of the
-``hs_train`` builds the shipped library holds, not only the one this CPU
-resolves to.
+"""Single-ISA builds of the kernel, so the tests check both builds of
+``hs_train`` and ``fps_order`` that the shipped library holds, not only
+the one this CPU resolves to, and the PCA built for either ISA.
 
-``_hs.c`` asks once for a baseline and an AVX2 ``hs_train``. With that
-attribute stripped, the source builds one plain ``hs_train`` for whatever
-ISA the flags name: ``kernel.FLAGS`` alone for baseline x86-64, plus
-``-mavx2`` for AVX2.
-
-``openblas`` sets numpy's OpenBLAS to two threads for a test, so that a
-test of ``kernel.one_blas_thread`` means the same on any core count.
+``_hs.c`` asks once, in its ``ISA_CLONES`` macro, for a baseline and an
+AVX2 build of ``hs_train`` and ``fps_order``. With that attribute
+stripped, the source builds one plain function of each for whatever ISA
+the flags name: ``kernel.FLAGS`` alone for baseline x86-64, plus
+``-mavx2`` for AVX2, which the compiler may then use anywhere in the file.
 """
 import functools
 import os
@@ -40,7 +38,7 @@ def single_isa_source() -> bytes:
 
 @pytest.fixture(scope="session")
 def single_isa_kernel(single_isa_source, tmp_path_factory):
-    """``isa -> hs_train`` built through ``kernel.build`` with
+    """``isa -> kernel.Kernel`` built through ``kernel.build`` with
     ``SINGLE_ISA_FLAGS[isa]`` as ``kernel.FLAGS``; skips the test for AVX2 on
     a CPU without it."""
     cache = str(tmp_path_factory.mktemp("single-isa"))
@@ -57,18 +55,3 @@ def single_isa_kernel(single_isa_source, tmp_path_factory):
         return load(isa)
 
     return get
-
-
-@pytest.fixture
-def openblas():
-    """numpy's OpenBLAS (get, set) thread-count functions, the count set to
-    two for the test and restored after it; skips the test where numpy's
-    BLAS is not OpenBLAS, as one_blas_thread then has nothing to do."""
-    threads = kernel._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    get, set_ = threads
-    before = get()
-    set_(2)
-    yield get, set_
-    set_(before)

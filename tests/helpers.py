@@ -24,11 +24,9 @@ converts one row at a time, the oracle for the block reader in
 ``load_compositions``. ``reference_run_refinement`` is the refinement loop
 that trains one iteration at a time on the calling thread, the oracle for
 ``run_refinement``, which trains them in pairs on two threads.
-``blas_threads`` reads numpy's BLAS thread count, which ``run_refinement``
-must leave as it found it. ``reference_greedy_fps`` is the farthest-point
-loop that allocates each pick's distances afresh, the oracle for
-``greedy_fps``'s preallocated buffers, which must give the same order and
-distances bit for bit.
+``reference_greedy_fps`` is the farthest-point loop in numpy, each pick's
+distances allocated afresh, the oracle for the kernel library's loop behind
+``greedy_fps``, which must give the same order and distances bit for bit.
 """
 import csv
 import heapq
@@ -42,7 +40,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from litscreen import kernel
 from litscreen.corpus import CorpusError, EncodedCorpus, Vocabulary, element_symbols
 from litscreen.embedding import HuffmanCoding, train_doc2vec, train_word2vec, vector_of
 from litscreen.materials import (
@@ -513,12 +510,6 @@ def reference_run_refinement(docs, candidates, config):
         final_model=model,
         selection_order=order,
     )
-
-
-def blas_threads():
-    """numpy's OpenBLAS thread count, or None when its BLAS is not OpenBLAS."""
-    threads = kernel._openblas_threads()
-    return None if threads is None else threads[0]()
 
 
 def _cosine_distances_to(points, norms, j):

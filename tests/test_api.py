@@ -113,7 +113,8 @@ def test_no_module_reaches_another_modules_private_names():
 # The package's modules from the lowest layer up: each imports only modules
 # of lower layers, so none depends on a pipeline stage it does not run.
 LAYERS = (
-    ("corpus", "kernel", "selection"),
+    ("kernel",),
+    ("corpus", "selection"),
     ("embedding",),
     ("materials", "persistence"),
     ("screen", "refine", "synth"),

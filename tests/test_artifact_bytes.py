@@ -2,8 +2,8 @@
 the same bytes in fresh processes under two other OpenBLAS kernels.
 
 One module-scoped run writes criterion 6's synthetic corpus and config,
-then runs ``ingest``, ``embed-docs``, criterion 6's ``refine`` and
-``screen --out`` in this process, on criterion 6's candidates and on the
+then runs ``ingest``, ``embed-docs``, ``select``, criterion 6's ``refine``
+and ``screen --out`` in this process, on criterion 6's candidates and on the
 455-row Ag/Pt/Ba/Ti grid (``synthetic_candidates(12)``). Criterion 6
 pins the ``refine`` artifacts; this module pins the rest.
 """
@@ -28,6 +28,7 @@ GOLDEN_COMMAND_DIGESTS = {
     "docs.npy": "0f4dc0d3563dcae3c3fb3ca50b36adcaac9bc66fb3231783d84374a679fece77",
     "docs.labels": "1bd5ada4de2773a27b468a63b17f9193ae6b22abe7f0029b84f43062c881bc1b",
     "docs.meta": "0d536a935649438ed1e9752f756def9d1cf9f5f8210098c0165e3c27c55ae319",
+    "selection.csv": "677ef662e03fdbade7e5042d164a70e51b08a0700d3919807e10e385c6fbb20b",
     "screen.csv": "3ed7b171889ac5bc41ac9d562731a7824fdc981ffd86df5d8985c09561c83113",
     "grid-screen.csv": "d4ddd02c88a6792765599d4aeafb48a65e1b2a10aa39ab3de20dc9f1791d8083",
 }
@@ -62,6 +63,8 @@ def criterion_6(tmp_path_factory):
         ["ingest", "--corpus", corpus, "--out", os.path.join(root, "tokens.tsv")],
         ["embed-docs", "--corpus", corpus, "--config", conf, "--seed", "5",
          "--out", os.path.join(root, "docs")],
+        ["select", "--model", os.path.join(root, "docs"),
+         "--out", os.path.join(root, "selection.csv")],
         refine_argv(data, conf, os.path.join(root, "run")),
         screen_argv(model, os.path.join(data, "candidates.csv"),
                     os.path.join(root, "screen.csv")),
@@ -90,8 +93,7 @@ def _dynamic_openblas() -> bool:
 def test_bytes_do_not_depend_on_the_openblas_kernel(criterion_6, tmp_path):
     """Criterion 6's ``refine`` and a ``screen --out`` of the grid, each
     leg in a fresh process with ``OPENBLAS_CORETYPE`` set, write the bytes
-    this process wrote. ``selection.csv`` is left out: it holds the PCA's
-    points, whose last bits come from LAPACK's SVD and so from the kernel."""
+    this process wrote."""
     data, conf = os.path.join(criterion_6, "data"), os.path.join(criterion_6, "run.conf")
     src = os.path.dirname(os.path.dirname(litscreen.__file__))
     code = ("import json, sys; from litscreen.cli import main; "
@@ -107,7 +109,7 @@ def test_bytes_do_not_depend_on_the_openblas_kernel(criterion_6, tmp_path):
         legs[coretype] = subprocess.Popen(
             [sys.executable, "-c", code, json.dumps(commands)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    names = ["run/iterations.csv", "run/model.npy", "grid-screen.csv"]
+    names = ["run/iterations.csv", "run/selection.csv", "run/model.npy", "grid-screen.csv"]
     moved = {}
     for coretype, proc in legs.items():
         _, err = proc.communicate()

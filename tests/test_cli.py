@@ -12,7 +12,7 @@ import pytest
 from helpers import read_manifest
 
 import litscreen
-from litscreen import cli, embedding, kernel, refine
+from litscreen import cli, embedding, kernel, refine, selection
 from litscreen.cli import main
 from litscreen.corpus import Vocabulary
 from litscreen.embedding import DocModel, EmbeddingConfig, WordModel
@@ -326,18 +326,17 @@ class TestRepeatedLabels:
 class TestScreeningNeedsNoKernel:
     def test_saved_models_screen_without_the_library(self, capsys, tmp_path, monkeypatch):
         # train and save with the kernel library, then make every module that
-        # imported it raise: loading and screening saved models must not call it
+        # imported it raise: loading and screening saved models must not call
+        # it (select runs the selection stage in it, as refine does)
         data = str(tmp_path / "data")
         conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\n")
         run(capsys, "synth", "--out", data, "--n-docs", "40", "--rare-docs", "2")
         corpus = os.path.join(data, "corpus.csv")
         cands = os.path.join(data, "candidates.csv")
-        word, docs = str(tmp_path / "run"), str(tmp_path / "docs")
+        word = str(tmp_path / "run")
         assert run(capsys, "refine", "--corpus", corpus, "--candidates", cands,
                    "--config", conf, "--batch-size", "20", "--threshold", "5",
                    "--out", word)[0] == 0
-        assert run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
-                   "--out", docs)[0] == 0
         model = os.path.join(word, "model")
 
         out = str(tmp_path / "out")
@@ -345,7 +344,6 @@ class TestScreeningNeedsNoKernel:
             ("screen", "--model", model, "--candidates", cands, "--preset", "orr",
              "--out", os.path.join(out, "table.csv")),
             ("report", "--candidates", cands, "--model", model, "--full-model", model),
-            ("select", "--model", docs, "--out", os.path.join(out, "selection.csv")),
         ]
 
         def outputs():
@@ -370,9 +368,9 @@ class TestScreeningNeedsNoKernel:
         for module in importers:
             monkeypatch.setattr(module, "library", no_library)
         without = outputs()
-        assert [code for code, _, _ in without[0]] == [0, 0, 0]
+        assert [code for code, _, _ in without[0]] == [0, 0]
         assert without[0] == with_library[0]
-        assert without[1] == with_library[1] and len(without[1]) == 2
+        assert without[1] == with_library[1] and len(without[1]) == 1
 
 
 class TestInputAtFaultIsNamed:
@@ -416,6 +414,19 @@ class TestInputAtFaultIsNamed:
             assert (code, printed) == (2, ""), argv[0]
             assert err == f"error: {expected[argv[0]]}\n"
             assert not os.path.exists(out)
+
+    def test_single_token_vocabulary_names_the_corpus(self, capsys, tmp_path):
+        # a Huffman tree needs two tokens; refine cannot get here, as its two
+        # anchor terms must be in the vocabulary
+        corpus = write(str(tmp_path / "c.csv"), "abstract\nsilver silver\nsilver\n")
+        conf = write(str(tmp_path / "c.conf"), "dim = 4\nepochs = 1\n")
+        out = str(tmp_path / "out")
+        code, printed, err = run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                                 "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {corpus}: 1 token reaches min_count=1, "
+                       "but training needs at least 2\n")
+        assert not os.path.exists(out + ".npy")
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_unfinishable_refine_names_each_token_and_its_source(self, capsys, tmp_path,
@@ -495,6 +506,31 @@ class TestInputAtFaultIsNamed:
         assert (code, printed) == (2, "")
         assert err == f"error: {base}: token 'Ag' is not in the vocabulary\n"
 
+    @pytest.mark.parametrize("command", ["screen", "report"])
+    def test_missing_anchor_names_where_the_anchors_came_from(self, capsys, tmp_path, command):
+        base = planted_model(str(tmp_path / "m"))
+        model = ["--model", base] if command == "screen" else ["--full-model", base]
+        cands = write(str(tmp_path / "k.csv"), "id,Ni,Pd\na,1,0\n")
+        conf = write(str(tmp_path / "anc.conf"), "anchors = dielectric,zzzword\n")
+        code, printed, err = run(capsys, command, *model, "--candidates", cands,
+                                 "--config", conf)
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {base}: anchor term 'zzzword' ({conf}: anchors) "
+                       "is not in the vocabulary\n")
+        # a flag over the config file is named as the flag
+        code, printed, err = run(capsys, command, *model, "--candidates", cands,
+                                 "--config", conf, "--anchors", "zzzword,dielectric")
+        assert err == (f"error: {base}: anchor term 'zzzword' (--anchors) "
+                       "is not in the vocabulary\n")
+        # a model that lacks a default anchor term
+        save_model(WordModel(vocab=Vocabulary(index={"conductivity": 0, "Ni": 1}, counts=None),
+                             vectors=np.eye(2), node_vectors=np.zeros((1, 2)),
+                             config=EmbeddingConfig(dim=2), seed=0), base)
+        code, printed, err = run(capsys, command, *model, "--candidates", cands)
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {base}: anchor term 'dielectric' (the default anchors) "
+                       "is not in the vocabulary\n")
+
     def test_select_of_a_one_document_model_names_the_model(self, capsys, tmp_path):
         # embed-docs refuses to write one, but the library or an older version can
         base = str(tmp_path / "one")
@@ -552,10 +588,50 @@ class TestInputAtFaultIsNamed:
         assert not os.path.exists(out)
 
 
+class TestSelectionWithoutLapack:
+    def test_refine_and_select_never_call_the_svd(self, capsys, tmp_path, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n-docs", "60", "--rare-docs", "3")
+        corpus = os.path.join(data, "corpus.csv")
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\n")
+        rundir, docs = str(tmp_path / "run"), str(tmp_path / "docs")
+        assert run(capsys, "refine", "--corpus", corpus, "--config", conf,
+                   "--candidates", os.path.join(data, "candidates.csv"),
+                   "--batch-size", "30", "--threshold", "5", "--out", rundir)[0] == 0
+        assert run(capsys, "embed-docs", "--corpus", corpus, "--config", conf,
+                   "--out", docs)[0] == 0
+        selection = str(tmp_path / "selection.csv")
+        assert run(capsys, "select", "--model", docs, "--out", selection)[0] == 0
+        with open(selection, "rb") as a, open(os.path.join(rundir, "selection.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_select_without_a_compiler_exits_2_without_a_traceback(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        base = str(tmp_path / "docs")
+        save_doc_model(DocModel(["a", "b", "c"], np.arange(12.0).reshape(3, 4) ** 2,
+                                EmbeddingConfig(dim=4)), base)
+
+        def no_compiler():
+            raise kernel.KernelBuildError(
+                "cannot run the C compiler cc to build the kernel library: no cc")
+
+        monkeypatch.setattr(selection, "library", no_compiler)
+        out = str(tmp_path / "s.csv")
+        code, printed, err = run(capsys, "select", "--model", base, "--out", out)
+        assert (code, printed) == (2, "")
+        assert err == ("error: cannot run the C compiler cc to build the kernel library: "
+                       "no cc\n")
+        assert not os.path.exists(out)
+
+
 class TestSelectMatchesRefine:
-    def test_select_writes_the_selection_refine_writes(self, capsys, tmp_path, openblas):
-        # 300 documents at dim 200: on two threads OpenBLAS's SVD gives
-        # other bits than on one, and refine runs it on one
+    def test_select_writes_the_selection_refine_writes(self, capsys, tmp_path):
+        # 300 documents at dim 200, where the SVD this stage once ran gave
+        # other bits on two OpenBLAS threads than on one
         data = str(tmp_path / "data")
         run(capsys, "synth", "--out", data, "--n-docs", "300", "--rare-docs", "3")
         corpus = os.path.join(data, "corpus.csv")

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -7,13 +8,15 @@ import subprocess
 import mpmath
 import numpy as np
 import pytest
+from helpers import reference_greedy_fps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from litscreen import kernel
+from litscreen import kernel, selection
 from litscreen.corpus import CorpusRows, preprocess_set
-from litscreen.embedding import EmbeddingConfig
-from litscreen.refine import RefineConfig, run_refinement
-from litscreen.selection import Projection, pca_project
-from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus
+from litscreen.embedding import EmbeddingConfig, train_doc2vec
+from litscreen.selection import Projection, central_document, greedy_fps, pca_project
+from litscreen.synth import SynthSpec, synthetic_corpus
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -52,7 +55,7 @@ def train_one_pair(center, loss):
     two-node path; returns its result."""
     dim = len(center)
     zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    return kernel.library()(
+    return kernel.library().hs_train(
         center.reshape(1, dim), np.ones((2, dim)), dim, zero, zero, one, zero, 1, 0,
         np.array([0, 2], dtype=np.int64), np.arange(2, dtype=np.int64),
         np.array([1.0, -1.0]), 0.1, 0.05, 0.05, 0, 1, np.empty(2 + dim), loss)
@@ -108,7 +111,7 @@ LOSS_EXTREMES = {
 @pytest.mark.parametrize("case", sorted(LOSS_EXTREMES))
 @pytest.mark.parametrize("start", [0.0, 1.5])
 def test_loss_matches_an_exact_sum_at_the_extremes(build, case, start, single_isa_kernel):
-    hs_train = kernel.library() if build == "shipped" else single_isa_kernel(build)
+    hs_train = (kernel.library() if build == "shipped" else single_isa_kernel(build)).hs_train
     scores = LOSS_EXTREMES[case]
     with mpmath.workdps(50):
         want = start + 3 * mpmath.fsum(mpmath.log1p(mpmath.exp(-mpmath.mpf(s))) for s in scores)
@@ -129,93 +132,137 @@ def test_bad_loss_buffer_rejected(loss):
         train_one_pair(np.full(3, 0.5), loss)
 
 
-def seeded_matrix(rows, cols):
-    rng = np.random.default_rng(rows * cols)
-    return rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10.0, cols)
-
-
-def assert_same_projection(got, want):
-    for field in dataclasses.fields(Projection):
-        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), field.name
-
-
-# Document matrices (documents x dim) of the sizes the tests and the
-# benchmark workloads project, and 5,000 documents at dim 48: OpenBLAS's
-# SVD of them gives the same bits on one thread as on two
-SAME_BITS = [(3, 2), (40, 3), (120, 12), (100, 200), (500, 48), (5000, 48)]
-# Larger ones, whose SVD gives other bits on two threads than on one
-OTHER_BITS = [(500, 200), (5000, 200), (20000, 48), (20000, 200)]
-
-
-@pytest.mark.parametrize("rows, cols", SAME_BITS)
-def test_pca_keeps_its_bits_on_one_blas_thread(openblas, rows, cols):
-    get, _ = openblas
-    x = seeded_matrix(rows, cols)
-    two = pca_project(x)
-    with kernel.one_blas_thread():
-        assert get() == 1
-        one = pca_project(x)
-    assert_same_projection(one, two)
-
-
-@pytest.mark.parametrize("rows, cols", SAME_BITS + OTHER_BITS)
-def test_pca_on_one_blas_thread_ignores_the_count_outside(openblas, rows, cols):
-    # the cap makes refine's PCA, and so its selection, the same whatever
-    # BLAS thread count the machine or the environment sets
-    _, set_ = openblas
-    x = seeded_matrix(rows, cols)
-    with kernel.one_blas_thread():
-        want = pca_project(x)
-    for outside in (1, 3):
-        set_(outside)
-        with kernel.one_blas_thread():
-            assert_same_projection(pca_project(x), want)
-
-
-class Raised(RuntimeError):
-    pass
-
-
-def test_thread_count_restored_on_return_and_on_error(openblas):
-    get, _ = openblas
-    with kernel.one_blas_thread():
-        assert get() == 1
-    assert get() == 2
-    with pytest.raises(Raised):
-        with kernel.one_blas_thread():
-            assert get() == 1
-            raise Raised
-    assert get() == 2
-
-
-def test_nested_or_at_one_thread_leaves_the_count_as_found(openblas):
-    get, set_ = openblas
-    with kernel.one_blas_thread():
-        with kernel.one_blas_thread():
-            assert get() == 1
-        assert get() == 1
-    assert get() == 2
-    set_(1)
-    with kernel.one_blas_thread():
-        assert get() == 1
-    assert get() == 1
-
-
-def planted_run():
-    rows = synthetic_corpus(SynthSpec(n_docs=120, rare_docs=3, seed=1))
+@functools.cache
+def planted_doc_vectors():
+    """PV-DBOW vectors of criterion 7's planted 500 documents at dim 48, the
+    shape and spread of ``refine-planted``'s selection input."""
+    rows = synthetic_corpus(SynthSpec(n_docs=500, rare_docs=8, seed=11))
     docs = preprocess_set(CorpusRows([i for i, _ in rows], [t for _, t in rows]))
-    config = RefineConfig(batch_size=15, threshold=0.1,
-                          embedding=EmbeddingConfig(dim=12, window=3, epochs=1))
-    return run_refinement(docs, synthetic_candidates(3), config)
+    return train_doc2vec(docs.corpus, EmbeddingConfig(dim=48, window=5, epochs=3)).vectors
 
 
-def test_without_openblas_functions_the_block_changes_nothing(openblas, monkeypatch):
-    get, _ = openblas
-    expected = planted_run()
-    monkeypatch.setattr(kernel, "_openblas_threads", lambda: None)
-    with kernel.one_blas_thread():
-        assert get() == 2
-    result = planted_run()
-    assert get() == 2
-    assert result.records == expected.records and result.converged
-    assert result.final_model.vectors.tobytes() == expected.final_model.vectors.tobytes()
+def spectrum_matrix(n, d, singular, seed):
+    """An (n, d) matrix whose centred rows have the singular values
+    ``singular``, fewer than n and at most d of them, plus a column offset."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((n, len(singular)))
+    left = np.linalg.qr(left - left.mean(axis=0))[0]
+    right = np.linalg.qr(rng.standard_normal((d, len(singular))))[0]
+    return (left * singular) @ right.T + rng.normal(size=d)
+
+
+def assert_matches_the_svd(x):
+    """pca_project against LAPACK's SVD of the centred rows: variances
+    within 1e-12 of the top one, |cos| of each component within 1e-12 of 1
+    where its eigenvalue stands 1e-8 of the top one clear of its
+    neighbours, orthonormal components and points within 1e-12."""
+    proj = pca_project(x)
+    centred = x - x.mean(axis=0)
+    s = np.linalg.svd(centred, compute_uv=False)
+    _, _, vt = np.linalg.svd(centred, full_matrices=False)
+    eig = np.concatenate([s ** 2 / (len(x) - 1), [0.0]])
+    top = eig[0]
+    assert np.all(np.abs(proj.explained_variance - eig[:2]) <= 1e-12 * top), (
+        proj.explained_variance, eig[:2])
+    for c in range(2):
+        gap = min(eig[c] - eig[c + 1], eig[c - 1] - eig[c] if c else math.inf)
+        if gap > 1e-8 * top:
+            assert abs(abs(float(np.dot(proj.components[c], vt[c]))) - 1.0) <= 1e-12, c
+    assert np.abs(proj.components @ proj.components.T - np.eye(2)).max() <= 1e-12
+    scale = np.abs(centred).max() * math.sqrt(x.shape[1])
+    assert np.abs(proj.points - centred @ proj.components.T).max() <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+@example(2, 2, 0)  # rank 1: the second component is any unit vector orthogonal to the first
+@example(2, 30, 1)  # n < d at rank 1
+@example(3, 30, 2)  # n < d
+@example(40, 3, 3)  # n > d
+def test_pca_matches_the_svd(n, d, seed):
+    rng = np.random.default_rng(seed)
+    assert_matches_the_svd(rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+                           + rng.normal(size=d))
+
+
+@pytest.mark.parametrize("n, d", [(60, 8), (8, 60), (200, 48)])
+@pytest.mark.parametrize("after", [0, 1])
+@pytest.mark.parametrize("gap", [1e-4, 1e-7])
+def test_pca_matches_the_svd_at_a_tiny_eigengap(n, d, after, gap):
+    # eigenvalues (singular values squared) 1 - gap apart, relatively, after
+    # the top one or after the second
+    singular = np.array([3.0, 2.0, 1.5, 1.0, 0.5])
+    singular[after + 1] = singular[after] * math.sqrt(1.0 - gap)
+    assert_matches_the_svd(spectrum_matrix(n, d, np.sort(singular)[::-1], seed=n + d))
+
+
+def test_pca_of_two_mirrored_rows_keeps_its_components_orthonormal():
+    # n < d and the centred rows are exact negatives, so the second
+    # eigenvector of their 2 x 2 Gram matrix maps to the zero vector: the
+    # second component is then the axis the first is smallest along
+    proj = pca_project(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]))
+    assert np.abs(proj.components @ proj.components.T - np.eye(2)).max() <= 1e-15
+    assert proj.components[1].tolist() == [0.0, 1.0, 0.0]
+    assert proj.points[:, 1].tolist() == [0.0, 0.0]
+
+
+def test_pca_of_the_planted_doc_vectors_matches_the_svd():
+    assert_matches_the_svd(planted_doc_vectors())
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "PCA needs finite values"),
+                                          (np.inf, "PCA needs finite values"),
+                                          (1e300, "PCA needs finite values")])
+def test_pca_refuses_what_it_cannot_project(bad, message):
+    x = np.random.default_rng(5).normal(size=(20, 4))
+    x[3, 2] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pca_project(x)
+
+
+def test_fps_order_matches_the_reference_loop_on_planted_points():
+    points = pca_project(planted_doc_vectors()).points
+    start = central_document(points)
+    got, want = greedy_fps(points, start, len(points)), reference_greedy_fps(points, start,
+                                                                          len(points))
+    assert got.indices == want.indices
+    assert np.array(got.distances).tobytes() == np.array(want.distances).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fps_order_follows_numpys_nan_rules(seed):
+    # np.minimum keeps a NaN from either side, a picked point's -inf
+    # included, and np.argmax picks the first NaN before any number, so a
+    # NaN point is picked again and again once it shows
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(40, 2))
+    points[rng.integers(0, 40, size=3)] = [[np.nan, 1.0], [np.inf, 0.5], [0.0, 0.0]]
+    start = int(rng.integers(0, 40))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = reference_greedy_fps(points, start, 40)
+    got = greedy_fps(points, start, 40)
+    assert got.indices == want.indices
+    assert np.array(got.distances).tobytes() == np.array(want.distances).tobytes()
+
+
+def selection_bytes():
+    """The bytes of every Projection field and farthest-point order on the
+    planted doc vectors and seeded matrices of several shapes, n < d
+    among them."""
+    rng = np.random.default_rng(17)
+    inputs = [planted_doc_vectors()] + [rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+                                        for n, d in [(3, 2), (40, 3), (100, 200), (5000, 48)]]
+    out = []
+    for x in inputs:
+        proj = pca_project(x)
+        order = greedy_fps(proj.points, central_document(proj.points), len(x))
+        out += [getattr(proj, f.name).tobytes() for f in dataclasses.fields(Projection)]
+        out += [np.array(order.indices).tobytes(), np.array(order.distances).tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("isa", ["baseline", "avx2"])
+def test_single_isa_builds_select_the_same_bits(isa, single_isa_kernel, monkeypatch):
+    shipped = selection_bytes()
+    monkeypatch.setattr(selection, "library", lambda: single_isa_kernel(isa))
+    assert selection_bytes() == shipped

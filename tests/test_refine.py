@@ -25,7 +25,7 @@ from litscreen.refine import (
 from litscreen.selection import cumulative_batches
 from litscreen.synth import SynthSpec, synthetic_candidates, synthetic_corpus
 
-from helpers import blas_threads, reference_run_refinement
+from helpers import reference_run_refinement
 
 EMB = EmbeddingConfig(dim=12, window=2, epochs=2)
 
@@ -348,9 +348,9 @@ def fail_at(monkeypatch, t_fail, batch_size, n_docs):
 
 
 def running_threads():
-    """The live Python threads and numpy's BLAS thread count, both of which
-    run_refinement must leave as it found them, on every return and raise."""
-    return threading.active_count(), blas_threads()
+    """The live Python threads, which run_refinement must leave as it found
+    them, on every return and raise."""
+    return threading.active_count()
 
 
 def untrainable(*args, **kwargs):
