@@ -27,14 +27,6 @@
 #define ISA_CLONES
 #endif
 
-/* numpy's logaddexp(0, -sz), for the clipped scores |sz| > 60 */
-static double softplus_neg(double sz)
-{
-    if (sz > 0.0)
-        return log1p(exp(-sz));
-    return -sz + log1p(exp(sz));
-}
-
 /* SGD over hierarchical softmax, shared by skip-gram and PV-DBOW.
 
    hs_train trains n_items consecutive items. Item i trains row rows[i]
@@ -47,7 +39,8 @@ static double softplus_neg(double sz)
    taken at the incoming values, the node rows move from the old center,
    then the center moves. The learning rate decays linearly per item,
    where processed counts the items trained before this call:
-   max(alpha_min, alpha0 - span * (processed / total)). Nothing here
+   max(alpha_min, alpha0 - (alpha0 - alpha_min) * (processed / total)),
+   from alpha0 at processed = 0 to alpha_min at total. Nothing here
    checks an index: the caller checks rows, lo, hi and targets first.
 
    The results are fixed to the bit, not just to rounding. Each score is
@@ -65,9 +58,9 @@ static double softplus_neg(double sz)
    work must hold (longest path + dim) doubles. Only when loss is not
    NULL is the call's pre-update loss, the sum of log1p(exp(-sz)) over
    every path node of every pair, added to *loss; a NULL loss skips it
-   and leaves the vectors bit for bit the same. A clipped node
-   (|sz| > 60) adds softplus_neg(sz) directly; the rest go into one
-   running product per call, 1 + y = prod (1 + e), as y = y + e + y * e.
+   and leaves the vectors bit for bit the same. A clipped node (|sz| > 60)
+   adds numpy's logaddexp(0, -sz) directly; the rest go into one running
+   product per call, 1 + y = prod (1 + e), as y = y + e + y * e.
    Its terms are all positive, so y stays within about 3 eps per node,
    and it never forms 1 + e, which would round a loss below eps away.
    Whenever y > 1e250, log1p(y) goes into the sum and y back to 0, so
@@ -80,10 +73,11 @@ ISA_CLONES int64_t hs_train(double *restrict centers, double *restrict nodes, in
                  const int64_t *targets, int64_t n_items, int64_t skip_self,
                  const int64_t *path_off, const int64_t *path_nodes,
                  const double *path_signs,
-                 double alpha0, double alpha_min, double span,
+                 double alpha0, double alpha_min,
                  int64_t processed, int64_t total,
                  double *restrict work, double *loss)
 {
+    const double span = alpha0 - alpha_min;
     double total_loss = loss ? *loss : 0.0;
     double y = 0.0; /* 1 + y: the product of the unclipped nodes' 1 + e since the last fold */
     int64_t pairs = 0;
@@ -122,7 +116,7 @@ ISA_CLONES int64_t hs_train(double *restrict centers, double *restrict nodes, in
 
             /* z[j] becomes node j's gradient; exp(-clipped) serves both it
                and the loss: an unclipped node's log1p(e) goes into y as the
-               factor 1 + e, a clipped one's softplus_neg(sz) into the sum */
+               factor 1 + e, a clipped one's logaddexp(0, -sz) into the sum */
             for (j = 0; j < len; j++) {
                 if (!isfinite(z[j]))
                     return -1;
@@ -137,7 +131,7 @@ ISA_CLONES int64_t hs_train(double *restrict centers, double *restrict nodes, in
                             y = 0.0;
                         }
                     } else {
-                        total_loss += softplus_neg(sz);
+                        total_loss += sz > 0.0 ? log1p(exp(-sz)) : -sz + log1p(exp(sz));
                     }
                 }
                 z[j] = signs[j] * (1.0 - 1.0 / (1.0 + e));

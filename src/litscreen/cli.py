@@ -9,14 +9,14 @@ command does not read. A missing input file exits 2 naming its kind and
 path (``corpus file not found: PATH``), and so does bad data in an input:
 a corpus with fewer than two documents, or one whose vocabulary holds fewer
 than two tokens, names the corpus; a document model that ``select`` cannot
-order (fewer than two documents, or all alike) names the model; a token
-missing from a model names the model, and when the token is an anchor term,
-where the anchors came from: --anchors, the config file or the defaults. A
-``refine`` failure names the corpus and candidates files, and each token
-that refuses the run its source; a non-finite training score names the
-config's alpha0, else the corpus. ``refine`` removes the ``manifest.txt``
-of an earlier run in its --out directory before it writes anything there,
-and writes its own last, so a directory without one holds an unfinished run.
+order (fewer than two documents, or all alike) names the model. A token
+missing from a model names the model, and each failure of ``refine`` the
+corpus and candidates files; both name each token's source: the
+candidates file, or --anchors, the config file or the default anchors.
+A non-finite training score names the config's alpha0, else the corpus.
+``refine`` removes an earlier run's ``manifest.txt`` from --out before it
+writes there, and writes its own last, so a directory without one holds
+an unfinished run.
 
 Exit codes: 0 success, 1 usage error, 2 data or file error, or a kernel
 library that could not be compiled (no ``cc`` on the PATH, say),
@@ -245,8 +245,7 @@ def _cmd_refine(args) -> int:
     try:
         result = run_refinement(docs, candidates, config)
     except RefinementError as exc:
-        source = dict.fromkeys(config.anchors.terms, _anchor_source(args))
-        sources = "".join(f"; {t!r} is from {source.get(t, args.candidates)}" for t in exc.missing)
+        sources = _sources(exc.missing, config.anchors, args)
         raise RefinementError(f"{args.corpus}, {args.candidates}: {exc}{sources}") from None
 
     os.makedirs(args.out, exist_ok=True)
@@ -293,22 +292,24 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _anchor_source(args) -> str:
-    """Where the command's anchor terms came from, as an error names them."""
-    if "anchors" in args.flagged:
-        return "--anchors"
-    return f"{args.config}: anchors" if args.anchors else "the default anchors"
+def _sources(tokens, anchors: PropertyAnchors, args) -> str:
+    """One "; 't' is from SOURCE" per token: --anchors, the config file or
+    the default anchors for an anchor term, else the candidates file."""
+    anchor_source = ("--anchors" if "anchors" in args.flagged
+                     else f"{args.config}: anchors" if args.anchors else "the default anchors")
+    return "".join(f"; {t!r} is from {anchor_source if t in anchors.terms else args.candidates}"
+                   for t in tokens)
 
 
 def _front_for(model_base: str, candidates, args):
     model = load_model(model_base)
     anchors = args.anchors or PropertyAnchors()
-    missing = [term for term in anchors.terms if term not in model.vocab]
-    with _naming(model_base, OutOfVocabularyError):
-        if missing:
-            raise OutOfVocabularyError(f"anchor term {missing[0]!r} ({_anchor_source(args)}) "
-                                       "is not in the vocabulary")
-        scores = similarity_points(model, candidates, anchors)
+    missing = sorted({*anchors.terms, *candidates.present()}.difference(model.vocab.index))
+    if missing:
+        raise OutOfVocabularyError(f"{model_base}: the vocabulary lacks "
+                                   f"{', '.join(map(repr, missing))}"
+                                   f"{_sources(missing, anchors, args)}")
+    scores = similarity_points(model, candidates, anchors)
     return scores, pareto_front(scores, args.preset or Objectives())
 
 

@@ -254,12 +254,12 @@ def _train_hs(
     epoch in one call: per pair, one SGD step of the hierarchical-softmax
     loss ``-sum log sigmoid(sign * <center, node>)`` over the target's
     path, with both gradients taken at the incoming values. The learning
-    rate decays linearly per item across all epochs. Node vectors start at
-    zero. The loss is computed in the final epoch only; the epochs before
-    it skip it; the kernel takes it through one running product per call,
-    not a ``log1p`` per path node (``_hs.c``). Returns (node matrix, the
-    final epoch's mean loss per pair or nan when that epoch trained no
-    pair, pairs trained).
+    rate decays linearly per item across all epochs, from ``alpha0`` to
+    ``alpha_min`` (the kernel takes the span from the two). Node vectors
+    start at zero. Only the final epoch computes the loss, through one
+    running product per call, not a ``log1p`` per path node (``_hs.c``).
+    Returns (node matrix, the final epoch's mean loss per pair or nan when
+    that epoch trained no pair, pairs trained).
     """
     hs_train = library().hs_train
     nodes = np.zeros((coding.n_nodes, config.dim))
@@ -267,7 +267,6 @@ def _train_hs(
     final_loss = np.zeros(1)
     n_items = len(targets)
     total = config.epochs * n_items
-    alpha_span = config.alpha0 - config.alpha_min
     pairs = epoch_pairs = 0
     # the kernel indexes raw memory with these, so check them first
     if (centers.shape[1] != config.dim or rows.shape != (n_items,)
@@ -281,8 +280,7 @@ def _train_hs(
             raise ValueError("training items out of range")
         epoch_pairs = hs_train(
             centers, nodes, config.dim, rows, lo, hi, targets, n_items, skip_self,
-            coding.offsets, coding.nodes, coding.signs,
-            config.alpha0, config.alpha_min, alpha_span,
+            coding.offsets, coding.nodes, coding.signs, config.alpha0, config.alpha_min,
             epoch * n_items, total, work, final_loss if epoch == config.epochs - 1 else None,
         )
         if epoch_pairs < 0:

@@ -34,21 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FLAGS", "KernelBuildError", "Kernel", "library_path", "build", "library", "load"]
+__all__ = ["FLAGS", "KernelBuildError", "Kernel", "build", "library", "load"]
 
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class KernelBuildError(RuntimeError):
     """The kernel library could not be compiled: no ``cc``, or it failed."""
-
-
-def library_path(source: bytes, cache_dir: str) -> str:
-    """Where the library built from ``source`` with ``FLAGS`` lives."""
-    import hashlib  # only a training needs it; loading OpenSSL costs every command
-
-    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"_hs-{key}.so")
 
 
 def build(source: bytes, cache_dir: str) -> str:
@@ -59,7 +51,10 @@ def build(source: bytes, cache_dir: str) -> str:
     when ``cc`` cannot run, and with the compiler's stderr when the compile
     fails.
     """
-    path = library_path(source, cache_dir)
+    import hashlib  # only a training needs it; loading OpenSSL costs every command
+
+    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    path = os.path.join(cache_dir, f"_hs-{key}.so")
     if os.path.exists(path):
         return path
     import subprocess  # only a build needs it; importing it costs every command
@@ -111,9 +106,10 @@ def load(path: str) -> Kernel:
     size, and ``_hs.c`` states each whole contract.
 
     - ``hs_train(centers, nodes, dim, rows, lo, hi, targets, n_items,
-      skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min, span,
+      skip_self, path_off, path_nodes, path_signs, alpha0, alpha_min,
       processed, total, work, loss)``: item i trains row ``rows[i]`` on
-      ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``.
+      ``targets[lo[i]:hi[i]]``, leaving out position i when ``skip_self``,
+      at a rate falling linearly from ``alpha0`` to ``alpha_min``.
       ``loss`` is a one-element buffer that the call's pre-update loss is
       added to, taken through one running product per call, not a
       ``log1p`` per path node, or None to skip the loss.
@@ -153,7 +149,7 @@ def load(path: str) -> Kernel:
                       out_matrix, out_matrix, int64,
                       i64, i64, i64, i64, int64, int64,
                       i64, i64, f64,
-                      double, double, double,
+                      double, double,
                       int64, int64,
                       out, optional_loss),
         pca_top2=bind("pca_top2", int64,

@@ -27,7 +27,7 @@ _COMPONENTS = 2
 # pca_top2's failing return codes
 _PCA_FAILURES = {
     1: "degenerate input: all rows identical (zero variance)",
-    2: "PCA needs finite values",
+    2: "PCA needs finite values whose centred Gram matrix does not overflow",
     3: "PCA did not converge",
 }
 

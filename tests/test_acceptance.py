@@ -43,7 +43,7 @@ def kernel_step(center, nodes, signs, alpha):
     pairs = library().hs_train(
         centers, rows, dim, zero, zero, one, zero, 1, 0,
         np.array([0, n], dtype=np.int64), np.arange(n, dtype=np.int64),
-        np.asarray(signs, dtype=np.float64), alpha, alpha / 2, alpha / 2, 0, 1,
+        np.asarray(signs, dtype=np.float64), alpha, alpha / 2, 0, 1,
         np.empty(n + dim), loss)
     assert pairs == 1
     return loss[0], centers[0], rows

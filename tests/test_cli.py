@@ -500,11 +500,32 @@ class TestInputAtFaultIsNamed:
         code, printed, err = run(capsys, command, *model, "--candidates", cands,
                                  "--anchors", "dielectric,zzz")
         assert (code, printed) == (2, "")
-        assert err == f"error: {base}: anchor term 'zzz' (--anchors) is not in the vocabulary\n"
+        assert err == f"error: {base}: the vocabulary lacks 'zzz'; 'zzz' is from --anchors\n"
         cands = write(str(tmp_path / "k.csv"), "id,Ni,Ag\na,0.5,0.5\n")
         code, printed, err = run(capsys, command, *model, "--candidates", cands)
         assert (code, printed) == (2, "")
-        assert err == f"error: {base}: token 'Ag' is not in the vocabulary\n"
+        assert err == f"error: {base}: the vocabulary lacks 'Ag'; 'Ag' is from {cands}\n"
+        # every missing token is named, each with its source
+        code, printed, err = run(capsys, command, *model, "--candidates", cands,
+                                 "--anchors", "zzz,dielectric")
+        assert (code, printed) == (2, "")
+        assert err == (f"error: {base}: the vocabulary lacks 'Ag', 'zzz'; 'Ag' is from {cands}; "
+                       "'zzz' is from --anchors\n")
+
+    @pytest.mark.parametrize("command", ["screen", "report"])
+    def test_missing_element_names_the_candidates_file(self, capsys, tmp_path, command):
+        # a model refine trained on a corpus that never mentions Pd
+        data, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run(capsys, "synth", "--out", data, "--n-docs", "40")[0] == 0
+        conf = write(str(tmp_path / "c.conf"), "dim = 8\nepochs = 1\n")
+        assert run(capsys, "refine", "--config", conf, "--corpus", os.path.join(data, "corpus.csv"),
+                   "--candidates", os.path.join(data, "candidates.csv"), "--out", run_dir)[0] == 0
+        base = os.path.join(run_dir, "model")
+        cands = write(str(tmp_path / "pd.csv"), "id,Ag,Pt,Pd\na,0.5,0.25,0.25\n")
+        model = ["--model", base] if command == "screen" else ["--full-model", base]
+        code, printed, err = run(capsys, command, *model, "--candidates", cands)
+        assert (code, printed) == (2, "")
+        assert err == f"error: {base}: the vocabulary lacks 'Pd'; 'Pd' is from {cands}\n"
 
     @pytest.mark.parametrize("command", ["screen", "report"])
     def test_missing_anchor_names_where_the_anchors_came_from(self, capsys, tmp_path, command):
@@ -515,21 +536,21 @@ class TestInputAtFaultIsNamed:
         code, printed, err = run(capsys, command, *model, "--candidates", cands,
                                  "--config", conf)
         assert (code, printed) == (2, "")
-        assert err == (f"error: {base}: anchor term 'zzzword' ({conf}: anchors) "
-                       "is not in the vocabulary\n")
+        assert err == (f"error: {base}: the vocabulary lacks 'zzzword'; 'zzzword' is from "
+                       f"{conf}: anchors\n")
         # a flag over the config file is named as the flag
         code, printed, err = run(capsys, command, *model, "--candidates", cands,
                                  "--config", conf, "--anchors", "zzzword,dielectric")
-        assert err == (f"error: {base}: anchor term 'zzzword' (--anchors) "
-                       "is not in the vocabulary\n")
+        assert err == (f"error: {base}: the vocabulary lacks 'zzzword'; 'zzzword' is from "
+                       "--anchors\n")
         # a model that lacks a default anchor term
         save_model(WordModel(vocab=Vocabulary(index={"conductivity": 0, "Ni": 1}, counts=None),
                              vectors=np.eye(2), node_vectors=np.zeros((1, 2)),
                              config=EmbeddingConfig(dim=2), seed=0), base)
         code, printed, err = run(capsys, command, *model, "--candidates", cands)
         assert (code, printed) == (2, "")
-        assert err == (f"error: {base}: anchor term 'dielectric' (the default anchors) "
-                       "is not in the vocabulary\n")
+        assert err == (f"error: {base}: the vocabulary lacks 'dielectric'; 'dielectric' is from "
+                       "the default anchors\n")
 
     def test_select_of_a_one_document_model_names_the_model(self, capsys, tmp_path):
         # embed-docs refuses to write one, but the library or an older version can

@@ -504,7 +504,8 @@ class TestKernelMatchesReference:
         second = kernel.build(source, cache)
         assert first == second and len(calls) == 1
         assert os.listdir(cache) == [os.path.basename(first)]
-        assert kernel.library_path(source + b"\n", cache) != first
+        # the name is keyed on the source: another one builds beside it
+        assert kernel.build(b"int x;\n", cache) != first and len(calls) == 2
 
     def test_failed_compile_reports_compiler_output(self, tmp_path):
         with pytest.raises(RuntimeError, match="error"):
@@ -513,7 +514,7 @@ class TestKernelMatchesReference:
 
 
 def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, path_nodes,
-                    path_signs, alpha0, alpha_min, span, processed, total, total_loss):
+                    path_signs, alpha0, alpha_min, processed, total, total_loss):
     """Scalar replica of the kernel's ``hs_train`` on nested lists, updated
     in place: item i trains targets ``lo[i]`` to ``hi[i]``, leaving out
     position i when ``skip_self``; each score summed in four lanes over
@@ -532,7 +533,7 @@ def scalar_hs_train(centers, nodes, rows, lo, hi, targets, skip_self, path_off, 
     pairs = 0
     y = 0.0
     for i, row in enumerate(rows):
-        alpha = alpha0 - span * ((processed + i) / total)
+        alpha = alpha0 - (alpha0 - alpha_min) * ((processed + i) / total)
         if not alpha > alpha_min:
             alpha = alpha_min
         c = centers[row]
@@ -631,14 +632,14 @@ class TestKernelMatchesScalarReplica:
             want_loss, want_pairs = scalar_hs_train(
                 want_centers, want_nodes, rows.tolist(), lo.tolist(), hi.tolist(),
                 targets.tolist(), skip_self, path_off.tolist(), path_nodes.tolist(),
-                path_signs.tolist(), 0.5, 0.01, 0.49, processed, total, want_loss)
+                path_signs.tolist(), 0.5, 0.01, processed, total, want_loss)
             start_centers, start_nodes = centers, nodes
             # None passes NULL: the kernel skips the loss, not the update
             for buffer in (loss, None):
                 centers, nodes = start_centers.copy(), start_nodes.copy()
                 pairs = hs_train(centers, nodes, dim, rows, lo, hi, targets, n_items, skip_self,
                                  path_off, path_nodes, path_signs,
-                                 0.5, 0.01, 0.49, processed, total, work, buffer)
+                                 0.5, 0.01, processed, total, work, buffer)
                 assert pairs == want_pairs
                 np.testing.assert_array_equal(centers.view(np.int64),
                                               np.array(want_centers).view(np.int64))
@@ -665,7 +666,7 @@ def test_skip_gram_item_never_pairs_with_its_own_position():
         c, n, loss = centers.copy(), nodes.copy(), np.zeros(1)
         pairs = kernel.library().hs_train(c, n, dim, rows, lo, hi, targets, len(rows), skip_self,
                                           coding.offsets, coding.nodes, coding.signs,
-                                          0.05, 0.05, 0.0, 0, len(rows),
+                                          0.05, 0.05, 0, len(rows),
                                           np.empty(n_nodes + dim), loss)
         return pairs, c.tobytes(), n.tobytes(), loss.tobytes()
 
